@@ -334,7 +334,7 @@ def cmd_construct(args) -> int:
     try:
         res = sim.greedy_potential_code(args.n, args.rho, args.L, args.delta, rng, k=args.k)
     except NoCandidateError as err:
-        _write_trace(getattr(err, "history", []))
+        _write_trace(err.history)
         print(f"construction failed: {err}", file=sys.stderr)
         args._outputs = [out_trace]
         return EXIT_CONSTRUCT
@@ -435,22 +435,23 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _expand_config(argv: list[str]) -> list[str]:
+def _expand_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
     """Insert config-file entries as flags ahead of explicit ones.
 
     Explicit command-line flags win because argparse keeps the last
-    occurrence of a repeated option.
+    occurrence of a repeated option.  An option that takes no value (a
+    store_true flag) is emitted bare for a true entry and left out for a
+    false one.
     """
-    path = None
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-            break
-        if tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-            break
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv[1:])[0].config
     if path is None:
         return argv
+    # argv[0] is the subcommand name
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    sp = commands.choices.get(argv[0])
+    flags = {o for a in sp._actions if a.nargs == 0 for o in a.option_strings} if sp else set()
     tokens: list[str] = []
     with open(path) as fh:
         for line in fh:
@@ -458,16 +459,22 @@ def _expand_config(argv: list[str]) -> list[str]:
             if not line or line.startswith("#"):
                 continue
             key, _, val = line.partition("=")
-            tokens.extend([f"--{key.strip().replace('_', '-')}", val.strip()])
-    # argv[0] is the subcommand name
+            key, val = key.strip(), val.strip()
+            opt = f"--{key.replace('_', '-')}"
+            if opt not in flags:
+                tokens.extend([opt, val])
+            elif val.lower() in ("1", "true", "yes", "on"):
+                tokens.append(opt)
+            elif val.lower() not in ("0", "false", "no", "off"):
+                parser.error(f"config: {key} = {val} is neither true nor false")
     return argv[:1] + tokens + argv[1:]
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and not argv[0].startswith("-"):
-        argv = _expand_config(argv)
     parser = build_parser()
+    if argv and not argv[0].startswith("-"):
+        argv = _expand_config(argv, parser)
     args = parser.parse_args(argv)
     start = time.monotonic()
     try:

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DomainError, EmptyPolytopeError, UnsupportedError
 from .fields import make_field
 from .infomeasures import hq, hq_multi, hql
-from .subspaces import SubspaceRREF, iter_kernel_entropies, rref_of
+from .subspaces import SubspaceRREF, iter_rref_bases, kernel_entropy_table, rref_of
 from .typespace import LRSpec, bad_type, coincidence_orbits
 
 STRICT_MARGIN = 1e-9
@@ -646,19 +646,18 @@ def kernel_slack_report(q: int, ell: int, rho: float, L: int, delta: float) -> d
     per_dim: dict[int, float] = {}
     alt_min = math.inf
     identity_H = None
-    for basis, dim_img, H in iter_kernel_entropies(tau, assume_full_support=True):
-        floor = dim_img * h + logc - 1.0 + h - delta
-        slack = H - floor
-        if slack < min_slack:
-            min_slack = slack
-            worst = basis
-        if dim_img not in per_dim or slack < per_dim[dim_img]:
-            per_dim[dim_img] = slack
-        alt = H - dim_img * (h + (logc - 1.0 + h - delta) / L)
-        if alt < alt_min:
-            alt_min = alt
-        if dim_img == L:
-            identity_H = H
+    for k in range(L):
+        H, D = kernel_entropy_table(tau, k)
+        slack = H - (D * h + logc - 1.0 + h - delta)
+        t = int(np.argmin(slack))  # first minimum, as in enumeration order
+        if slack[t] < min_slack:
+            min_slack = float(slack[t])
+            worst = next(itertools.islice(iter_rref_bases(q, L, k), t, None))
+        for d in set(D.tolist()):
+            per_dim[d] = min(per_dim.get(d, math.inf), float(slack[D == d].min()))
+        alt_min = min(alt_min, float((H - D * (h + (logc - 1.0 + h - delta) / L)).min()))
+        if k == 0 and D[0] == L:
+            identity_H = float(H[0])
 
     # H(S|u) directly from the joint table (floats of the exact masses)
     ps_given = jt.table  # rows: u vectors, cols: subsets

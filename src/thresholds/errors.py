@@ -21,6 +21,10 @@ class SizeCapError(UnsupportedError):
     """An enumeration would exceed the hard size cap."""
 
 
+class RoundOffError(UnsupportedError, ArithmeticError):
+    """A floating-point route lost the precision its exact answer needs."""
+
+
 class LengthMismatchError(ValueError):
     """A vector has the wrong number of coordinates."""
 
@@ -50,4 +54,8 @@ class WorkBudgetExceededError(RuntimeError):
 
 
 class NoCandidateError(RuntimeError):
-    """A greedy step found no acceptable candidate."""
+    """A greedy step found no acceptable candidate; `history` holds the steps done."""
+
+    def __init__(self, message: str, history=()):
+        super().__init__(message)
+        self.history = list(history)

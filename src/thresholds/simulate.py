@@ -26,6 +26,7 @@ import numpy as np
 from .errors import (
     DomainError,
     NoCandidateError,
+    RoundOffError,
     SizeCapError,
     WorkBudgetExceededError,
 )
@@ -293,7 +294,7 @@ def occupancy_profile(code: Code, r: int) -> np.ndarray:
     conv = np.fft.ifftn(np.fft.fftn(A.reshape(shape)) * np.fft.fftn(B.reshape(shape))).real.ravel()
     P = np.rint(conv)
     if np.abs(conv - P).max() > 1e-3:
-        raise ArithmeticError("transform round-off too large to trust integer counts")
+        raise RoundOffError("transform round-off too large to trust integer counts")
     return P.astype(np.int64)
 
 
@@ -614,7 +615,8 @@ def greedy_potential_code(
     At each step candidates v outside the current span are scanned in a seeded
     random order and the first with S_new <= S_prev^2 is accepted; if none
     exists the construction stops with NoCandidateError (n too small for the
-    asymptotic argument, reported rather than retried).
+    asymptotic argument, reported rather than retried), whose `history`
+    holds the steps done.
 
     The target dimension defaults to floor((1 - h2(rho) - 1/L' - delta) n),
     clamped up to 1 so that small-n demonstrations still run a step.
@@ -683,7 +685,7 @@ def greedy_potential_code(
                     break
             if accepted is None:
                 raise NoCandidateError(
-                    f"no extension at step {step} keeps the potential squared"
+                    f"no extension at step {step} keeps the potential squared", history
                 )
 
     cap = math.floor(lprime * h + 1.0 + delta)

@@ -6,14 +6,14 @@ equal.  Enumeration walks pivot-column combinations and fills the free
 entries, which visits every subspace exactly once; counts per dimension match
 the Gaussian binomials.
 
-`entropy_over_kernels` pushes a type through the quotient map of every proper
-subspace; a bitmask fast path keeps the q = 2 sweep at L = 8 (417k kernels)
-in the tens of seconds.
+`kernel_entropy_table` pushes a type through the quotient map of every
+k-dimensional kernel at once, in numpy blocks of kernels that share a pivot
+pattern; `iter_kernel_entropies` and `entropy_over_kernels` pair its rows
+with the kernel bases.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -26,7 +26,7 @@ from .errors import (
     ShapeMismatchError,
     SizeCapError,
 )
-from .fields import FieldSpec, make_field, matvec_all, vec_table
+from .fields import make_field, vec_table
 from .typespace import TypeDist, _rank_of_rows
 
 _ENUM_CAP = 200_000
@@ -108,25 +108,25 @@ def rref_of(rows, q: int) -> SubspaceRREF:
     return SubspaceRREF(q=q, ambient=width, basis=basis)
 
 
-def iter_rref_bases(q: int, L: int, k: int):
-    """Yield the RREF basis (tuple of row tuples) of every k-dim subspace of GF(q)^L."""
-    if k == 0:
-        yield ()
-        return
+def _pivot_patterns(L: int, k: int):
+    """Yield (pivots, free positions) of each k-row RREF pattern, in enumeration
+    order.  Free positions are the (row, column) entries a pattern leaves open."""
     for pivots in itertools.combinations(range(L), k):
-        freepos = [
-            (i, j)
-            for i in range(k)
-            for j in range(pivots[i] + 1, L)
-            if j not in pivots
+        yield pivots, [
+            (i, j) for i in range(k) for j in range(pivots[i] + 1, L) if j not in pivots
         ]
-        base_rows = []
-        for i in range(k):
-            row = [0] * L
-            row[pivots[i]] = 1
-            base_rows.append(row)
+
+
+def iter_rref_bases(q: int, L: int, k: int):
+    """Yield the RREF basis (tuple of row tuples) of every k-dim subspace of GF(q)^L.
+
+    Within a pivot pattern the free entries run through GF(q) like the digits
+    of a base-q counter, the last free position fastest.
+    """
+    for pivots, freepos in _pivot_patterns(L, k):
+        base = [[int(j == p) for j in range(L)] for p in pivots]
         for assignment in itertools.product(range(q), repeat=len(freepos)):
-            rows = [r[:] for r in base_rows]
+            rows = [r[:] for r in base]
             for (i, j), v in zip(freepos, assignment):
                 rows[i][j] = v
             yield tuple(tuple(r) for r in rows)
@@ -184,91 +184,80 @@ def map_with_kernel(s: SubspaceRREF) -> QuotientMap:
     return QuotientMap(kernel=s, matrix=tuple(rows))
 
 
-@functools.lru_cache(maxsize=8)
-def _parity_table(nbits: int) -> np.ndarray:
-    idx = np.arange(1 << nbits, dtype=np.uint32)
-    par = np.zeros(1 << nbits, dtype=np.int64)
-    for b in range(nbits):
-        par ^= (idx >> b) & 1
-    return par
+_CHUNK = 1 << 14  # kernels x q^L cells pushed forward per numpy block
 
 
-def _pack_rows_bits(rows) -> list[int]:
-    return [sum(bit << j for j, bit in enumerate(row)) for row in rows]
+def kernel_entropy_table(tau: TypeDist, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pushforward entropies and image dimensions of all k-dim kernels.
 
-
-def iter_kernel_entropies(tau: TypeDist, dims=None, assume_full_support: bool = False):
-    """Stream (basis, image_dim, entropy_base_q) over proper-subspace kernels.
-
-    `basis` is the RREF basis tuple of the kernel.  Entropies are of the
-    pushforward of tau under the quotient map, in base-q units.  With
-    `assume_full_support` the image dimension is taken as L - dim(kernel)
-    without a rank computation (valid when tau has full support).
+    Row t of the (entropy, dim_image) arrays belongs to the t-th basis of
+    `iter_rref_bases(q, L, k)`: the base-q entropy of tau pushed through that
+    kernel's `map_with_kernel` quotient map, and L - k, or for an image
+    without full support the rank of its support.  Kernels sharing a pivot
+    pattern are pushed forward together, _CHUNK kernels x q^L cells at most:
+    image indices come from doubling over the L coordinates, masses from one
+    bincount with a per-kernel offset.
     """
     q, L = tau.q, tau.b
+    if not 0 <= k < L:
+        raise DomainError(f"kernel dimension {k} outside [0, {L})")
     fs = make_field(q)
-    dims = list(range(L)) if dims is None else sorted(set(dims))
-    if any(d < 0 or d >= L for d in dims):
-        raise DomainError(f"kernel dimensions {dims} outside [0, {L})")
-    probs = tau.probs
-    lq = math.log(q)
-    if not assume_full_support and np.all(probs > 0):
-        assume_full_support = True
-
-    if q == 2:
-        par = _parity_table(L)
-        allidx = np.arange(1 << L, dtype=np.uint32)
-        for k in dims:
-            Lp = L - k
-            for basis in iter_rref_bases(q, L, k):
-                qm_rows = _quotient_rows_fast(basis, L, fs)
-                masks = _pack_rows_bits(qm_rows)
-                images = np.zeros(1 << L, dtype=np.int64)
-                for j, mask in enumerate(masks):
-                    images += par[allidx & mask] << j
-                masses = np.bincount(images, weights=probs, minlength=1 << Lp)
-                m = masses[masses > 0]
-                H = float(-(m * np.log(m)).sum()) / lq
-                if assume_full_support:
-                    dim_img = Lp
-                else:
-                    sup = np.flatnonzero(masses > 0)
-                    dim_img = _rank_of_rows(
-                        [list(vec_table(q, Lp)[int(i)]) for i in sup], fs
-                    )
-                yield basis, dim_img, H
-    else:
-        for k in dims:
-            Lp = L - k
-            for basis in iter_rref_bases(q, L, k):
-                qm_rows = _quotient_rows_fast(basis, L, fs)
-                images = matvec_all(np.asarray(qm_rows), fs, L)
-                masses = np.bincount(images, weights=probs, minlength=q**Lp)
-                m = masses[masses > 0]
-                H = float(-(m * np.log(m)).sum()) / lq
-                if assume_full_support:
-                    dim_img = Lp
-                else:
-                    sup = np.flatnonzero(masses > 0)
-                    dim_img = _rank_of_rows(
-                        [list(vec_table(q, Lp)[int(i)]) for i in sup], fs
-                    )
-                yield basis, dim_img, H
+    Lp = L - k
+    N, M = q**L, q**Lp
+    step = max(1, _CHUNK // N)
+    weights = np.tile(tau.probs, step)
+    neg, mul, add = fs.neg_table, fs.mul_table, fs.add_table
+    place = q ** np.arange(Lp)
+    entropies, dims = [], []
+    for pivots, freepos in _pivot_patterns(L, k):
+        F = len(freepos)
+        free_cols = [j for j in range(L) if j not in pivots]
+        # quotient-map entry (row r, pivot column p) = -(free digit f)
+        entries = [(free_cols.index(j), pivots[i], f) for f, (i, j) in enumerate(freepos)]
+        for t0 in range(0, q**F, step):
+            t = np.arange(t0, min(t0 + step, q**F))
+            B = t.size
+            digits = (t[:, None] // q ** np.arange(F - 1, -1, -1)) % q
+            # cols[c] holds, per kernel, the digits of the image of e_c
+            cols = np.zeros((L, B, Lp), dtype=np.int64)
+            cols[free_cols, :, np.arange(Lp)] = 1
+            for r, p, f in entries:
+                cols[p, :, r] = neg[digits[:, f]]
+            if q == 2:
+                packed = cols @ place
+                images = np.zeros((B, N), dtype=np.int64)
+                for c in range(L):
+                    w = 1 << c
+                    images[:, w:2 * w] = images[:, :w] ^ packed[c][:, None]
+            else:
+                ys = np.zeros((B, Lp, N), dtype=np.int16)
+                for c in range(L):
+                    w = q**c
+                    scaled = mul[cols[c]][:, :, 1:, None]
+                    ys[:, :, w:q * w] = add[ys[:, :, None, :w], scaled].reshape(B, Lp, -1)
+                images = np.einsum("brn,r->bn", ys.astype(np.int64), place)
+            images += (np.arange(B) * M)[:, None]
+            masses = np.bincount(images.ravel(), weights=weights[:B * N],
+                                 minlength=B * M).reshape(B, M)
+            full = masses > 0
+            logm = np.log(masses, out=np.zeros_like(masses), where=full)
+            entropies.append(-(masses * logm).sum(axis=1) / math.log(q))
+            dim = np.full(B, Lp)
+            for b in np.flatnonzero(~full.all(axis=1)):
+                dim[b] = _rank_of_rows(vec_table(q, Lp)[full[b]].tolist(), fs)
+            dims.append(dim)
+    return np.concatenate(entropies), np.concatenate(dims)
 
 
-def _quotient_rows_fast(basis, L: int, fs: FieldSpec):
-    """Nullspace rows for an RREF basis given as row tuples (no dataclass)."""
-    pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
-    rows = []
-    for f in range(L):
-        if f in pivots:
-            continue
-        v = [0] * L
-        v[f] = 1
-        for i, p in enumerate(pivots):
-            v[p] = fs.neg(basis[i][f])
-        rows.append(tuple(v))
-    return rows
+def iter_kernel_entropies(tau: TypeDist, dims=None):
+    """Stream (basis, image_dim, entropy_base_q) over proper-subspace kernels.
+
+    `basis` is the RREF basis tuple of the kernel; the numbers are the rows
+    of `kernel_entropy_table`, one kernel dimension at a time.
+    """
+    for k in range(tau.b) if dims is None else sorted(set(dims)):
+        H, D = kernel_entropy_table(tau, k)
+        yield from zip(iter_rref_bases(tau.q, tau.b, k), D.tolist(), H.tolist())
 
 
 def entropy_over_kernels(tau: TypeDist, dims=None) -> list[dict]:
@@ -283,13 +272,5 @@ def entropy_over_kernels(tau: TypeDist, dims=None) -> list[dict]:
     total = sum(gaussian_binomial(L, k, q) for k in dims)
     if total > _ENUM_CAP:
         raise SizeCapError(f"{total} kernels exceed the list cap; use iter_kernel_entropies")
-    out = []
-    for basis, dim_img, H in iter_kernel_entropies(tau, dims=dims):
-        out.append(
-            {
-                "kernel": SubspaceRREF(q=q, ambient=L, basis=basis),
-                "entropy": H,
-                "dim_image": dim_img,
-            }
-        )
-    return out
+    return [{"kernel": SubspaceRREF(q=q, ambient=L, basis=basis), "entropy": H, "dim_image": d}
+            for basis, d, H in iter_kernel_entropies(tau, dims=dims)]

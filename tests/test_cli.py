@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
+from thresholds import simulate as sim
 from thresholds.cli import main
 from thresholds.engine import fmt12
+from thresholds.errors import RoundOffError
 from thresholds.infomeasures import hq, hql
 
 
@@ -191,6 +193,17 @@ def test_simulate_budget_exit(in_tmpdir, capsys):
     assert man["outputs"] == []
 
 
+def test_simulate_round_off_is_a_domain_error(capsys, monkeypatch):
+    def lossy(code, r):
+        raise RoundOffError("transform round-off too large to trust integer counts")
+
+    monkeypatch.setattr(sim, "occupancy_profile", lossy)
+    rc = main(["simulate", "--family", "rc", "--q", "3", "--n", "4", "--L", "2",
+               "--rho", "0.25", "--rates", "0.5:0.5:0.1", "--trials", "2"])
+    assert rc == 3
+    assert "domain error: transform round-off" in capsys.readouterr().err
+
+
 def test_simulate_malformed_rates_string(capsys):
     assert main(["simulate", "--family", "rc", "--q", "2", "--n", "5",
                  "--L", "2", "--rho", "0.1", "--rates", "0.5"]) == 3
@@ -216,6 +229,35 @@ def test_construct_writes_code_and_trace(in_tmpdir, capsys):
     assert {o["path"] for o in man["outputs"]} == {
         "construct_code.txt", "construct_trace.csv"
     }
+
+
+class OneCandidate:
+    """RNG stand-in whose candidate order holds the single vector v."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def permutation(self, m):
+        return np.array([self.v - 1])
+
+
+def test_construct_failure_writes_the_steps_done(in_tmpdir, capsys, monkeypatch):
+    # with one candidate in the scan order, step 1 takes it and step 2 finds
+    # nothing outside the span
+    args = (10, 0.125, 4, 0.2)
+    first = sim.greedy_potential_code(*args, np.random.default_rng(1), k=1).history[0]
+    real = sim.greedy_potential_code
+    monkeypatch.setattr(sim, "greedy_potential_code",
+                        lambda *a, k=None: real(*args, OneCandidate(first["vector"]), k=2))
+    rc = main(["construct", "--n", "10", "--rho", "0.125", "--L", "4",
+               "--delta", "0.2", "--seed", "1"])
+    assert rc == 5
+    assert "no extension at step 2" in capsys.readouterr().err
+    trace = (in_tmpdir / "construct_trace.csv").read_text().strip().splitlines()
+    assert len(trace) == 2
+    assert trace[1].startswith(f"1,{first['vector']},{fmt12(first['s_before'])},")
+    man = read_manifest(in_tmpdir / "construct.manifest.json")
+    assert [o["path"] for o in man["outputs"]] == ["construct_trace.csv"]
 
 
 def test_construct_zero_dimension_is_usage(capsys):
@@ -246,6 +288,31 @@ def test_explicit_flags_beat_the_config(in_tmpdir, capsys):
     cfg.write_text("q=4\nrho=0.2\n")
     assert main(["entropy", "--hq", "--config", str(cfg), "--rho", "0.1"]) == 0
     assert "hq(q=4, rho=0.1)" in capsys.readouterr().out
+
+
+def test_config_sets_store_true_flags(in_tmpdir, capsys):
+    cfg = in_tmpdir / "run.cfg"
+    cfg.write_text("hq = true\nhql = false\nq = 4\nrho = 0.2\n")
+    assert main(["entropy", "--config", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert "hq(q=4, rho=0.2)" in out
+    assert "hql(" not in out
+
+
+def test_config_false_flag_emits_nothing(in_tmpdir, capsys):
+    cfg = in_tmpdir / "run.cfg"
+    cfg.write_text("hq = off\n")
+    assert main(["entropy", "--config", str(cfg)]) == 2
+    assert "pick at least one" in capsys.readouterr().err
+
+
+def test_config_flag_needs_a_boolean(in_tmpdir, capsys):
+    cfg = in_tmpdir / "run.cfg"
+    cfg.write_text("hq = maybe\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["entropy", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "hq = maybe" in capsys.readouterr().err
 
 
 def test_version_flag():

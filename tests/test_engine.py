@@ -31,7 +31,8 @@ from thresholds.engine import (
     threshold_rc_qary_l3,
 )
 from thresholds.infomeasures import hq, hql
-from thresholds.typespace import LRSpec
+from thresholds.subspaces import SubspaceRREF, iter_rref_bases, map_with_kernel
+from thresholds.typespace import LRSpec, TypeDist, bad_type, dim_of_type, pushforward
 
 # Reference values below were frozen from a separate stationary-point
 # calculation (quadratic in the edge parameter) before this module existed.
@@ -385,6 +386,44 @@ def test_kernel_slack_per_dimension_rescaling_is_positive():
     for L in (2, 3, 4):
         rep = kernel_slack_report(2, 1, 0.05, L, 0.1)
         assert rep["details"]["per_dimension_floor_min_slack"] > 0
+
+
+def reference_slack_report(q, rho, L, delta):
+    """Kernel-by-kernel sweep: one quotient map and one pushforward per kernel."""
+    u = bad_type(LRSpec(q=q, ell=1, L=L, rho=rho)).u_marginal()
+    tau = TypeDist(q=q, b=L, probs=u.probs)
+    h = hql(q, 1, rho)
+    c = math.log(math.comb(q, 1)) / math.log(q) - 1.0 + h - delta
+    out = {"min_slack": math.inf, "worst": None, "per_dim": {},
+           "identity": None, "alt": math.inf}
+    for k in range(L):
+        for basis in iter_rref_bases(q, L, k):
+            image = pushforward(tau, map_with_kernel(SubspaceRREF(q, L, basis)).matrix)
+            H, d = image.entropy(), dim_of_type(image)
+            slack = H - (d * h + c)
+            if slack < out["min_slack"]:
+                out["min_slack"], out["worst"] = slack, basis
+            out["per_dim"][d] = min(out["per_dim"].get(d, math.inf), slack)
+            out["alt"] = min(out["alt"], H - d * (h + c / L))
+            if k == 0:
+                out["identity"] = H
+    return out
+
+
+@pytest.mark.parametrize("q,L_max", [(2, 6), (3, 4)])
+@pytest.mark.parametrize("rho", [0.05, 0.1, 0.2])
+def test_kernel_slack_report_matches_per_kernel_sweep(q, L_max, rho):
+    for L in range(1, L_max + 1):
+        rep = kernel_slack_report(q, 1, rho, L, 0.1)
+        ref = reference_slack_report(q, rho, L, 0.1)
+        d = rep["details"]
+        assert rep["min_slack"] == pytest.approx(ref["min_slack"], abs=1e-12)
+        assert rep["worst_kernel"].basis == ref["worst"]
+        assert d["per_dim_min_slack"].keys() == ref["per_dim"].keys()
+        for dim, slack in ref["per_dim"].items():
+            assert d["per_dim_min_slack"][dim] == pytest.approx(slack, abs=1e-12)
+        assert d["identity_kernel_entropy"] == pytest.approx(ref["identity"], abs=1e-12)
+        assert d["per_dimension_floor_min_slack"] == pytest.approx(ref["alt"], abs=1e-12)
 
 
 def test_kernel_slack_rejects_negative_delta():

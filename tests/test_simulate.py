@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from thresholds.errors import DomainError, WorkBudgetExceededError
+from thresholds.errors import DomainError, NoCandidateError, RoundOffError, WorkBudgetExceededError
 from thresholds.infomeasures import ball_volume, hq
 from thresholds.simulate import (
     Code,
@@ -194,6 +194,14 @@ def test_profile_mass_identity():
     for r in (0, 1, 3):
         P = occupancy_profile(code, r)
         assert P.sum() == code.size * ball_volume(2, 8, r)
+
+
+def test_fft_round_off_is_reported(monkeypatch):
+    ifftn = np.fft.ifftn
+    monkeypatch.setattr(np.fft, "ifftn", lambda a: ifftn(a) + 0.25)
+    with pytest.raises(RoundOffError) as exc:
+        occupancy_profile(make_code(3, 3, [0, 5, 13]), 1)
+    assert isinstance(exc.value, ArithmeticError)
 
 
 def test_ball_profile_single_center():
@@ -412,6 +420,23 @@ def test_greedy_explicit_dimension():
     assert g.k == 3
     assert g.code.size == 8
     assert g.final_max_count <= g.cap
+
+
+class OneCandidate:
+    """RNG stand-in whose candidate order holds the single vector v."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def permutation(self, m):
+        return np.array([self.v - 1])
+
+
+def test_greedy_failure_carries_the_steps_done():
+    first = greedy_potential_code(10, 0.125, 4, 0.2, np.random.default_rng(1), k=1).history
+    with pytest.raises(NoCandidateError, match="step 2") as exc:
+        greedy_potential_code(10, 0.125, 4, 0.2, OneCandidate(first[0]["vector"]), k=2)
+    assert exc.value.history == first
 
 
 def test_greedy_domain_errors():

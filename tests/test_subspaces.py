@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thresholds.errors import (
     DomainError,
@@ -15,10 +17,11 @@ from thresholds.subspaces import (
     gaussian_binomial,
     iter_kernel_entropies,
     iter_rref_bases,
+    kernel_entropy_table,
     map_with_kernel,
     rref_of,
 )
-from thresholds.typespace import LRSpec, TypeDist, bad_type
+from thresholds.typespace import LRSpec, TypeDist, bad_type, dim_of_type, pushforward
 
 
 def test_gaussian_binomial_values():
@@ -136,6 +139,77 @@ def test_iter_matches_list_form():
         assert row["kernel"].basis == basis
         assert row["dim_image"] == dim_img
         assert row["entropy"] == pytest.approx(H, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the batched kernel-entropy table against a brute pushforward per kernel
+
+TABLE_CASES = [(2, 1), (2, 3), (2, 4), (3, 3), (4, 2), (4, 3), (5, 2), (8, 2), (9, 2)]
+
+
+def brute_kernel_rows(tau, k):
+    """(basis, dim_image, entropy) per kernel through map_with_kernel."""
+    rows = []
+    for basis in iter_rref_bases(tau.q, tau.b, k):
+        image = pushforward(tau, map_with_kernel(SubspaceRREF(tau.q, tau.b, basis)).matrix)
+        rows.append((basis, dim_of_type(image), image.entropy()))
+    return rows
+
+
+def assert_matches_brute(tau):
+    for k in range(tau.b):
+        streamed = list(iter_kernel_entropies(tau, dims=[k]))
+        brute = brute_kernel_rows(tau, k)
+        assert len(streamed) == len(brute) == gaussian_binomial(tau.b, k, tau.q)
+        for (basis, dim_img, H), (b_basis, b_dim, b_H) in zip(streamed, brute):
+            assert basis == b_basis
+            assert dim_img == b_dim
+            assert H == pytest.approx(b_H, abs=1e-12)
+
+
+@st.composite
+def sparse_types(draw, q, L):
+    """Types over GF(q)^L with random support (zero cells likely) and weights."""
+    N = q**L
+    support = draw(st.lists(st.integers(0, N - 1), min_size=1, max_size=N, unique=True))
+    weights = draw(st.lists(st.integers(1, 5), min_size=len(support), max_size=len(support)))
+    probs = np.zeros(N)
+    probs[support] = weights
+    return TypeDist(q=q, b=L, probs=probs / probs.sum())
+
+
+@pytest.mark.parametrize("q,L", TABLE_CASES)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_table_matches_brute_pushforward(q, L, data):
+    assert_matches_brute(data.draw(sparse_types(q, L)))
+
+
+@pytest.mark.parametrize("q,L", TABLE_CASES)
+def test_table_rank_path_on_a_two_point_type(q, L):
+    # mass on 0 and e_0 only: every image has at most two support points, so
+    # every row with a zero mass goes through the rank computation
+    probs = np.zeros(q**L)
+    probs[[0, 1]] = [0.3, 0.7]
+    tau = TypeDist(q=q, b=L, probs=probs)
+    assert_matches_brute(tau)
+    for k in range(L):
+        H, D = kernel_entropy_table(tau, k)
+        assert set(D.tolist()) <= {0, 1}
+
+
+def test_table_of_a_full_support_type_has_full_images():
+    tau = bad_type(LRSpec(q=3, ell=1, L=3, rho=0.2)).u_marginal()
+    assert_matches_brute(tau)
+    for k in range(3):
+        assert (kernel_entropy_table(tau, k)[1] == 3 - k).all()
+
+
+def test_table_rejects_improper_kernels():
+    tau = TypeDist(q=2, b=2, probs=np.full(4, 0.25))
+    for k in (-1, 2):
+        with pytest.raises(DomainError):
+            kernel_entropy_table(tau, k)
 
 
 def test_kernel_dims_bounds_checked():
