@@ -17,6 +17,7 @@ import json
 import math
 import sys
 import time
+from decimal import Decimal
 
 import numpy as np
 
@@ -83,6 +84,15 @@ def _write_manifest(command: str, args: argparse.Namespace, outputs: list[str],
         fh.write("\n")
 
 
+def _decimal_grid(lo: float, hi: float, step: float) -> list[float]:
+    """round((hi - lo) / step) + 1 points from lo (none for step <= 0), point
+    i the float nearest the decimal lo + i*step, so that 0.1:0.8:0.05 holds
+    0.5 and not the drifted 0.5000000000000001 of repeated float addition."""
+    count = round((hi - lo) / step) + 1 if step > 0 else 0
+    lo_d, step_d = Decimal(str(lo)), Decimal(str(step))
+    return [float(lo_d + i * step_d) for i in range(count)]
+
+
 def _parse_rates(spec: str) -> list[float]:
     parts = spec.split(":")
     if len(parts) != 3:
@@ -90,13 +100,13 @@ def _parse_rates(spec: str) -> list[float]:
     lo, hi, step = (float(p) for p in parts)
     if step <= 0:
         raise DomainError("rate step must be positive")
-    return [float(x) for x in np.arange(lo, hi + step / 2, step)]
+    return _decimal_grid(lo, hi, step)
 
 
 def _grid(args) -> np.ndarray:
     if args.rho_min > args.rho_max:
         raise _Usage("empty sweep: rho-min exceeds rho-max")
-    g = np.arange(args.rho_min, args.rho_max + args.step / 2, args.step)
+    g = np.asarray(_decimal_grid(args.rho_min, args.rho_max, args.step))
     if g.size == 0:
         raise _Usage("empty sweep")
     return g
@@ -202,7 +212,7 @@ def _verify_negativity(args) -> tuple[bool, list[dict]]:
     lo = args.rho_min if args.rho_min is not None else 0.001
     hi = args.rho_max if args.rho_max is not None else 0.333
     step = args.step if args.step is not None else 0.001
-    grid = np.arange(lo, hi, step)
+    grid = np.asarray(_decimal_grid(lo, hi, step))
     grid = grid[(grid > 0.0) & (grid < 1.0 / 3.0)]
     vals = eng.negativity_values(grid)
     details = [{"rho": float(r), "value": float(v), "ok": bool(v < 0.0)}
@@ -235,20 +245,15 @@ def _verify_lemma33(args) -> tuple[bool, list[dict]]:
 
 
 def _verify_ordering(args) -> tuple[bool, list[dict]]:
+    lo = args.rho_min if args.rho_min is not None else 0.01
+    hi = args.rho_max if args.rho_max is not None else (0.31 if args.q == 2 else 0.33)
+    step = args.step if args.step is not None else 0.005
+    grid = _decimal_grid(lo, hi, step)
     if args.q == 2:
-        lo = args.rho_min if args.rho_min is not None else 0.01
-        hi = args.rho_max if args.rho_max is not None else 0.31
-        step = args.step if args.step is not None else 0.005
-        grid = np.arange(lo, hi + step / 2, step)
-        pairs = [(eng.bound_rlc_binary_l4(float(r)), eng.threshold_rc_binary_l4(float(r)))
-                 for r in grid]
+        pairs = [(eng.bound_rlc_binary_l4(r), eng.threshold_rc_binary_l4(r)) for r in grid]
     else:
-        lo = args.rho_min if args.rho_min is not None else 0.01
-        hi = args.rho_max if args.rho_max is not None else 0.33
-        step = args.step if args.step is not None else 0.005
-        grid = np.arange(lo, hi + step / 2, step)
-        pairs = [(eng.bound_rlc_qary_l3(args.q, float(r)),
-                  eng.threshold_rc_qary_l3(args.q, float(r))) for r in grid]
+        pairs = [(eng.bound_rlc_qary_l3(args.q, r), eng.threshold_rc_qary_l3(args.q, r))
+                 for r in grid]
     details = [{"rho": float(r), "rlc": a, "rc": b,
                 "ok": bool(a - b > eng.STRICT_MARGIN)}
                for r, (a, b) in zip(grid, pairs)]
@@ -343,7 +348,8 @@ def cmd_construct(args) -> int:
     check = sim.check_ld_centers(res.code, args.rho, res.cap + 1)
     print(f"constructed dim-{res.k} code, |C| = {res.code.size}, "
           f"list-size cap {res.cap}, exhaustive max {check.max_count}, "
-          f"chain {'held' if all(h['ok'] for h in res.history) else 'broke'}")
+          f"chain {'held' if all(h['ok'] for h in res.history) else 'broke'}; "
+          f"potential bound {fmt12(res.potential_bound)}")
     args._outputs = [out_code, out_trace]
     return EXIT_OK
 

@@ -2,9 +2,12 @@
 
 Field elements are integer codes in [0, q).  For prime q the code is the
 residue itself; for q = p^m the code packs the polynomial coefficients
-c_0 + c_1 p + ... + c_{m-1} p^{m-1}.  Extension-field multiplication goes
-through exp/log tables built once from the lexicographically least primitive
-polynomial, so every run of the library uses the same tables.
+c_0 + c_1 p + ... + c_{m-1} p^{m-1}.  `make_field` builds the add, mul, neg
+and inverse tables once per q, vectorized; extension-field products come
+from exp/log tables of the lexicographically least primitive polynomial, so
+every run of the library uses the same tables.  All arithmetic, scalar or
+array, reads these tables, and `row_reduce` is the one Gauss-Jordan
+elimination over GF(q) behind RREF bases, ranks and quotient maps.
 
 Vectors over GF(q) of length b are identified with indices in [0, q^b) by the
 little-endian radix-q packing: coordinate i is the i-th base-q digit.
@@ -70,37 +73,46 @@ def _poly_mul_mod(a: list[int], b: list[int], modulus: list[int], p: int) -> lis
     return out
 
 
-def _find_primitive_modulus(p: int, m: int) -> list[int]:
-    """Lowest-code monic polynomial of degree m over GF(p) whose root x generates
-    the multiplicative group.  Returned as [c_0, ..., c_{m-1}] (x^m coefficient
-    implicit).  The code of a candidate is sum c_i p^i, scanned ascending."""
+def _powers_of_x(modulus: list[int], p: int) -> list[int]:
+    """Codes of x^0, x^1, ... modulo the monic `modulus`, up to the first repeat."""
+    m = len(modulus)
+    x = [0] * m
+    x[1] = 1
+    cur = [1] + [0] * (m - 1)
+    seen: dict[int, None] = {}
+    while (packed := sum(c * p**i for i, c in enumerate(cur))) not in seen:
+        seen[packed] = None
+        cur = _poly_mul_mod(cur, x, modulus + [1], p)
+    return list(seen)
+
+
+def _find_primitive_modulus(p: int, m: int) -> tuple[list[int], list[int]]:
+    """Lowest-code monic polynomial of degree m >= 2 over GF(p) whose root x
+    generates the multiplicative group, and the codes of x^0, ..., x^(q-2).
+    The polynomial is returned as [c_0, ..., c_{m-1}] (x^m coefficient
+    implicit); the code of a candidate is sum c_i p^i, scanned ascending."""
     q = p**m
     for code in range(1, q):
         coeffs = [(code // p**i) % p for i in range(m)]
         if coeffs[0] == 0:
             continue  # x would not be invertible
-        # walk powers of x; primitive iff the first q-1 powers are exactly the
-        # nonzero codes (repeat-before-the-end catches reducible moduli too)
-        seen = set()
-        cur = [0] * m
-        cur[1 % m] = 1  # the element x (for m == 1 this branch is never used)
-        x = cur[:]
-        ok = True
-        for _ in range(q - 1):
-            packed = sum(c * p**i for i, c in enumerate(cur))
-            if packed in seen:
-                ok = False
-                break
-            seen.add(packed)
-            cur = _poly_mul_mod(cur, x, coeffs + [1], p)
-        if ok and len(seen) == q - 1:
-            return coeffs
+        # primitive iff the powers of x run through all q - 1 nonzero codes
+        # before repeating (a reducible modulus repeats sooner)
+        exp = _powers_of_x(coeffs, p)
+        if len(exp) == q - 1:
+            return coeffs, exp
     raise AssertionError(f"no primitive polynomial found for p={p}, m={m}")
+
+
+def _table(values) -> np.ndarray:
+    tab = np.asarray(values, dtype=np.int16)
+    tab.setflags(write=False)
+    return tab
 
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Immutable description of GF(q) with lookup tables.
+    """Immutable description of GF(q) with its arithmetic tables.
 
     Attributes
     ----------
@@ -108,20 +120,21 @@ class FieldSpec:
         Field order and its prime-power factorization q = p^m.
     modulus : tuple[int, ...]
         Low coefficients of the defining polynomial (empty for prime fields).
-    exp, log : tuple[int, ...]
-        exp[k] = x^k as an element code (length q-1); log[a] = discrete log of
-        the nonzero code a (log[0] is unused and set to -1).  Empty for m == 1.
+    add_table, mul_table : np.ndarray
+        q x q read-only int16 tables of sums and products.
+    neg_table, inv_table : np.ndarray
+        Length-q read-only int16 tables of negatives and inverses
+        (inv_table[0] is 0, a placeholder: 0 has no inverse).
     """
 
     q: int
     p: int
     m: int
-    modulus: tuple[int, ...] = ()
-    exp: tuple[int, ...] = ()
-    log: tuple[int, ...] = ()
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    # -- scalar ops ---------------------------------------------------------
+    modulus: tuple[int, ...]
+    add_table: np.ndarray = field(repr=False, compare=False)
+    mul_table: np.ndarray = field(repr=False, compare=False)
+    neg_table: np.ndarray = field(repr=False, compare=False)
+    inv_table: np.ndarray = field(repr=False, compare=False)
 
     def _check(self, a: int) -> None:
         if not 0 <= a < self.q:
@@ -130,126 +143,76 @@ class FieldSpec:
     def add(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
-        if self.m == 1:
-            return (a + b) % self.p
-        p = self.p
-        out = 0
-        mult = 1
-        while a or b:
-            out += ((a % p + b % p) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
-
-    def neg(self, a: int) -> int:
-        self._check(a)
-        if self.m == 1:
-            return (-a) % self.p
-        p = self.p
-        out = 0
-        mult = 1
-        while a:
-            out += ((-(a % p)) % p) * mult
-            a //= p
-            mult *= p
-        return out
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return int(self.add_table[a, b])
 
     def mul(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
-        if a == 0 or b == 0:
-            return 0
-        if self.m == 1:
-            return (a * b) % self.p
-        return self.exp[(self.log[a] + self.log[b]) % (self.q - 1)]
-
-    def inv(self, a: int) -> int:
-        self._check(a)
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in a finite field")
-        if self.m == 1:
-            return pow(a, self.p - 2, self.p)
-        return self.exp[(-self.log[a]) % (self.q - 1)]
-
-    def power(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.power(self.inv(a), -e)
-        out = 1
-        base = a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
-
-    # -- vectorized tables --------------------------------------------------
-
-    @property
-    def add_table(self) -> np.ndarray:
-        """q x q numpy table of sums (int16)."""
-        tab = self._cache.get("add")
-        if tab is None:
-            q = self.q
-            tab = np.empty((q, q), dtype=np.int16)
-            for a in range(q):
-                for b in range(a, q):
-                    s = self.add(a, b)
-                    tab[a, b] = s
-                    tab[b, a] = s
-            self._cache["add"] = tab
-        return tab
-
-    @property
-    def mul_table(self) -> np.ndarray:
-        """q x q numpy table of products (int16)."""
-        tab = self._cache.get("mul")
-        if tab is None:
-            q = self.q
-            tab = np.zeros((q, q), dtype=np.int16)
-            for a in range(1, q):
-                for b in range(a, q):
-                    s = self.mul(a, b)
-                    tab[a, b] = s
-                    tab[b, a] = s
-            self._cache["mul"] = tab
-        return tab
-
-    @property
-    def neg_table(self) -> np.ndarray:
-        tab = self._cache.get("neg")
-        if tab is None:
-            tab = np.array([self.neg(a) for a in range(self.q)], dtype=np.int16)
-            self._cache["neg"] = tab
-        return tab
+        return int(self.mul_table[a, b])
 
 
 @functools.lru_cache(maxsize=None)
 def make_field(q: int) -> FieldSpec:
-    """Build (and cache) the FieldSpec for GF(q), q a prime power <= 256."""
+    """Build (and cache) the FieldSpec for GF(q), q a prime power <= 256.
+
+    Sums and negatives act digit-wise mod p on the base-p codes; products
+    come from the exp/log tables of the primitive element x (plain residues
+    for prime q); inverses are read off the product table.
+    """
     if q > MAX_ORDER:
         raise UnsupportedError(f"field order {q} exceeds the cap {MAX_ORDER}")
     p, m = _factor_prime_power(q)
+    codes = np.arange(q)
+    place = p ** np.arange(m)
+    digits = codes[:, None] // place % p
+    add = (digits[:, None, :] + digits[None, :, :]) % p @ place
+    neg = -digits % p @ place
     if m == 1:
-        return FieldSpec(q=q, p=p, m=m)
-    modulus = _find_primitive_modulus(p, m)
-    # rebuild the power sweep to record exp/log, starting from x^0 = 1
-    exp = []
-    log = [-1] * q
-    x = [0] * m
-    x[1] = 1
-    cur = [0] * m
-    cur[0] = 1
-    for k in range(q - 1):
-        packed = sum(c * p**i for i, c in enumerate(cur))
-        exp.append(packed)
-        log[packed] = k
-        cur = _poly_mul_mod(cur, x, modulus + [1], p)
-    return FieldSpec(q=q, p=p, m=m, modulus=tuple(modulus), exp=tuple(exp), log=tuple(log))
+        modulus: list[int] = []
+        mul = np.outer(codes, codes) % p
+    else:
+        modulus, exp = _find_primitive_modulus(p, m)
+        exp = np.asarray(exp)
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(q - 1)
+        mul = exp[(log[:, None] + log[None, :]) % (q - 1)]
+        mul[0, :] = mul[:, 0] = 0
+    inv = (mul == 1).argmax(axis=1)
+    return FieldSpec(q=q, p=p, m=m, modulus=tuple(modulus), add_table=_table(add),
+                     mul_table=_table(mul), neg_table=_table(neg), inv_table=_table(inv))
+
+
+def row_reduce(M, fs: FieldSpec) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Reduced row echelon form of the matrix M over GF(q), and its pivots.
+
+    Gauss-Jordan elimination on an integer array, with every sum, product,
+    negative and inverse read from the field tables.  Returns the nonzero
+    rows of the RREF, shape (rank, columns), and the pivot column of each.
+    """
+    A = np.array(M, dtype=np.int64)
+    if A.ndim != 2:
+        raise ShapeMismatchError("matrix must be two-dimensional")
+    if A.size and (A.min() < 0 or A.max() >= fs.q):
+        raise DigitOutOfRangeError(f"matrix entry outside [0, {fs.q})")
+    # int64 copies of the tables keep every lookup result an int64 index
+    # array, which numpy indexes with faster than the stored int16
+    add, mul, neg, inv = (tab.astype(np.int64) for tab in
+                          (fs.add_table, fs.mul_table, fs.neg_table, fs.inv_table))
+    pivots: list[int] = []
+    for c in range(A.shape[1]):
+        r = len(pivots)
+        nonzero = np.flatnonzero(A[r:, c])
+        if not nonzero.size:
+            continue
+        if nonzero[0]:
+            A[[r, r + nonzero[0]]] = A[[r + nonzero[0], r]]
+        A[r] = mul[inv[A[r, c]], A[r]]
+        # row i -= A[i, c] * row r, for every i != r
+        factors = neg[A[:, c]]
+        factors[r] = 0
+        A = add[A, mul[factors[:, None], A[r]]]
+        pivots.append(c)
+    return A[:len(pivots)], tuple(pivots)
 
 
 # -- vector <-> index packing ----------------------------------------------

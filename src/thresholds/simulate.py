@@ -32,7 +32,7 @@ from .errors import (
 )
 from .fields import make_field
 from .infomeasures import ball_volume, hq
-from .subspaces import rref_of
+from .subspaces import map_with_kernel, rref_of
 
 _SPAN_CAP = 2**24
 _CENTER_CAP = 2**22
@@ -181,23 +181,6 @@ class Code:
 # sampling
 
 
-def _nullspace_basis(rows: np.ndarray, q: int, n: int) -> np.ndarray:
-    """Digit basis of the right kernel of the given parity rows."""
-    fs = make_field(q)
-    clean = [list(map(int, r)) for r in rows if any(int(x) for x in r)]
-    if not clean:
-        return np.eye(n, dtype=np.int16)
-    rr = rref_of(clean, q)
-    piv = list(rr.pivots)
-    free = [c for c in range(n) if c not in piv]
-    basis = np.zeros((len(free), n), dtype=np.int16)
-    for bi, f in enumerate(free):
-        basis[bi, f] = 1
-        for ri, p in enumerate(piv):
-            basis[bi, p] = fs.neg(rr.basis[ri][f])
-    return basis
-
-
 def _span_words(basis: np.ndarray, q: int, n: int) -> np.ndarray:
     fs = make_field(q)
     add, mul = fs.add_table, fs.mul_table
@@ -219,7 +202,7 @@ def sample_rlc(q: int, n: int, R: float, rng: np.random.Generator) -> Code:
         H = rng.integers(0, q, size=(m, n)).astype(np.int16)
     else:
         H = np.zeros((0, n), dtype=np.int16)
-    basis = _nullspace_basis(H, q, n)
+    basis = map_with_kernel(rref_of(H, q))
     k = basis.shape[0]
     if q**k > _SPAN_CAP:
         raise SizeCapError(f"kernel of dimension {k} too large to enumerate")
@@ -598,6 +581,7 @@ class GreedyResult:
     lprime: float
     s_initial: float
     final_max_count: int
+    potential_bound: float
 
 
 def greedy_potential_code(
@@ -613,13 +597,18 @@ def greedy_potential_code(
     The potential of a code C is 2^{-n} * sum_z 2^{(n/L') P(z)} with P the
     occupancy profile at radius floor(rho*n) and L' = (L-1-2*delta)/h2(rho).
     At each step candidates v outside the current span are scanned in a seeded
-    random order and the first with S_new <= S_prev^2 is accepted; if none
-    exists the construction stops with NoCandidateError (n too small for the
-    asymptotic argument, reported rather than retried), whose `history`
-    holds the steps done.
+    random order and the first with S_new <= S_prev^2 is accepted.  Such a v
+    always exists in exact arithmetic: S_new summed over all v is 2^n S^2 and
+    every v inside the span gives S_new >= S^2, so some v outside gives at
+    most S^2.  NoCandidateError, whose `history` holds the steps done, can
+    therefore only come from round-off or a restricted candidate order.
 
     The target dimension defaults to floor((1 - h2(rho) - 1/L' - delta) n),
-    clamped up to 1 so that small-n demonstrations still run a step.
+    clamped up to 1 so that small-n demonstrations still run a step.  Since
+    S_k >= 2^-n 2^((n/L') max P), the final list size always obeys
+    max P <= L' (1 + log2(S_k) / n), the `potential_bound`; the squared chain
+    implies the theorem's cap floor(L' h2(rho) + 1 + delta) only at the
+    default dimension, so only there is the cap asserted.
     """
     if not 0.0 < rho < 0.5:
         raise DomainError("rho must lie in (0, 1/2)")
@@ -635,8 +624,8 @@ def greedy_potential_code(
     if num <= 0.0:
         raise DomainError("need L - 1 - 2 delta > 0")
     lprime = num / h
-    if k is None:
-        k = max(1, math.floor((1.0 - h - 1.0 / lprime - delta) * n))
+    default_k = max(1, math.floor((1.0 - h - 1.0 / lprime - delta) * n))
+    k = default_k if k is None else k
     if not 1 <= k <= n:
         raise DomainError(f"target dimension must lie in [1, {n}], got {k}")
     r = radius_of(rho, n)
@@ -688,9 +677,14 @@ def greedy_potential_code(
                     f"no extension at step {step} keeps the potential squared", history
                 )
 
+        potential_bound = float(lprime * (1 + mpmath.log(S, 2) / n))
     cap = math.floor(lprime * h + 1.0 + delta)
     final_max = int(P.max())
-    if all(rec["ok"] for rec in history) and final_max > cap:
+    if final_max > potential_bound * (1 + 1e-12):
+        raise AssertionError(
+            f"list size {final_max} exceeds the potential bound {potential_bound}"
+        )
+    if k == default_k and final_max > cap:
         raise AssertionError(
             f"potential chain held but list size {final_max} exceeds cap {cap}"
         )
@@ -698,4 +692,5 @@ def greedy_potential_code(
     code = Code(q=2, n=n, words=np.asarray(sorted(span), dtype=np.int64),
                 kind="linear", generator=gen)
     return GreedyResult(code=code, history=history, k=k, cap=cap, lprime=lprime,
-                        s_initial=s_initial, final_max_count=final_max)
+                        s_initial=s_initial, final_max_count=final_max,
+                        potential_bound=potential_bound)

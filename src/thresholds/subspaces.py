@@ -2,9 +2,12 @@
 
 Subspaces are represented by their reduced-row-echelon basis, which makes the
 representation canonical: two subspaces are equal iff their RREF bases are
-equal.  Enumeration walks pivot-column combinations and fills the free
-entries, which visits every subspace exactly once; counts per dimension match
-the Gaussian binomials.
+equal.  `rref_of` validates generator rows and hands them to
+`fields.row_reduce`; `map_with_kernel` reads a quotient matrix off an RREF
+basis, which is also how `simulate.sample_rlc` turns a parity-check matrix
+into a generator.  Enumeration walks pivot-column combinations and fills the
+free entries, which visits every subspace exactly once; counts per dimension
+match the Gaussian binomials.
 
 `kernel_entropy_table` pushes a type through the quotient map of every
 k-dimensional kernel at once, in numpy blocks of kernels that share a pivot
@@ -21,13 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DigitOutOfRangeError,
     DomainError,
     FullSpaceKernelError,
     ShapeMismatchError,
     SizeCapError,
 )
-from .fields import make_field, vec_table
-from .typespace import TypeDist, _rank_of_rows
+from .fields import make_field, row_reduce, vec_table
+from .typespace import TypeDist
 
 _ENUM_CAP = 200_000
 
@@ -58,6 +62,8 @@ class SubspaceRREF:
         for r, row in enumerate(self.basis):
             if len(row) != self.ambient:
                 raise ShapeMismatchError("basis row length differs from ambient dimension")
+            if any(not 0 <= x < self.q for x in row):
+                raise DigitOutOfRangeError(f"basis entry outside [0, {self.q})")
             piv = next((j for j, x in enumerate(row) if x), None)
             if piv is None:
                 raise DomainError("zero row in an RREF basis")
@@ -80,32 +86,17 @@ class SubspaceRREF:
 
 
 def rref_of(rows, q: int) -> SubspaceRREF:
-    """Canonical RREF subspace spanned by arbitrary generator rows."""
+    """Canonical RREF subspace spanned by generator rows (an (m, L) array-like;
+    a numpy array with m = 0 spans the zero subspace of GF(q)^L)."""
     fs = make_field(q)
-    rows = [list(r) for r in rows]
-    if not rows:
-        raise DomainError("need at least one generator row (possibly zero-length ambient?)")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ShapeMismatchError("ragged generator rows")
-    mat = [r[:] for r in rows]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(width):
-        sel = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
-        if sel is None:
-            continue
-        mat[rank], mat[sel] = mat[sel], mat[rank]
-        inv = fs.inv(mat[rank][col])
-        mat[rank] = [fs.mul(inv, x) for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col]:
-                c = mat[i][col]
-                mat[i] = [fs.sub(x, fs.mul(c, y)) for x, y in zip(mat[i], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    basis = tuple(tuple(mat[i]) for i in range(rank))
-    return SubspaceRREF(q=q, ambient=width, basis=basis)
+    try:
+        M = np.asarray(rows, dtype=np.int64)
+    except ValueError as err:
+        raise ShapeMismatchError("ragged generator rows") from err
+    if M.ndim != 2:
+        raise DomainError("need a two-dimensional array of generator rows")
+    R, _ = row_reduce(M, fs)
+    return SubspaceRREF(q=q, ambient=M.shape[1], basis=tuple(map(tuple, R.tolist())))
 
 
 def _pivot_patterns(L: int, k: int):
@@ -152,36 +143,23 @@ def enum_subspaces(q: int, L: int, dims=None) -> list[SubspaceRREF]:
     return out
 
 
-@dataclass(frozen=True)
-class QuotientMap:
-    """A full-row-rank matrix whose kernel is exactly the given subspace."""
-
-    kernel: SubspaceRREF
-    matrix: tuple[tuple[int, ...], ...]
-
-
-def map_with_kernel(s: SubspaceRREF) -> QuotientMap:
+def map_with_kernel(s: SubspaceRREF) -> np.ndarray:
     """Deterministic surjection GF(q)^L -> GF(q)^(L-dim) with kernel s.
 
-    Rows are the nullspace basis of the RREF basis matrix, one per free
-    column in ascending order; for the zero subspace this is the identity.
+    Returns its (L - dim, L) int16 matrix: the nullspace basis of the RREF
+    basis matrix, one row per free column in ascending order, with 1 in that
+    column and minus the basis entries in the pivot columns; for the zero
+    subspace this is the identity.
     """
-    fs = make_field(s.q)
     L = s.ambient
-    k = s.dim
-    if k == L:
+    if s.dim == L:
         raise FullSpaceKernelError("the full space leaves no quotient to map onto")
-    pivots = s.pivots
-    rows = []
-    for f in range(L):
-        if f in pivots:
-            continue
-        v = [0] * L
-        v[f] = 1
-        for i, p in enumerate(pivots):
-            v[p] = fs.neg(s.basis[i][f])
-        rows.append(tuple(v))
-    return QuotientMap(kernel=s, matrix=tuple(rows))
+    free = [j for j in range(L) if j not in s.pivots]
+    out = np.zeros((len(free), L), dtype=np.int16)
+    out[np.arange(len(free)), free] = 1
+    if s.dim:
+        out[:, list(s.pivots)] = make_field(s.q).neg_table[np.asarray(s.basis)[:, free].T]
+    return out
 
 
 _CHUNK = 1 << 14  # kernels x q^L cells pushed forward per numpy block
@@ -244,7 +222,7 @@ def kernel_entropy_table(tau: TypeDist, k: int) -> tuple[np.ndarray, np.ndarray]
             entropies.append(-(masses * logm).sum(axis=1) / math.log(q))
             dim = np.full(B, Lp)
             for b in np.flatnonzero(~full.all(axis=1)):
-                dim[b] = _rank_of_rows(vec_table(q, Lp)[full[b]].tolist(), fs)
+                dim[b] = len(row_reduce(vec_table(q, Lp)[full[b]], fs)[1])
             dims.append(dim)
     return np.concatenate(entropies), np.concatenate(dims)
 

@@ -30,7 +30,7 @@ from .errors import (
     SizeCapError,
     UnsupportedError,
 )
-from .fields import FieldSpec, make_field, matvec_all, matvec_apply, vec_decode, vec_encode, vec_table
+from .fields import FieldSpec, make_field, matvec_all, row_reduce, vec_table
 
 _LP_SIZE_CAP = 4096
 _ORBIT_L_CAP = 6
@@ -242,32 +242,10 @@ def pushforward(tau: TypeDist, A, fs: FieldSpec | None = None) -> TypeDist:
     return TypeDist(q=tau.q, b=rows, probs=probs, exact=exact)
 
 
-def _rank_of_rows(rows: list[list[int]], fs: FieldSpec) -> int:
-    """Rank over GF(q) of a list of digit vectors, by incremental elimination."""
-    basis: list[tuple[int, list[int]]] = []  # (pivot position, reduced row)
-    width = len(rows[0]) if rows else 0
-    for row in rows:
-        cur = [int(x) for x in row]
-        for piv, bvec in basis:
-            if cur[piv]:
-                c = cur[piv]
-                cur = [fs.sub(x, fs.mul(c, y)) for x, y in zip(cur, bvec)]
-        piv = next((j for j in range(width) if cur[j]), None)
-        if piv is not None:
-            inv = fs.inv(cur[piv])
-            cur = [fs.mul(inv, x) for x in cur]
-            basis.append((piv, cur))
-            if len(basis) == width:
-                break
-    return len(basis)
-
-
 def dim_of_type(tau: TypeDist, fs: FieldSpec | None = None, eps: float = 0.0) -> int:
     """Dimension of the span of the support of tau."""
     fs = fs or make_field(tau.q)
-    digits = vec_table(tau.q, tau.b)
-    rows = [list(digits[int(i)]) for i in tau.support(eps)]
-    return _rank_of_rows(rows, fs)
+    return len(row_reduce(vec_table(tau.q, tau.b)[tau.support(eps)], fs)[1])
 
 
 def empirical_type(M: MatrixInstance) -> TypeDist:

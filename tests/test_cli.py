@@ -97,7 +97,8 @@ def test_bounds_json_format(in_tmpdir):
                "--format", "json", "--out", "rows.json"])
     assert rc == 0
     rows = json.loads((in_tmpdir / "rows.json").read_text())
-    assert [r["rho"] for r in rows] == pytest.approx([0.1, 0.15, 0.2])
+    # exact: grid points are the floats nearest their decimals, no drift
+    assert [r["rho"] for r in rows] == [0.1, 0.15, 0.2]
     assert all(r["family"] == "ld3-qary-rc" for r in rows)
 
 
@@ -153,6 +154,15 @@ def test_verify_negativity_flips_with_the_grid(in_tmpdir):
     assert bad and min(d["rho"] for d in bad) > 0.28
 
 
+def test_verify_grids_do_not_drift_and_keep_their_upper_end(in_tmpdir):
+    assert main(["verify", "--check", "negativity", "--report", "n.json"]) == 1
+    rhos = [d["rho"] for d in json.loads((in_tmpdir / "n.json").read_text())["details"]]
+    assert rhos == [i / 1000 for i in range(1, 334)]
+    assert main(["verify", "--check", "ordering", "--q", "3", "--report", "o.json"]) == 0
+    rhos = [d["rho"] for d in json.loads((in_tmpdir / "o.json").read_text())["details"]]
+    assert rhos == [i / 1000 for i in range(10, 331, 5)]
+
+
 def test_verify_claima1(in_tmpdir):
     rc = main(["verify", "--check", "claimA1", "--q", "3", "--l", "1",
                "--rho", "0.3"])
@@ -204,6 +214,16 @@ def test_simulate_round_off_is_a_domain_error(capsys, monkeypatch):
     assert "domain error: transform round-off" in capsys.readouterr().err
 
 
+def test_rate_grids_do_not_drift():
+    # each point is the float nearest its decimal, so R n = 9 exactly at
+    # n = 18, R = 0.5, and the upper end is kept
+    from thresholds.cli import _parse_rates
+
+    rates = _parse_rates("0.1:0.8:0.05")
+    assert rates == [i / 100 for i in range(10, 81, 5)]
+    assert rates[8] * 18 == 9.0
+
+
 def test_simulate_malformed_rates_string(capsys):
     assert main(["simulate", "--family", "rc", "--q", "2", "--n", "5",
                  "--L", "2", "--rho", "0.1", "--rates", "0.5"]) == 3
@@ -229,6 +249,23 @@ def test_construct_writes_code_and_trace(in_tmpdir, capsys):
     assert {o["path"] for o in man["outputs"]} == {
         "construct_code.txt", "construct_trace.csv"
     }
+
+
+def test_construct_beyond_the_theorem_dimension(in_tmpdir, capsys):
+    # k = 9 exceeds the theorem's dimension, where the squared chain no
+    # longer implies the list-size cap; the run reports the cap and the
+    # bound the potential always gives, and writes the code and the trace
+    rc = main(["construct", "--n", "10", "--rho", "0.1", "--L", "2",
+               "--delta", "0.3", "--k", "9"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "constructed dim-9 code, |C| = 512, list-size cap 1, " in out
+    assert "chain held; potential bound " in out
+    bound = float(out.rsplit("potential bound ", 1)[1])
+    ex_max = int(out.split("exhaustive max ")[1].split(",")[0])
+    assert 1 < ex_max <= bound
+    assert len((in_tmpdir / "construct_code.txt").read_text().split()) == 512
+    assert len((in_tmpdir / "construct_trace.csv").read_text().splitlines()) == 10
 
 
 class OneCandidate:

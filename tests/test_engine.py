@@ -398,7 +398,7 @@ def reference_slack_report(q, rho, L, delta):
            "identity": None, "alt": math.inf}
     for k in range(L):
         for basis in iter_rref_bases(q, L, k):
-            image = pushforward(tau, map_with_kernel(SubspaceRREF(q, L, basis)).matrix)
+            image = pushforward(tau, map_with_kernel(SubspaceRREF(q, L, basis)))
             H, d = image.entropy(), dim_of_type(image)
             slack = H - (d * h + c)
             if slack < out["min_slack"]:

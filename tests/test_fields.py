@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from thresholds.errors import NotPrimePowerError, UnsupportedError
+from thresholds.errors import DigitOutOfRangeError, NotPrimePowerError, UnsupportedError
 from thresholds.fields import (
     FieldSpec,
+    _poly_mul_mod,
     make_field,
     matvec_all,
     matvec_apply,
@@ -19,11 +20,6 @@ from thresholds.fields import (
 
 def all_elements(fs):
     return list(range(fs.q))
-
-
-def random_pairs(fs, count=40, seed=7):
-    rng = np.random.default_rng(seed)
-    return [(int(a), int(b)) for a, b in rng.integers(0, fs.q, size=(count, 2))]
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +53,7 @@ def test_known_gf4_tables():
     assert fs.mul(2, 2) == 3
     assert fs.mul(2, 3) == 1
     assert fs.add(2, 3) == 1
-    assert fs.inv(2) == 3
+    assert fs.inv_table[2] == 3
 
 
 def test_gf256_modulus_is_the_standard_one():
@@ -75,46 +71,69 @@ def test_gf256_modulus_is_the_standard_one():
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16, 25, 27, 49, 64, 81, 128, 243, 256])
 def test_field_axioms(q):
     fs = make_field(q)
+    add, mul, neg, inv = fs.add_table, fs.mul_table, fs.neg_table, fs.inv_table
     elems = all_elements(fs) if q <= 32 else [0, 1] + [
         int(x) for x in np.random.default_rng(q).integers(0, q, size=12)
     ]
     for a in elems:
-        assert fs.add(a, 0) == a
-        assert fs.mul(a, 1) == a
-        assert fs.mul(a, 0) == 0
-        assert fs.add(a, fs.neg(a)) == 0
+        assert add[a, 0] == a
+        assert mul[a, 1] == a
+        assert mul[a, 0] == 0
+        assert add[a, neg[a]] == 0
         if a != 0:
-            assert fs.mul(a, fs.inv(a)) == 1
+            assert mul[a, inv[a]] == 1
     for a in elems:
         for b in elems:
-            assert fs.add(a, b) == fs.add(b, a)
-            assert fs.mul(a, b) == fs.mul(b, a)
+            assert add[a, b] == add[b, a]
+            assert mul[a, b] == mul[b, a]
             for c in elems[:6]:
-                assert fs.mul(a, fs.add(b, c)) == fs.add(fs.mul(a, b), fs.mul(a, c))
+                assert mul[a, add[b, c]] == add[mul[a, b], mul[a, c]]
 
 
-def test_inv_of_zero_raises():
+def test_scalar_ops_are_range_checked():
     fs = make_field(9)
-    with pytest.raises(ZeroDivisionError):
-        fs.inv(0)
+    with pytest.raises(DigitOutOfRangeError):
+        fs.add(9, 0)
+    with pytest.raises(DigitOutOfRangeError):
+        fs.mul(0, -1)
 
 
-def test_power_matches_repeated_multiplication():
-    fs = make_field(8)
-    for a in range(1, 8):
-        acc = 1
-        for e in range(7):
-            assert fs.power(a, e) == acc
-            acc = fs.mul(acc, a)
+@pytest.mark.parametrize("q", [4, 8, 9, 27, 256])
+def test_x_generates_the_multiplicative_group(q):
+    # the element x has code p; its powers, by repeated table products, run
+    # through every nonzero code once before returning to 1
+    fs = make_field(q)
+    acc, seen = 1, []
+    for _ in range(q - 1):
+        seen.append(acc)
+        acc = int(fs.mul_table[acc, fs.p])
+    assert acc == 1
+    assert sorted(seen) == list(range(1, q))
 
 
-def test_tables_agree_with_scalar_ops():
-    for q in (3, 4, 9):
-        fs = make_field(q)
-        for a, b in random_pairs(fs):
-            assert fs.add_table[a, b] == fs.add(a, b)
-            assert fs.mul_table[a, b] == fs.mul(a, b)
-            assert fs.neg_table[a] == fs.neg(a)
+@pytest.mark.parametrize("q", [4, 8, 9])
+def test_tables_match_digit_and_polynomial_oracle(q):
+    # sums and negatives digit-wise mod p, products as polynomial products
+    # modulo the defining polynomial, inverses by search
+    fs = make_field(q)
+    p, m = fs.p, fs.m
+
+    def digits(a):
+        return [(a // p**i) % p for i in range(m)]
+
+    def pack(ds):
+        return sum(d * p**i for i, d in enumerate(ds))
+
+    for a in range(q):
+        assert fs.neg_table[a] == pack([-d % p for d in digits(a)])
+        for b in range(q):
+            s = pack([(x + y) % p for x, y in zip(digits(a), digits(b))])
+            prod = pack(_poly_mul_mod(digits(a), digits(b), list(fs.modulus) + [1], p))
+            assert fs.add_table[a, b] == fs.add(a, b) == s
+            assert fs.mul_table[a, b] == fs.mul(a, b) == prod
+        if a:
+            assert fs.mul_table[a, fs.inv_table[a]] == 1
+            assert sum(fs.mul_table[a, b] == 1 for b in range(q)) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -147,6 +148,39 @@ def test_rlc_dimension_and_membership():
                 assert not acc.any()
 
 
+# sha256 over the words and generators of sample_rlc for seeds 0..seeds-1,
+# recorded before sample_rlc's elimination moved onto fields.row_reduce
+RLC_DIGESTS = [
+    (2, 18, 0.5, 20, "a11476fedc31af009f94db7a06ba9164ee8a38ebf942fd4721169804a9ffd8dd"),
+    (3, 9, 0.4, 20, "c68659eebbb40adf8ae868c16be10c759aff3017822a6e8cf6166040937798bd"),
+    (3, 8, 0.125, 20, "3f70acb6835772fec4a19a3a72a933bcce793e258eb719128718d984173ab1c4"),
+    # seeds 11, 24, 30, 34, 35, 36 and 38 draw an all-zero parity check
+    (2, 2, 0.4, 40, "9b038e8926d3a46d0f225682bdc4d468de3ee27a4748425824e32769c2c769ab"),
+    # no parity rows at all: ceil(R n) = n
+    (2, 4, 0.99, 20, "f0e202b8aa82640fd289c114a93493a08bbe1ed3d24d663d7b97edd1973daa43"),
+]
+
+
+@pytest.mark.parametrize("q,n,R,seeds,want", RLC_DIGESTS)
+def test_rlc_samples_are_pinned(q, n, R, seeds, want):
+    h = hashlib.sha256()
+    for seed in range(seeds):
+        code = sample_rlc(q, n, R, np.random.default_rng(seed))
+        gen = np.asarray(code.generator, dtype=np.int64)
+        h.update(np.asarray(code.words, dtype=np.int64).tobytes())
+        h.update(repr(gen.shape).encode())
+        h.update(gen.tobytes())
+    assert h.hexdigest() == want
+
+
+def test_rlc_of_a_zero_parity_check_is_the_whole_space():
+    for R, seed in [(0.4, 11), (0.99, 0)]:
+        code = sample_rlc(2, 2, R, np.random.default_rng(seed))
+        assert not code.parity_check.any()
+        assert code.generator.tolist() == [[1, 0], [0, 1]]
+        assert code.words.tolist() == [0, 1, 2, 3]
+
+
 def test_rlc_rank_distribution():
     # chance that all m = 4 parity rows are independent over GF(2)^8:
     # prod_{i<4} (1 - 2^{i-8}) ~ 0.9414, so dim > ceil(Rn) should be rare
@@ -187,6 +221,12 @@ def test_profile_matches_brute_force():
         code = Code(q=q, n=n, words=words)
         for r in (0, 1, 2):
             assert np.array_equal(occupancy_profile(code, r), brute_occupancy(code, r))
+    # a dense binary code: at radius >= 3 stamping its balls costs more than
+    # the transform, so the q = 2 FFT route runs
+    dense = Code(q=2, n=6, words=np.sort(rng.choice(64, size=48, replace=False)))
+    for r in (3, 4):
+        assert dense.size * ball_volume(2, 6, r) > 4 * 2**6 * 6
+        assert np.array_equal(occupancy_profile(dense, r), brute_occupancy(dense, r))
 
 
 def test_profile_mass_identity():
@@ -420,6 +460,17 @@ def test_greedy_explicit_dimension():
     assert g.k == 3
     assert g.code.size == 8
     assert g.final_max_count <= g.cap
+
+
+def test_greedy_past_the_theorem_dimension_keeps_the_potential_bound():
+    # at k = 9 the final list size exceeds the theorem cap, but never the
+    # bound max P <= L' (1 + log2(S_k) / n) that S_k >= 2^-n 2^((n/L') max P) gives
+    g = greedy_potential_code(10, 0.1, 2, 0.3, np.random.default_rng(0), k=9)
+    assert g.final_max_count > g.cap
+    assert g.final_max_count <= g.potential_bound
+    s_k = g.history[-1]["s_after"]
+    assert g.potential_bound == pytest.approx(g.lprime * (1 + math.log2(s_k) / 10), rel=1e-9)
+    assert int(occupancy_profile(g.code, 1).max()) == g.final_max_count
 
 
 class OneCandidate:

@@ -6,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thresholds.errors import (
+    DigitOutOfRangeError,
     DomainError,
     FullSpaceKernelError,
+    ShapeMismatchError,
     SizeCapError,
 )
+from thresholds.fields import make_field, matvec_apply, row_reduce
 from thresholds.subspaces import (
     SubspaceRREF,
     enum_subspaces,
@@ -55,6 +58,8 @@ def test_rref_validation():
         SubspaceRREF(q=2, ambient=3, basis=((0, 0, 0),))
     with pytest.raises(DomainError):
         SubspaceRREF(q=3, ambient=2, basis=((2, 0),))
+    with pytest.raises(DigitOutOfRangeError):
+        SubspaceRREF(q=2, ambient=3, basis=((1, 5, 0),))
 
 
 def test_rref_of_canonicalizes():
@@ -66,19 +71,99 @@ def test_rref_of_canonicalizes():
     assert t.basis == u.basis == ((1, 2),)
 
 
+# ---------------------------------------------------------------------------
+# the GF(q) row reduction behind rref_of, ranks and quotient maps
+
+CORE_QS = [2, 3, 4, 5, 8, 9]
+
+
+@st.composite
+def small_matrices(draw, q):
+    """Up to 5 rows of width 1..4 over GF(q), some rows forced to zero."""
+    width = draw(st.integers(1, 4))
+    rows = draw(st.integers(0, 5))
+    M = np.array(draw(st.lists(st.integers(0, q - 1), min_size=rows * width,
+                               max_size=rows * width)), dtype=np.int64).reshape(rows, width)
+    zero = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+    M[np.asarray(zero, dtype=bool)] = 0
+    return M
+
+
+def brute_span(rows, fs, width):
+    """Every GF(q)-combination of the rows, as a set of digit tuples."""
+    words = np.zeros((1, width), dtype=np.int64)
+    for row in rows:
+        scaled = [fs.add_table[words, fs.mul_table[c, row]] for c in range(fs.q)]
+        words = np.unique(np.concatenate(scaled), axis=0)
+    return set(map(tuple, words.tolist()))
+
+
+@pytest.mark.parametrize("q", CORE_QS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_row_reduce_is_a_canonical_basis_of_the_row_space(q, data):
+    fs = make_field(q)
+    M = data.draw(small_matrices(q))
+    R, pivots = row_reduce(M, fs)
+    s = SubspaceRREF(q=q, ambient=M.shape[1], basis=tuple(map(tuple, R.tolist())))
+    assert s.pivots == pivots
+    assert brute_span(R, fs, M.shape[1]) == brute_span(M, fs, M.shape[1])
+    R2, pivots2 = row_reduce(R, fs)
+    assert np.array_equal(R2, R) and pivots2 == pivots
+    assert rref_of(M, q) == s
+
+
+@pytest.mark.parametrize("q", CORE_QS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_quotient_map_annihilates_the_rows(q, data):
+    fs = make_field(q)
+    M = data.draw(small_matrices(q))
+    s = rref_of(M, q)
+    width = M.shape[1]
+    if s.dim == width:
+        with pytest.raises(FullSpaceKernelError):
+            map_with_kernel(s)
+        return
+    K = map_with_kernel(s)
+    assert K.shape == (width - s.dim, width)
+    # full row rank, and every row kills every input row: the kernel of K is
+    # exactly the row space of M
+    assert len(row_reduce(K, fs)[1]) == K.shape[0]
+    for row in M:
+        assert matvec_apply(K.tolist(), row.tolist(), fs) == (0,) * K.shape[0]
+
+
+def test_row_reduce_leaves_its_input_alone():
+    M = np.array([[0, 2], [1, 1]])
+    R, pivots = row_reduce(M, make_field(3))
+    assert M.tolist() == [[0, 2], [1, 1]]
+    assert R.tolist() == [[1, 0], [0, 1]] and pivots == (0, 1)
+
+
+def test_rref_of_rejects_malformed_rows():
+    with pytest.raises(DomainError):
+        rref_of([], 2)
+    with pytest.raises(ShapeMismatchError):
+        rref_of([[1, 0], [1]], 2)
+    with pytest.raises(DigitOutOfRangeError):
+        rref_of([[1, 3]], 3)
+    assert rref_of(np.zeros((0, 3), dtype=np.int64), 2).basis == ()
+
+
 def test_quotient_of_repetition_kernel():
     s = rref_of([[1, 1, 1, 1]], 2)
     qm = map_with_kernel(s)
-    assert qm.matrix == ((1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1))
+    assert qm.tolist() == [[1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1]]
     # every row kills the kernel generator
-    for row in qm.matrix:
+    for row in qm:
         assert sum(a * b for a, b in zip(row, (1, 1, 1, 1))) % 2 == 0
 
 
 def test_quotient_of_zero_kernel_is_identity():
     s = SubspaceRREF(q=3, ambient=2, basis=())
     qm = map_with_kernel(s)
-    assert qm.matrix == ((1, 0), (0, 1))
+    assert qm.tolist() == [[1, 0], [0, 1]]
 
 
 def test_full_space_has_no_quotient():
@@ -151,7 +236,7 @@ def brute_kernel_rows(tau, k):
     """(basis, dim_image, entropy) per kernel through map_with_kernel."""
     rows = []
     for basis in iter_rref_bases(tau.q, tau.b, k):
-        image = pushforward(tau, map_with_kernel(SubspaceRREF(tau.q, tau.b, basis)).matrix)
+        image = pushforward(tau, map_with_kernel(SubspaceRREF(tau.q, tau.b, basis)))
         rows.append((basis, dim_of_type(image), image.entropy()))
     return rows
 

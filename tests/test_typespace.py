@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thresholds.errors import DomainError, ShapeMismatchError, UnsupportedError
 from thresholds.fields import make_field, vec_decode, vec_encode
@@ -98,6 +100,25 @@ def test_pushforward_preserves_exact_masses():
     )
     img = pushforward(tau, [[1, 1]])
     assert img.exact == (Fraction(1, 2), Fraction(1, 2))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_pushforward_composes(q, data):
+    # (A B) tau = A (B tau), with the product A B taken column by column
+    # through the scalar field ops
+    fs = make_field(q)
+    a, c, b = (data.draw(st.integers(1, 3)) for _ in range(3))
+    entries = st.integers(0, q - 1)
+    A = data.draw(st.lists(st.lists(entries, min_size=c, max_size=c), min_size=a, max_size=a))
+    B = data.draw(st.lists(st.lists(entries, min_size=b, max_size=b), min_size=c, max_size=c))
+    weights = data.draw(st.lists(st.integers(0, 4), min_size=q**b, max_size=q**b))
+    probs = np.asarray(weights, dtype=float) + (not any(weights))
+    tau = TypeDist(q=q, b=b, probs=probs / probs.sum())
+    AB = [[_dot(fs, A[i], [B[t][j] for t in range(c)]) for j in range(b)] for i in range(a)]
+    assert np.allclose(pushforward(tau, AB).probs, pushforward(pushforward(tau, B), A).probs,
+                       atol=1e-12)
 
 
 def test_dim_of_type():
