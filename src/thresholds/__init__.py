@@ -4,7 +4,7 @@ Core layers:
 
 - fields:        GF(q) arithmetic and vector/index packing
 - infomeasures:  entropy functionals and joint-distribution measures
-- typespace:     distributions over GF(q)^L, membership LP, orbit classes
+- typespace:     distributions over GF(q)^L, the boundary type, orbit classes
 - subspaces:     canonical subspace enumeration and quotient maps
 - engine:        threshold bounds, curve generators, verification reports
 - simulate:      Monte Carlo ensembles, exact decodability checks, greedy builds

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 import time
 from decimal import Decimal
@@ -41,17 +40,23 @@ EXIT_DOMAIN = 3
 EXIT_BUDGET = 4
 EXIT_CONSTRUCT = 5
 
-BOUND_FAMILIES = (
-    "ld4-binary-rlc",
-    "ld4-binary-rc",
-    "ld3-qary-rlc",
-    "ld3-qary-rc",
-    "lr-listsize-rlc",
-    "lr-listsize-rc",
-    "largeL-rlc",
-    "largeL-rc",
-    "figure1",
-)
+# closed-form bound families: (args, rho) -> [(method, value), ...], one CSV
+# row per pair
+_BOUND_ROWS = {
+    "ld4-binary-rlc": lambda a, rho: [("closed_form", eng.bound_rlc_binary_l4(rho))],
+    "ld4-binary-rc": lambda a, rho: [("closed_form", eng.threshold_rc_binary_l4(rho))],
+    "ld3-qary-rlc": lambda a, rho: [("closed_form", eng.bound_rlc_qary_l3(a.q, rho))],
+    "ld3-qary-rc": lambda a, rho: [("closed_form", eng.threshold_rc_qary_l3(a.q, rho))],
+    "lr-listsize-rlc": lambda a, rho: [
+        ("lower", float(eng.lr_listsize_lower_rlc(a.q, a.l, rho, a.eps, a.delta)))],
+    "lr-listsize-rc": lambda a, rho: list(zip(
+        ("lower", "upper"), map(float, eng.lr_listsize_rc(a.q, a.l, rho, a.eps, a.delta)))),
+    "largeL-rlc": lambda a, rho: [
+        ("closed_form", eng.rate_rlc_binary_largeL(rho, a.L, a.delta))],
+    "largeL-rc": lambda a, rho: [
+        ("closed_form", eng.rate_rc_binary_largeL(rho, a.L, a.delta))],
+}
+BOUND_FAMILIES = (*_BOUND_ROWS, "figure1")
 
 
 def _sha256(path: str) -> str:
@@ -103,10 +108,15 @@ def _parse_rates(spec: str) -> list[float]:
     return _decimal_grid(lo, hi, step)
 
 
-def _grid(args) -> np.ndarray:
-    if args.rho_min > args.rho_max:
+def _grid(args, lo=None, hi=None, step=None) -> np.ndarray:
+    """The sweep rho-min:rho-max:step, each bound the command line leaves
+    unset taken from the given default; an empty sweep is a usage error."""
+    lo = lo if args.rho_min is None else args.rho_min
+    hi = hi if args.rho_max is None else args.rho_max
+    step = step if args.step is None else args.step
+    if lo > hi:
         raise _Usage("empty sweep: rho-min exceeds rho-max")
-    g = np.asarray(_decimal_grid(args.rho_min, args.rho_max, args.step))
+    g = np.asarray(_decimal_grid(lo, hi, step))
     if g.size == 0:
         raise _Usage("empty sweep")
     return g
@@ -141,38 +151,13 @@ def cmd_entropy(args) -> int:
 
 def _bounds_rows(args) -> tuple[list[dict], np.ndarray]:
     grid = _grid(args)
-    fam = args.family
     rows = []
-    for rho in grid:
-        rho = float(rho)
+    for rho in grid.tolist():
         try:
-            if fam == "ld4-binary-rlc":
-                rows.append({"rho": rho, "value": eng.bound_rlc_binary_l4(rho),
-                             "family": fam, "method": "closed_form"})
-            elif fam == "ld4-binary-rc":
-                rows.append({"rho": rho, "value": eng.threshold_rc_binary_l4(rho),
-                             "family": fam, "method": "closed_form"})
-            elif fam == "ld3-qary-rlc":
-                rows.append({"rho": rho, "value": eng.bound_rlc_qary_l3(args.q, rho),
-                             "family": fam, "method": "closed_form"})
-            elif fam == "ld3-qary-rc":
-                rows.append({"rho": rho, "value": eng.threshold_rc_qary_l3(args.q, rho),
-                             "family": fam, "method": "closed_form"})
-            elif fam == "lr-listsize-rlc":
-                v = eng.lr_listsize_lower_rlc(args.q, args.l, rho, args.eps, args.delta)
-                rows.append({"rho": rho, "value": float(v), "family": fam, "method": "lower"})
-            elif fam == "lr-listsize-rc":
-                lo, hi = eng.lr_listsize_rc(args.q, args.l, rho, args.eps, args.delta)
-                rows.append({"rho": rho, "value": float(lo), "family": fam, "method": "lower"})
-                rows.append({"rho": rho, "value": float(hi), "family": fam, "method": "upper"})
-            elif fam == "largeL-rlc":
-                rows.append({"rho": rho, "value": eng.rate_rlc_binary_largeL(rho, args.L, args.delta),
-                             "family": fam, "method": "closed_form"})
-            elif fam == "largeL-rc":
-                rows.append({"rho": rho, "value": eng.rate_rc_binary_largeL(rho, args.L, args.delta),
-                             "family": fam, "method": "closed_form"})
+            pairs = _BOUND_ROWS[args.family](args, rho)
         except DomainError as err:
             raise DomainError(f"at rho={fmt12(rho)}: {err}") from err
+        rows += [{"rho": rho, "value": v, "family": args.family, "method": m} for m, v in pairs]
     return rows, grid
 
 
@@ -209,10 +194,7 @@ def cmd_bounds(args) -> int:
 
 
 def _verify_negativity(args) -> tuple[bool, list[dict]]:
-    lo = args.rho_min if args.rho_min is not None else 0.001
-    hi = args.rho_max if args.rho_max is not None else 0.333
-    step = args.step if args.step is not None else 0.001
-    grid = np.asarray(_decimal_grid(lo, hi, step))
+    grid = _grid(args, 0.001, 0.333, 0.001)
     grid = grid[(grid > 0.0) & (grid < 1.0 / 3.0)]
     vals = eng.negativity_values(grid)
     details = [{"rho": float(r), "value": float(v), "ok": bool(v < 0.0)}
@@ -245,10 +227,7 @@ def _verify_lemma33(args) -> tuple[bool, list[dict]]:
 
 
 def _verify_ordering(args) -> tuple[bool, list[dict]]:
-    lo = args.rho_min if args.rho_min is not None else 0.01
-    hi = args.rho_max if args.rho_max is not None else (0.31 if args.q == 2 else 0.33)
-    step = args.step if args.step is not None else 0.005
-    grid = _decimal_grid(lo, hi, step)
+    grid = _grid(args, 0.01, 0.31 if args.q == 2 else 0.33, 0.005).tolist()
     if args.q == 2:
         pairs = [(eng.bound_rlc_binary_l4(r), eng.threshold_rc_binary_l4(r)) for r in grid]
     else:

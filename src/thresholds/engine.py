@@ -247,7 +247,6 @@ class ThresholdReport:
     argmax: dict = dc_field(default_factory=dict)
     inner_kernel: SubspaceRREF | None = None
     details: dict = dc_field(default_factory=dict)
-    tol: float = 1e-9
 
     def to_json_dict(self) -> dict:
         d = {
@@ -260,7 +259,6 @@ class ThresholdReport:
             "method": self.method,
             "argmax": {k: (list(v) if isinstance(v, tuple) else v) for k, v in self.argmax.items()},
             "details": self.details,
-            "tol": self.tol,
         }
         if self.inner_kernel is not None:
             d["inner_kernel"] = [list(r) for r in self.inner_kernel.basis]
@@ -322,7 +320,7 @@ def rc_threshold_generic(spec: LRSpec) -> ThresholdReport:
     """Threshold rate 1 - max H_q(tau)/L of the plain random ensemble.
 
     The maximum runs over the orbit polytope described in `_orbit_setup`;
-    with at most two free classes this is exactly the planar optimizer.
+    one free class is solved in closed form, two by the planar optimizer.
     """
     _exact_mode_check(spec)
     classes, log0, cs, gaps = _orbit_setup(spec)
@@ -335,10 +333,13 @@ def rc_threshold_generic(spec: LRSpec) -> ThresholdReport:
         x = ()
         method = "closed_form"
     elif len(cs) == 1:
-        poly = Polytope2D([(float(gaps[0]), 0.0, budget), (1.0, 0.0, 1.0), (0.0, 1.0, 0.0)])
-        res = opt_polytope_2d((cs[0], -1000.0), q, poly)
-        maxF = res.value
-        x = (res.x[0],)
+        # H_q(x, 1 - x) + c x is concave in x: its stationary point
+        # q^c / (1 + q^c), cut back to the budget
+        x1 = q ** cs[0] / (1.0 + q ** cs[0])
+        if gaps[0]:
+            x1 = min(x1, budget / gaps[0])
+        maxF = _objective(q, cs[0], 0.0, x1, 0.0)
+        x = (x1,)
         method = "kkt"
     else:
         poly = Polytope2D([(float(gaps[0]), float(gaps[1]), budget), (1.0, 1.0, 1.0)])
@@ -511,19 +512,6 @@ def negativity_optimum_values(rho_grid) -> np.ndarray:
     return np.asarray([2.0 * hq(2, 1.5 * r) - _max_binary_l3(r).value for r in grid])
 
 
-def negativity_check(rho_grid) -> list[bool]:
-    """Whether the comparison expression is strictly negative per grid point."""
-    return [bool(v < -STRICT_MARGIN) for v in negativity_values(rho_grid)]
-
-
-def negativity_single_factor(rho_grid) -> np.ndarray:
-    """Same comparison without doubling the first term (diagnostic variant)."""
-    grid = np.asarray(list(rho_grid), dtype=np.float64)
-    return np.asarray(
-        [hq_multi(2, [0.0, 1.5 * r]) - hq_multi(2, [3.0 * r, 0.0]) - 3.0 * r * math.log2(3.0) for r in grid]
-    )
-
-
 def boundary_dominance_qary(q: int, rho: float) -> float:
     """Margin maxF/2 - h_q(3 rho/2) of the direct case comparison (>= 0 expected)."""
     _check_rho_qary_l3(q, rho)
@@ -556,16 +544,6 @@ def lr_listsize_rc(q: int, ell: int, rho: float, eps: float, delta: float) -> tu
     lower = math.floor(logc / eps - delta)
     upper = math.ceil(logc / eps) + 1
     return lower, upper
-
-
-def lr_listsize_rc_upper_variants(q: int, ell: int, eps: float) -> tuple[int, int]:
-    """Both readings of the upper bound: ceil(x)+1 and ceil(x+1) (differ only
-    when x = log_q C / eps is an integer)."""
-    if eps <= 0.0:
-        raise DomainError("eps must be positive")
-    logc = math.log(math.comb(q, ell)) / math.log(q)
-    x = logc / eps
-    return math.ceil(x) + 1, math.ceil(x + 1.0)
 
 
 def lr_rate_rc_upper(q: int, ell: int, rho: float, L: int) -> float:

@@ -27,25 +27,17 @@ def hq(q: int, rho: float) -> float:
     """Entropy of the radius-rho sphere-uniform distribution, in base-q units.
 
     hq(q, rho) = rho * log_q((q-1)/rho) + (1-rho) * log_q(1/(1-rho)),
-    with the endpoint conventions hq(q, 0) = 0 and hq(q, 1) = log_q(q-1).
+    with the endpoint conventions hq(q, 0) = 0 and hq(q, 1) = log_q(q-1);
+    this is hql(q, 1, rho).
     """
-    _check_base_q(q)
-    if not 0.0 <= rho <= 1.0:
-        raise DomainError(f"rho must lie in [0, 1], got {rho}")
-    lq = math.log(q)
-    out = 0.0
-    if rho > 0.0:
-        out += rho * math.log((q - 1) / rho)
-    if rho < 1.0:
-        out += (1.0 - rho) * math.log(1.0 / (1.0 - rho))
-    return out / lq
+    return hql(q, 1, rho)
 
 
 def hql(q: int, ell: int, rho: float) -> float:
     """Generalization of hq with an ell-element "inside" set.
 
     hql(q, ell, rho) = rho * log_q((q-ell)/rho) + (1-rho) * log_q(ell/(1-rho));
-    hql(q, 1, rho) == hq(q, rho) and hql(q, ell, 0) == log_q(ell).
+    hql(q, ell, 0) == log_q(ell).
     """
     _check_base_q(q)
     if not 1 <= ell < q:
@@ -84,29 +76,9 @@ def hq_multi(q: int, xs) -> float:
 
 
 # ---------------------------------------------------------------------------
-# validated distribution containers
+# joint tables
 
-
-@dataclass
-class ProbVector:
-    """A probability vector with an explicit validation tolerance."""
-
-    masses: np.ndarray
-    tol: float = 1e-12
-
-    def __post_init__(self):
-        self.masses = np.asarray(self.masses, dtype=np.float64)
-        if self.masses.ndim != 1:
-            raise DomainError("ProbVector needs a one-dimensional mass array")
-        if np.any(self.masses < -self.tol):
-            raise DomainError("negative probability mass")
-        self.masses = np.clip(self.masses, 0.0, None)
-        total = float(self.masses.sum())
-        if abs(total - 1.0) > self.tol:
-            raise DomainError(f"masses sum to {total}, outside 1 +- {self.tol}")
-
-    def __len__(self):
-        return len(self.masses)
+_JOINT_TOL = 1e-12  # JointTable: allowed negative round-off and sum drift
 
 
 def _entropy_nats(masses: np.ndarray) -> float:
@@ -117,35 +89,23 @@ def _entropy_nats(masses: np.ndarray) -> float:
     return float(-(m * np.log(m)).sum())
 
 
-def dist_entropy(p, base: float | None = None) -> float:
-    """Shannon entropy of a ProbVector or raw mass array; nats unless base given."""
-    masses = p.masses if isinstance(p, ProbVector) else np.asarray(p, dtype=np.float64)
-    h = _entropy_nats(masses)
-    if base is None:
-        return h
-    if base <= 1:
-        raise DomainError(f"log base must exceed 1, got {base}")
-    return h / math.log(base)
-
-
 @dataclass
 class JointTable:
     """Joint distribution over two or three named axes ('x', 'y'[, 'z'])."""
 
     masses: np.ndarray
-    tol: float = 1e-12
     axes: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
         self.masses = np.asarray(self.masses, dtype=np.float64)
         if self.masses.ndim not in (2, 3):
             raise DomainError("JointTable needs a 2- or 3-axis mass array")
-        if np.any(self.masses < -self.tol):
+        if np.any(self.masses < -_JOINT_TOL):
             raise DomainError("negative probability mass")
         self.masses = np.clip(self.masses, 0.0, None)
         total = float(self.masses.sum())
-        if abs(total - 1.0) > self.tol:
-            raise DomainError(f"masses sum to {total}, outside 1 +- {self.tol}")
+        if abs(total - 1.0) > _JOINT_TOL:
+            raise DomainError(f"masses sum to {total}, outside 1 +- {_JOINT_TOL}")
         self.axes = ("x", "y", "z")[: self.masses.ndim]
 
     def marginal(self, *keep: str) -> np.ndarray:
@@ -186,13 +146,6 @@ def joint_measures(jt: JointTable, base: float | None = None) -> dict[str, float
         out["H_x_given_yz"] = out["H_xyz"] - out["H_yz"]
         out["I_xy_given_z"] = out["H_xz"] + out["H_yz"] - out["H_z"] - out["H_xyz"]
     return out
-
-
-def conditional_mi(jt: JointTable, base: float | None = None) -> float:
-    """I(x;y|z); raises MissingAxisError on a two-axis table."""
-    if len(jt.axes) != 3:
-        raise MissingAxisError("conditional mutual information needs a z axis")
-    return joint_measures(jt, base)["I_xy_given_z"]
 
 
 def fano_bound(p_err: float, M: int, base: float = 2.0) -> float:

@@ -18,7 +18,7 @@ import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -134,14 +134,6 @@ class Code:
         if arr.min() < 0 or arr.max() >= q:
             raise DomainError("digit out of range for the stated field")
         return cls(q=q, n=n, words=np.sort(pack_digits(arr, q)))
-
-    def translate(self, v: int) -> "Code":
-        """The coset code + v (losing any linear structure)."""
-        fs = make_field(self.q)
-        add = fs.add_table
-        dv = digits_of(np.asarray([v]), self.q, self.n)[0]
-        shifted = add[self.digits(), dv]
-        return Code(q=self.q, n=self.n, words=np.sort(pack_digits(shifted, self.q)))
 
     def linearity_ok(self, rng: np.random.Generator | None = None, spot_pairs: int = 50) -> bool:
         """Closure under addition and scalars; exhaustive for small codes."""
@@ -279,13 +271,6 @@ def occupancy_profile(code: Code, r: int) -> np.ndarray:
     if np.abs(conv - P).max() > 1e-3:
         raise RoundOffError("transform round-off too large to trust integer counts")
     return P.astype(np.int64)
-
-
-def ball_profile(code: Code, z: int, rho: float) -> int:
-    """Exact number of codewords within floor(rho*n) of the center z."""
-    r = radius_of(rho, code.n)
-    dz = digits_of(np.asarray([z]), code.q, code.n)[0]
-    return int(((code.digits() != dz).sum(axis=1) <= r).sum())
 
 
 @dataclass

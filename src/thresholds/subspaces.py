@@ -123,26 +123,6 @@ def iter_rref_bases(q: int, L: int, k: int):
             yield tuple(tuple(r) for r in rows)
 
 
-def enum_subspaces(q: int, L: int, dims=None) -> list[SubspaceRREF]:
-    """All subspaces of GF(q)^L with dimension in `dims` (default: all 0..L)."""
-    make_field(q)
-    if L < 1:
-        raise DomainError(f"ambient dimension must be >= 1, got {L}")
-    dims = list(range(L + 1)) if dims is None else sorted(set(dims))
-    if any(d < 0 or d > L for d in dims):
-        raise DomainError(f"dimensions {dims} outside [0, {L}]")
-    total = sum(gaussian_binomial(L, k, q) for k in dims)
-    if total > _ENUM_CAP:
-        raise SizeCapError(
-            f"{total} subspaces exceed the list cap {_ENUM_CAP}; use iter_rref_bases"
-        )
-    out = []
-    for k in dims:
-        for basis in iter_rref_bases(q, L, k):
-            out.append(SubspaceRREF(q=q, ambient=L, basis=basis))
-    return out
-
-
 def map_with_kernel(s: SubspaceRREF) -> np.ndarray:
     """Deterministic surjection GF(q)^L -> GF(q)^(L-dim) with kernel s.
 

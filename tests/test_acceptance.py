@@ -17,6 +17,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from thresholds.cli import _decimal_grid
 from thresholds.engine import (
     STRICT_MARGIN,
     bound_rlc_binary_l4,
@@ -249,7 +250,7 @@ def _monotone_within_wilson(curve) -> bool:
 
 def test_criterion_08_threshold_in_silico():
     t0 = time.perf_counter()
-    rates = [float(r) for r in np.arange(0.1, 0.825, 0.05)]
+    rates = _decimal_grid(0.1, 0.8, 0.05)
     curves = {}
     for family in ("rlc", "rc"):
         cfg = SweepConfig(q=2, n=18, family=family, rho=0.1, L=2, rates=rates,

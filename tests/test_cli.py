@@ -113,6 +113,15 @@ def test_bounds_empty_sweep_is_usage(capsys):
                  "--rho-min", "0.3", "--rho-max", "0.1", "--step", "0.01"]) == 2
 
 
+@pytest.mark.parametrize("check", ["ordering", "negativity"])
+def test_verify_empty_sweep_is_usage(check, in_tmpdir, capsys):
+    for grid in (["--rho-min", "0.3", "--rho-max", "0.1"], ["--step", "-0.01"],
+                 ["--rho-min", "0.3", "--rho-max", "0.2999"]):
+        assert main(["verify", "--check", check, *grid]) == 2
+    assert "empty sweep" in capsys.readouterr().err
+    assert not (in_tmpdir / f"verify_{check}.json").exists()
+
+
 def test_unknown_family_exits_via_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["bounds", "--family", "nope"])

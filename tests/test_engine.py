@@ -16,10 +16,7 @@ from thresholds.engine import (
     largeL_compare,
     lr_listsize_lower_rlc,
     lr_listsize_rc,
-    lr_listsize_rc_upper_variants,
     lr_rate_rc_upper,
-    negativity_check,
-    negativity_single_factor,
     negativity_values,
     opt_polytope_2d,
     rate_rc_binary_largeL,
@@ -169,6 +166,26 @@ def test_generic_pair_list_with_two_slots_is_degenerate():
     assert rep.details["budget_coeffs"] == [0]
 
 
+def test_generic_one_free_class_closed_form():
+    # lists of 2: the free class is the off-diagonal, x = min(2 rho, 1 - 1/q),
+    # and H_q plus its coefficient log_q(q - 1) is h_q(x)
+    for q in (2, 3, 5):
+        for rho in (0.1, 0.3, 0.45):
+            if rho >= 1 - 1 / q:
+                continue
+            rep = rc_threshold_generic(LRSpec(q=q, ell=1, L=2, rho=rho))
+            x = min(2 * rho, 1 - 1 / q)
+            assert rep.argmax["free_class_masses"][0] == pytest.approx(x, abs=1e-15)
+            assert rep.value == pytest.approx(max(0.0, 1 - (1 + hq(q, x)) / 2), abs=1e-12)
+    # binary lists of 3: the (2, 1) class, x = min(3 rho, 3/4)
+    for rho in (0.05, 0.2, 0.3):
+        rep = rc_threshold_generic(LRSpec(q=2, ell=1, L=3, rho=rho))
+        x = min(3 * rho, 0.75)
+        assert rep.argmax["free_class_masses"][0] == pytest.approx(x, abs=1e-15)
+        F = hq(2, x) + x * math.log2(3)
+        assert rep.value == pytest.approx(1 - (1 + F) / 3, abs=1e-12)
+
+
 def test_rlc_pair_closed_form():
     rho = 0.11
     rep = rlc_lower_generic(LRSpec(q=2, ell=1, L=2, rho=rho))
@@ -253,17 +270,10 @@ def test_negativity_frozen_values():
 
 def test_negativity_sign_flips_inside_the_interval():
     # negative early on, but crosses zero near 0.281: negativity over the
-    # full interval does not hold and the check reports that honestly
-    checks = negativity_check([0.05, 0.2, 0.28, 0.285, 0.3])
-    assert checks[:3] == [True, True, True]
-    assert checks[3:] == [False, False]
-
-
-def test_negativity_single_factor_stays_negative():
-    grid = [i / 1000 for i in range(1, 334)]
-    vals = negativity_single_factor(grid)
-    assert float(vals.max()) == pytest.approx(-0.017985287953887097, abs=1e-12)
-    assert np.all(vals < 0)
+    # full interval does not hold for the vertex form
+    vals = negativity_values([0.05, 0.2, 0.28, 0.285, 0.3])
+    assert np.all(vals[:3] < -1e-9)
+    assert np.all(vals[3:] > 0)
 
 
 def test_qary_boundary_dominance():
@@ -297,10 +307,10 @@ def test_listsize_rc_sandwich():
 @pytest.mark.parametrize("eps", [0.3, 0.1, 1 / 7, 0.25, 1.0])
 def test_listsize_upper_variants_coincide(eps):
     # ceil(x) + 1 == ceil(x + 1) for every real x, so the two published
-    # readings of the upper bound are the same number
+    # readings of the upper bound, x = log_q C / eps, are the same number
     for q, ell in [(2, 1), (4, 2), (5, 3)]:
-        a, b = lr_listsize_rc_upper_variants(q, ell, eps)
-        assert a == b
+        x = math.log(math.comb(q, ell)) / math.log(q) / eps
+        assert lr_listsize_rc(q, ell, 0.1, eps, 0.0)[1] == math.ceil(x + 1.0)
 
 
 def test_rate_rc_upper_value():

@@ -6,10 +6,7 @@ import pytest
 from thresholds.errors import DomainError, MissingAxisError
 from thresholds.infomeasures import (
     JointTable,
-    ProbVector,
     ball_volume,
-    conditional_mi,
-    dist_entropy,
     fano_bound,
     hq,
     hq_multi,
@@ -56,9 +53,13 @@ def test_hq_domain():
 
 
 def test_hql_reduces_to_hq_at_ell_one():
-    for rho in (0.01, 0.2, 0.45):
-        assert hql(2, 1, rho) == pytest.approx(hq(2, rho), abs=1e-15)
-        assert hql(5, 1, rho) == pytest.approx(hq(5, rho), abs=1e-15)
+    # hq is hql(q, 1, .); check both against the sphere-entropy formula
+    for q in (2, 5):
+        for rho in (0.01, 0.2, 0.45):
+            direct = (rho * math.log((q - 1) / rho)
+                      + (1 - rho) * math.log(1 / (1 - rho))) / math.log(q)
+            assert hql(q, 1, rho) == pytest.approx(direct, abs=1e-15)
+            assert hq(q, rho) == pytest.approx(direct, abs=1e-15)
 
 
 def test_hql_endpoints():
@@ -95,19 +96,6 @@ def test_hq_multi_domain():
 # ---------------------------------------------------------------------------
 
 
-def test_probvector_clips_jitter_and_validates():
-    p = ProbVector(np.array([0.5, 0.5 + 4e-13, -4e-13]))
-    assert p.masses.min() >= 0.0
-    with pytest.raises(DomainError):
-        ProbVector(np.array([0.6, 0.6]))
-
-
-def test_dist_entropy_bases():
-    p = np.array([0.5, 0.5])
-    assert dist_entropy(p) == pytest.approx(math.log(2), abs=1e-15)
-    assert dist_entropy(p, base=2) == pytest.approx(1.0, abs=1e-15)
-
-
 def test_chain_rule_two_axes():
     jt = JointTable(random_joint((4, 5), seed=1))
     m = joint_measures(jt, base=2)
@@ -140,7 +128,7 @@ def test_marginal_axis_errors():
 def test_conditional_mi_nonnegative():
     for seed in range(5):
         jt = JointTable(random_joint((3, 3, 4), seed=seed))
-        assert conditional_mi(jt, base=2) >= -1e-12
+        assert joint_measures(jt, base=2)["I_xy_given_z"] >= -1e-12
 
 
 def test_fano_bound_values():

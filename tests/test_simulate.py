@@ -10,7 +10,6 @@ from thresholds.infomeasures import ball_volume, hq
 from thresholds.simulate import (
     Code,
     SweepConfig,
-    ball_profile,
     check_ld_centers,
     check_lr_dp,
     digits_of,
@@ -100,14 +99,6 @@ def test_dump_load_roundtrip(tmp_path):
     cw.dump(str(pw))
     assert "," in pw.read_text()
     assert np.array_equal(Code.load(str(pw), q=13).words, cw.words)
-
-
-def test_translate_is_an_involution_for_binary():
-    c = make_code(2, 5, [0, 3, 17, 29])
-    t = c.translate(11)
-    assert t.size == c.size
-    assert not np.array_equal(t.words, c.words)
-    assert np.array_equal(t.translate(11).words, c.words)
 
 
 def test_linearity_check():
@@ -246,8 +237,8 @@ def test_fft_round_off_is_reported(monkeypatch):
 
 def test_ball_profile_single_center():
     code = make_code(2, 4, [0b0000, 0b1111, 0b1100])
-    assert ball_profile(code, 0b1110, 0.25) == 2  # 1111 and 1100 at distance 1
-    assert ball_profile(code, 0b0000, 0.0) == 1
+    assert occupancy_profile(code, radius_of(0.25, 4))[0b1110] == 2  # 1111 and 1100 at distance 1
+    assert occupancy_profile(code, radius_of(0.0, 4))[0b0000] == 1
 
 
 def test_three_words_packed_into_one_ball():
@@ -274,7 +265,7 @@ def test_decodability_is_translation_invariant():
     code = Code(q=2, n=7, words=words)
     base = check_ld_centers(code, 0.2, 2)
     for v in (1, 77, 100):
-        shifted = check_ld_centers(code.translate(v), 0.2, 2)
+        shifted = check_ld_centers(Code(q=2, n=7, words=np.sort(words ^ v)), 0.2, 2)
         assert shifted.decodable == base.decodable
         assert shifted.max_count == base.max_count
 

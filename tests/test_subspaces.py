@@ -15,7 +15,6 @@ from thresholds.errors import (
 from thresholds.fields import make_field, matvec_apply, row_reduce
 from thresholds.subspaces import (
     SubspaceRREF,
-    enum_subspaces,
     entropy_over_kernels,
     gaussian_binomial,
     iter_kernel_entropies,
@@ -36,7 +35,8 @@ def test_gaussian_binomial_values():
 
 
 def test_enum_counts_match_gaussian_binomials():
-    subs = enum_subspaces(2, 4)
+    subs = [SubspaceRREF(q=2, ambient=4, basis=basis)
+            for k in range(5) for basis in iter_rref_bases(2, 4, k)]
     assert len(subs) == 67  # 1 + 15 + 35 + 15 + 1
     by_dim = {}
     for s in subs:
@@ -304,5 +304,6 @@ def test_kernel_dims_bounds_checked():
 
 
 def test_enum_cap_triggers():
+    # 417,198 proper kernels of GF(2)^8, over the list cap
     with pytest.raises(SizeCapError):
-        enum_subspaces(5, 9)
+        entropy_over_kernels(TypeDist(q=2, b=8, probs=np.full(256, 1 / 256)))

@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,21 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thresholds.errors import DomainError, ShapeMismatchError, UnsupportedError
-from thresholds.fields import make_field, vec_decode, vec_encode
+from thresholds.fields import make_field, vec_decode, vec_encode, vec_table
 from thresholds.infomeasures import hql
 from thresholds.typespace import (
     JointTypeDist,
     LRSpec,
-    MatrixInstance,
     TypeDist,
     bad_type,
     coincidence_orbits,
     dim_of_type,
-    empirical_type,
     pushforward,
-    realize_matrix,
-    sample_rows,
-    t_membership,
 )
 
 # ---------------------------------------------------------------------------
@@ -38,11 +35,15 @@ def test_typedist_entropy_is_base_q():
     assert uniform.entropy() == pytest.approx(2.0, abs=1e-12)
 
 
-def test_typedist_json_roundtrip():
-    tau = TypeDist(q=2, b=2, probs=np.array([0.1, 0.2, 0.3, 0.4]))
-    back = TypeDist.from_json(tau.to_json())
-    assert np.allclose(back.probs, tau.probs)
-    assert back.q == 2 and back.b == 2
+def test_typedist_clips_jitter_and_validates():
+    p = TypeDist(q=3, b=1, probs=np.array([0.5, 0.5 + 4e-13, -4e-13]))
+    assert p.probs.min() >= 0.0
+    with pytest.raises(DomainError):
+        TypeDist(q=2, b=1, probs=np.array([0.6, 0.6]))
+    with pytest.raises(DomainError):
+        TypeDist(q=2, b=1, probs=np.array([1.1, -0.1]))
+    with pytest.raises(DomainError):
+        JointTypeDist(q=2, ell=1, L=1, table=np.array([[0.6, 0.0], [0.0, 0.6]]))
 
 
 def test_lrspec_validation():
@@ -92,16 +93,6 @@ def test_pushforward_matches_brute_force_spot():
         assert np.allclose(img.probs, brute_pushforward(tau, A, q, b), atol=1e-12)
 
 
-def test_pushforward_preserves_exact_masses():
-    tau = TypeDist(
-        q=2, b=2,
-        probs=np.array([0.25, 0.25, 0.25, 0.25]),
-        exact=(Fraction(1, 4),) * 4,
-    )
-    img = pushforward(tau, [[1, 1]])
-    assert img.exact == (Fraction(1, 2), Fraction(1, 2))
-
-
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
@@ -129,38 +120,6 @@ def test_dim_of_type():
 
 
 # ---------------------------------------------------------------------------
-# matrices and empirical types
-# ---------------------------------------------------------------------------
-
-
-def test_realize_matrix_largest_remainder():
-    tau = TypeDist(q=2, b=2, probs=np.array([0.5, 0.3, 0.2, 0.0]))
-    M = realize_matrix(tau, 10)
-    counts = np.bincount(M.row_indices(), minlength=4)
-    assert list(counts) == [5, 3, 2, 0]
-
-
-def test_empirical_roundtrip_exact():
-    tau = TypeDist(q=3, b=2, probs=np.array([0.25, 0.25, 0, 0, 0.25, 0, 0, 0.25, 0]))
-    M = realize_matrix(tau, 8)
-    back = empirical_type(M)
-    assert np.array_equal(back.probs, tau.probs)
-
-
-def test_sample_rows_hits_support_only():
-    rng = np.random.default_rng(9)
-    tau = TypeDist(q=2, b=2, probs=np.array([0.7, 0.0, 0.0, 0.3]))
-    M = sample_rows(tau, 200, rng)
-    assert set(np.unique(M.row_indices())) <= {0, 3}
-
-
-def test_matrix_csv_roundtrip():
-    M = MatrixInstance(q=3, b=2, entries=np.array([[0, 1], [2, 2], [1, 0]]))
-    back = MatrixInstance.from_csv(M.to_csv(), q=3, b=2)
-    assert np.array_equal(back.entries, M.entries)
-
-
-# ---------------------------------------------------------------------------
 # the canonical boundary type
 # ---------------------------------------------------------------------------
 
@@ -170,72 +129,70 @@ def test_bad_type_binary_pair_marginal():
     jt = bad_type(LRSpec(q=2, ell=1, L=2, rho=0.3))
     marg = jt.u_marginal()
     assert np.allclose(marg.probs, [0.29, 0.21, 0.21, 0.29], atol=1e-12)
-    assert marg.exact is not None
-    assert sum(marg.exact) == 1
 
 
 def test_bad_type_coordinate_entropy_identity():
     # a single coordinate given the subset carries exactly h_{q,ell}(rho)
     for q, ell, L, rho in [(2, 1, 3, 0.2), (4, 2, 2, 0.25)]:
         jt = bad_type(LRSpec(q=q, ell=ell, L=L, rho=rho))
+        ps = jt.table.sum(axis=0)
         for i in range(L):
-            assert jt.coord_entropy_given_subset(i) == pytest.approx(
-                hql(q, ell, rho), abs=1e-12
-            )
+            h = 0.0  # H(u_i | S), base q
+            for sidx in range(jt.table.shape[1]):
+                cond = np.bincount(vec_table(q, L)[:, i], weights=jt.table[:, sidx],
+                                   minlength=q) / ps[sidx]
+                cond = cond[cond > 0]
+                h -= ps[sidx] * float((cond * np.log(cond)).sum()) / math.log(q)
+            assert h == pytest.approx(hql(q, ell, rho), abs=1e-12)
 
 
 def test_bad_type_subset_marginal_uniform():
-    jt = bad_type(LRSpec(q=3, ell=1, L=2, rho=0.2))
-    assert np.allclose(jt.subset_marginal(), np.full(3, 1 / 3), atol=1e-14)
-
-
-def test_bad_type_json_roundtrip():
-    jt = bad_type(LRSpec(q=2, ell=1, L=2, rho=0.25))
-    back = JointTypeDist.from_json(jt.to_json())
-    assert np.allclose(back.table, jt.table)
+    for q, ell in [(3, 1), (4, 2), (5, 3)]:
+        jt = bad_type(LRSpec(q=q, ell=ell, L=2, rho=0.2))
+        C = math.comb(q, ell)
+        assert np.allclose(jt.table.sum(axis=0), np.full(C, 1 / C), atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
-# membership
+# the boundary type satisfies the list-recovery constraints
 # ---------------------------------------------------------------------------
+
+
+def miss_masses(jt):
+    """Pr[u_i not in S] for each coordinate i, summed over the table."""
+    digits = vec_table(jt.q, jt.L)
+    subsets = list(itertools.combinations(range(jt.q), jt.ell))
+    return [sum(jt.table[v, s] for v in range(jt.q**jt.L) for s, S in enumerate(subsets)
+                if digits[v, i] not in S) for i in range(jt.L)]
 
 
 def test_membership_accepts_the_boundary_type():
-    spec = LRSpec(q=2, ell=1, L=2, rho=0.3)
-    tau = bad_type(spec).u_marginal()
-    rep = t_membership(tau, spec)
-    assert rep.member and rep.lp_feasible and rep.distinct_ok
-    assert rep.witness is not None
-
-
-def test_membership_rejects_coincident_point_mass():
-    # all mass on the all-ones pair: coordinates coincide with probability 1
-    spec = LRSpec(q=2, ell=1, L=2, rho=0.3)
-    probs = np.zeros(4)
-    probs[3] = 1.0
-    rep = t_membership(TypeDist(q=2, b=2, probs=probs), spec)
-    assert not rep.member and not rep.distinct_ok
-    assert rep.refutation["coincident_pair"] == (0, 1)
-
-
-def test_membership_infeasible_budget_has_farkas_certificate():
-    # antidiagonal pair type needs disagreement mass 1 > 2 rho
-    spec = LRSpec(q=2, ell=1, L=2, rho=0.3)
-    probs = np.array([0.0, 0.5, 0.5, 0.0])
-    rep = t_membership(TypeDist(q=2, b=2, probs=probs), spec)
-    assert not rep.member and rep.distinct_ok and not rep.lp_feasible
-    # Farkas certificate: y.rhs must come out strictly positive
-    y = rep.refutation["farkas"]
-    rhs = list(probs) + [spec.rho] * spec.L
-    assert len(y) == len(rhs)
-    assert sum(a * b for a, b in zip(y, rhs)) > 0
+    # every coordinate spends exactly the error budget rho, and no two
+    # coordinates coincide almost surely
+    for q, ell, L, rho in [(2, 1, 2, 0.3), (2, 1, 4, 0.1), (3, 1, 3, 0.2),
+                           (4, 2, 2, 0.25), (5, 3, 2, 0.3)]:
+        jt = bad_type(LRSpec(q=q, ell=ell, L=L, rho=rho))
+        assert miss_masses(jt) == pytest.approx([rho] * L, abs=1e-12)
+        tau = jt.u_marginal()
+        digits = vec_table(q, L)
+        for i, j in itertools.combinations(range(L), 2):
+            assert tau.probs[digits[:, i] != digits[:, j]].sum() > 0
 
 
 def test_membership_exact_at_the_budget_boundary():
-    # realizable with per-coordinate miss probability exactly rho
-    spec = LRSpec(q=2, ell=1, L=2, rho=0.25)
-    tau = bad_type(spec).u_marginal()
-    assert t_membership(tau, spec).member
+    # the same masses in exact arithmetic, built cell by cell: the miss mass
+    # is exactly rho, and each float cell is its exact mass rounded once
+    for q, ell, L, rho in [(2, 1, 2, 0.25), (2, 1, 3, 0.1), (4, 2, 2, 0.3)]:
+        jt = bad_type(LRSpec(q=q, ell=ell, L=L, rho=rho))
+        subsets = list(itertools.combinations(range(q), ell))
+        inside, outside = (1 - Fraction(rho)) / ell, Fraction(rho) / (q - ell)
+        exact = [[Fraction(1, len(subsets)) * math.prod(
+            inside if d in S else outside for d in vec_decode(v, q, L)) for S in subsets]
+            for v in range(q**L)]
+        assert np.array_equal(jt.table, [[float(m) for m in row] for row in exact])
+        for i in range(L):
+            assert sum(exact[v][s] for v in range(q**L) for s, S in enumerate(subsets)
+                       if vec_decode(v, q, L)[i] not in S) == Fraction(rho)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +204,6 @@ def test_orbit_shapes_binary_four():
     orbits = coincidence_orbits(2, 4)
     assert [o.shape for o in orbits] == [(4,), (3, 1), (2, 2)]
     assert [o.size for o in orbits] == [2, 8, 6]
-    assert [o.plurality_gap for o in orbits] == [0, 1, 2]
     assert sum(o.size for o in orbits) == 16
 
 
