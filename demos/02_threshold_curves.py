@@ -1,7 +1,7 @@
 """Threshold rate curves: closed forms, the generic optimizer, and who wins.
 
 Prints the plain-ensemble and linear-ensemble threshold rates side by side on
-a rho grid, confirms the generic planar optimizer reproduces the closed forms,
+a rho grid, confirms the generic optimizer reproduces the closed forms,
 and writes the two-curve comparison CSV that justifies the binary bound.
 """
 

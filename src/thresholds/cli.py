@@ -98,11 +98,18 @@ def _decimal_grid(lo: float, hi: float, step: float) -> list[float]:
     return [float(lo_d + i * step_d) for i in range(count)]
 
 
+def _floats(spec: str, sep: str) -> list[float]:
+    try:
+        return [float(t) for t in spec.split(sep)]
+    except ValueError:
+        raise DomainError(f"not a {sep!r}-separated list of numbers: {spec!r}") from None
+
+
 def _parse_rates(spec: str) -> list[float]:
-    parts = spec.split(":")
+    parts = _floats(spec, ":")
     if len(parts) != 3:
         raise DomainError("rate sweep must be min:max:step")
-    lo, hi, step = (float(p) for p in parts)
+    lo, hi, step = parts
     if step <= 0:
         raise DomainError("rate step must be positive")
     return _decimal_grid(lo, hi, step)
@@ -140,7 +147,7 @@ def cmd_entropy(args) -> int:
             hql(args.q, args.l, args.rho),
         ))
     if args.multi is not None:
-        masses = [float(t) for t in args.multi.split(",")]
+        masses = _floats(args.multi, ",")
         rows.append((f"hq_multi(q={args.q}, masses={args.multi})", hq_multi(args.q, masses)))
     if not rows:
         raise _Usage("pick at least one of --hq, --hql, --multi")
@@ -458,13 +465,15 @@ def _expand_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    if argv and not argv[0].startswith("-"):
-        argv = _expand_config(argv, parser)
-    args = parser.parse_args(argv)
-    start = time.monotonic()
     try:
+        if argv and not argv[0].startswith("-"):
+            argv = _expand_config(argv, parser)
+        args = parser.parse_args(argv)
+        start = time.monotonic()
         code = args.func(args)
-    except _Usage as err:
+        _write_manifest(args.command, args, getattr(args, "_outputs", []),
+                        time.monotonic() - start)
+    except (_Usage, OSError) as err:  # OSError: a config or output path that cannot be used
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (DomainError, UnsupportedError, SizeCapError) as err:
@@ -473,8 +482,6 @@ def main(argv: list[str] | None = None) -> int:
     except AssertionError as err:
         print(f"assertion failed: {err}", file=sys.stderr)
         return EXIT_ASSERT
-    _write_manifest(args.command, args, getattr(args, "_outputs", []),
-                    time.monotonic() - start)
     return code
 
 

@@ -1,10 +1,12 @@
 """Threshold bounds and verification reports.
 
-The optimizations all have the same shape: maximize a concave entropy
-objective H_q(x1, x2) + c1 x1 + c2 x2 over a small polytope in the plane.
-Candidates are the interior stationary point (closed form) and golden-section
-maxima along the boundary segments; a dense-grid sweep certifies the result in
-the test suite.
+Every threshold optimization has the same shape: maximize H_q(x) + c.x over
+the masses x of the free coincidence classes, subject to x >= 0, sum x <= 1
+and one error budget g.x <= L rho.  The entropy's slope is infinite on every
+face but the budget, so the maximizer is a Gibbs point with one multiplier,
+found by bisection on the monotone budget equation (`opt_polytope_2d`).  The
+test suite certifies it against an independent nested golden-section
+maximum on random instances and against 50-digit mpmath on the bench grids.
 
 Threshold bounds follow from the orbit reduction: averaging a type over
 coordinate permutations and alphabet relabelings preserves the defining
@@ -18,16 +20,16 @@ import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 
+import mpmath
 import numpy as np
 
-from .errors import DomainError, EmptyPolytopeError, UnsupportedError
+from .errors import DomainError, UnsupportedError
 from .fields import make_field
 from .infomeasures import hq, hq_multi, hql
 from .subspaces import SubspaceRREF, iter_rref_bases, kernel_entropy_table, rref_of
 from .typespace import LRSpec, bad_type, coincidence_orbits
 
 STRICT_MARGIN = 1e-9
-GOLDEN_TOL = 1e-10
 
 
 def fmt12(x: float) -> str:
@@ -35,146 +37,61 @@ def fmt12(x: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the planar optimizer
-
-
-@dataclass
-class Polytope2D:
-    """Intersection of {a1 x1 + a2 x2 <= rhs} halfplanes with the quadrant x >= 0."""
-
-    constraints: list[tuple[float, float, float]]
-
-    def _all_halfplanes(self):
-        return list(self.constraints) + [(-1.0, 0.0, 0.0), (0.0, -1.0, 0.0)]
-
-    def contains(self, x1: float, x2: float, tol: float = 1e-9) -> bool:
-        return all(a1 * x1 + a2 * x2 <= rhs + tol for a1, a2, rhs in self._all_halfplanes())
-
-    def vertices(self) -> list[tuple[float, float]]:
-        """All feasible pairwise line intersections; raises if none exist."""
-        hps = self._all_halfplanes()
-        pts = []
-        for i in range(len(hps)):
-            a1, a2, r1 = hps[i]
-            for j in range(i + 1, len(hps)):
-                b1, b2, r2 = hps[j]
-                det = a1 * b2 - a2 * b1
-                if abs(det) < 1e-14:
-                    continue
-                x1 = (r1 * b2 - r2 * a2) / det
-                x2 = (a1 * r2 - b1 * r1) / det
-                if self.contains(x1, x2, tol=1e-9):
-                    pts.append((x1, x2))
-        uniq: list[tuple[float, float]] = []
-        for p in pts:
-            if not any(abs(p[0] - u[0]) < 1e-11 and abs(p[1] - u[1]) < 1e-11 for u in uniq):
-                uniq.append(p)
-        if not uniq:
-            raise EmptyPolytopeError("no feasible vertex")
-        return uniq
-
-    def check_bounded(self) -> None:
-        """Exact recession-cone test: a nonzero direction d >= 0 with a.d <= 0
-        for every halfplane would make the region unbounded.  If such a cone is
-        nonzero it has an extreme ray along an axis or a constraint boundary,
-        so testing those finitely many candidates is conclusive."""
-        cands = [(1.0, 0.0), (0.0, 1.0)]
-        for a1, a2, _ in self.constraints:
-            for d in ((a2, -a1), (-a2, a1)):
-                if d[0] >= -1e-12 and d[1] >= -1e-12 and (d[0] > 1e-12 or d[1] > 1e-12):
-                    cands.append(d)
-        for d in cands:
-            if all(a1 * d[0] + a2 * d[1] <= 1e-12 for a1, a2, _ in self.constraints):
-                raise DomainError(f"polytope unbounded along direction {d}")
-
-    def edges(self) -> list[tuple[tuple[float, float], tuple[float, float]]]:
-        """Feasible segment of each halfplane boundary, as vertex pairs."""
-        verts = self.vertices()
-        segs = []
-        for a1, a2, rhs in self._all_halfplanes():
-            on = [v for v in verts if abs(a1 * v[0] + a2 * v[1] - rhs) < 1e-8]
-            if len(on) < 2:
-                continue
-            # order along the line direction and take the extreme pair
-            d = (-a2, a1)
-            on.sort(key=lambda v: v[0] * d[0] + v[1] * d[1])
-            segs.append((on[0], on[-1]))
-        return segs
+# the threshold optimizer
 
 
 @dataclass
 class OptResult:
-    x: tuple[float, float]
+    x: tuple[float, ...]
     value: float
     method: str
 
 
-def _objective(q: int, c1: float, c2: float, x1: float, x2: float) -> float:
-    """H_q(x1, x2) + c1 x1 + c2 x2 with gentle clamping against float drift."""
-    x1 = min(max(x1, 0.0), 1.0)
-    x2 = min(max(x2, 0.0), 1.0)
-    rest = 1.0 - x1 - x2
-    if rest < 0.0:
-        rest = 0.0
-    out = 0.0
-    for m in (x1, x2, rest):
-        if m > 0.0:
-            out -= m * math.log(m)
-    return out / math.log(q) + c1 * x1 + c2 * x2
+def opt_polytope_2d(coeffs, gaps, budget: float, q: int) -> OptResult:
+    """Maximum of H_q(x, 1 - sum x) + c.x over x >= 0, sum x <= 1, g.x <= budget.
 
-
-def _golden_max(f, lo: float, hi: float, xtol: float = GOLDEN_TOL) -> tuple[float, float]:
-    """Golden-section maximum of a unimodal f on [lo, hi]; returns (x, f(x))."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > xtol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    cands = [(f(lo), lo), (f(hi), hi), (fc, c), (fd, d)]
-    best = max(cands)
-    return best[1], best[0]
-
-
-def opt_polytope_2d(coeffs: tuple[float, float], q: int, P: Polytope2D) -> OptResult:
-    """Global maximum of H_q(x1,x2) + c1 x1 + c2 x2 over P.
-
-    The objective is strictly concave on the simplex, so the maximum is either
-    the interior stationary point x_i* = q^{c_i} / (1 + q^{c1} + q^{c2}) or a
-    point on the boundary, found by golden-section along each edge.
+    x holds the masses of the free classes and 1 - sum x that of the constant
+    class.  The entropy's slope is infinite on every face but the budget, so
+    the maximizer is the Gibbs point x_i = q^(c_i - lam g_i) / Z(lam) with
+    Z(lam) = 1 + sum_j q^(c_j - lam g_j).  lam = 0 ("interior") when that
+    point fits the budget; otherwise ("edge") lam is the root of the budget
+    equation g.x(lam) = budget, which decreases in lam, bisected down to
+    adjacent floats and taken on the feasible side.  The value is the dual
+    log_q Z(lam) + lam * budget, equal to the objective at the Gibbs point,
+    evaluated in 30 digits and rounded once.  The name is kept because
+    `perfbench/tracing.py` wraps it and counts `.method`.
     """
-    c1, c2 = coeffs
-    P.check_bounded()
-    verts = P.vertices()  # raises EmptyPolytopeError if infeasible
+    if budget <= 0.0:
+        raise DomainError(f"the error budget must be positive, got {budget}")
+    if len(coeffs) != len(gaps) or any(g < 0 for g in gaps):
+        raise DomainError(f"need one nonnegative gap per class, got {gaps}")
 
-    w = 1.0 + q**c1 + q**c2
-    sx1, sx2 = q**c1 / w, q**c2 / w
-    if P.contains(sx1, sx2, tol=1e-12):
-        return OptResult(x=(sx1, sx2), value=_objective(q, c1, c2, sx1, sx2), method="interior")
+    def gibbs(lam: float) -> tuple[tuple[float, ...], float]:
+        w = [q ** (c - lam * g) for c, g in zip(coeffs, gaps)]
+        z = sum(w, 1.0)
+        return tuple(v / z for v in w), z
 
-    best = OptResult(x=verts[0], value=-math.inf, method="vertex")
-    for v in verts:
-        val = _objective(q, c1, c2, v[0], v[1])
-        if val > best.value:
-            best = OptResult(x=v, value=val, method="vertex")
-    for v0, v1 in P.edges():
-        dx, dy = v1[0] - v0[0], v1[1] - v0[1]
+    def load(lam: float) -> float:
+        return sum(g * v for g, v in zip(gaps, gibbs(lam)[0]))
 
-        def along(t, v0=v0, dx=dx, dy=dy):
-            return _objective(q, c1, c2, v0[0] + t * dx, v0[1] + t * dy)
-
-        t, val = _golden_max(along, 0.0, 1.0)
-        if val > best.value:
-            best = OptResult(x=(v0[0] + t * dx, v0[1] + t * dy), value=val, method="edge")
-    return best
+    lam, method = 0.0, "interior"
+    if load(0.0) > budget:
+        lo, hi = 0.0, 1.0
+        while load(hi) > budget:
+            lo, hi = hi, 2.0 * hi
+        mid = 0.5 * (lo + hi)
+        while lo < mid < hi:
+            if load(mid) > budget:
+                lo = mid
+            else:
+                hi = mid
+            mid = 0.5 * (lo + hi)
+        lam, method = hi, "edge"
+    with mpmath.workdps(30):
+        lam_mp = mpmath.mpf(lam)
+        z = 1 + mpmath.fsum(mpmath.power(q, c - lam_mp * g) for c, g in zip(coeffs, gaps))
+        value = float(mpmath.log(z, q) + lam_mp * budget)
+    return OptResult(x=gibbs(lam)[0], value=value, method=method)
 
 
 # ---------------------------------------------------------------------------
@@ -182,16 +99,14 @@ def opt_polytope_2d(coeffs: tuple[float, float], q: int, P: Polytope2D) -> OptRe
 
 
 def _max_binary_l4(rho: float) -> OptResult:
-    poly = Polytope2D([(1.0, 2.0, 4.0 * rho), (1.0, 1.0, 1.0)])
-    return opt_polytope_2d((2.0, math.log2(3.0)), 2, poly)
+    return opt_polytope_2d((2.0, math.log2(3.0)), (1, 2), 4.0 * rho, 2)
 
 
 def _max_qary_l3(q: int, rho: float) -> OptResult:
     lq = math.log(q)
     c1 = math.log(3.0 * (q - 1)) / lq
     c2 = math.log((q - 1.0) * (q - 2.0)) / lq
-    poly = Polytope2D([(1.0, 2.0, 3.0 * rho), (1.0, 1.0, 1.0)])
-    return opt_polytope_2d((c1, c2), q, poly)
+    return opt_polytope_2d((c1, c2), (1, 2), 3.0 * rho, q)
 
 
 def _check_rho_binary_l4(rho: float) -> None:
@@ -248,22 +163,6 @@ class ThresholdReport:
     inner_kernel: SubspaceRREF | None = None
     details: dict = dc_field(default_factory=dict)
 
-    def to_json_dict(self) -> dict:
-        d = {
-            "family": self.family,
-            "q": self.q,
-            "ell": self.ell,
-            "L": self.L,
-            "rho": self.rho,
-            "value": self.value,
-            "method": self.method,
-            "argmax": {k: (list(v) if isinstance(v, tuple) else v) for k, v in self.argmax.items()},
-            "details": self.details,
-        }
-        if self.inner_kernel is not None:
-            d["inner_kernel"] = [list(r) for r in self.inner_kernel.basis]
-        return d
-
 
 @dataclass
 class BoundCurve:
@@ -279,12 +178,6 @@ class BoundCurve:
             raise DomainError("grid and values differ in length")
         if np.any(np.diff(self.rho_grid) <= 0):
             raise DomainError("rho grid must be strictly increasing")
-
-    def to_csv(self) -> str:
-        lines = ["rho,value,family,method"]
-        for r, v in zip(self.rho_grid, self.values):
-            lines.append(f"{fmt12(r)},{fmt12(v)},{self.family},{self.method}")
-        return "\n".join(lines) + "\n"
 
 
 def _orbit_setup(spec: LRSpec):
@@ -319,47 +212,24 @@ def _exact_mode_check(spec: LRSpec) -> None:
 def rc_threshold_generic(spec: LRSpec) -> ThresholdReport:
     """Threshold rate 1 - max H_q(tau)/L of the plain random ensemble.
 
-    The maximum runs over the orbit polytope described in `_orbit_setup`;
-    one free class is solved in closed form, two by the planar optimizer.
+    The maximum runs over the orbit polytope described in `_orbit_setup`,
+    taken by `opt_polytope_2d`; with no free class it is the constant type.
     """
     _exact_mode_check(spec)
     classes, log0, cs, gaps = _orbit_setup(spec)
-    if len(cs) > 2:
-        raise UnsupportedError("orbit reduction with more than two free classes")
     L, q = spec.L, spec.q
-    budget = L * spec.rho
-    if not cs:
-        maxF = 0.0
-        x = ()
-        method = "closed_form"
-    elif len(cs) == 1:
-        # H_q(x, 1 - x) + c x is concave in x: its stationary point
-        # q^c / (1 + q^c), cut back to the budget
-        x1 = q ** cs[0] / (1.0 + q ** cs[0])
-        if gaps[0]:
-            x1 = min(x1, budget / gaps[0])
-        maxF = _objective(q, cs[0], 0.0, x1, 0.0)
-        x = (x1,)
-        method = "kkt"
-    else:
-        poly = Polytope2D([(float(gaps[0]), float(gaps[1]), budget), (1.0, 1.0, 1.0)])
-        res = opt_polytope_2d((cs[0], cs[1]), q, poly)
-        maxF = res.value
-        x = res.x
-        method = "kkt"
-    raw = 1.0 - (log0 + maxF) / L
-    value = min(max(raw, 0.0), 1.0)
-    masses = {"free_class_masses": tuple(x), "constant_class_mass": 1.0 - sum(x)}
+    res = opt_polytope_2d(cs, gaps, L * spec.rho, q)
+    raw = 1.0 - (log0 + res.value) / L
     return ThresholdReport(
         family="rc",
         q=q,
         ell=spec.ell,
         L=L,
         rho=spec.rho,
-        value=value,
-        method=method,
-        argmax=masses,
-        details={"max_entropy": log0 + maxF, "raw_value": raw,
+        value=min(max(raw, 0.0), 1.0),
+        method="kkt" if cs else "closed_form",
+        argmax={"free_class_masses": res.x, "constant_class_mass": 1.0 - sum(res.x)},
+        details={"max_entropy": log0 + res.value, "raw_value": raw,
                  "class_shapes": [list(c.shape) for c in classes],
                  "class_sizes": [c.size for c in classes],
                  "budget_coeffs": gaps},
@@ -494,15 +364,14 @@ def negativity_values(rho_grid) -> np.ndarray:
 
 
 def _max_binary_l3(rho: float) -> OptResult:
-    # q = 2: the x2 class is empty, (q-1)(q-2) = 0, so x2 is pinned to 0
-    poly = Polytope2D([(1.0, 2.0, 3.0 * rho), (1.0, 1.0, 1.0), (0.0, 1.0, 0.0)])
-    return opt_polytope_2d((math.log2(3.0), 0.0), 2, poly)
+    # q = 2: the x2 class is empty, (q-1)(q-2) = 0, so x1 is the only one
+    return opt_polytope_2d((math.log2(3.0),), (1,), 3.0 * rho, 2)
 
 
 def negativity_optimum_values(rho_grid) -> np.ndarray:
     """2 h2(3r/2) - max F on the grid, F = h2(x1) + x1 log2(3) over x1 <= 3r.
 
-    The maximum is taken by the planar optimizer.  It equals
+    The maximum is taken by `opt_polytope_2d`.  It equals
     `negativity_values` for r <= 1/4, where the optimum is the vertex x1 = 3r,
     and past that the optimum is x1 = 3/4 with value 2.
     """

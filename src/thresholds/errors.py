@@ -45,10 +45,6 @@ class FullSpaceKernelError(ValueError):
     """A quotient map was requested for the full ambient space (no quotient left)."""
 
 
-class EmptyPolytopeError(ValueError):
-    """The constraint set has no feasible point."""
-
-
 class WorkBudgetExceededError(RuntimeError):
     """An exact check would exceed its work budget."""
 

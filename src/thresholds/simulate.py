@@ -16,8 +16,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import mpmath
@@ -281,15 +279,6 @@ class LDReport:
     witness_center: int | None = None
     witness_list: list[int] | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "decodable": self.decodable,
-            "radius": self.radius,
-            "max_count": self.max_count,
-            "witness_center": self.witness_center,
-            "witness_list": self.witness_list,
-        }
-
 
 def check_ld_centers(code: Code, rho: float, L: int) -> LDReport:
     """Exhaustively decide whether any center sees >= L codewords within radius.
@@ -322,14 +311,6 @@ class LRReport:
     radius: int
     subsets_checked: int
     witness: dict | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "recoverable": self.recoverable,
-            "radius": self.radius,
-            "subsets_checked": self.subsets_checked,
-            "witness": self.witness,
-        }
 
 
 def check_lr_dp(
@@ -517,22 +498,13 @@ def satisfaction_curve(cfg: SweepConfig) -> SatisfactionCurve:
     """Per-rate satisfaction frequency with Wilson intervals.
 
     Each trial owns an RNG stream keyed by (master seed, rate index, trial
-    index), so results do not depend on execution order and sweeps can run
-    under THRESHOLDS_THREADS workers.  On a blown work budget the partial
-    curve is attached to the raised error.
+    index), so results do not depend on the order the trials run in.  On a
+    blown work budget the partial curve is attached to the raised error.
     """
-    workers = max(1, int(os.environ.get("THRESHOLDS_THREADS", "1")))
     done: list[tuple[float, int]] = []
     try:
         for ri, rate in enumerate(cfg.rates):
-            if workers > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    oks = list(pool.map(
-                        lambda ti: _one_trial(cfg, rate, ri, ti), range(cfg.trials)
-                    ))
-            else:
-                oks = [_one_trial(cfg, rate, ri, ti) for ti in range(cfg.trials)]
-            done.append((rate, sum(oks)))
+            done.append((rate, sum(_one_trial(cfg, rate, ri, ti) for ti in range(cfg.trials))))
     except WorkBudgetExceededError as err:
         err.partial = _partial_curve(cfg, done)
         raise

@@ -238,6 +238,22 @@ def test_simulate_malformed_rates_string(capsys):
                  "--L", "2", "--rho", "0.1", "--rates", "0.5"]) == 3
 
 
+CONSTRUCT_N8 = ["construct", "--n", "8", "--rho", "0.1", "--L", "3", "--delta", "0.1"]
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["entropy", "--hq", "--multi", "a,b"], 3),
+    (["simulate", "--family", "rc", "--q", "2", "--n", "5", "--L", "2", "--rho", "0.1",
+      "--rates", "0.1:0.8:x"], 3),
+    (["bounds", "--family", "ld4-binary-rlc", "--config", "no-such.cfg"], 2),
+    (CONSTRUCT_N8 + ["--out-code", "no-such-dir/x.txt"], 2),
+    (CONSTRUCT_N8 + ["--manifest", "no-such-dir/m.json"], 2),
+], ids=["multi-masses", "rate-step", "config", "out-code", "manifest"])
+def test_bad_input_exits_with_its_code(argv, code, capsys):
+    assert main(argv) == code
+    assert ("domain error" if code == 3 else "usage error") in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # construct
 # ---------------------------------------------------------------------------

@@ -1,12 +1,17 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from thresholds.errors import DomainError, EmptyPolytopeError, UnsupportedError
+from thresholds.cli import _decimal_grid
+from thresholds.errors import DomainError, UnsupportedError
 from thresholds.engine import (
     BoundCurve,
-    Polytope2D,
+    _max_binary_l4,
+    _max_qary_l3,
     bound_rlc_binary_l4,
     bound_rlc_qary_l3,
     boundary_dominance_qary,
@@ -52,32 +57,125 @@ def test_fmt12():
 
 
 # ---------------------------------------------------------------------------
-# the planar optimizer
+# the threshold optimizer
 # ---------------------------------------------------------------------------
 
 
-def test_polytope_membership_and_vertices():
-    P = Polytope2D([(1.0, 1.0, 1.0)])
-    assert P.contains(0.2, 0.3)
-    assert not P.contains(0.8, 0.4)
-    verts = sorted(P.vertices())
-    assert verts == [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0)]
+def _golden(f, lo, hi):
+    """Golden-section maximum of a concave f on [lo, hi], to a 1e-13 bracket."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    while b - a > 1e-13:
+        c, d = b - invphi * (b - a), a + invphi * (b - a)
+        if f(c) >= f(d):
+            b = d
+        else:
+            a = c
+    return max(f(lo), f(hi), f(0.5 * (a + b)))
 
 
-def test_empty_polytope_raises():
-    P = Polytope2D([(1.0, 1.0, -1.0)])
-    with pytest.raises(EmptyPolytopeError):
-        P.vertices()
+def _objective(q, coeffs, x):
+    rest = 1.0 - sum(x)
+    return (-sum(m * math.log(m) for m in (*x, rest) if m > 0.0) / math.log(q)
+            + sum(c * m for c, m in zip(coeffs, x)))
 
 
-def test_unbounded_polytope_raises():
-    P = Polytope2D([(1.0, -1.0, 1.0)])  # free along (1, 1)
+def _nested_golden_max(q, coeffs, gaps, budget):
+    """max of the objective by golden sections, innermost class first; the
+    partial maxima of a concave function stay concave."""
+
+    def cap(g, left):  # largest mass a class with gap g can take
+        return 1.0 if g == 0 else max(0.0, min(1.0, left / g))
+
+    if len(coeffs) == 1:
+        return _golden(lambda x1: _objective(q, coeffs, (x1,)), 0.0, cap(gaps[0], budget))
+
+    def inner(x2):
+        hi = max(0.0, min(1.0 - x2, cap(gaps[0], budget - gaps[1] * x2)))
+        return _golden(lambda x1: _objective(q, coeffs, (x1, x2)), 0.0, hi)
+
+    return _golden(inner, 0.0, cap(gaps[1], budget))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.sampled_from([2, 3, 4, 5, 7]),
+    classes=st.lists(st.tuples(st.floats(-3.0, 3.0), st.integers(0, 3)), min_size=1, max_size=2),
+    budget=st.floats(0.0, 3.0, exclude_min=True),
+)
+def test_optimizer_matches_nested_golden_sections(q, classes, budget):
+    coeffs = tuple(c for c, _ in classes)
+    gaps = tuple(g for _, g in classes)
+    res = opt_polytope_2d(coeffs, gaps, budget, q)
+    assert res.method in ("interior", "edge")
+    assert all(m >= 0.0 for m in res.x) and sum(res.x) <= 1.0
+    load = sum(g * m for g, m in zip(gaps, res.x))
+    assert load <= budget + 1e-12
+    if res.method == "edge":
+        assert load == pytest.approx(budget, abs=1e-12)
+    assert res.value == pytest.approx(_objective(q, coeffs, res.x), abs=1e-12)
+    assert res.value == pytest.approx(_nested_golden_max(q, coeffs, gaps, budget), abs=1e-9)
+
+
+def _edge_max_mp(q, c1, c2, budget):
+    """50-digit maximum on the two-class polytope with gaps (1, 2): the Gibbs
+    point when it fits the budget, else the stationary point of the objective
+    along the budget line x1 = budget - 2 x2, found by a bracketing root.
+    The caller computes c1, c2 and budget at 50 digits too."""
+    with mpmath.workdps(50):
+        q, c1, c2, b = (mpmath.mpf(v) for v in (q, c1, c2, budget))
+        lq = mpmath.log(q)
+
+        def value(x1, x2):
+            ms = (x1, x2, 1 - x1 - x2)
+            return -mpmath.fsum(m * mpmath.log(m) for m in ms if m > 0) / lq + c1 * x1 + c2 * x2
+
+        z = 1 + q**c1 + q**c2
+        x1, x2 = q**c1 / z, q**c2 / z
+        if x1 + 2 * x2 <= b:
+            return value(x1, x2)
+        # d/dx2 on the line; it decreases from +inf to -inf on (lo, hi)
+        lo, hi = max(mpmath.mpf(0), b - 1), b / 2
+
+        def slope(t):
+            return (2 * mpmath.log(b - 2 * t) - mpmath.log(t) - mpmath.log(1 - b + t)) / lq \
+                - 2 * c1 + c2
+
+        tiny = mpmath.mpf(10) ** -45
+        t = mpmath.findroot(slope, (lo + tiny, hi - tiny), solver="anderson")
+        return value(b - 2 * t, t)
+
+
+def test_binary_l4_optimum_to_50_digits():
+    # the grid of the `bounds` bench jobs; `figure1` and ordering use subsets
+    for rho in _decimal_grid(0.001, 0.312, 0.001):
+        with mpmath.workdps(50):
+            ref = _edge_max_mp(2, 2, mpmath.log(3, 2), 4 * mpmath.mpf(rho))
+        assert abs(_max_binary_l4(rho).value - ref) <= 1e-15, rho
+
+
+# the grids of the `bounds` (q = 3) and `verify --check ordering` bench jobs
+@pytest.mark.parametrize("q,grid", [(3, (0.001, 0.333, 0.001))]
+                         + [(q, (0.01, 0.33, 0.005)) for q in (3, 4, 5, 7, 8, 9)],
+                         ids=["3-bounds"] + [f"{q}-ordering" for q in (3, 4, 5, 7, 8, 9)])
+def test_qary_l3_optimum_to_50_digits(q, grid):
+    for rho in _decimal_grid(*grid):
+        with mpmath.workdps(50):
+            c1, c2 = mpmath.log(3 * (q - 1), q), mpmath.log((q - 1) * (q - 2), q)
+            ref = _edge_max_mp(q, c1, c2, 3 * mpmath.mpf(rho))
+        assert abs(_max_qary_l3(q, rho).value - ref) <= 1e-15, (q, rho)
+
+
+def test_optimizer_domain_errors():
+    for budget in (0.0, -0.5):
+        with pytest.raises(DomainError):
+            opt_polytope_2d((0.0,), (1,), budget, 2)
     with pytest.raises(DomainError):
-        opt_polytope_2d((0.0, 0.0), 2, P)
+        opt_polytope_2d((0.0, 0.0), (1, -1), 0.5, 3)
 
 
 def test_interior_stationary_point():
-    res = opt_polytope_2d((0.0, 0.0), 2, Polytope2D([(1.0, 1.0, 1.0)]))
+    res = opt_polytope_2d((0.0, 0.0), (1, 1), 1.0, 2)
     assert res.method == "interior"
     assert res.x[0] == pytest.approx(1 / 3, abs=1e-12)
     assert res.value == pytest.approx(math.log2(3), abs=1e-12)
@@ -88,8 +186,7 @@ def test_edge_maximum_matches_stationary_closed_form():
     # eliminating x1 gives a quadratic stationary condition with root
     # x2* = 2(rho - 1) + 2 sqrt(1 - 2 rho + 4 rho^2)
     rho = 0.1
-    P = Polytope2D([(1.0, 2.0, 4 * rho), (1.0, 1.0, 1.0)])
-    res = opt_polytope_2d((2.0, math.log2(3.0)), 2, P)
+    res = opt_polytope_2d((2.0, math.log2(3.0)), (1, 2), 4 * rho, 2)
     assert res.method == "edge"
     x2_star = 2 * (rho - 1) + 2 * math.sqrt(1 - 2 * rho + 4 * rho * rho)
     assert res.x[1] == pytest.approx(x2_star, abs=1e-8)
@@ -227,14 +324,6 @@ def test_rlc_dominates_rc_everywhere_sampled():
             assert bound_rlc_qary_l3(q, rho) > threshold_rc_qary_l3(q, rho) + 1e-9
 
 
-def test_report_serialization():
-    rep = rlc_lower_generic(LRSpec(q=2, ell=1, L=4, rho=0.1))
-    d = rep.to_json_dict()
-    assert d["family"] == "rlc-lower"
-    assert d["inner_kernel"] == [[1, 1, 1, 1]]
-    assert isinstance(d["argmax"]["free_class_masses"], list)
-
-
 # ---------------------------------------------------------------------------
 # curves and comparison expressions
 # ---------------------------------------------------------------------------
@@ -250,15 +339,11 @@ def test_dominance_curves_hold_on_the_grid():
         dominance_curves([0.1, 0.35])
 
 
-def test_bound_curve_validation_and_csv():
+def test_bound_curve_validation():
     with pytest.raises(DomainError):
         BoundCurve(family="x", method="m", rho_grid=[0.2, 0.1], values=[0, 0])
     with pytest.raises(DomainError):
         BoundCurve(family="x", method="m", rho_grid=[0.1, 0.2], values=[0.0])
-    c = BoundCurve(family="x", method="m", rho_grid=[0.1, 0.2], values=[0.5, 0.25])
-    lines = c.to_csv().strip().splitlines()
-    assert lines[0] == "rho,value,family,method"
-    assert lines[1] == "0.1,0.5,x,m"
 
 
 def test_negativity_frozen_values():

@@ -381,15 +381,12 @@ def test_sweep_config_validation():
                     master_seed=0)
 
 
-def test_satisfaction_curve_deterministic(monkeypatch):
+def test_satisfaction_curve_deterministic():
     cfg = SweepConfig(q=2, n=6, family="rlc", rho=0.1, L=2,
                       rates=[0.3, 0.5, 0.8], trials=6, master_seed=99)
     a = satisfaction_curve(cfg)
     b = satisfaction_curve(cfg)
     assert np.array_equal(a.p_hat, b.p_hat)
-    monkeypatch.setenv("THRESHOLDS_THREADS", "3")
-    c = satisfaction_curve(cfg)
-    assert np.array_equal(a.p_hat, c.p_hat)
     assert np.all(a.ci_lo <= a.p_hat) and np.all(a.p_hat <= a.ci_hi)
     lines = a.to_csv().strip().splitlines()
     assert lines[0] == "rate,p_hat,ci_lo,ci_hi,trials"
