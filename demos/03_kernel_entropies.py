@@ -9,7 +9,7 @@ reach for one of them.
 from thresholds.engine import kernel_slack_report
 from thresholds.infomeasures import hq
 from thresholds.subspaces import entropy_over_kernels, gaussian_binomial
-from thresholds.typespace import LRSpec, bad_type
+from thresholds.typespace import LRSpec, TypeDist, bad_type
 
 q, L, rho, delta = 2, 3, 0.1, 0.1
 spec = LRSpec(q=q, ell=1, L=L, rho=rho)
@@ -17,9 +17,10 @@ spec = LRSpec(q=q, ell=1, L=L, rho=rho)
 # --- the boundary type ------------------------------------------------------
 # bad_type pins each of the L list coordinates at exactly rho disagreement
 # with the received word while making the coordinates as dependent as the
-# constraints allow; its u-marginal is the distribution the kernels act on.
+# constraints allow; its u-marginal (axis x of the joint table; axis y is the
+# subset S) is the distribution the kernels act on.
 jt = bad_type(spec)
-tau = jt.u_marginal()
+tau = TypeDist(q, L, jt.marginal("x"))
 print(f"boundary type over GF({q})^{L} at rho = {rho}")
 print(f"  support size {int((tau.probs > 0).sum())} of {q**L}, "
       f"entropy {tau.entropy():.6f} (base {q})")

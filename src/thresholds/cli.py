@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from decimal import Decimal
@@ -236,13 +237,17 @@ def _verify_lemma33(args) -> tuple[bool, list[dict]]:
 def _verify_ordering(args) -> tuple[bool, list[dict]]:
     grid = _grid(args, 0.01, 0.31 if args.q == 2 else 0.33, 0.005).tolist()
     if args.q == 2:
-        pairs = [(eng.bound_rlc_binary_l4(r), eng.threshold_rc_binary_l4(r)) for r in grid]
+        details = [{"rho": float(r), "rlc": eng.bound_rlc_binary_l4(r),
+                    "rc": eng.threshold_rc_binary_l4(r)} for r in grid]
     else:
-        pairs = [(eng.bound_rlc_qary_l3(args.q, r), eng.threshold_rc_qary_l3(args.q, r))
-                 for r in grid]
-    details = [{"rho": float(r), "rlc": a, "rc": b,
-                "ok": bool(a - b > eng.STRICT_MARGIN)}
-               for r, (a, b) in zip(grid, pairs)]
+        # the q-ary linear bound is valid only where the full-support case
+        # dominates the low-dimension boundary, so each row checks that too
+        details = [{"rho": float(r), "rlc": eng.bound_rlc_qary_l3(args.q, r),
+                    "rc": eng.threshold_rc_qary_l3(args.q, r),
+                    "dominance": eng.boundary_dominance_qary(args.q, r)} for r in grid]
+    for d in details:
+        d["ok"] = bool(d["rlc"] - d["rc"] > eng.STRICT_MARGIN
+                       and d.get("dominance", math.inf) > eng.STRICT_MARGIN)
     return all(d["ok"] for d in details), details
 
 

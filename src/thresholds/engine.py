@@ -25,9 +25,9 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedError
 from .fields import make_field
-from .infomeasures import hq, hq_multi, hql
+from .infomeasures import entropy, hq, hq_multi, hql, joint_measures
 from .subspaces import SubspaceRREF, iter_rref_bases, kernel_entropy_table, rref_of
-from .typespace import LRSpec, bad_type, coincidence_orbits
+from .typespace import LRSpec, TypeDist, bad_type, coincidence_orbits
 
 STRICT_MARGIN = 1e-9
 
@@ -415,15 +415,6 @@ def lr_listsize_rc(q: int, ell: int, rho: float, eps: float, delta: float) -> tu
     return lower, upper
 
 
-def lr_rate_rc_upper(q: int, ell: int, rho: float, L: int) -> float:
-    """Rate above which the plain ensemble loses (rho, ell, L)-recoverability."""
-    if L < 1:
-        raise DomainError("list size must be >= 1")
-    LRSpec(q=q, ell=ell, L=1, rho=rho)
-    logc = math.log(math.comb(q, ell)) / math.log(q)
-    return 1.0 - hql(q, ell, rho) - logc / L
-
-
 def _check_largelist(rho: float, L: int, delta: float) -> None:
     if L < 2:
         raise DomainError("list size must be >= 2")
@@ -453,16 +444,6 @@ def rate_rc_binary_largeL(rho: float, L: int, delta: float) -> float:
     return (L - 1.0) / L * (1.0 - h) - (hpair - h) / L + delta
 
 
-def largeL_compare(rho: float, L: int) -> bool:
-    """Whether the large-list separation condition holds at (rho, L)."""
-    if L < 2:
-        raise DomainError("list size must be >= 2")
-    if not 0.0 < rho < 0.5:
-        raise DomainError("rho must lie in (0, 1/2)")
-    lhs = (3.0 + 1.0 / (L - 1.0)) * hq(2, rho) - hq(2, 2.0 * rho - 2.0 * rho * rho)
-    return bool(lhs < 1.0)
-
-
 # ---------------------------------------------------------------------------
 # kernel-slack verification (the bad type against the entropy floor)
 
@@ -484,7 +465,7 @@ def kernel_slack_report(q: int, ell: int, rho: float, L: int, delta: float) -> d
         raise DomainError("delta must be nonnegative")
     spec = LRSpec(q=q, ell=ell, L=L, rho=rho)
     jt = bad_type(spec)
-    tau = jt.u_marginal()
+    tau = TypeDist(q, L, jt.marginal("x"))
     h = hql(q, ell, rho)
     logc = math.log(math.comb(q, ell)) / math.log(q)
 
@@ -506,17 +487,7 @@ def kernel_slack_report(q: int, ell: int, rho: float, L: int, delta: float) -> d
         if k == 0 and D[0] == L:
             identity_H = float(H[0])
 
-    # H(S|u) directly from the joint table (floats of the exact masses)
-    ps_given = jt.table  # rows: u vectors, cols: subsets
-    pu = ps_given.sum(axis=1)
-    hsu = 0.0
-    for v in range(ps_given.shape[0]):
-        if pu[v] <= 0:
-            continue
-        cond = ps_given[v] / pu[v]
-        cond = cond[cond > 0]
-        hsu -= float(pu[v]) * float((cond * np.log(cond)).sum())
-    hsu /= math.log(q)
+    hsu = joint_measures(jt, base=q)["H_y_given_x"]  # H(S|u) = H(u, S) - H(u)
 
     return {
         "min_slack": min_slack,
@@ -545,16 +516,11 @@ def shifted_sum_entropy_ratio(q: int, ell: int, rho: float, beta: int) -> float:
     if not 0 < beta < q:
         raise DomainError(f"beta must be a nonzero field element, got {beta}")
     LRSpec(q=q, ell=ell, L=1, rho=rho)
-    denom = hql(q, ell, rho)
-    lq = math.log(q)
+    shifted = fs.add_table[:, fs.mul_table[beta]].ravel()  # (u, a) -> u + beta*a
     total = 0.0
-    subsets = list(itertools.combinations(range(q), ell))
-    for S in subsets:
-        sset = set(S)
-        ps = [(1.0 - rho) / ell if a in sset else rho / (q - ell) for a in range(q)]
-        pt = [0.0] * q
-        for u in range(q):
-            for a in range(q):
-                pt[fs.add(u, fs.mul(beta, a))] += ps[u] * ps[a]
-        total += -sum(p * math.log(p) for p in pt if p > 0.0) / lq
-    return (total / len(subsets)) / denom
+    for S in itertools.combinations(range(q), ell):
+        ps = np.full(q, rho / (q - ell))
+        ps[list(S)] = (1.0 - rho) / ell
+        pt = np.bincount(shifted, weights=np.outer(ps, ps).ravel(), minlength=q)
+        total += float(entropy(pt, q))
+    return (total / math.comb(q, ell)) / hql(q, ell, rho)

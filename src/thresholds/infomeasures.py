@@ -1,8 +1,10 @@
 """Entropy functionals on distributions over finite alphabets.
 
-Everything is computed with natural logs internally and converted to the
-requested base at the boundary; probability-zero mass contributes nothing
-(the 0 * log(1/0) = 0 convention is applied by filtering, not by nan-patching).
+`entropy` is the one -sum m log m in the package: natural logs, converted to
+the requested base at the end, with the 0 * log(1/0) = 0 convention applied
+by a masked log (zero cells take log 0 := 0), not by nan-patching.
+`_checked_masses` is the one validation rule for every mass array, that of a
+`JointTable` here and of a `typespace.TypeDist`.
 """
 
 from __future__ import annotations
@@ -13,6 +15,33 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, MissingAxisError
+
+_MASS_TOL = 1e-12  # allowed negative round-off and drift of the total from 1
+
+
+def entropy(masses, base: float):
+    """-sum m log m / log(base) over the last axis of a mass array.
+
+    Zero cells contribute nothing: their log is masked to 0.  A 1-D array
+    gives a numpy scalar, a 2-D array one entropy per row.
+    """
+    m = np.asarray(masses, dtype=np.float64)
+    logm = np.log(m, out=np.zeros_like(m), where=m > 0)
+    # 0.0 - s rather than -s, so that a point mass gives 0.0 and not -0.0
+    return (0.0 - (m * logm).sum(axis=-1)) / math.log(base)
+
+
+def _checked_masses(masses: np.ndarray) -> np.ndarray:
+    """Masses with round-off negatives (down to -1e-12) clipped to zero; they
+    must sum to 1 within 1e-12."""
+    if np.any(masses < -_MASS_TOL):
+        raise DomainError("negative probability mass")
+    masses = np.clip(masses, 0.0, None)
+    total = float(masses.sum())
+    if abs(total - 1.0) > _MASS_TOL:
+        raise DomainError(f"masses sum to {total}, outside 1 +- {_MASS_TOL}")
+    return masses
+
 
 # ---------------------------------------------------------------------------
 # closed-form alphabet entropies
@@ -67,26 +96,11 @@ def hq_multi(q: int, xs) -> float:
     s = sum(xs)
     if s > 1.0 + 1e-12:
         raise DomainError(f"masses sum to {s} > 1")
-    rest = max(1.0 - s, 0.0)
-    out = 0.0
-    for x in xs + [rest]:
-        if x > 0.0:
-            out -= x * math.log(x)
-    return out / math.log(q)
+    return float(entropy(xs + [max(1.0 - s, 0.0)], q))
 
 
 # ---------------------------------------------------------------------------
 # joint tables
-
-_JOINT_TOL = 1e-12  # JointTable: allowed negative round-off and sum drift
-
-
-def _entropy_nats(masses: np.ndarray) -> float:
-    m = np.asarray(masses, dtype=np.float64).ravel()
-    m = m[m > 0.0]
-    if m.size == 0:
-        return 0.0
-    return float(-(m * np.log(m)).sum())
 
 
 @dataclass
@@ -100,12 +114,7 @@ class JointTable:
         self.masses = np.asarray(self.masses, dtype=np.float64)
         if self.masses.ndim not in (2, 3):
             raise DomainError("JointTable needs a 2- or 3-axis mass array")
-        if np.any(self.masses < -_JOINT_TOL):
-            raise DomainError("negative probability mass")
-        self.masses = np.clip(self.masses, 0.0, None)
-        total = float(self.masses.sum())
-        if abs(total - 1.0) > _JOINT_TOL:
-            raise DomainError(f"masses sum to {total}, outside 1 +- {_JOINT_TOL}")
+        self.masses = _checked_masses(self.masses)
         self.axes = ("x", "y", "z")[: self.masses.ndim]
 
     def marginal(self, *keep: str) -> np.ndarray:
@@ -123,12 +132,11 @@ def joint_measures(jt: JointTable, base: float | None = None) -> dict[str, float
     H(z), H(x,y,z), H(x|y,z), I(x;y|z).  Conditional quantities are computed by
     entropy differences, so the chain rule holds exactly up to float rounding.
     """
-    conv = 1.0 if base is None else math.log(base)
     if base is not None and base <= 1:
         raise DomainError(f"log base must exceed 1, got {base}")
 
     def ent(arr):
-        return _entropy_nats(arr) / conv
+        return float(entropy(arr.ravel(), math.e if base is None else base))
 
     out = {
         "H_x": ent(jt.marginal("x")),
@@ -157,12 +165,8 @@ def fano_bound(p_err: float, M: int, base: float = 2.0) -> float:
         raise DomainError(f"need at least 2 candidate values, got M={M}")
     if base <= 1:
         raise DomainError(f"log base must exceed 1, got {base}")
-    lb = math.log(base)
-    out = 0.0
-    if 0.0 < p_err < 1.0:
-        out -= p_err * math.log(p_err) + (1 - p_err) * math.log(1 - p_err)
-    out += p_err * math.log(M - 1)
-    return out / lb
+    h = float(entropy([p_err, 1.0 - p_err], base))
+    return h + p_err * math.log(M - 1) / math.log(base)
 
 
 def ball_volume(q: int, n: int, r: int) -> int:

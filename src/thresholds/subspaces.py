@@ -18,7 +18,6 @@ with the kernel bases.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +30,7 @@ from .errors import (
     SizeCapError,
 )
 from .fields import make_field, row_reduce, vec_table
+from .infomeasures import entropy
 from .typespace import TypeDist
 
 _ENUM_CAP = 200_000
@@ -197,9 +197,8 @@ def kernel_entropy_table(tau: TypeDist, k: int) -> tuple[np.ndarray, np.ndarray]
             images += (np.arange(B) * M)[:, None]
             masses = np.bincount(images.ravel(), weights=weights[:B * N],
                                  minlength=B * M).reshape(B, M)
+            entropies.append(entropy(masses, q))
             full = masses > 0
-            logm = np.log(masses, out=np.zeros_like(masses), where=full)
-            entropies.append(-(masses * logm).sum(axis=1) / math.log(q))
             dim = np.full(B, Lp)
             for b in np.flatnonzero(~full.all(axis=1)):
                 dim[b] = len(row_reduce(vec_table(q, Lp)[full[b]], fs)[1])

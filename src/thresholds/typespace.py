@@ -2,41 +2,30 @@
 canonical boundary type that drives the threshold optimizations.
 
 A TypeDist is a probability vector over all q^b column vectors, indexed by the
-little-endian packing from `fields`.  A JointTypeDist couples such a vector
-with an ell-element subset of the alphabet; `bad_type` builds the one on the
-boundary of the list-recovery constraints, whose u-marginal the kernel sweep
-of `engine.kernel_slack_report` reads.  All masses are floats.
+little-endian packing from `fields`, validated by the same rule as every
+`infomeasures.JointTable`.  `bad_type` builds the joint type of (u, S) on the
+boundary of the list-recovery constraints, as a JointTable with axis x the
+vector u in GF(q)^L and axis y the ell-subset S; the kernel sweep of
+`engine.kernel_slack_report` reads its u-marginal.  All masses are floats.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DomainError, ShapeMismatchError, SizeCapError, UnsupportedError
-from .fields import FieldSpec, make_field, matvec_all, row_reduce, vec_table
+from .fields import make_field, matvec_all, row_reduce, vec_table
+from .infomeasures import JointTable, _checked_masses, entropy
 
 _ORBIT_L_CAP = 6
 
 
 # ---------------------------------------------------------------------------
 # containers
-
-
-def _checked_masses(masses: np.ndarray) -> np.ndarray:
-    """Masses with round-off negatives (down to -1e-12) clipped to zero; they
-    must sum to 1 within 1e-9."""
-    if np.any(masses < -1e-12):
-        raise DomainError("negative probability mass")
-    masses = np.clip(masses, 0.0, None)
-    total = float(masses.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise DomainError(f"masses sum to {total}")
-    return masses
 
 
 @dataclass
@@ -56,13 +45,9 @@ class TypeDist:
             )
         self.probs = _checked_masses(self.probs)
 
-    def support(self, eps: float = 0.0) -> np.ndarray:
-        return np.flatnonzero(self.probs > eps)
-
     def entropy(self) -> float:
         """Entropy in base-q units."""
-        m = self.probs[self.probs > 0]
-        return float(-(m * np.log(m)).sum()) / math.log(self.q)
+        return float(entropy(self.probs, self.q))
 
 
 @dataclass
@@ -85,39 +70,13 @@ class LRSpec:
             raise DomainError(f"rho must lie in (0, {lim}), got {self.rho}")
 
 
-@dataclass
-class JointTypeDist:
-    """Joint distribution of (v in GF(q)^L, S an ell-subset of the alphabet).
-
-    `table[vidx, sidx]` is the joint mass; column sidx is the sidx-th
-    ell-subset in lexicographic order (that of `itertools.combinations`).
-    """
-
-    q: int
-    ell: int
-    L: int
-    table: np.ndarray
-
-    def __post_init__(self):
-        self.table = np.asarray(self.table, dtype=np.float64)
-        C = math.comb(self.q, self.ell)
-        if self.table.shape != (self.q**self.L, C):
-            raise ShapeMismatchError(
-                f"expected shape {(self.q ** self.L, C)}, got {self.table.shape}"
-            )
-        self.table = _checked_masses(self.table)
-
-    def u_marginal(self) -> TypeDist:
-        return TypeDist(q=self.q, b=self.L, probs=self.table.sum(axis=1))
-
-
 # ---------------------------------------------------------------------------
 # linear images and ranks
 
 
-def pushforward(tau: TypeDist, A, fs: FieldSpec | None = None) -> TypeDist:
+def pushforward(tau: TypeDist, A) -> TypeDist:
     """Image distribution of tau under the linear map with matrix A (rows x b)."""
-    fs = fs or make_field(tau.q)
+    fs = make_field(tau.q)
     A = np.asarray(A, dtype=np.int64)
     if A.ndim != 2 or A.shape[1] != tau.b:
         raise ShapeMismatchError(f"matrix shape {A.shape} incompatible with b={tau.b}")
@@ -127,24 +86,26 @@ def pushforward(tau: TypeDist, A, fs: FieldSpec | None = None) -> TypeDist:
     return TypeDist(q=tau.q, b=rows, probs=probs)
 
 
-def dim_of_type(tau: TypeDist, fs: FieldSpec | None = None, eps: float = 0.0) -> int:
+def dim_of_type(tau: TypeDist) -> int:
     """Dimension of the span of the support of tau."""
-    fs = fs or make_field(tau.q)
-    return len(row_reduce(vec_table(tau.q, tau.b)[tau.support(eps)], fs)[1])
+    return len(row_reduce(vec_table(tau.q, tau.b)[tau.probs > 0], make_field(tau.q))[1])
 
 
 # ---------------------------------------------------------------------------
 # the canonical boundary family
 
 
-def bad_type(spec: LRSpec) -> JointTypeDist:
+def bad_type(spec: LRSpec) -> JointTable:
     """The canonical joint type sitting on the boundary of the constraint set.
 
-    S is uniform over ell-subsets of the alphabet; given S the L coordinates
-    are i.i.d. with mass (1-rho)/ell on each symbol inside S and rho/(q-ell)
-    on each symbol outside.  A cell's mass depends only on how many of its
-    coordinates lie in S, so the L + 1 possible masses are computed exactly
-    (rho taken as the binary rational of the float) and each rounded once.
+    Cell [u, s] of the table is the mass of the vector u in GF(q)^L (packed
+    index) with the s-th ell-subset in lexicographic order, that of
+    `itertools.combinations`.  S is uniform over ell-subsets of the alphabet;
+    given S the L coordinates are i.i.d. with mass (1-rho)/ell on each symbol
+    inside S and rho/(q-ell) on each symbol outside.  A cell's mass depends
+    only on how many of its coordinates lie in S, so the L + 1 possible masses
+    are computed exactly (rho taken as the binary rational of the float) and
+    each rounded once.
     """
     q, ell, L = spec.q, spec.ell, spec.L
     subsets = list(itertools.combinations(range(q), ell))
@@ -162,7 +123,7 @@ def bad_type(spec: LRSpec) -> JointTypeDist:
     inside_count = np.zeros((q**L, C), dtype=np.int8)
     for digits in vec_table(q, L).T:
         inside_count += member[digits]
-    return JointTypeDist(q=q, ell=ell, L=L, table=masses[inside_count])
+    return JointTable(masses[inside_count])
 
 
 # ---------------------------------------------------------------------------

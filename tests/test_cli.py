@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from thresholds import engine as eng
 from thresholds import simulate as sim
 from thresholds.cli import main
 from thresholds.engine import fmt12
@@ -140,6 +141,23 @@ def test_verify_ordering_passes(in_tmpdir, capsys):
     rep = json.loads((in_tmpdir / "verify_ordering.json").read_text())
     assert rep["check"] == "ordering" and rep["pass"] is True
     assert all(set(d) == {"rho", "rlc", "rc", "ok"} for d in rep["details"])
+
+
+def test_verify_ordering_reports_the_qary_dominance_margin(in_tmpdir):
+    assert main(["verify", "--check", "ordering", "--q", "5", "--report", "o.json"]) == 0
+    for d in json.loads((in_tmpdir / "o.json").read_text())["details"]:
+        assert d["dominance"] == eng.boundary_dominance_qary(5, d["rho"])
+        assert d["ok"] and d["dominance"] > eng.STRICT_MARGIN
+
+
+def test_verify_ordering_fails_without_the_qary_dominance_margin(in_tmpdir, monkeypatch):
+    # the q-ary linear bound is valid only where the dominance margin is
+    # positive, so a negative margin fails every row though rlc still beats rc
+    monkeypatch.setattr(eng, "boundary_dominance_qary", lambda q, rho: -1e-3)
+    assert main(["verify", "--check", "ordering", "--q", "3", "--report", "o.json"]) == 1
+    rep = json.loads((in_tmpdir / "o.json").read_text())
+    assert rep["pass"] is False
+    assert all(d["rlc"] - d["rc"] > eng.STRICT_MARGIN and not d["ok"] for d in rep["details"])
 
 
 def test_verify_lemma33_fails_honestly(in_tmpdir, capsys):

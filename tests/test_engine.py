@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from thresholds.cli import _decimal_grid
 from thresholds.errors import DomainError, UnsupportedError
+from thresholds.fields import make_field
 from thresholds.engine import (
     BoundCurve,
     _max_binary_l4,
@@ -18,10 +20,8 @@ from thresholds.engine import (
     dominance_curves,
     fmt12,
     kernel_slack_report,
-    largeL_compare,
     lr_listsize_lower_rlc,
     lr_listsize_rc,
-    lr_rate_rc_upper,
     negativity_values,
     opt_polytope_2d,
     rate_rc_binary_largeL,
@@ -398,13 +398,6 @@ def test_listsize_upper_variants_coincide(eps):
         assert lr_listsize_rc(q, ell, 0.1, eps, 0.0)[1] == math.ceil(x + 1.0)
 
 
-def test_rate_rc_upper_value():
-    h = hq(2, 0.1)
-    assert lr_rate_rc_upper(2, 1, 0.1, 4) == pytest.approx(1 - h - 1 / 4, abs=1e-12)
-    # larger lists push the failure rate toward capacity from below
-    assert lr_rate_rc_upper(2, 1, 0.1, 8) > lr_rate_rc_upper(2, 1, 0.1, 4)
-
-
 # ---------------------------------------------------------------------------
 # the large-list regime
 # ---------------------------------------------------------------------------
@@ -425,21 +418,26 @@ def test_largelist_rates():
         rate_rlc_binary_largeL(0.1, 3, 1.5)  # L - 1 - 2 delta <= 0
 
 
+def largelist_condition(rho, L):
+    """The large-list separation condition (3 + 1/(L-1)) h2(rho) - h2(2 rho - 2 rho^2) < 1."""
+    return (3.0 + 1.0 / (L - 1.0)) * hq(2, rho) - hq(2, 2.0 * rho - 2.0 * rho * rho) < 1.0
+
+
 def test_largelist_separation_flips():
-    assert largeL_compare(0.1, 3)
-    assert not largeL_compare(0.45, 2)
-    assert not largeL_compare(0.3, 2)
+    assert largelist_condition(0.1, 3)
+    assert not largelist_condition(0.45, 2)
+    assert not largelist_condition(0.3, 2)
     # at fixed small rho the condition survives arbitrarily large L
-    assert largeL_compare(0.1, 12)
+    assert largelist_condition(0.1, 12)
     # but no list size rescues rho = 0.2
-    assert not largeL_compare(0.2, 12)
+    assert not largelist_condition(0.2, 12)
 
 
 def test_largelist_separation_when_condition_holds():
     # whenever the condition holds the linear rate exceeds the plain one
     # for all small enough delta
     for rho, L in [(0.05, 3), (0.1, 4), (0.2, 16)]:
-        if largeL_compare(rho, L):
+        if largelist_condition(rho, L):
             delta = 1e-4
             assert rate_rlc_binary_largeL(rho, L, delta) > rate_rc_binary_largeL(
                 rho, L, delta
@@ -485,8 +483,7 @@ def test_kernel_slack_per_dimension_rescaling_is_positive():
 
 def reference_slack_report(q, rho, L, delta):
     """Kernel-by-kernel sweep: one quotient map and one pushforward per kernel."""
-    u = bad_type(LRSpec(q=q, ell=1, L=L, rho=rho)).u_marginal()
-    tau = TypeDist(q=q, b=L, probs=u.probs)
+    tau = TypeDist(q, L, bad_type(LRSpec(q=q, ell=1, L=L, rho=rho)).marginal("x"))
     h = hql(q, 1, rho)
     c = math.log(math.comb(q, 1)) / math.log(q) - 1.0 + h - delta
     out = {"min_slack": math.inf, "worst": None, "per_dim": {},
@@ -552,6 +549,29 @@ def test_lambda_ratio_exceeds_one_on_grid():
             rho = i / 11 * (1 - ell / q)
             for b in range(1, q):
                 assert shifted_sum_entropy_ratio(q, ell, rho, b) > 1 + 1e-6
+
+
+def reference_lambda(q, ell, rho, beta):
+    """The ratio with the law of u + beta*alpha summed cell by cell in the field."""
+    fs = make_field(q)
+    total = 0.0
+    subsets = list(itertools.combinations(range(q), ell))
+    for S in subsets:
+        ps = [(1.0 - rho) / ell if a in S else rho / (q - ell) for a in range(q)]
+        pt = [0.0] * q
+        for u in range(q):
+            for a in range(q):
+                pt[fs.add(u, fs.mul(beta, a))] += ps[u] * ps[a]
+        total -= sum(p * math.log(p) for p in pt if p > 0.0) / math.log(q)
+    return total / len(subsets) / hql(q, ell, rho)
+
+
+@pytest.mark.parametrize("q,ell", sorted(LAMBDA_WORST) + [(8, 3), (9, 4)])
+def test_lambda_ratio_matches_the_cell_by_cell_sum(q, ell):
+    rho = 0.4 * (1 - ell / q)
+    for b in range(1, q):
+        assert shifted_sum_entropy_ratio(q, ell, rho, b) == pytest.approx(
+            reference_lambda(q, ell, rho, b), abs=1e-12)
 
 
 def test_lambda_ratio_beta_domain():

@@ -2,17 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thresholds.errors import DomainError, MissingAxisError
 from thresholds.infomeasures import (
     JointTable,
     ball_volume,
+    entropy,
     fano_bound,
     hq,
     hq_multi,
     hql,
     joint_measures,
 )
+from thresholds.subspaces import kernel_entropy_table
+from thresholds.typespace import TypeDist
 
 
 def random_joint(shape, seed):
@@ -89,6 +94,90 @@ def test_hq_multi_domain():
         hq_multi(2, [0.7, 0.7])
     with pytest.raises(DomainError):
         hq_multi(2, [-0.1])
+
+
+# ---------------------------------------------------------------------------
+# the one entropy routine
+# ---------------------------------------------------------------------------
+
+ENTROPY_QS = [2, 3, 4, 5, 8, 9]
+
+
+def oracle_entropy(ps, base):
+    """-sum p log p over the positive masses, one Python term at a time."""
+    return -sum(p * math.log(p) for p in ps if p > 0.0) / math.log(base)
+
+
+def draw_masses(data, size, zeros=True):
+    """A probability vector of the given size; zero cells when zeros is set."""
+    weights = data.draw(st.lists(st.integers(0 if zeros else 1, 6), min_size=size,
+                                 max_size=size))
+    w = np.asarray(weights, dtype=np.float64)
+    w[0] += not w.any()
+    return w / w.sum()
+
+
+@pytest.mark.parametrize("q", ENTROPY_QS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_entropy_rows_match_single_rows_and_the_oracle(q, data):
+    rows, size = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 2 * q))
+    M = np.stack([draw_masses(data, size) for _ in range(rows)])
+    H = entropy(M, q)
+    assert H.shape == (rows,)
+    for i in range(rows):
+        assert H[i] == entropy(M[i], q)
+        assert H[i] == pytest.approx(oracle_entropy(M[i], q), abs=1e-12)
+
+
+@pytest.mark.parametrize("q", ENTROPY_QS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_entropy_zero_cells_add_nothing(q, data):
+    p = draw_masses(data, data.draw(st.integers(1, q)), zeros=False)
+    at = data.draw(st.lists(st.integers(0, p.size), min_size=1, max_size=6))
+    padded = np.insert(p, at, 0.0)
+    assert entropy(padded, q) == pytest.approx(entropy(p, q), abs=1e-14)
+    # a point mass has entropy 0.0, not -0.0, which would print as "-0"
+    assert math.copysign(1.0, entropy(np.eye(q)[0], q)) == 1.0
+    assert math.copysign(1.0, hq_multi(q, [0.0] * (q - 1))) == 1.0
+
+
+@pytest.mark.parametrize("q", ENTROPY_QS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_entropy_base_conversion(q, data):
+    p = draw_masses(data, data.draw(st.integers(1, 2 * q)))
+    nats = entropy(p, math.e)
+    assert entropy(p, q) == pytest.approx(nats / math.log(q), abs=1e-14)
+    assert entropy(p, 2) == pytest.approx(entropy(p, q) * math.log2(q), abs=1e-12)
+    assert entropy(np.full(q, 1.0 / q), q) == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("q", ENTROPY_QS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_entropy_agrees_with_its_callers(q, data):
+    b = 1 if q > 3 else data.draw(st.integers(1, 2))
+    p = draw_masses(data, q**b)
+    want = oracle_entropy(p, q)
+    assert hq_multi(q, p[:-1]) == pytest.approx(want, abs=1e-12)
+    tau = TypeDist(q, b, p)
+    assert tau.entropy() == entropy(tau.probs, q)
+    # the identity kernel pushes tau onto itself, so its row is H(tau)
+    assert kernel_entropy_table(tau, 0)[0][0] == entropy(tau.probs, q)
+    assert tau.entropy() == pytest.approx(want, abs=1e-12)
+
+
+def test_typedist_and_jointtable_share_the_validation_rule():
+    jitter = np.array([0.5, 0.5 + 4e-13, -4e-13, 0.0])
+    assert TypeDist(2, 2, jitter).probs.min() == 0.0
+    assert JointTable(jitter.reshape(2, 2)).masses.min() == 0.0
+    off = np.array([0.5, 0.5 + 1e-11, 0.0, 0.0])
+    with pytest.raises(DomainError):
+        TypeDist(2, 2, off)
+    with pytest.raises(DomainError):
+        JointTable(off.reshape(2, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -173,7 +173,7 @@ def test_full_space_has_no_quotient():
 
 
 def test_identity_kernel_entropy_equals_type_entropy():
-    tau = bad_type(LRSpec(q=2, ell=1, L=2, rho=0.3)).u_marginal()
+    tau = TypeDist(2, 2, bad_type(LRSpec(q=2, ell=1, L=2, rho=0.3)).marginal("x"))
     rows = entropy_over_kernels(tau, dims=[0])
     assert len(rows) == 1
     assert rows[0]["entropy"] == pytest.approx(tau.entropy(), abs=1e-12)
@@ -185,7 +185,7 @@ def test_difference_kernel_entropy_ternary():
     # leaves the coordinate difference, whose law is ((1-rho)^2 + rho^2/2,
     # ...) split evenly over the nonzero values
     rho = 0.2
-    tau = bad_type(LRSpec(q=3, ell=1, L=2, rho=rho)).u_marginal()
+    tau = TypeDist(3, 2, bad_type(LRSpec(q=3, ell=1, L=2, rho=rho)).marginal("x"))
     kernel = rref_of([[1, 1]], 3)
     rows = entropy_over_kernels(tau, dims=[1])
     match = [r for r in rows if r["kernel"] == kernel]
@@ -214,7 +214,7 @@ def test_image_dimension_tracks_support():
 
 
 def test_iter_matches_list_form():
-    tau = bad_type(LRSpec(q=2, ell=1, L=3, rho=0.25)).u_marginal()
+    tau = TypeDist(2, 3, bad_type(LRSpec(q=2, ell=1, L=3, rho=0.25)).marginal("x"))
     listed = entropy_over_kernels(tau)
     streamed = list(iter_kernel_entropies(tau))
     assert len(listed) == len(streamed) == sum(
@@ -284,7 +284,7 @@ def test_table_rank_path_on_a_two_point_type(q, L):
 
 
 def test_table_of_a_full_support_type_has_full_images():
-    tau = bad_type(LRSpec(q=3, ell=1, L=3, rho=0.2)).u_marginal()
+    tau = TypeDist(3, 3, bad_type(LRSpec(q=3, ell=1, L=3, rho=0.2)).marginal("x"))
     assert_matches_brute(tau)
     for k in range(3):
         assert (kernel_entropy_table(tau, k)[1] == 3 - k).all()

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from thresholds.errors import DomainError, ShapeMismatchError, UnsupportedError
 from thresholds.fields import make_field, vec_decode, vec_encode, vec_table
-from thresholds.infomeasures import hql
+from thresholds.infomeasures import JointTable, hql
 from thresholds.typespace import (
-    JointTypeDist,
     LRSpec,
     TypeDist,
     bad_type,
@@ -43,7 +42,7 @@ def test_typedist_clips_jitter_and_validates():
     with pytest.raises(DomainError):
         TypeDist(q=2, b=1, probs=np.array([1.1, -0.1]))
     with pytest.raises(DomainError):
-        JointTypeDist(q=2, ell=1, L=1, table=np.array([[0.6, 0.0], [0.0, 0.6]]))
+        JointTable(np.array([[0.6, 0.0], [0.0, 0.6]]))
 
 
 def test_lrspec_validation():
@@ -127,7 +126,7 @@ def test_dim_of_type():
 def test_bad_type_binary_pair_marginal():
     # q=2, ell=1, L=2 at rho=0.3: weight-w mass (1/2)(rho^w (1-rho)^{2-w} + ...)
     jt = bad_type(LRSpec(q=2, ell=1, L=2, rho=0.3))
-    marg = jt.u_marginal()
+    marg = TypeDist(2, 2, jt.marginal("x"))
     assert np.allclose(marg.probs, [0.29, 0.21, 0.21, 0.29], atol=1e-12)
 
 
@@ -135,11 +134,11 @@ def test_bad_type_coordinate_entropy_identity():
     # a single coordinate given the subset carries exactly h_{q,ell}(rho)
     for q, ell, L, rho in [(2, 1, 3, 0.2), (4, 2, 2, 0.25)]:
         jt = bad_type(LRSpec(q=q, ell=ell, L=L, rho=rho))
-        ps = jt.table.sum(axis=0)
+        ps = jt.marginal("y")
         for i in range(L):
             h = 0.0  # H(u_i | S), base q
-            for sidx in range(jt.table.shape[1]):
-                cond = np.bincount(vec_table(q, L)[:, i], weights=jt.table[:, sidx],
+            for sidx in range(jt.masses.shape[1]):
+                cond = np.bincount(vec_table(q, L)[:, i], weights=jt.masses[:, sidx],
                                    minlength=q) / ps[sidx]
                 cond = cond[cond > 0]
                 h -= ps[sidx] * float((cond * np.log(cond)).sum()) / math.log(q)
@@ -150,7 +149,7 @@ def test_bad_type_subset_marginal_uniform():
     for q, ell in [(3, 1), (4, 2), (5, 3)]:
         jt = bad_type(LRSpec(q=q, ell=ell, L=2, rho=0.2))
         C = math.comb(q, ell)
-        assert np.allclose(jt.table.sum(axis=0), np.full(C, 1 / C), atol=1e-14)
+        assert np.allclose(jt.marginal("y"), np.full(C, 1 / C), atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -158,12 +157,12 @@ def test_bad_type_subset_marginal_uniform():
 # ---------------------------------------------------------------------------
 
 
-def miss_masses(jt):
+def miss_masses(jt, q, ell, L):
     """Pr[u_i not in S] for each coordinate i, summed over the table."""
-    digits = vec_table(jt.q, jt.L)
-    subsets = list(itertools.combinations(range(jt.q), jt.ell))
-    return [sum(jt.table[v, s] for v in range(jt.q**jt.L) for s, S in enumerate(subsets)
-                if digits[v, i] not in S) for i in range(jt.L)]
+    digits = vec_table(q, L)
+    subsets = list(itertools.combinations(range(q), ell))
+    return [sum(jt.masses[v, s] for v in range(q**L) for s, S in enumerate(subsets)
+                if digits[v, i] not in S) for i in range(L)]
 
 
 def test_membership_accepts_the_boundary_type():
@@ -172,8 +171,8 @@ def test_membership_accepts_the_boundary_type():
     for q, ell, L, rho in [(2, 1, 2, 0.3), (2, 1, 4, 0.1), (3, 1, 3, 0.2),
                            (4, 2, 2, 0.25), (5, 3, 2, 0.3)]:
         jt = bad_type(LRSpec(q=q, ell=ell, L=L, rho=rho))
-        assert miss_masses(jt) == pytest.approx([rho] * L, abs=1e-12)
-        tau = jt.u_marginal()
+        assert miss_masses(jt, q, ell, L) == pytest.approx([rho] * L, abs=1e-12)
+        tau = TypeDist(q, L, jt.marginal("x"))
         digits = vec_table(q, L)
         for i, j in itertools.combinations(range(L), 2):
             assert tau.probs[digits[:, i] != digits[:, j]].sum() > 0
@@ -189,7 +188,7 @@ def test_membership_exact_at_the_budget_boundary():
         exact = [[Fraction(1, len(subsets)) * math.prod(
             inside if d in S else outside for d in vec_decode(v, q, L)) for S in subsets]
             for v in range(q**L)]
-        assert np.array_equal(jt.table, [[float(m) for m in row] for row in exact])
+        assert np.array_equal(jt.masses, [[float(m) for m in row] for row in exact])
         for i in range(L):
             assert sum(exact[v][s] for v in range(q**L) for s, S in enumerate(subsets)
                        if vec_decode(v, q, L)[i] not in S) == Fraction(rho)
