@@ -236,15 +236,10 @@ def _verify_lemma33(args) -> tuple[bool, list[dict]]:
 
 def _verify_ordering(args) -> tuple[bool, list[dict]]:
     grid = _grid(args, 0.01, 0.31 if args.q == 2 else 0.33, 0.005).tolist()
-    if args.q == 2:
-        details = [{"rho": float(r), "rlc": eng.bound_rlc_binary_l4(r),
-                    "rc": eng.threshold_rc_binary_l4(r)} for r in grid]
-    else:
-        # the q-ary linear bound is valid only where the full-support case
-        # dominates the low-dimension boundary, so each row checks that too
-        details = [{"rho": float(r), "rlc": eng.bound_rlc_qary_l3(args.q, r),
-                    "rc": eng.threshold_rc_qary_l3(args.q, r),
-                    "dominance": eng.boundary_dominance_qary(args.q, r)} for r in grid]
+    # the q-ary linear bound is valid only where the full-support case
+    # dominates the low-dimension boundary, so each q-ary row checks that too
+    details = [{"rho": float(r), **(eng.ld4_binary_row(r) if args.q == 2
+                                    else eng.ld3_qary_row(args.q, r))} for r in grid]
     for d in details:
         d["ok"] = bool(d["rlc"] - d["rc"] > eng.STRICT_MARGIN
                        and d.get("dominance", math.inf) > eng.STRICT_MARGIN)

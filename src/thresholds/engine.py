@@ -109,41 +109,58 @@ def _max_qary_l3(q: int, rho: float) -> OptResult:
     return opt_polytope_2d((c1, c2), (1, 2), 3.0 * rho, q)
 
 
-def _check_rho_binary_l4(rho: float) -> None:
+def ld4_binary_row(rho: float) -> dict[str, float]:
+    """The binary list-of-4 bounds at rho from one optimization.
+
+    "rlc" is the lower bound on the linear ensemble's threshold rate and "rc"
+    the threshold rate of the plain random ensemble.
+    """
     if not 0.0 < rho < 5.0 / 16.0:
         raise DomainError(f"rho must lie in (0, 5/16) for the binary list-of-4 family, got {rho}")
+    v = _max_binary_l4(rho).value
+    return {"rlc": 1.0 - v / 3.0, "rc": 1.0 - (1.0 + v) / 4.0}
 
 
-def _check_rho_qary_l3(q: int, rho: float) -> None:
+def ld3_qary_row(q: int, rho: float) -> dict[str, float]:
+    """The q-ary list-of-3 bounds at rho from one optimization.
+
+    "rlc" and "rc" as in `ld4_binary_row`; "dominance" is the margin
+    maxF/2 - h_q(3 rho/2) of the direct case comparison, and the linear bound
+    is valid only where it is positive.
+    """
     if q < 3:
         raise DomainError(f"this family needs q >= 3, got q={q}")
     make_field(q)
     if not 0.0 < rho < 1.0 / 3.0:
         raise DomainError(f"rho must lie in (0, 1/3) for the 3-list family, got {rho}")
+    v = _max_qary_l3(q, rho).value
+    return {"rlc": 1.0 - v / 2.0, "rc": 1.0 - (1.0 + v) / 3.0,
+            "dominance": v / 2.0 - hql(q, 1, 1.5 * rho)}
 
 
 def bound_rlc_binary_l4(rho: float) -> float:
     """Lower bound on the binary list-of-4 threshold rate of the linear ensemble."""
-    _check_rho_binary_l4(rho)
-    return 1.0 - _max_binary_l4(rho).value / 3.0
+    return ld4_binary_row(rho)["rlc"]
 
 
 def threshold_rc_binary_l4(rho: float) -> float:
     """Threshold rate of the plain random ensemble, binary, list of 4."""
-    _check_rho_binary_l4(rho)
-    return 1.0 - (1.0 + _max_binary_l4(rho).value) / 4.0
+    return ld4_binary_row(rho)["rc"]
 
 
 def bound_rlc_qary_l3(q: int, rho: float) -> float:
     """Lower bound on the q-ary list-of-3 threshold rate of the linear ensemble."""
-    _check_rho_qary_l3(q, rho)
-    return 1.0 - _max_qary_l3(q, rho).value / 2.0
+    return ld3_qary_row(q, rho)["rlc"]
 
 
 def threshold_rc_qary_l3(q: int, rho: float) -> float:
     """Threshold rate of the plain random ensemble, q-ary, list of 3."""
-    _check_rho_qary_l3(q, rho)
-    return 1.0 - (1.0 + _max_qary_l3(q, rho).value) / 3.0
+    return ld3_qary_row(q, rho)["rc"]
+
+
+def boundary_dominance_qary(q: int, rho: float) -> float:
+    """Margin maxF/2 - h_q(3 rho/2) of the direct case comparison (>= 0 expected)."""
+    return ld3_qary_row(q, rho)["dominance"]
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +266,6 @@ def rlc_lower_generic(spec: LRSpec) -> ThresholdReport:
         raise UnsupportedError("the linear-ensemble case analysis is derived for ell = 1")
     _exact_mode_check(spec)
     q, L, rho = spec.q, spec.L, spec.rho
-    lq = math.log(q)
-    details: dict = {}
 
     if L == 2:
         # quotient by the difference of the two coordinates: the image puts
@@ -379,12 +394,6 @@ def negativity_optimum_values(rho_grid) -> np.ndarray:
     if grid.size == 0 or np.any(grid <= 0.0) or np.any(grid >= 1.0 / 3.0):
         raise DomainError("grid must lie inside (0, 1/3)")
     return np.asarray([2.0 * hq(2, 1.5 * r) - _max_binary_l3(r).value for r in grid])
-
-
-def boundary_dominance_qary(q: int, rho: float) -> float:
-    """Margin maxF/2 - h_q(3 rho/2) of the direct case comparison (>= 0 expected)."""
-    _check_rho_qary_l3(q, rho)
-    return _max_qary_l3(q, rho).value / 2.0 - hql(q, 1, 1.5 * rho)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,11 @@ c_0 + c_1 p + ... + c_{m-1} p^{m-1}.  `make_field` builds the add, mul, neg
 and inverse tables once per q, vectorized; extension-field products come
 from exp/log tables of the lexicographically least primitive polynomial, so
 every run of the library uses the same tables.  All arithmetic, scalar or
-array, reads these tables, and `row_reduce` is the one Gauss-Jordan
-elimination over GF(q) behind RREF bases, ranks and quotient maps.
+array, reads these tables.  Beside `row_reduce`, the one Gauss-Jordan
+elimination over GF(q) behind RREF bases, ranks and quotient maps, stands
+`matvec_all`, the one routine for linear images: the images of all of
+GF(q)^b under a stack of matrices, behind pushforwards, the kernel sweep and
+the words of a random linear code.  `matvec_apply` is its scalar oracle.
 
 Vectors over GF(q) of length b are identified with indices in [0, q^b) by the
 little-endian radix-q packing: coordinate i is the i-th base-q digit.
@@ -278,32 +281,35 @@ def matvec_apply(A, v, fs: FieldSpec) -> tuple[int, ...]:
     return tuple(out)
 
 
-def matvec_all(A, fs: FieldSpec, b: int) -> np.ndarray:
-    """Image index of every vector in GF(q)^b under A (shape (rows, b)).
+def matvec_all(A, fs: FieldSpec) -> np.ndarray:
+    """Packed image of every vector in GF(q)^b under each matrix of a stack.
 
-    Vectorized over all q^b inputs; returns an int64 array of packed output
-    indices with the same little-endian convention.
+    A has shape (..., rows, b) with entries in [0, q); the int64 result has
+    shape (..., q^b), entry v holding the little-endian index of A times the
+    vector with index v.  Doubling over the input coordinates: the images of
+    the first q^c vectors are extended by every multiple of column c.  For
+    q = 2 the images are XORs of packed columns; otherwise the digit sums come
+    from the field tables and are packed at the end.
     """
     A = np.asarray(A, dtype=np.int64)
-    if A.ndim != 2:
-        raise ShapeMismatchError("matrix must be two-dimensional")
-    if A.shape[1] != b:
-        raise ShapeMismatchError(f"matrix has {A.shape[1]} columns, expected {b}")
+    if A.ndim < 2:
+        raise ShapeMismatchError("need a matrix or a stack of matrices")
+    if A.size and (A.min() < 0 or A.max() >= fs.q):
+        raise DigitOutOfRangeError(f"matrix entry outside [0, {fs.q})")
     q = fs.q
-    digits = vec_table(q, b)
-    mul_tab = fs.mul_table
-    add_tab = fs.add_table
-    n = digits.shape[0]
-    out = np.zeros(n, dtype=np.int64)
-    mult = 1
-    for j in range(A.shape[0]):
-        acc = np.zeros(n, dtype=np.int16)
-        for t in range(b):
-            a = int(A[j, t])
-            if a == 0:
-                continue
-            term = mul_tab[a, digits[:, t]]
-            acc = add_tab[acc, term]
-        out += acc.astype(np.int64) * mult
-        mult *= q
-    return out
+    *batch, rows, b = A.shape
+    place = q ** np.arange(rows, dtype=np.int64)
+    if q == 2:
+        packed = place @ A  # the packed columns of every matrix
+        images = np.zeros((*batch, 1 << b), dtype=np.int64)
+        for c in range(b):
+            w = 1 << c
+            images[..., w:2 * w] = images[..., :w] ^ packed[..., c, None]
+        return images
+    ys = np.zeros((*batch, rows, q**b), dtype=np.int16)
+    for c in range(b):
+        w = q**c
+        scaled = fs.mul_table[A[..., c]][..., 1:, None]
+        sums = fs.add_table[ys[..., None, :w], scaled]
+        ys[..., w:q * w] = sums.reshape(*batch, rows, (q - 1) * w)
+    return np.einsum("...rn,r->...n", ys.astype(np.int64), place)

@@ -86,17 +86,13 @@ def hq_multi(q: int, xs) -> float:
     """Entropy, in base q, of the distribution (x_1, ..., x_t, 1 - sum x_i).
 
     The xs are the masses of t distinguished outcomes; the remainder goes to a
-    single residual outcome.  Accepts any t >= 1.
+    single residual outcome.  Accepts any t >= 1.  The t + 1 masses are
+    checked by `_checked_masses`, so a residual below -1e-12 (xs summing past
+    1) is rejected.
     """
     _check_base_q(q)
     xs = [float(x) for x in xs]
-    if any(x < -1e-15 for x in xs):
-        raise DomainError(f"negative mass in {xs}")
-    xs = [max(x, 0.0) for x in xs]
-    s = sum(xs)
-    if s > 1.0 + 1e-12:
-        raise DomainError(f"masses sum to {s} > 1")
-    return float(entropy(xs + [max(1.0 - s, 0.0)], q))
+    return float(entropy(_checked_masses(np.array(xs + [1.0 - sum(xs)])), q))
 
 
 # ---------------------------------------------------------------------------

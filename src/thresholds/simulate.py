@@ -2,9 +2,11 @@
 
 Codes live in GF(q)^n with q^n small enough to enumerate, so decodability can
 be decided exhaustively: the occupancy profile counts, for every center z, the
-codewords within radius floor(rho*n).  List recovery has no enumerable center
-space (input lists live in C(q,l)^n), so it is decided per codeword subset by
-a dynamic program over coordinates instead.
+codewords within radius floor(rho*n).  A random linear code's words are the
+image of GF(q)^k under its generator, listed by `fields.matvec_all`, and a
+code is linear exactly when it has q^rank words.  List recovery has no
+enumerable center space (input lists live in C(q,l)^n), so it is decided per
+codeword subset by a dynamic program over coordinates instead.
 
 The greedy constructor grows a binary linear code one basis vector at a time,
 accepting a vector only when the potential of the doubled code stays below the
@@ -28,14 +30,13 @@ from .errors import (
     SizeCapError,
     WorkBudgetExceededError,
 )
-from .fields import make_field
+from .fields import make_field, matvec_all, row_reduce
 from .infomeasures import ball_volume, hq
 from .subspaces import map_with_kernel, rref_of
 
 _SPAN_CAP = 2**24
 _CENTER_CAP = 2**22
 _SPACE_CAP = 2**24
-_EXHAUSTIVE_LINEARITY = 2**12
 DEFAULT_WORK_BUDGET = 2**29
 
 WILSON_Z = 1.96
@@ -133,51 +134,19 @@ class Code:
             raise DomainError("digit out of range for the stated field")
         return cls(q=q, n=n, words=np.sort(pack_digits(arr, q)))
 
-    def linearity_ok(self, rng: np.random.Generator | None = None, spot_pairs: int = 50) -> bool:
-        """Closure under addition and scalars; exhaustive for small codes."""
-        if 0 not in self.words:
-            return False
-        fs = make_field(self.q)
-        add, mul = fs.add_table, fs.mul_table
-        dig = self.digits()
-        srt = self.words
+    def linearity_ok(self, rng: np.random.Generator | None = None) -> bool:
+        """Whether the words form a subspace of GF(q)^n.
 
-        def _in(word_digits) -> bool:
-            idx = pack_digits(word_digits.reshape(1, -1), self.q)[0]
-            pos = np.searchsorted(srt, idx)
-            return pos < srt.size and srt[pos] == idx
-
-        if self.size <= 2**6 or (self.size <= _EXHAUSTIVE_LINEARITY and rng is None):
-            for i in range(self.size):
-                sums = add[dig, dig[i]]
-                packed = pack_digits(sums, self.q)
-                if not np.all(np.isin(packed, srt, assume_unique=False)):
-                    return False
-            for c in range(2, self.q):
-                packed = pack_digits(mul[c, dig], self.q)
-                if not np.all(np.isin(packed, srt)):
-                    return False
-            return True
-        rng = rng or np.random.default_rng(0)
-        for _ in range(spot_pairs):
-            i, j = rng.integers(0, self.size, size=2)
-            c = int(rng.integers(1, self.q)) if self.q > 2 else 1
-            if not _in(add[mul[c, dig[i]], dig[j]]):
-                return False
-        return True
+        The words lie in their span, which has q^rank vectors, so they are
+        the span exactly when there are q^rank of them.  `rng` is unused; it
+        is accepted for callers that pass one.
+        """
+        rank = len(row_reduce(self.digits(), make_field(self.q))[1])
+        return self.size == self.q**rank
 
 
 # ---------------------------------------------------------------------------
 # sampling
-
-
-def _span_words(basis: np.ndarray, q: int, n: int) -> np.ndarray:
-    fs = make_field(q)
-    add, mul = fs.add_table, fs.mul_table
-    words = np.zeros((1, n), dtype=np.int16)
-    for b in basis:
-        words = np.concatenate([add[words, mul[c, b]] for c in range(q)], axis=0)
-    return np.sort(pack_digits(words, q))
 
 
 def sample_rlc(q: int, n: int, R: float, rng: np.random.Generator) -> Code:
@@ -196,8 +165,8 @@ def sample_rlc(q: int, n: int, R: float, rng: np.random.Generator) -> Code:
     k = basis.shape[0]
     if q**k > _SPAN_CAP:
         raise SizeCapError(f"kernel of dimension {k} too large to enumerate")
-    return Code(q=q, n=n, words=_span_words(basis, q, n), kind="linear",
-                generator=basis, parity_check=H)
+    words = np.sort(matvec_all(basis.T, make_field(q)))
+    return Code(q=q, n=n, words=words, kind="linear", generator=basis, parity_check=H)
 
 
 def sample_rc(q: int, n: int, R: float, rng: np.random.Generator) -> Code:
@@ -310,7 +279,6 @@ class LRReport:
     recoverable: bool
     radius: int
     subsets_checked: int
-    witness: dict | None = None
 
 
 def check_lr_dp(
@@ -319,7 +287,6 @@ def check_lr_dp(
     ell: int,
     L: int,
     work_budget: int = DEFAULT_WORK_BUDGET,
-    want_witness: bool = True,
 ) -> LRReport:
     """Decide list-recoverability by a per-subset dynamic program.
 
@@ -347,55 +314,31 @@ def check_lr_dp(
     dig = code.digits()
     lists = list(itertools.combinations(range(q), ell))
     radix = q ** np.arange(L, dtype=np.int64)
-    move_cache: dict[int, tuple] = {}
+    move_cache: dict[int, set] = {}
     checked = 0
     for rows in itertools.combinations(range(M), L):
         cols = dig[list(rows)].astype(np.int64)
         pats = radix @ cols
-        states: dict[tuple, tuple | None] = {(0,) * L: None}
-        parents: list[dict] = []
+        states = {(0,) * L}
         for ci in range(n):
             pid = int(pats[ci])
             moves = move_cache.get(pid)
             if moves is None:
                 pd = [(pid // int(radix[i])) % q for i in range(L)]
-                dedup: dict[tuple, int] = {}
-                for si, S in enumerate(lists):
-                    dv = tuple(0 if pd[i] in S else 1 for i in range(L))
-                    dedup.setdefault(dv, si)
-                moves = tuple(dedup.items())
+                moves = {tuple(0 if pd[i] in S else 1 for i in range(L)) for S in lists}
                 move_cache[pid] = moves
-            new: dict[tuple, tuple] = {}
+            new = set()
             for s in states:
-                for dv, si in moves:
+                for dv in moves:
                     t = tuple(a + b for a, b in zip(s, dv))
-                    if max(t) > r:
-                        continue
-                    if t not in new:
-                        new[t] = (s, si)
+                    if max(t) <= r:
+                        new.add(t)
             states = new
             if not states:
                 break
-            if want_witness:
-                parents.append(new)
         checked += 1
         if states:
-            witness = None
-            if want_witness:
-                s = next(iter(states))
-                assigned: list[list[int]] = []
-                for ci in range(n - 1, -1, -1):
-                    prev, si = parents[ci][s]
-                    assigned.append(list(lists[si]))
-                    s = prev
-                assigned.reverse()
-                witness = {
-                    "rows": list(rows),
-                    "codewords": [int(code.words[i]) for i in rows],
-                    "lists": assigned,
-                }
-            return LRReport(recoverable=False, radius=r, subsets_checked=checked,
-                            witness=witness)
+            return LRReport(recoverable=False, radius=r, subsets_checked=checked)
     return LRReport(recoverable=True, radius=r, subsets_checked=checked)
 
 
@@ -476,8 +419,7 @@ def _one_trial(cfg: SweepConfig, rate: float, ri: int, ti: int) -> bool:
         code = sample_rc(cfg.q, cfg.n, rate, rng)
     if cfg.ell is None:
         return check_ld_centers(code, cfg.rho, cfg.L).decodable
-    return check_lr_dp(code, cfg.rho, cfg.ell, cfg.L, cfg.work_budget,
-                       want_witness=False).recoverable
+    return check_lr_dp(code, cfg.rho, cfg.ell, cfg.L, cfg.work_budget).recoverable
 
 
 def _partial_curve(cfg: SweepConfig, done: list[tuple[float, int]]) -> SatisfactionCurve:

@@ -10,9 +10,10 @@ free entries, which visits every subspace exactly once; counts per dimension
 match the Gaussian binomials.
 
 `kernel_entropy_table` pushes a type through the quotient map of every
-k-dimensional kernel at once, in numpy blocks of kernels that share a pivot
-pattern; `iter_kernel_entropies` and `entropy_over_kernels` pair its rows
-with the kernel bases.
+k-dimensional kernel at once: the kernels that share a pivot pattern are
+stacked into blocks of quotient matrices, and `fields.matvec_all` gives the
+images of one block; `iter_kernel_entropies` and `entropy_over_kernels` pair
+its rows with the kernel bases.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
     ShapeMismatchError,
     SizeCapError,
 )
-from .fields import make_field, row_reduce, vec_table
+from .fields import make_field, matvec_all, row_reduce, vec_table
 from .infomeasures import entropy
 from .typespace import TypeDist
 
@@ -153,8 +154,9 @@ def kernel_entropy_table(tau: TypeDist, k: int) -> tuple[np.ndarray, np.ndarray]
     kernel's `map_with_kernel` quotient map, and L - k, or for an image
     without full support the rank of its support.  Kernels sharing a pivot
     pattern are pushed forward together, _CHUNK kernels x q^L cells at most:
-    image indices come from doubling over the L coordinates, masses from one
-    bincount with a per-kernel offset.
+    their (B, L - k, L) stack of quotient matrices goes through one
+    `fields.matvec_all` call, and the masses come from one bincount with a
+    per-kernel offset.
     """
     q, L = tau.q, tau.b
     if not 0 <= k < L:
@@ -164,8 +166,6 @@ def kernel_entropy_table(tau: TypeDist, k: int) -> tuple[np.ndarray, np.ndarray]
     N, M = q**L, q**Lp
     step = max(1, _CHUNK // N)
     weights = np.tile(tau.probs, step)
-    neg, mul, add = fs.neg_table, fs.mul_table, fs.add_table
-    place = q ** np.arange(Lp)
     entropies, dims = [], []
     for pivots, freepos in _pivot_patterns(L, k):
         F = len(freepos)
@@ -176,24 +176,11 @@ def kernel_entropy_table(tau: TypeDist, k: int) -> tuple[np.ndarray, np.ndarray]
             t = np.arange(t0, min(t0 + step, q**F))
             B = t.size
             digits = (t[:, None] // q ** np.arange(F - 1, -1, -1)) % q
-            # cols[c] holds, per kernel, the digits of the image of e_c
-            cols = np.zeros((L, B, Lp), dtype=np.int64)
-            cols[free_cols, :, np.arange(Lp)] = 1
+            maps = np.zeros((B, Lp, L), dtype=np.int64)
+            maps[:, np.arange(Lp), free_cols] = 1
             for r, p, f in entries:
-                cols[p, :, r] = neg[digits[:, f]]
-            if q == 2:
-                packed = cols @ place
-                images = np.zeros((B, N), dtype=np.int64)
-                for c in range(L):
-                    w = 1 << c
-                    images[:, w:2 * w] = images[:, :w] ^ packed[c][:, None]
-            else:
-                ys = np.zeros((B, Lp, N), dtype=np.int16)
-                for c in range(L):
-                    w = q**c
-                    scaled = mul[cols[c]][:, :, 1:, None]
-                    ys[:, :, w:q * w] = add[ys[:, :, None, :w], scaled].reshape(B, Lp, -1)
-                images = np.einsum("brn,r->bn", ys.astype(np.int64), place)
+                maps[:, r, p] = fs.neg_table[digits[:, f]]
+            images = matvec_all(maps, fs)
             images += (np.arange(B) * M)[:, None]
             masses = np.bincount(images.ravel(), weights=weights[:B * N],
                                  minlength=B * M).reshape(B, M)

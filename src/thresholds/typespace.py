@@ -76,12 +76,11 @@ class LRSpec:
 
 def pushforward(tau: TypeDist, A) -> TypeDist:
     """Image distribution of tau under the linear map with matrix A (rows x b)."""
-    fs = make_field(tau.q)
     A = np.asarray(A, dtype=np.int64)
     if A.ndim != 2 or A.shape[1] != tau.b:
         raise ShapeMismatchError(f"matrix shape {A.shape} incompatible with b={tau.b}")
     rows = A.shape[0]
-    images = matvec_all(A, fs, tau.b)
+    images = matvec_all(A, make_field(tau.q))
     probs = np.bincount(images, weights=tau.probs, minlength=tau.q**rows)
     return TypeDist(q=tau.q, b=rows, probs=probs)
 

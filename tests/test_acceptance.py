@@ -232,7 +232,7 @@ def test_criterion_07_oracle_equivalences():
         rho = float(rng.choice([0.1, 0.2, 0.3]))
         L = int(rng.integers(1, 4))
         a = check_ld_centers(code, rho, L).decodable
-        b2 = check_lr_dp(code, rho, 1, L, want_witness=False).recoverable
+        b2 = check_lr_dp(code, rho, 1, L).recoverable
         mismatches += a != b2
     ok = mismatches == 0
     elapsed = report(7, ok, t0, 120, f"{mismatches} mismatches")

@@ -153,7 +153,8 @@ def test_verify_ordering_reports_the_qary_dominance_margin(in_tmpdir):
 def test_verify_ordering_fails_without_the_qary_dominance_margin(in_tmpdir, monkeypatch):
     # the q-ary linear bound is valid only where the dominance margin is
     # positive, so a negative margin fails every row though rlc still beats rc
-    monkeypatch.setattr(eng, "boundary_dominance_qary", lambda q, rho: -1e-3)
+    row = eng.ld3_qary_row
+    monkeypatch.setattr(eng, "ld3_qary_row", lambda q, rho: {**row(q, rho), "dominance": -1e-3})
     assert main(["verify", "--check", "ordering", "--q", "3", "--report", "o.json"]) == 1
     rep = json.loads((in_tmpdir / "o.json").read_text())
     assert rep["pass"] is False

@@ -159,11 +159,15 @@ def test_binary_l4_optimum_to_50_digits():
                          + [(q, (0.01, 0.33, 0.005)) for q in (3, 4, 5, 7, 8, 9)],
                          ids=["3-bounds"] + [f"{q}-ordering" for q in (3, 4, 5, 7, 8, 9)])
 def test_qary_l3_optimum_to_50_digits(q, grid):
+    # and the ordering check's dominance margin maxF/2 - h_q(3 rho/2) with it
     for rho in _decimal_grid(*grid):
         with mpmath.workdps(50):
             c1, c2 = mpmath.log(3 * (q - 1), q), mpmath.log((q - 1) * (q - 2), q)
             ref = _edge_max_mp(q, c1, c2, 3 * mpmath.mpf(rho))
+            x = 1.5 * mpmath.mpf(rho)
+            h = (x * mpmath.log((q - 1) / x) - (1 - x) * mpmath.log(1 - x)) / mpmath.log(q)
         assert abs(_max_qary_l3(q, rho).value - ref) <= 1e-15, (q, rho)
+        assert abs(boundary_dominance_qary(q, rho) - (ref / 2 - h)) <= 1e-14, (q, rho)
 
 
 def test_optimizer_domain_errors():

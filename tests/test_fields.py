@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thresholds.errors import DigitOutOfRangeError, NotPrimePowerError, UnsupportedError
 from thresholds.fields import (
@@ -159,15 +161,30 @@ def test_vec_table_matches_decode():
         assert tuple(tbl[idx]) == vec_decode(idx, 3, 3)
 
 
-def test_matvec_all_agrees_with_apply():
-    rng = np.random.default_rng(11)
-    for q, b in [(2, 4), (3, 3), (4, 2)]:
-        fs = make_field(q)
-        A = [[int(x) for x in rng.integers(0, q, size=b)] for _ in range(2)]
-        images = matvec_all(A, fs, b)
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_matvec_all_agrees_with_apply(data):
+    # every image of every matrix in a stack, against the scalar oracle
+    q = data.draw(st.sampled_from([2, 3, 4, 5, 8, 9]))
+    fs = make_field(q)
+    batch = data.draw(st.sampled_from([(), (1,), (3,)]))
+    rows, b = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 4))
+    flat = data.draw(st.lists(st.integers(0, q - 1), min_size=int(np.prod(batch)) * rows * b,
+                              max_size=int(np.prod(batch)) * rows * b))
+    A = np.asarray(flat, dtype=np.int64).reshape(*batch, rows, b)
+    images = matvec_all(A, fs)
+    assert images.shape == (*batch, q**b)
+    for i in np.ndindex(*batch):
         for idx in range(q**b):
             v = vec_decode(idx, q, b)
-            assert images[idx] == vec_encode(matvec_apply(A, v, fs), q, 2)
+            want = vec_encode(matvec_apply(A[i].tolist(), v, fs), q, rows) if rows else 0
+            assert images[i][idx] == want
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_matvec_all_rejects_entries_outside_the_field(bad):
+    with pytest.raises(DigitOutOfRangeError):
+        matvec_all([[bad, 1]], make_field(3))
 
 
 def test_field_cache_is_shared():

@@ -96,6 +96,21 @@ def test_hq_multi_domain():
         hq_multi(2, [-0.1])
 
 
+@pytest.mark.parametrize("xs, ok", [
+    ([-5e-13, 0.5], True), ([-2e-12, 0.5], False),
+    ([0.5, 0.5 + 5e-13], True), ([0.5, 0.5 + 2e-12], False),
+])
+def test_hq_multi_shares_the_mass_rule_at_the_edge(xs, ok):
+    # hq_multi(q, xs) and a TypeDist over the same q masses accept alike
+    masses = xs + [1.0 - sum(xs)]
+    for build in (lambda: hq_multi(3, xs), lambda: TypeDist(3, 1, masses)):
+        if ok:
+            build()
+        else:
+            with pytest.raises(DomainError):
+                build()
+
+
 # ---------------------------------------------------------------------------
 # the one entropy routine
 # ---------------------------------------------------------------------------

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thresholds.errors import DomainError, ShapeMismatchError, UnsupportedError
+from thresholds.errors import (
+    DigitOutOfRangeError,
+    DomainError,
+    ShapeMismatchError,
+    UnsupportedError,
+)
 from thresholds.fields import make_field, vec_decode, vec_encode, vec_table
 from thresholds.infomeasures import JointTable, hql
 from thresholds.typespace import (
@@ -90,6 +95,14 @@ def test_pushforward_matches_brute_force_spot():
         A = [[int(x) for x in rng.integers(0, q, size=b)] for _ in range(2)]
         img = pushforward(tau, A)
         assert np.allclose(img.probs, brute_pushforward(tau, A, q, b), atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_pushforward_rejects_entries_outside_the_field(bad):
+    # a negative entry must not read the table row from the end (-1 as 2)
+    tau = TypeDist(q=3, b=2, probs=np.full(9, 1 / 9))
+    with pytest.raises(DigitOutOfRangeError):
+        pushforward(tau, [[bad, 1]])
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
