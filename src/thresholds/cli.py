@@ -1,7 +1,8 @@
 """Command-line surface: bounds, verifications, simulations, constructions.
 
 Every command writes a run manifest (JSON with the command, parameters, seed,
-tool version, and sha256 digests of the files it produced) so a run can be
+tool version, sha256 digests of the files it produced, the command's work
+counters, and the Python and numpy versions and CPU count) so a run can be
 replayed and checked byte for byte.  Numeric output uses 12 significant
 digits throughout.
 
@@ -15,6 +16,8 @@ import argparse
 import hashlib
 import json
 import math
+import os
+import platform
 import sys
 import time
 from decimal import Decimal
@@ -83,6 +86,9 @@ def _write_manifest(command: str, args: argparse.Namespace, outputs: list[str],
         "wall_clock_s": round(elapsed, 6),
         "partial": bool(getattr(args, "_partial", False)),
         "outputs": [{"path": p, "sha256": _sha256(p)} for p in outputs],
+        "counters": getattr(args, "_counters", {}),
+        "environment": {"python": platform.python_version(), "numpy": np.__version__,
+                        "cpu_count": os.cpu_count()},
     }
     path = args.manifest or f"{command}.manifest.json"
     with open(path, "w") as fh:
@@ -284,6 +290,8 @@ def cmd_simulate(args) -> int:
     except WorkBudgetExceededError as err:
         print(f"work budget exceeded: {err}", file=sys.stderr)
         partial = getattr(err, "partial", None)
+        if partial is not None:
+            args._counters = {"routes": partial.routes}
         if partial is not None and partial.rates.size:
             with open(out, "w") as fh:
                 fh.write(partial.to_csv())
@@ -295,6 +303,7 @@ def cmd_simulate(args) -> int:
             args._outputs = []
         args._partial = True
         return EXIT_BUDGET
+    args._counters = {"routes": curve.routes}
     with open(out, "w") as fh:
         fh.write(curve.to_csv())
     crossing = sim.half_crossing(curve.rates, curve.p_hat)

@@ -165,10 +165,18 @@ def fano_bound(p_err: float, M: int, base: float = 2.0) -> float:
     return h + p_err * math.log(M - 1) / math.log(base)
 
 
-def ball_volume(q: int, n: int, r: int) -> int:
-    """Exact number of length-n q-ary words within Hamming distance r of a point."""
+def ball_volume(q: int, n: int, r: int, ell: int = 1) -> int:
+    """Exact size of the radius-r list ball of a point of GF(q)^n.
+
+    The ball holds the tuples of ell-subsets, one per coordinate, that miss
+    the point at no more than r coordinates; for ell = 1 these are the
+    length-n q-ary words within Hamming distance r of it.
+    """
     _check_base_q(q)
     if n < 0 or r < 0:
         raise DomainError("n and r must be nonnegative")
+    if not 1 <= ell < q:
+        raise DomainError(f"need 1 <= ell < q, got ell={ell}, q={q}")
     r = min(r, n)
-    return sum(math.comb(n, i) * (q - 1) ** i for i in range(r + 1))
+    miss, hit = math.comb(q - 1, ell), math.comb(q - 1, ell - 1)
+    return sum(math.comb(n, i) * miss**i * hit ** (n - i) for i in range(r + 1))

@@ -1,12 +1,15 @@
 """Desk-scale ensemble sampling and exact property checking.
 
 Codes live in GF(q)^n with q^n small enough to enumerate, so decodability can
-be decided exhaustively: the occupancy profile counts, for every center z, the
-codewords within radius floor(rho*n).  A random linear code's words are the
-image of GF(q)^k under its generator, listed by `fields.matvec_all`, and a
-code is linear exactly when it has q^rank words.  List recovery has no
-enumerable center space (input lists live in C(q,l)^n), so it is decided per
-codeword subset by a dynamic program over coordinates instead.
+be decided exhaustively.  The occupancy profile counts, for every cell T of
+C(q,l)^n (a tuple of l-subsets, one per coordinate), the codewords that miss
+T at no more than floor(rho*n) coordinates; for l = 1 the cells are the
+centers and the property is list decoding.  A code is (rho, l, L)-recoverable
+exactly when no cell holds L codewords.  A dynamic program over the L-subsets
+of codewords decides the same property without enumerating cells; sweeps fall
+back to it only when the cells do not fit.  A random linear code's words are
+the image of GF(q)^k under its generator, listed by `fields.matvec_all`, and a
+code is linear exactly when it has q^rank words.
 
 The greedy constructor grows a binary linear code one basis vector at a time,
 accepting a vector only when the potential of the doubled code stays below the
@@ -15,6 +18,7 @@ square of the previous potential.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -36,6 +40,7 @@ from .subspaces import map_with_kernel, rref_of
 
 _SPAN_CAP = 2**24
 _CENTER_CAP = 2**22
+_STAMP_CHUNK = 2**20  # ball cells stamped per numpy block
 _SPACE_CAP = 2**24
 DEFAULT_WORK_BUDGET = 2**29
 
@@ -198,38 +203,109 @@ def _digit_weights(N: int, q: int, n: int) -> np.ndarray:
     return w
 
 
-def _binary_ball_masks(n: int, r: int) -> np.ndarray:
-    offs = []
-    for wt in range(r + 1):
-        for pos in itertools.combinations(range(n), wt):
-            acc = 0
-            for b in pos:
-                acc |= 1 << b
-            offs.append(acc)
-    return np.asarray(offs, dtype=np.int64)
+@functools.lru_cache(maxsize=8)
+def _zero_list_ball(q: int, n: int, r: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """The radius-r list ball of the zero word, and the subset shift table.
+
+    Subsets of GF(q) of size ell are numbered in `itertools.combinations`
+    order, so for ell = 1 subset {a} is number a.  Returns the ball's cells
+    as subset numbers, shape (n, V) with one row per coordinate, and the
+    table shift[a, s], the number of subset s translated by a.  The cells
+    are grown one coordinate at a time, dropping a prefix once it misses 0
+    more than r times, so no step holds more than V prefixes.
+    """
+    fs = make_field(q)
+    subsets = list(itertools.combinations(range(q), ell))
+    number = {s: i for i, s in enumerate(subsets)}
+    shift = np.asarray([[number[tuple(sorted(int(fs.add_table[a, x]) for x in s))]
+                         for s in subsets] for a in range(q)], dtype=np.int64)
+    misses_zero = np.asarray([0 not in s for s in subsets], dtype=np.int64)
+    C = len(subsets)
+    cells = np.zeros((0, 1), dtype=np.int64)
+    misses = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        width = misses.size
+        cells = np.concatenate([np.repeat(cells, C, axis=1),
+                                np.tile(np.arange(C, dtype=np.int64), width)[None, :]])
+        misses = np.repeat(misses, C) + np.tile(misses_zero, width)
+        keep = misses <= r
+        cells, misses = cells[:, keep], misses[keep]
+    cells.setflags(write=False)
+    shift.setflags(write=False)
+    return cells, shift
 
 
-def occupancy_profile(code: Code, r: int) -> np.ndarray:
-    """Codeword count of the radius-r ball around every center, length q^n.
+def _profile_route(code: Code, r: int, ell: int) -> tuple[str, int]:
+    """The cheaper exact profile route, "stamp" or "fft", and its cost."""
+    q, n = code.q, code.n
+    stamp_cost = code.size * ball_volume(q, n, r, ell)
+    if ell == 1:
+        fft_cost = 4 * q**n * n * make_field(q).m
+        if stamp_cost > fft_cost:
+            return "fft", fft_cost
+    return "stamp", stamp_cost
 
-    Two exact routes: stamping each codeword's ball into a counter array
-    (cost |C| * ball volume), or convolving the code indicator with the ball
-    indicator over the additive group Z_p^{mn} via FFTs (cost ~ q^n log q^n).
-    The cheaper route is chosen; stamping is implemented for q = 2 where ball
-    offsets are XOR masks.
+
+def _stamp_profile(code: Code, r: int, ell: int) -> np.ndarray:
+    """Stamp every codeword's list ball into a C(q, ell)^n counter.
+
+    T lies in the ball of c exactly when T - c lies in the ball of 0, so the
+    ball of c is the zero word's ball with coordinate i's subsets translated
+    by c_i: one gather per coordinate from the shift table, packed in base
+    C(q, ell).  For ell = 1 over GF(2^m) a translate is the XOR of packed
+    indices, so the ball is one XOR of the codeword with packed offsets.
+    Codewords go in blocks of at most max(_STAMP_CHUNK, cells) ball cells.
     """
     q, n = code.q, code.n
-    N = q**n
+    offsets, shift = _zero_list_ball(q, n, r, ell)
+    C = shift.shape[1]
+    N = C**n
+    V = offsets.shape[1]
+    radix = C ** np.arange(n, dtype=np.int64)
+    if ell == 1 and make_field(q).p == 2:
+        packed = radix @ offsets
+
+        def balls(words):
+            return words[:, None] ^ packed
+    else:
+        scaled = shift[None, :, :] * radix[:, None, None]
+
+        def balls(words):
+            dig = digits_of(words, q, n)
+            out = scaled[0][dig[:, :1], offsets[0]]
+            for i in range(1, n):
+                out += scaled[i][dig[:, i:i + 1], offsets[i]]
+            return out
+
+    rows = max(1, max(_STAMP_CHUNK, N) // V)
+    P = np.bincount(balls(code.words[:rows]).ravel(), minlength=N)
+    for start in range(rows, code.size, rows):
+        P += np.bincount(balls(code.words[start:start + rows]).ravel(), minlength=N)
+    return P
+
+
+def occupancy_profile(code: Code, r: int, ell: int = 1) -> np.ndarray:
+    """Codeword count of the radius-r list ball of every cell, length C(q, ell)^n.
+
+    A cell T is a tuple of ell-subsets of GF(q), one per coordinate, packed in
+    base C(q, ell) with subsets numbered as in `_zero_list_ball`; it counts
+    the codewords c with c_i outside T_i at no more than r coordinates.  For
+    ell = 1 the cells are the q^n centers and the balls Hamming balls.
+
+    Two exact routes: stamping each codeword's ball into the counter (cost
+    |C| * ball volume), for every q and ell; or, for ell = 1 only, convolving
+    the code indicator with the ball indicator over the additive group
+    Z_p^{mn} via FFTs (cost ~ q^n log q^n).  The cheaper route is chosen.
+    """
+    q, n = code.q, code.n
+    if not 1 <= ell < q:
+        raise DomainError(f"need 1 <= ell < q, got ell={ell}, q={q}")
+    N = math.comb(q, ell) ** n
     if N > _CENTER_CAP:
-        raise SizeCapError(f"center space q^n = {N} exceeds the cap")
-    V = ball_volume(q, n, r)
+        raise SizeCapError(f"cell space C(q, ell)^n = {N} exceeds the cap")
+    if _profile_route(code, r, ell)[0] == "stamp":
+        return _stamp_profile(code, r, ell)
     fs = make_field(q)
-    stamp_cost = code.size * V
-    fft_cost = 4 * N * n * fs.m
-    if q == 2 and stamp_cost <= fft_cost:
-        masks = _binary_ball_masks(n, r)
-        centers = (code.words[:, None] ^ masks[None, :]).ravel()
-        return np.bincount(centers, minlength=N)
     A = np.bincount(code.words, minlength=N).astype(np.float64)
     B = (_digit_weights(N, q, n) <= r).astype(np.float64)
     shape = (fs.p,) * (fs.m * n)
@@ -296,6 +372,10 @@ def check_lr_dp(
     any count beyond the radius can never be covered and is dropped, so at
     most (r+1)^L states survive.  Input lists have size exactly ell: any
     smaller list is dominated by a superset, so this loses no adversary power.
+
+    Sweeps decide list recovery from `occupancy_profile(code, r, ell)` and
+    come here only when its cells exceed the cap or its cost the budget.
+    Sharing nothing with the profile, this is also its independent oracle.
     """
     q, n = code.q, code.n
     if not 1 <= ell < q:
@@ -385,6 +465,7 @@ class SatisfactionCurve:
     ci_lo: np.ndarray
     ci_hi: np.ndarray
     trials: int
+    routes: dict[str, int]
 
     def to_csv(self) -> str:
         from .engine import fmt12
@@ -411,18 +492,32 @@ def trial_seed(master_seed: int, rate_index: int, trial_index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _one_trial(cfg: SweepConfig, rate: float, ri: int, ti: int) -> bool:
+def _one_trial(cfg: SweepConfig, rate: float, ri: int, ti: int) -> tuple[bool, str]:
+    """Whether one sampled code satisfies the property, and the route that decided.
+
+    Both list decoding and list recovery hold exactly when the fullest cell
+    of the occupancy profile holds fewer than L codewords.  List recovery
+    falls back to `check_lr_dp` when the profile's cells exceed the cap or
+    its cells plus route cost exceed the work budget.
+    """
     rng = np.random.default_rng(trial_seed(cfg.master_seed, ri, ti))
     if cfg.family == "rlc":
         code = sample_rlc(cfg.q, cfg.n, rate, rng)
     else:
         code = sample_rc(cfg.q, cfg.n, rate, rng)
-    if cfg.ell is None:
-        return check_ld_centers(code, cfg.rho, cfg.L).decodable
-    return check_lr_dp(code, cfg.rho, cfg.ell, cfg.L, cfg.work_budget).recoverable
+    r = radius_of(cfg.rho, cfg.n)
+    ell = cfg.ell or 1
+    route, cost = _profile_route(code, r, ell)
+    if cfg.ell is not None:
+        cells = math.comb(cfg.q, ell) ** cfg.n
+        if cells > _CENTER_CAP or cells + cost > cfg.work_budget:
+            return check_lr_dp(code, cfg.rho, ell, cfg.L, cfg.work_budget).recoverable, "dp"
+    args = (code, r) if ell == 1 else (code, r, ell)
+    return int(occupancy_profile(*args).max()) < cfg.L, route
 
 
-def _partial_curve(cfg: SweepConfig, done: list[tuple[float, int]]) -> SatisfactionCurve:
+def _partial_curve(cfg: SweepConfig, done: list[tuple[float, int]],
+                   routes: dict[str, int]) -> SatisfactionCurve:
     rates = np.asarray([d[0] for d in done])
     ks = [d[1] for d in done]
     phat = np.asarray([k / cfg.trials for k in ks])
@@ -433,24 +528,31 @@ def _partial_curve(cfg: SweepConfig, done: list[tuple[float, int]]) -> Satisfact
         his.append(hi)
     return SatisfactionCurve(family=cfg.family, rates=rates, p_hat=phat,
                              ci_lo=np.asarray(los), ci_hi=np.asarray(his),
-                             trials=cfg.trials)
+                             trials=cfg.trials, routes=dict(routes))
 
 
 def satisfaction_curve(cfg: SweepConfig) -> SatisfactionCurve:
     """Per-rate satisfaction frequency with Wilson intervals.
 
     Each trial owns an RNG stream keyed by (master seed, rate index, trial
-    index), so results do not depend on the order the trials run in.  On a
+    index), so results do not depend on the order the trials run in.  The
+    curve counts the trials each route decided: "stamp", "fft" or "dp".  On a
     blown work budget the partial curve is attached to the raised error.
     """
     done: list[tuple[float, int]] = []
+    routes = dict.fromkeys(("stamp", "fft", "dp"), 0)
     try:
         for ri, rate in enumerate(cfg.rates):
-            done.append((rate, sum(_one_trial(cfg, rate, ri, ti) for ti in range(cfg.trials))))
+            ok = 0
+            for ti in range(cfg.trials):
+                decided, route = _one_trial(cfg, rate, ri, ti)
+                ok += decided
+                routes[route] += 1
+            done.append((rate, ok))
     except WorkBudgetExceededError as err:
-        err.partial = _partial_curve(cfg, done)
+        err.partial = _partial_curve(cfg, done, routes)
         raise
-    return _partial_curve(cfg, done)
+    return _partial_curve(cfg, done, routes)
 
 
 def half_crossing(rates, p_hat) -> float | None:

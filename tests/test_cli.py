@@ -220,6 +220,16 @@ def test_simulate_deterministic_and_manifested(in_tmpdir):
     assert header == "rate,p_hat,ci_lo,ci_hi,trials"
 
 
+def test_simulate_manifest_counts_routes_and_the_environment(in_tmpdir):
+    assert main(["simulate", "--family", "rc", "--q", "3", "--n", "6", "--L", "3",
+                 "--l", "2", "--rho", "0.2", "--rates", "0.2:0.4:0.2", "--trials", "3"]) == 0
+    man = read_manifest(in_tmpdir / "simulate.manifest.json")
+    assert man["counters"] == {"routes": {"stamp": 6, "fft": 0, "dp": 0}}
+    env = man["environment"]
+    assert env["numpy"] == np.__version__ and env["python"].count(".") == 2
+    assert env["cpu_count"] is None or env["cpu_count"] >= 1
+
+
 def test_simulate_budget_exit(in_tmpdir, capsys):
     rc = main(["simulate", "--family", "rlc", "--q", "2", "--n", "10",
                "--L", "3", "--l", "1", "--rho", "0.3",

@@ -261,6 +261,17 @@ def test_ball_volume_radius_clamped():
     assert ball_volume(2, 5, 12) == 32
 
 
+def test_list_ball_volume_counts_subset_tuples():
+    # pairs from GF(3) that hold 0: {0,1} and {0,2}; the one that misses it: {1,2}
+    assert ball_volume(3, 2, 0, ell=2) == 4
+    assert ball_volume(3, 2, 1, ell=2) == 4 + 2 * 2
+    assert ball_volume(5, 3, 3, ell=2) == math.comb(5, 2) ** 3
+    assert ball_volume(4, 5, 2, ell=1) == ball_volume(4, 5, 2)
+    for ell in (0, 3):
+        with pytest.raises(DomainError):
+            ball_volume(3, 2, 1, ell=ell)
+
+
 def test_ball_volume_exact_big():
     # exact integers well past float precision
     v = ball_volume(4, 60, 30)

@@ -4,12 +4,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from thresholds.errors import DomainError, NoCandidateError, RoundOffError, WorkBudgetExceededError
+from thresholds.errors import (
+    DomainError,
+    NoCandidateError,
+    RoundOffError,
+    SizeCapError,
+    WorkBudgetExceededError,
+)
 from thresholds.infomeasures import ball_volume, hq
 from thresholds.simulate import (
+    _CENTER_CAP,
     Code,
     SweepConfig,
+    _stamp_profile,
     check_ld_centers,
     check_lr_dp,
     digits_of,
@@ -30,14 +40,16 @@ def make_code(q, n, indices):
     return Code(q=q, n=n, words=np.asarray(sorted(indices), dtype=np.int64))
 
 
-def brute_occupancy(code, r):
-    """Reference profile by direct distance counting."""
-    N = code.q**code.n
-    dig = code.digits()
-    out = np.zeros(N, dtype=np.int64)
-    for z in range(N):
-        dz = digits_of(np.asarray([z]), code.q, code.n)[0]
-        out[z] = int(((dig != dz).sum(axis=1) <= r).sum())
+def brute_occupancy(code, r, ell=1):
+    """Reference profile by direct counting: for every cell, decoded into its
+    ell-subsets, the codewords whose symbols miss them at <= r coordinates."""
+    q, n = code.q, code.n
+    subsets = list(itertools.combinations(range(q), ell))
+    holds = np.asarray([[a in s for a in range(q)] for s in subsets])
+    cells = digits_of(np.arange(len(subsets) ** n), len(subsets), n)
+    out = np.zeros(cells.shape[0], dtype=np.int64)
+    for word in code.digits():
+        out += (~holds[cells, word]).sum(axis=1) <= r
     return out
 
 
@@ -239,10 +251,14 @@ def test_profile_mass_identity():
 
 
 def test_fft_round_off_is_reported(monkeypatch):
+    # a q = 3 code dense enough that stamping its radius-2 balls costs more
+    # than the transform, so the FFT route runs
+    code = make_code(3, 3, range(20))
+    assert code.size * ball_volume(3, 3, 2) > 4 * 3**3 * 3
     ifftn = np.fft.ifftn
     monkeypatch.setattr(np.fft, "ifftn", lambda a: ifftn(a) + 0.25)
     with pytest.raises(RoundOffError) as exc:
-        occupancy_profile(make_code(3, 3, [0, 5, 13]), 1)
+        occupancy_profile(code, 2)
     assert isinstance(exc.value, ArithmeticError)
 
 
@@ -295,6 +311,51 @@ def test_single_codeword_is_always_coverable():
     assert check_ld_centers(code, 0.4, 2).decodable
     # with list size 1 even a lone codeword overflows its own ball
     assert not check_ld_centers(code, 0.0, 1).decodable
+
+
+def random_code(data, q, n, max_size):
+    size = data.draw(st.integers(0, min(q**n, max_size)))
+    words = data.draw(st.lists(st.integers(0, q**n - 1), min_size=size, max_size=size,
+                               unique=True))
+    return make_code(q, n, words)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_list_profile_decides_like_the_dp(data):
+    q = data.draw(st.sampled_from([2, 3, 4, 5]))
+    ell = data.draw(st.integers(1, q - 1))
+    n = data.draw(st.integers(1, 6))
+    code = random_code(data, q, n, 7)
+    rho = data.draw(st.sampled_from([0.0, 0.15, 0.2, 0.34, 0.5, 0.75, 1.0]))
+    L = data.draw(st.integers(1, 4))
+    rep = check_lr_dp(code, rho, ell, L)
+    P = occupancy_profile(code, rep.radius, ell)
+    assert (int(P.max()) < L) == rep.recoverable
+    volume = sum(math.comb(n, j) * math.comb(q - 1, ell) ** j * math.comb(q - 1, ell - 1) ** (n - j)
+                 for j in range(rep.radius + 1))
+    assert P.sum() == code.size * volume
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_stamp_route_matches_brute_force(data):
+    q = data.draw(st.sampled_from([3, 4, 5]))
+    ell = data.draw(st.integers(1, q - 1))
+    n = data.draw(st.integers(1, 6 if math.comb(q, ell) <= 4 else 4))
+    code = random_code(data, q, n, 40)
+    r = data.draw(st.integers(0, n))
+    assert np.array_equal(_stamp_profile(code, r, ell), brute_occupancy(code, r, ell))
+
+
+def test_stamp_blocks_add_up(monkeypatch):
+    # a chunk of 1 leaves blocks of max(1, 81 cells) // 72 ball cells, one
+    # codeword each; the default chunk stamps all five in one block
+    code = make_code(3, 4, [0, 7, 40, 41, 80])
+    whole = _stamp_profile(code, 2, 2)
+    monkeypatch.setattr("thresholds.simulate._STAMP_CHUNK", 1)
+    assert np.array_equal(_stamp_profile(code, 2, 2), whole)
+    assert np.array_equal(whole, brute_occupancy(code, 2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +453,58 @@ def test_curve_attaches_partial_results_on_blown_budget():
     with pytest.raises(WorkBudgetExceededError) as exc:
         satisfaction_curve(cfg)
     assert exc.value.partial.rates.size == 0
+
+
+def test_curve_counts_the_route_of_every_trial():
+    # q = 3 list decoding stamps; a dense q = 2 list-recovery sweep takes the
+    # FFT at its top rate; the counts add up to the trials run
+    cfg = SweepConfig(q=3, n=5, family="rc", rho=0.2, L=2, rates=[0.3, 0.7], trials=5,
+                      master_seed=1)
+    assert satisfaction_curve(cfg).routes == {"stamp": 10, "fft": 0, "dp": 0}
+    # at radius 3 a ball has 93 words: about 3 words at rate 0.2 stamp, about
+    # 147 at rate 0.9 cost more than the 4 * 2^8 * 8 of the transform
+    cfg = SweepConfig(q=2, n=8, family="rc", rho=0.4, L=2, rates=[0.2, 0.9], trials=4,
+                      master_seed=21, ell=1)
+    assert satisfaction_curve(cfg).routes == {"stamp": 4, "fft": 4, "dp": 0}
+
+
+def _dp_decisions(cfg):
+    hits = []
+    for ri, rate in enumerate(cfg.rates):
+        ok = 0
+        for ti in range(cfg.trials):
+            rng = np.random.default_rng(trial_seed(cfg.master_seed, ri, ti))
+            sample = sample_rlc if cfg.family == "rlc" else sample_rc
+            code = sample(cfg.q, cfg.n, rate, rng)
+            ok += check_lr_dp(code, cfg.rho, cfg.ell, cfg.L).recoverable
+        hits.append(ok / cfg.trials)
+    return hits
+
+
+def test_sweep_falls_back_to_the_dp_past_the_cell_cap():
+    # C(5, 2)^7 = 10^7 input-list tuples exceed the cap, so every trial goes
+    # to the DP and the curve is the DP's
+    cfg = SweepConfig(q=5, n=7, family="rc", rho=0.15, L=3, rates=[0.12, 0.2], trials=6,
+                      master_seed=4, ell=2)
+    assert math.comb(5, 2) ** 7 > _CENTER_CAP
+    curve = satisfaction_curve(cfg)
+    assert curve.routes == {"stamp": 0, "fft": 0, "dp": 12}
+    assert curve.p_hat.tolist() == _dp_decisions(cfg)
+    code = sample_rc(5, 7, 0.12, np.random.default_rng(trial_seed(4, 0, 0)))
+    with pytest.raises(SizeCapError):
+        occupancy_profile(code, 1, 2)
+
+
+def test_sweep_falls_back_to_the_dp_past_the_profile_budget():
+    # 3^12 = 531,441 cells exceed the budget; the DP's C(|C|, 2) * 900 units
+    # of work fit it for the few words a rate-0.1 code holds
+    cfg = SweepConfig(q=3, n=12, family="rc", rho=0.25, L=2, rates=[0.1], trials=8,
+                      master_seed=5, ell=1, work_budget=500_000)
+    curve = satisfaction_curve(cfg)
+    assert curve.routes == {"stamp": 0, "fft": 0, "dp": 8}
+    free = satisfaction_curve(SweepConfig(**{**vars(cfg), "work_budget": 2**29}))
+    assert free.routes == {"stamp": 8, "fft": 0, "dp": 0}
+    assert curve.p_hat.tolist() == free.p_hat.tolist() == _dp_decisions(cfg)
 
 
 def test_half_crossing_interpolates():
