@@ -410,8 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     simp.add_argument("--q", type=int, default=2)
     simp.add_argument("--n", type=int, required=True)
     simp.add_argument("--L", type=int, required=True)
-    simp.add_argument("--l", type=int, default=None,
-                      help="input list size; switches the property to list recovery")
+    simp.add_argument("--l", type=int, default=1,
+                      help="input list size; 1 (the default) is list decoding")
     simp.add_argument("--rho", type=float, required=True)
     simp.add_argument("--rates", required=True, help="min:max:step")
     simp.add_argument("--trials", type=int, default=100)

@@ -158,11 +158,6 @@ def threshold_rc_qary_l3(q: int, rho: float) -> float:
     return ld3_qary_row(q, rho)["rc"]
 
 
-def boundary_dominance_qary(q: int, rho: float) -> float:
-    """Margin maxF/2 - h_q(3 rho/2) of the direct case comparison (>= 0 expected)."""
-    return ld3_qary_row(q, rho)["dominance"]
-
-
 # ---------------------------------------------------------------------------
 # reports and generic thresholds
 

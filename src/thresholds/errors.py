@@ -21,10 +21,6 @@ class SizeCapError(UnsupportedError):
     """An enumeration would exceed the hard size cap."""
 
 
-class RoundOffError(UnsupportedError, ArithmeticError):
-    """A floating-point route lost the precision its exact answer needs."""
-
-
 class LengthMismatchError(ValueError):
     """A vector has the wrong number of coordinates."""
 

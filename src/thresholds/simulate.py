@@ -5,11 +5,12 @@ be decided exhaustively.  The occupancy profile counts, for every cell T of
 C(q,l)^n (a tuple of l-subsets, one per coordinate), the codewords that miss
 T at no more than floor(rho*n) coordinates; for l = 1 the cells are the
 centers and the property is list decoding.  A code is (rho, l, L)-recoverable
-exactly when no cell holds L codewords.  A dynamic program over the L-subsets
-of codewords decides the same property without enumerating cells; sweeps fall
-back to it only when the cells do not fit.  A random linear code's words are
-the image of GF(q)^k under its generator, listed by `fields.matvec_all`, and a
-code is linear exactly when it has q^rank words.
+exactly when no cell holds L codewords.  Sweeps decide most trials by the
+profile; when the balls cover the cells more than L - 1 times the pigeonhole
+bound decides without it, and when the cells do not fit a dynamic program
+over the L-subsets of codewords decides without enumerating them.  A random
+linear code's words are the image of GF(q)^k under its generator, listed by
+`fields.matvec_all`, and a code is linear exactly when it has q^rank words.
 
 The greedy constructor grows a binary linear code one basis vector at a time,
 accepting a vector only when the potential of the doubled code stays below the
@@ -27,13 +28,7 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from .errors import (
-    DomainError,
-    NoCandidateError,
-    RoundOffError,
-    SizeCapError,
-    WorkBudgetExceededError,
-)
+from .errors import DomainError, NoCandidateError, SizeCapError, WorkBudgetExceededError
 from .fields import make_field, matvec_all, row_reduce
 from .infomeasures import ball_volume, hq
 from .subspaces import map_with_kernel, rref_of
@@ -194,15 +189,6 @@ def sample_rc(q: int, n: int, R: float, rng: np.random.Generator) -> Code:
 # exact checkers
 
 
-def _digit_weights(N: int, q: int, n: int) -> np.ndarray:
-    w = np.zeros(N, dtype=np.int16)
-    cur = np.arange(N, dtype=np.int64)
-    for _ in range(n):
-        w += (cur % q != 0)
-        cur //= q
-    return w
-
-
 @functools.lru_cache(maxsize=8)
 def _zero_list_ball(q: int, n: int, r: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
     """The radius-r list ball of the zero word, and the subset shift table.
@@ -235,31 +221,31 @@ def _zero_list_ball(q: int, n: int, r: int, ell: int) -> tuple[np.ndarray, np.nd
     return cells, shift
 
 
-def _profile_route(code: Code, r: int, ell: int) -> tuple[str, int]:
-    """The cheaper exact profile route, "stamp" or "fft", and its cost."""
-    q, n = code.q, code.n
-    stamp_cost = code.size * ball_volume(q, n, r, ell)
-    if ell == 1:
-        fft_cost = 4 * q**n * n * make_field(q).m
-        if stamp_cost > fft_cost:
-            return "fft", fft_cost
-    return "stamp", stamp_cost
+def occupancy_profile(code: Code, r: int, ell: int = 1) -> np.ndarray:
+    """Codeword count of the radius-r list ball of every cell, length C(q, ell)^n.
 
+    A cell T is a tuple of ell-subsets of GF(q), one per coordinate, packed in
+    base C(q, ell) with subsets numbered as in `_zero_list_ball`; it counts
+    the codewords c with c_i outside T_i at no more than r coordinates.  For
+    ell = 1 the cells are the q^n centers and the balls Hamming balls.
 
-def _stamp_profile(code: Code, r: int, ell: int) -> np.ndarray:
-    """Stamp every codeword's list ball into a C(q, ell)^n counter.
-
-    T lies in the ball of c exactly when T - c lies in the ball of 0, so the
-    ball of c is the zero word's ball with coordinate i's subsets translated
-    by c_i: one gather per coordinate from the shift table, packed in base
-    C(q, ell).  For ell = 1 over GF(2^m) a translate is the XOR of packed
-    indices, so the ball is one XOR of the codeword with packed offsets.
-    Codewords go in blocks of at most max(_STAMP_CHUNK, cells) ball cells.
+    Every codeword's list ball is stamped into the counter, at a cost of
+    |C| * ball volume.  T lies in the ball of c exactly when T - c lies in the
+    ball of 0, so the ball of c is the zero word's ball with coordinate i's
+    subsets translated by c_i: one gather per coordinate from the shift
+    table, packed in base C(q, ell).  For ell = 1 over GF(2^m) a translate is
+    the XOR of packed indices, so the ball is one XOR of the codeword with
+    packed offsets.  Codewords go in blocks of at most max(_STAMP_CHUNK,
+    cells) ball cells.
     """
     q, n = code.q, code.n
-    offsets, shift = _zero_list_ball(q, n, r, ell)
-    C = shift.shape[1]
+    if not 1 <= ell < q:
+        raise DomainError(f"need 1 <= ell < q, got ell={ell}, q={q}")
+    C = math.comb(q, ell)
     N = C**n
+    if N > _CENTER_CAP:
+        raise SizeCapError(f"cell space C(q, ell)^n = {N} exceeds the cap")
+    offsets, shift = _zero_list_ball(q, n, r, ell)
     V = offsets.shape[1]
     radix = C ** np.arange(n, dtype=np.int64)
     if ell == 1 and make_field(q).p == 2:
@@ -282,38 +268,6 @@ def _stamp_profile(code: Code, r: int, ell: int) -> np.ndarray:
     for start in range(rows, code.size, rows):
         P += np.bincount(balls(code.words[start:start + rows]).ravel(), minlength=N)
     return P
-
-
-def occupancy_profile(code: Code, r: int, ell: int = 1) -> np.ndarray:
-    """Codeword count of the radius-r list ball of every cell, length C(q, ell)^n.
-
-    A cell T is a tuple of ell-subsets of GF(q), one per coordinate, packed in
-    base C(q, ell) with subsets numbered as in `_zero_list_ball`; it counts
-    the codewords c with c_i outside T_i at no more than r coordinates.  For
-    ell = 1 the cells are the q^n centers and the balls Hamming balls.
-
-    Two exact routes: stamping each codeword's ball into the counter (cost
-    |C| * ball volume), for every q and ell; or, for ell = 1 only, convolving
-    the code indicator with the ball indicator over the additive group
-    Z_p^{mn} via FFTs (cost ~ q^n log q^n).  The cheaper route is chosen.
-    """
-    q, n = code.q, code.n
-    if not 1 <= ell < q:
-        raise DomainError(f"need 1 <= ell < q, got ell={ell}, q={q}")
-    N = math.comb(q, ell) ** n
-    if N > _CENTER_CAP:
-        raise SizeCapError(f"cell space C(q, ell)^n = {N} exceeds the cap")
-    if _profile_route(code, r, ell)[0] == "stamp":
-        return _stamp_profile(code, r, ell)
-    fs = make_field(q)
-    A = np.bincount(code.words, minlength=N).astype(np.float64)
-    B = (_digit_weights(N, q, n) <= r).astype(np.float64)
-    shape = (fs.p,) * (fs.m * n)
-    conv = np.fft.ifftn(np.fft.fftn(A.reshape(shape)) * np.fft.fftn(B.reshape(shape))).real.ravel()
-    P = np.rint(conv)
-    if np.abs(conv - P).max() > 1e-3:
-        raise RoundOffError("transform round-off too large to trust integer counts")
-    return P.astype(np.int64)
 
 
 @dataclass
@@ -373,8 +327,8 @@ def check_lr_dp(
     most (r+1)^L states survive.  Input lists have size exactly ell: any
     smaller list is dominated by a superset, so this loses no adversary power.
 
-    Sweeps decide list recovery from `occupancy_profile(code, r, ell)` and
-    come here only when its cells exceed the cap or its cost the budget.
+    Sweeps decide from `occupancy_profile(code, r, ell)` and come here only
+    when its cells exceed the cap or its cells plus stamps the budget.
     Sharing nothing with the profile, this is also its independent oracle.
     """
     q, n = code.q, code.n
@@ -436,7 +390,7 @@ class SweepConfig:
     rates: list[float]
     trials: int
     master_seed: int
-    ell: int | None = None
+    ell: int = 1
     work_budget: int = DEFAULT_WORK_BUDGET
 
     def __post_init__(self):
@@ -453,7 +407,7 @@ class SweepConfig:
             raise DomainError("list size must be >= 1")
         if not 0.0 <= self.rho <= 1.0:
             raise DomainError("rho must lie in [0, 1]")
-        if self.ell is not None and not 1 <= self.ell < self.q:
+        if not 1 <= self.ell < self.q:
             raise DomainError("need 1 <= ell < q")
 
 
@@ -476,9 +430,10 @@ class SatisfactionCurve:
         return "\n".join(lines) + "\n"
 
 
-def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     if trials < 1:
         raise DomainError("need at least one trial")
+    z = WILSON_Z
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -495,10 +450,13 @@ def trial_seed(master_seed: int, rate_index: int, trial_index: int) -> int:
 def _one_trial(cfg: SweepConfig, rate: float, ri: int, ti: int) -> tuple[bool, str]:
     """Whether one sampled code satisfies the property, and the route that decided.
 
-    Both list decoding and list recovery hold exactly when the fullest cell
-    of the occupancy profile holds fewer than L codewords.  List recovery
-    falls back to `check_lr_dp` when the profile's cells exceed the cap or
-    its cells plus route cost exceed the work budget.
+    The property holds exactly when no cell of the occupancy profile holds L
+    codewords.  The codewords' list balls cover the cells |C| * ball volume
+    times, so past L - 1 times the number of cells some cell holds L of them
+    and the trial fails unprofiled ("pigeonhole").  Otherwise `check_lr_dp`
+    decides when the cells exceed the cap or cells plus stamps exceed the work
+    budget ("dp"), and the fullest cell of the profile decides the rest
+    ("stamp").
     """
     rng = np.random.default_rng(trial_seed(cfg.master_seed, ri, ti))
     if cfg.family == "rlc":
@@ -506,14 +464,13 @@ def _one_trial(cfg: SweepConfig, rate: float, ri: int, ti: int) -> tuple[bool, s
     else:
         code = sample_rc(cfg.q, cfg.n, rate, rng)
     r = radius_of(cfg.rho, cfg.n)
-    ell = cfg.ell or 1
-    route, cost = _profile_route(code, r, ell)
-    if cfg.ell is not None:
-        cells = math.comb(cfg.q, ell) ** cfg.n
-        if cells > _CENTER_CAP or cells + cost > cfg.work_budget:
-            return check_lr_dp(code, cfg.rho, ell, cfg.L, cfg.work_budget).recoverable, "dp"
-    args = (code, r) if ell == 1 else (code, r, ell)
-    return int(occupancy_profile(*args).max()) < cfg.L, route
+    stamps = code.size * ball_volume(cfg.q, cfg.n, r, cfg.ell)
+    cells = math.comb(cfg.q, cfg.ell) ** cfg.n
+    if stamps > (cfg.L - 1) * cells:
+        return False, "pigeonhole"
+    if cells > _CENTER_CAP or cells + stamps > cfg.work_budget:
+        return check_lr_dp(code, cfg.rho, cfg.ell, cfg.L, cfg.work_budget).recoverable, "dp"
+    return int(occupancy_profile(code, r, cfg.ell).max()) < cfg.L, "stamp"
 
 
 def _partial_curve(cfg: SweepConfig, done: list[tuple[float, int]],
@@ -536,11 +493,12 @@ def satisfaction_curve(cfg: SweepConfig) -> SatisfactionCurve:
 
     Each trial owns an RNG stream keyed by (master seed, rate index, trial
     index), so results do not depend on the order the trials run in.  The
-    curve counts the trials each route decided: "stamp", "fft" or "dp".  On a
-    blown work budget the partial curve is attached to the raised error.
+    curve counts the trials each route of `_one_trial` decided: "stamp",
+    "pigeonhole" or "dp".  On a blown work budget the partial curve is
+    attached to the raised error.
     """
     done: list[tuple[float, int]] = []
-    routes = dict.fromkeys(("stamp", "fft", "dp"), 0)
+    routes = dict.fromkeys(("stamp", "pigeonhole", "dp"), 0)
     try:
         for ri, rate in enumerate(cfg.rates):
             ok = 0

@@ -8,7 +8,6 @@ from thresholds import engine as eng
 from thresholds import simulate as sim
 from thresholds.cli import main
 from thresholds.engine import fmt12
-from thresholds.errors import RoundOffError
 from thresholds.infomeasures import hq, hql
 
 
@@ -146,7 +145,7 @@ def test_verify_ordering_passes(in_tmpdir, capsys):
 def test_verify_ordering_reports_the_qary_dominance_margin(in_tmpdir):
     assert main(["verify", "--check", "ordering", "--q", "5", "--report", "o.json"]) == 0
     for d in json.loads((in_tmpdir / "o.json").read_text())["details"]:
-        assert d["dominance"] == eng.boundary_dominance_qary(5, d["rho"])
+        assert d["dominance"] == eng.ld3_qary_row(5, d["rho"])["dominance"]
         assert d["ok"] and d["dominance"] > eng.STRICT_MARGIN
 
 
@@ -224,7 +223,7 @@ def test_simulate_manifest_counts_routes_and_the_environment(in_tmpdir):
     assert main(["simulate", "--family", "rc", "--q", "3", "--n", "6", "--L", "3",
                  "--l", "2", "--rho", "0.2", "--rates", "0.2:0.4:0.2", "--trials", "3"]) == 0
     man = read_manifest(in_tmpdir / "simulate.manifest.json")
-    assert man["counters"] == {"routes": {"stamp": 6, "fft": 0, "dp": 0}}
+    assert man["counters"] == {"routes": {"stamp": 2, "pigeonhole": 4, "dp": 0}}
     env = man["environment"]
     assert env["numpy"] == np.__version__ and env["python"].count(".") == 2
     assert env["cpu_count"] is None or env["cpu_count"] >= 1
@@ -233,7 +232,7 @@ def test_simulate_manifest_counts_routes_and_the_environment(in_tmpdir):
 def test_simulate_budget_exit(in_tmpdir, capsys):
     rc = main(["simulate", "--family", "rlc", "--q", "2", "--n", "10",
                "--L", "3", "--l", "1", "--rho", "0.3",
-               "--rates", "0.5:0.5:0.1", "--trials", "2", "--budget", "10"])
+               "--rates", "0.2:0.2:0.1", "--trials", "2", "--budget", "10"])
     assert rc == 4
     assert "work budget exceeded" in capsys.readouterr().err
     man = read_manifest(in_tmpdir / "simulate.manifest.json")
@@ -241,15 +240,14 @@ def test_simulate_budget_exit(in_tmpdir, capsys):
     assert man["outputs"] == []
 
 
-def test_simulate_round_off_is_a_domain_error(capsys, monkeypatch):
-    def lossy(code, r):
-        raise RoundOffError("transform round-off too large to trust integer counts")
-
-    monkeypatch.setattr(sim, "occupancy_profile", lossy)
-    rc = main(["simulate", "--family", "rc", "--q", "3", "--n", "4", "--L", "2",
-               "--rho", "0.25", "--rates", "0.5:0.5:0.1", "--trials", "2"])
-    assert rc == 3
-    assert "domain error: transform round-off" in capsys.readouterr().err
+def test_simulate_list_decoding_honours_the_budget(in_tmpdir, capsys):
+    # without --l the property is list decoding, decided under the same budget
+    argv = ["simulate", "--family", "rlc", "--q", "2", "--n", "10", "--L", "3",
+            "--rho", "0.3", "--rates", "0.2:0.2:0.1", "--trials", "2"]
+    assert main(argv + ["--budget", "10"]) == 4
+    assert "work budget exceeded" in capsys.readouterr().err
+    assert read_manifest(in_tmpdir / "simulate.manifest.json")["args"]["l"] == 1
+    assert main(argv) == 0
 
 
 def test_rate_grids_do_not_drift():

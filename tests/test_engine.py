@@ -16,10 +16,10 @@ from thresholds.engine import (
     _max_qary_l3,
     bound_rlc_binary_l4,
     bound_rlc_qary_l3,
-    boundary_dominance_qary,
     dominance_curves,
     fmt12,
     kernel_slack_report,
+    ld3_qary_row,
     lr_listsize_lower_rlc,
     lr_listsize_rc,
     negativity_values,
@@ -167,7 +167,7 @@ def test_qary_l3_optimum_to_50_digits(q, grid):
             x = 1.5 * mpmath.mpf(rho)
             h = (x * mpmath.log((q - 1) / x) - (1 - x) * mpmath.log(1 - x)) / mpmath.log(q)
         assert abs(_max_qary_l3(q, rho).value - ref) <= 1e-15, (q, rho)
-        assert abs(boundary_dominance_qary(q, rho) - (ref / 2 - h)) <= 1e-14, (q, rho)
+        assert abs(ld3_qary_row(q, rho)["dominance"] - (ref / 2 - h)) <= 1e-14, (q, rho)
 
 
 def test_optimizer_domain_errors():
@@ -368,7 +368,7 @@ def test_negativity_sign_flips_inside_the_interval():
 def test_qary_boundary_dominance():
     for q in (3, 4, 5, 7, 8, 9):
         for rho in (0.02, 0.15, 0.3):
-            assert boundary_dominance_qary(q, rho) > 1e-9
+            assert ld3_qary_row(q, rho)["dominance"] > 1e-9
 
 
 # ---------------------------------------------------------------------------

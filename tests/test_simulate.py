@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import math
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from thresholds.errors import (
     DomainError,
     NoCandidateError,
-    RoundOffError,
     SizeCapError,
     WorkBudgetExceededError,
 )
@@ -19,7 +19,6 @@ from thresholds.simulate import (
     _CENTER_CAP,
     Code,
     SweepConfig,
-    _stamp_profile,
     check_ld_centers,
     check_lr_dp,
     digits_of,
@@ -235,11 +234,9 @@ def test_profile_matches_brute_force():
         code = Code(q=q, n=n, words=words)
         for r in (0, 1, 2):
             assert np.array_equal(occupancy_profile(code, r), brute_occupancy(code, r))
-    # a dense binary code: at radius >= 3 stamping its balls costs more than
-    # the transform, so the q = 2 FFT route runs
+    # a dense binary code, its balls overlapping many times over
     dense = Code(q=2, n=6, words=np.sort(rng.choice(64, size=48, replace=False)))
     for r in (3, 4):
-        assert dense.size * ball_volume(2, 6, r) > 4 * 2**6 * 6
         assert np.array_equal(occupancy_profile(dense, r), brute_occupancy(dense, r))
 
 
@@ -248,18 +245,6 @@ def test_profile_mass_identity():
     for r in (0, 1, 3):
         P = occupancy_profile(code, r)
         assert P.sum() == code.size * ball_volume(2, 8, r)
-
-
-def test_fft_round_off_is_reported(monkeypatch):
-    # a q = 3 code dense enough that stamping its radius-2 balls costs more
-    # than the transform, so the FFT route runs
-    code = make_code(3, 3, range(20))
-    assert code.size * ball_volume(3, 3, 2) > 4 * 3**3 * 3
-    ifftn = np.fft.ifftn
-    monkeypatch.setattr(np.fft, "ifftn", lambda a: ifftn(a) + 0.25)
-    with pytest.raises(RoundOffError) as exc:
-        occupancy_profile(code, 2)
-    assert isinstance(exc.value, ArithmeticError)
 
 
 def test_ball_profile_single_center():
@@ -345,16 +330,16 @@ def test_stamp_route_matches_brute_force(data):
     n = data.draw(st.integers(1, 6 if math.comb(q, ell) <= 4 else 4))
     code = random_code(data, q, n, 40)
     r = data.draw(st.integers(0, n))
-    assert np.array_equal(_stamp_profile(code, r, ell), brute_occupancy(code, r, ell))
+    assert np.array_equal(occupancy_profile(code, r, ell), brute_occupancy(code, r, ell))
 
 
 def test_stamp_blocks_add_up(monkeypatch):
     # a chunk of 1 leaves blocks of max(1, 81 cells) // 72 ball cells, one
     # codeword each; the default chunk stamps all five in one block
     code = make_code(3, 4, [0, 7, 40, 41, 80])
-    whole = _stamp_profile(code, 2, 2)
+    whole = occupancy_profile(code, 2, 2)
     monkeypatch.setattr("thresholds.simulate._STAMP_CHUNK", 1)
-    assert np.array_equal(_stamp_profile(code, 2, 2), whole)
+    assert np.array_equal(occupancy_profile(code, 2, 2), whole)
     assert np.array_equal(whole, brute_occupancy(code, 2, 2))
 
 
@@ -448,7 +433,7 @@ def test_satisfaction_curve_deterministic():
 
 def test_curve_attaches_partial_results_on_blown_budget():
     cfg = SweepConfig(q=2, n=8, family="rc", rho=0.3, L=2,
-                      rates=[0.9], trials=4, master_seed=7, ell=1,
+                      rates=[0.3], trials=4, master_seed=7, ell=1,
                       work_budget=10)
     with pytest.raises(WorkBudgetExceededError) as exc:
         satisfaction_curve(cfg)
@@ -456,16 +441,40 @@ def test_curve_attaches_partial_results_on_blown_budget():
 
 
 def test_curve_counts_the_route_of_every_trial():
-    # q = 3 list decoding stamps; a dense q = 2 list-recovery sweep takes the
-    # FFT at its top rate; the counts add up to the trials run
+    # where the codewords' balls cover the cells more than L - 1 times the
+    # pigeonhole bound decides, elsewhere the profile; the counts add up to
+    # the trials run.  q = 3: a radius-1 ball has 11 of the 243 centers, so
+    # the about 5 words of rate 0.3 stamp and the about 47 of rate 0.7 do not
     cfg = SweepConfig(q=3, n=5, family="rc", rho=0.2, L=2, rates=[0.3, 0.7], trials=5,
                       master_seed=1)
-    assert satisfaction_curve(cfg).routes == {"stamp": 10, "fft": 0, "dp": 0}
-    # at radius 3 a ball has 93 words: about 3 words at rate 0.2 stamp, about
-    # 147 at rate 0.9 cost more than the 4 * 2^8 * 8 of the transform
+    assert satisfaction_curve(cfg).routes == {"stamp": 5, "pigeonhole": 5, "dp": 0}
+    # q = 2: a radius-3 ball has 93 of the 256 centers, so the bound fires
+    # from 3 words on: on two of the rate-0.2 codes and every rate-0.9 one
     cfg = SweepConfig(q=2, n=8, family="rc", rho=0.4, L=2, rates=[0.2, 0.9], trials=4,
-                      master_seed=21, ell=1)
-    assert satisfaction_curve(cfg).routes == {"stamp": 4, "fft": 4, "dp": 0}
+                      master_seed=21)
+    curve = satisfaction_curve(cfg)
+    assert curve.routes == {"stamp": 2, "pigeonhole": 6, "dp": 0}
+    assert curve.p_hat.tolist() == _dp_decisions(cfg)
+
+
+def test_pigeonhole_bound_is_strict(monkeypatch):
+    # the perfect [7,4] Hamming code at radius 1: its 16 balls of 8 words
+    # tile the 2^7 centers exactly once, so with L = 2 the bound is met with
+    # equality and must leave the decision to the profile, which finds every
+    # ball holding one word; with L = 1 every ball overflows
+    syndrome = [functools.reduce(lambda a, b: a ^ b, (i + 1 for i in range(7) if w >> i & 1), 0)
+                for w in range(2**7)]
+    hamming = make_code(2, 7, [w for w in range(2**7) if syndrome[w] == 0])
+    assert hamming.size * ball_volume(2, 7, 1) == 2**7
+    monkeypatch.setattr("thresholds.simulate.sample_rlc", lambda q, n, R, rng: hamming)
+    cfg = SweepConfig(q=2, n=7, family="rlc", rho=0.15, L=2, rates=[0.5], trials=3,
+                      master_seed=0)
+    curve = satisfaction_curve(cfg)
+    assert curve.p_hat.tolist() == [1.0]
+    assert curve.routes == {"stamp": 3, "pigeonhole": 0, "dp": 0}
+    curve = satisfaction_curve(SweepConfig(**{**vars(cfg), "L": 1}))
+    assert curve.p_hat.tolist() == [0.0]
+    assert curve.routes == {"stamp": 0, "pigeonhole": 3, "dp": 0}
 
 
 def _dp_decisions(cfg):
@@ -488,7 +497,7 @@ def test_sweep_falls_back_to_the_dp_past_the_cell_cap():
                       master_seed=4, ell=2)
     assert math.comb(5, 2) ** 7 > _CENTER_CAP
     curve = satisfaction_curve(cfg)
-    assert curve.routes == {"stamp": 0, "fft": 0, "dp": 12}
+    assert curve.routes == {"stamp": 0, "pigeonhole": 0, "dp": 12}
     assert curve.p_hat.tolist() == _dp_decisions(cfg)
     code = sample_rc(5, 7, 0.12, np.random.default_rng(trial_seed(4, 0, 0)))
     with pytest.raises(SizeCapError):
@@ -501,9 +510,9 @@ def test_sweep_falls_back_to_the_dp_past_the_profile_budget():
     cfg = SweepConfig(q=3, n=12, family="rc", rho=0.25, L=2, rates=[0.1], trials=8,
                       master_seed=5, ell=1, work_budget=500_000)
     curve = satisfaction_curve(cfg)
-    assert curve.routes == {"stamp": 0, "fft": 0, "dp": 8}
+    assert curve.routes == {"stamp": 0, "pigeonhole": 0, "dp": 8}
     free = satisfaction_curve(SweepConfig(**{**vars(cfg), "work_budget": 2**29}))
-    assert free.routes == {"stamp": 8, "fft": 0, "dp": 0}
+    assert free.routes == {"stamp": 8, "pigeonhole": 0, "dp": 0}
     assert curve.p_hat.tolist() == free.p_hat.tolist() == _dp_decisions(cfg)
 
 
