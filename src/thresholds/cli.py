@@ -338,6 +338,7 @@ def cmd_construct(args) -> int:
         print(f"construction failed: {err}", file=sys.stderr)
         args._outputs = [out_trace]
         return EXIT_CONSTRUCT
+    args._counters = {"scanned": res.scanned, "support": res.support}
     res.code.dump(out_code)
     _write_trace(res.history)
     check = sim.check_ld_centers(res.code, args.rho, res.cap + 1)

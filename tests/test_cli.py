@@ -301,6 +301,9 @@ def test_construct_writes_code_and_trace(in_tmpdir, capsys):
     assert {o["path"] for o in man["outputs"]} == {
         "construct_code.txt", "construct_trace.csv"
     }
+    # one candidate scored and taken; the two radius-1 balls are disjoint
+    assert man["counters"] == {"scanned": 1, "support": 2 * 11}
+    assert len(code_lines) == 2
 
 
 def test_construct_beyond_the_theorem_dimension(in_tmpdir, capsys):
@@ -318,6 +321,9 @@ def test_construct_beyond_the_theorem_dimension(in_tmpdir, capsys):
     assert 1 < ex_max <= bound
     assert len((in_tmpdir / "construct_code.txt").read_text().split()) == 512
     assert len((in_tmpdir / "construct_trace.csv").read_text().splitlines()) == 10
+    # every candidate scored was taken, and 512 radius-1 balls cover all 1024 centres
+    counters = read_manifest(in_tmpdir / "construct.manifest.json")["counters"]
+    assert counters == {"scanned": 9, "support": 1024}
 
 
 class OneCandidate:

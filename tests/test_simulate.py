@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,17 +100,20 @@ def test_empty_code_is_allowed():
 
 
 def test_dump_load_roundtrip(tmp_path):
-    c = make_code(3, 4, [0, 5, 17, 80])
-    p = tmp_path / "code.txt"
-    c.dump(str(p))
-    back = Code.load(str(p), q=3)
-    assert np.array_equal(back.words, c.words)
-    # wide alphabets switch to comma-separated digits
-    cw = make_code(13, 3, [0, 12, 170, 2196])
-    pw = tmp_path / "wide.txt"
-    cw.dump(str(pw))
-    assert "," in pw.read_text()
-    assert np.array_equal(Code.load(str(pw), q=13).words, cw.words)
+    # one codeword per line, little-endian digits run together up to q = 10
+    # and comma-separated above
+    for q, n, indices, text in [
+        (2, 5, [0, 1, 6, 19, 31], "00000\n10000\n01100\n11001\n11111\n"),
+        (3, 4, [0, 5, 17, 80], "0000\n2100\n2210\n2222\n"),
+        (13, 3, [0, 12, 170, 2196], "0,0,0\n12,0,0\n1,0,1\n12,12,12\n"),
+    ]:
+        c = make_code(q, n, indices)
+        p = tmp_path / f"q{q}.txt"
+        c.dump(str(p))
+        assert p.read_bytes() == text.encode()
+        assert np.array_equal(Code.load(str(p), q=q).words, c.words)
+    make_code(2, 4, []).dump(str(p))
+    assert p.read_bytes() == b""
 
 
 def test_linearity_check():
@@ -573,6 +577,57 @@ def test_greedy_past_the_theorem_dimension_keeps_the_potential_bound():
     s_k = g.history[-1]["s_after"]
     assert g.potential_bound == pytest.approx(g.lprime * (1 + math.log2(s_k) / 10), rel=1e-9)
     assert int(occupancy_profile(g.code, 1).max()) == g.final_max_count
+
+
+def dense_potential(code, r, lprime):
+    """The potential 2^-n sum_z 2^((n/L') P(z)) summed over every centre z,
+    grouped by value as np.unique lists them."""
+    profile = occupancy_profile(code, r)
+    with mpmath.workdps(50):
+        alpha = mpmath.mpf(code.n) / mpmath.mpf(lprime)
+        vals, cnts = np.unique(profile, return_counts=True)
+        acc = mpmath.mpf(0)
+        for v, c in zip(vals, cnts):
+            acc += int(c) * mpmath.power(2, alpha * int(v))
+        return float(acc / mpmath.power(2, code.n)), profile
+
+
+@pytest.mark.parametrize("n, rho, L, delta, seed, k, full", [
+    (12, 0.125, 4, 0.2, 7, None, False),  # the theorem's dimension
+    (12, 0.1, 4, 0.1, 3, 6, False),
+    (11, 0.15, 5, 0.2, 2, 6, False),
+    # past it, where the balls cover every centre and no centre holds 0
+    (10, 0.1, 2, 0.3, 0, 9, True),
+    (11, 0.3, 8, 0.1, 3, 8, True),
+])
+def test_greedy_support_profile_matches_the_dense_potential(n, rho, L, delta, seed, k, full):
+    g = greedy_potential_code(n, rho, L, delta, np.random.default_rng(seed), k=k)
+    r = radius_of(rho, n)
+    span = np.zeros(1, dtype=np.int64)
+    s, profile = dense_potential(Code(q=2, n=n, words=span), r, g.lprime)
+    assert s == g.s_initial
+    for rec in g.history:
+        span = np.concatenate((span, span ^ rec["vector"]))
+        s, profile = dense_potential(Code(q=2, n=n, words=np.sort(span)), r, g.lprime)
+        assert s == rec["s_after"]
+    assert np.array_equal(np.sort(g.cells), np.flatnonzero(profile))
+    assert np.array_equal(g.counts, profile[g.cells])
+    assert g.support == np.count_nonzero(profile)
+    assert g.final_max_count == profile.max()
+    assert g.scanned >= g.k
+    assert (g.support == 2**n) == full
+
+
+def test_greedy_golden_run():
+    # accepted vectors and potentials of one run, pinned so that the candidate
+    # order drawn from the seed and the acceptance rule stay as they are
+    g = greedy_potential_code(12, 0.2, 6, 0.2, np.random.default_rng(4), k=7)
+    assert [rec["vector"] for rec in g.history] == [1294, 1009, 2342, 1343, 860, 475, 4030]
+    assert [rec["s_after"] for rec in g.history] == [
+        1.1037320805572433, 1.2074641611144863, 1.457300734876751, 2.084091120344615,
+        3.337671891280343, 8.28180841135111, 50.31238414146225,
+    ]
+    assert g.scanned == 11 and g.final_max_count == 4
 
 
 class OneCandidate:
