@@ -16,6 +16,7 @@ restricted to types that are uniform on each coincidence class.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
@@ -45,6 +46,7 @@ class OptResult:
     x: tuple[float, ...]
     value: float
     method: str
+    exact: mpmath.mpf  # the value at 30 digits, before its one rounding
 
 
 def opt_polytope_2d(coeffs, gaps, budget: float, q: int) -> OptResult:
@@ -58,7 +60,9 @@ def opt_polytope_2d(coeffs, gaps, budget: float, q: int) -> OptResult:
     equation g.x(lam) = budget, which decreases in lam, bisected down to
     adjacent floats and taken on the feasible side.  The value is the dual
     log_q Z(lam) + lam * budget, equal to the objective at the Gibbs point,
-    evaluated in 30 digits and rounded once.  The name is kept because
+    evaluated in 30 digits and rounded once; `exact` keeps it unrounded, and
+    a coefficient given as a 30-digit mpmath number enters it unrounded
+    (the bisection reads its float).  The name is kept because
     `perfbench/tracing.py` wraps it and counts `.method`.
     """
     if budget <= 0.0:
@@ -66,8 +70,10 @@ def opt_polytope_2d(coeffs, gaps, budget: float, q: int) -> OptResult:
     if len(coeffs) != len(gaps) or any(g < 0 for g in gaps):
         raise DomainError(f"need one nonnegative gap per class, got {gaps}")
 
+    floats = [float(c) for c in coeffs]
+
     def gibbs(lam: float) -> tuple[tuple[float, ...], float]:
-        w = [q ** (c - lam * g) for c, g in zip(coeffs, gaps)]
+        w = [q ** (c - lam * g) for c, g in zip(floats, gaps)]
         z = sum(w, 1.0)
         return tuple(v / z for v in w), z
 
@@ -90,22 +96,27 @@ def opt_polytope_2d(coeffs, gaps, budget: float, q: int) -> OptResult:
     with mpmath.workdps(30):
         lam_mp = mpmath.mpf(lam)
         z = 1 + mpmath.fsum(mpmath.power(q, c - lam_mp * g) for c, g in zip(coeffs, gaps))
-        value = float(mpmath.log(z, q) + lam_mp * budget)
-    return OptResult(x=gibbs(lam)[0], value=value, method=method)
+        exact = mpmath.log(z, q) + lam_mp * budget
+    return OptResult(x=gibbs(lam)[0], value=float(exact), method=method, exact=exact)
 
 
 # ---------------------------------------------------------------------------
 # closed-form families
 
 
+@functools.lru_cache(maxsize=None)
+def _log30(x: int, q: int) -> mpmath.mpf:
+    """log_q x at 30 digits, a coefficient `opt_polytope_2d` uses unrounded."""
+    with mpmath.workdps(30):
+        return mpmath.log(x, q)
+
+
 def _max_binary_l4(rho: float) -> OptResult:
-    return opt_polytope_2d((2.0, math.log2(3.0)), (1, 2), 4.0 * rho, 2)
+    return opt_polytope_2d((2, _log30(3, 2)), (1, 2), 4.0 * rho, 2)
 
 
 def _max_qary_l3(q: int, rho: float) -> OptResult:
-    lq = math.log(q)
-    c1 = math.log(3.0 * (q - 1)) / lq
-    c2 = math.log((q - 1.0) * (q - 2.0)) / lq
+    c1, c2 = _log30(3 * (q - 1), q), _log30((q - 1) * (q - 2), q)
     return opt_polytope_2d((c1, c2), (1, 2), 3.0 * rho, q)
 
 
@@ -113,29 +124,35 @@ def ld4_binary_row(rho: float) -> dict[str, float]:
     """The binary list-of-4 bounds at rho from one optimization.
 
     "rlc" is the lower bound on the linear ensemble's threshold rate and "rc"
-    the threshold rate of the plain random ensemble.
+    the threshold rate of the plain random ensemble.  Each is formed from the
+    optimum at 30 digits and rounded once: near rho = 5/16 the optimum is
+    about 3 and the columns about 1e-6, so forming them in floats from the
+    rounded optimum would lose their last printed digits.
     """
     if not 0.0 < rho < 5.0 / 16.0:
         raise DomainError(f"rho must lie in (0, 5/16) for the binary list-of-4 family, got {rho}")
-    v = _max_binary_l4(rho).value
-    return {"rlc": 1.0 - v / 3.0, "rc": 1.0 - (1.0 + v) / 4.0}
+    v = _max_binary_l4(rho).exact
+    with mpmath.workdps(30):
+        return {"rlc": float(1 - v / 3), "rc": float(1 - (1 + v) / 4)}
 
 
 def ld3_qary_row(q: int, rho: float) -> dict[str, float]:
     """The q-ary list-of-3 bounds at rho from one optimization.
 
-    "rlc" and "rc" as in `ld4_binary_row`; "dominance" is the margin
-    maxF/2 - h_q(3 rho/2) of the direct case comparison, and the linear bound
-    is valid only where it is positive.
+    "rlc" and "rc" as in `ld4_binary_row`, each rounded once from 30 digits;
+    "dominance" is the margin maxF/2 - h_q(3 rho/2) of the direct case
+    comparison, and the linear bound is valid only where it is positive.
     """
     if q < 3:
         raise DomainError(f"this family needs q >= 3, got q={q}")
     make_field(q)
     if not 0.0 < rho < 1.0 / 3.0:
         raise DomainError(f"rho must lie in (0, 1/3) for the 3-list family, got {rho}")
-    v = _max_qary_l3(q, rho).value
-    return {"rlc": 1.0 - v / 2.0, "rc": 1.0 - (1.0 + v) / 3.0,
-            "dominance": v / 2.0 - hql(q, 1, 1.5 * rho)}
+    v = _max_qary_l3(q, rho).exact
+    h = hql(q, 1, 1.5 * rho)
+    with mpmath.workdps(30):
+        return {"rlc": float(1 - v / 2), "rc": float(1 - (1 + v) / 3),
+                "dominance": float(v / 2 - h)}
 
 
 def bound_rlc_binary_l4(rho: float) -> float:

@@ -5,12 +5,16 @@ be decided exhaustively.  The occupancy profile counts, for every cell T of
 C(q,l)^n (a tuple of l-subsets, one per coordinate), the codewords that miss
 T at no more than floor(rho*n) coordinates; for l = 1 the cells are the
 centers and the property is list decoding.  A code is (rho, l, L)-recoverable
-exactly when no cell holds L codewords.  Sweeps decide most trials by the
-profile; when the balls cover the cells more than L - 1 times the pigeonhole
-bound decides without it, and when the cells do not fit a dynamic program
-over the L-subsets of codewords decides without enumerating them.  A random
-linear code's words are the image of GF(q)^k under its generator, listed by
-`fields.matvec_all`, and a code is linear exactly when it has q^rank words.
+exactly when no cell holds L codewords.  A random linear code C = ker H is
+list-decoded from H alone: its fullest ball holds as many codewords as the
+largest fiber of y -> Hy on the Hamming ball B(0, r), so a sweep trial costs
+the V = |B(0, r)| syndromes, whatever q^k and q^n are.  Sweeps decide the
+other trials by the profile; when the balls cover the cells more than L - 1
+times the pigeonhole bound decides without it, and when the cells do not fit
+a dynamic program over the L-subsets of codewords decides without
+enumerating them.  A random linear code's words are the image of GF(q)^k
+under its generator, listed by `fields.matvec_all`, and a code is linear
+exactly when it has q^rank words.
 
 The greedy constructor grows a binary linear code one basis vector at a time,
 accepting a vector only when the potential of the doubled code stays below the
@@ -40,6 +44,7 @@ _SPAN_CAP = 2**24
 _CENTER_CAP = 2**22
 _STAMP_CHUNK = 2**20  # ball cells stamped per numpy block
 _SPACE_CAP = 2**24
+_PACK_CAP = 2**63 - 1  # largest q^m whose syndromes pack into int64
 DEFAULT_WORK_BUDGET = 2**29
 
 WILSON_Z = 1.96
@@ -154,18 +159,28 @@ class Code:
 # sampling
 
 
+def parity_rows(n: int, R: float) -> int:
+    """Rows m = n - ceil(R n) of a rate-R random linear code's parity check."""
+    if not 0.0 < R < 1.0:
+        raise DomainError(f"rate must lie in (0, 1), got {R}")
+    return n - math.ceil(R * n)
+
+
+def draw_parity_check(q: int, n: int, R: float, rng: np.random.Generator) -> np.ndarray:
+    """A uniform m x n matrix over GF(q), m = `parity_rows(n, R)`: the first
+    and only draw of a random linear code."""
+    m = parity_rows(n, R)
+    if m > 0:
+        return rng.integers(0, q, size=(m, n)).astype(np.int16)
+    return np.zeros((0, n), dtype=np.int16)
+
+
 def sample_rlc(q: int, n: int, R: float, rng: np.random.Generator) -> Code:
     """Kernel of a uniform parity-check matrix with n - ceil(R n) rows.
 
     The dimension is at least ceil(R n); rank-deficient draws only enlarge it.
     """
-    if not 0.0 < R < 1.0:
-        raise DomainError(f"rate must lie in (0, 1), got {R}")
-    m = n - math.ceil(R * n)
-    if m > 0:
-        H = rng.integers(0, q, size=(m, n)).astype(np.int16)
-    else:
-        H = np.zeros((0, n), dtype=np.int16)
+    H = draw_parity_check(q, n, R, rng)
     basis = map_with_kernel(rref_of(H, q))
     k = basis.shape[0]
     if q**k > _SPAN_CAP:
@@ -273,6 +288,55 @@ def occupancy_profile(code: Code, r: int, ell: int = 1) -> np.ndarray:
     for start in range(rows, code.size, rows):
         P += np.bincount(balls(code.words[start:start + rows]).ravel(), minlength=N)
     return P
+
+
+@functools.lru_cache(maxsize=8)
+def _ball_slots(q: int, n: int, r: int) -> np.ndarray:
+    """The zero word's radius-r Hamming ball by its nonzero coordinates.
+
+    A word of B(0, r) has at most r nonzero coordinates, so it is held in
+    min(r, n) slots: slot j holds i * q + a for its j-th nonzero coordinate
+    i, of symbol a, and 0 (coordinate 0, symbol 0) past its last one.
+    Shape (min(r, n), V), cells in the order of `_zero_list_ball`.
+    """
+    ball, _ = _zero_list_ball(q, n, r, 1)
+    cell, coord = np.nonzero(ball.T)  # by cell, then coordinate
+    weight = np.bincount(cell, minlength=ball.shape[1])
+    slot = np.arange(cell.size) - np.repeat(np.cumsum(weight) - weight, weight)
+    slots = np.zeros((min(r, n), ball.shape[1]), dtype=np.int64)
+    slots[slot, cell] = coord * q + ball[coord, cell]
+    slots.setflags(write=False)
+    return slots
+
+
+def largest_fiber(H: np.ndarray, q: int, r: int) -> int:
+    """Most codewords of C = ker H in one radius-r ball, from H alone.
+
+    The codewords within r of a centre z are the z - y with y in B(0, r) and
+    Hy = Hz, so the fullest ball holds as many codewords as the largest fiber
+    of y -> Hy on B(0, r).  Neither the q^k codewords nor the q^n centres are
+    listed: each of the V = |B(0, r)| syndromes is the sum of y_i H[:, i]
+    over the at most r coordinates where y is nonzero, looked up in the field
+    tables, and packed in base q, so q^m must fit in int64.  In characteristic 2 field
+    addition is the XOR of element numbers, so the packed terms add by XOR,
+    one word per ball cell instead of m digits.
+    """
+    m, n = H.shape
+    slots = _ball_slots(q, n, r)
+    if m == 0:
+        return slots.shape[1]
+    fs = make_field(q)
+    # row i * q + a holds a H[:, i]
+    terms = fs.mul_table[:, np.asarray(H, dtype=np.int64).T].transpose(1, 0, 2).reshape(n * q, m)
+    radix = q ** np.arange(m, dtype=np.int64)
+    if fs.p == 2:
+        syndromes = np.bitwise_xor.reduce((terms @ radix)[slots], axis=0)
+    else:
+        digits = np.zeros((slots.shape[1], m), dtype=terms.dtype)
+        for row in slots:
+            digits = fs.add_table[digits, terms[row]]
+        syndromes = digits @ radix
+    return int(np.unique(syndromes, return_counts=True)[1].max())
 
 
 @dataclass
@@ -456,19 +520,29 @@ def _one_trial(cfg: SweepConfig, rate: float, ri: int, ti: int) -> tuple[bool, s
     """Whether one sampled code satisfies the property, and the route that decided.
 
     The property holds exactly when no cell of the occupancy profile holds L
-    codewords.  The codewords' list balls cover the cells |C| * ball volume
-    times, so past L - 1 times the number of cells some cell holds L of them
-    and the trial fails unprofiled ("pigeonhole").  Otherwise `check_lr_dp`
-    decides when the cells exceed the cap or cells plus stamps exceed the work
+    codewords.  A random linear code's list decoding (ell = 1) is decided
+    from its parity-check matrix H alone when the zero word's ball, n * V
+    digits for V = |B(0, r)|, fits the work budget and q^m fits in int64:
+    the fullest ball holds `largest_fiber(H, q, r)` codewords, so the trial
+    draws H and builds no code ("fiber").  Otherwise the code is sampled.
+    Its codewords' list balls cover the cells |C| * ball volume times, so
+    past L - 1 times the number of cells some cell holds L of them and the
+    trial fails unprofiled ("pigeonhole").  Otherwise `check_lr_dp` decides
+    when the cells exceed the cap or cells plus stamps exceed the work
     budget ("dp"), and the fullest cell of the profile decides the rest
-    ("stamp").
+    ("stamp").  Every route is exact, so the route never changes a decision.
     """
     rng = np.random.default_rng(trial_seed(cfg.master_seed, ri, ti))
+    r = radius_of(cfg.rho, cfg.n)
+    if (cfg.family == "rlc" and cfg.ell == 1
+            and cfg.n * ball_volume(cfg.q, cfg.n, r) <= cfg.work_budget
+            and cfg.q ** parity_rows(cfg.n, rate) <= _PACK_CAP):
+        H = draw_parity_check(cfg.q, cfg.n, rate, rng)
+        return largest_fiber(H, cfg.q, r) < cfg.L, "fiber"
     if cfg.family == "rlc":
         code = sample_rlc(cfg.q, cfg.n, rate, rng)
     else:
         code = sample_rc(cfg.q, cfg.n, rate, rng)
-    r = radius_of(cfg.rho, cfg.n)
     stamps = code.size * ball_volume(cfg.q, cfg.n, r, cfg.ell)
     cells = math.comb(cfg.q, cfg.ell) ** cfg.n
     if stamps > (cfg.L - 1) * cells:
@@ -499,11 +573,13 @@ def satisfaction_curve(cfg: SweepConfig) -> SatisfactionCurve:
     Each trial owns an RNG stream keyed by (master seed, rate index, trial
     index), so results do not depend on the order the trials run in.  The
     curve counts the trials each route of `_one_trial` decided: "stamp",
-    "pigeonhole" or "dp".  On a blown work budget the partial curve is
-    attached to the raised error.
+    "pigeonhole", "dp" or "fiber"; a random linear code's list-decoding
+    trials take "fiber" whenever the n * |B(0, r)| digits of the zero word's
+    ball fit the work budget and q^m fits in int64.  On a blown work budget
+    the partial curve is attached to the raised error.
     """
     done: list[tuple[float, int]] = []
-    routes = dict.fromkeys(("stamp", "pigeonhole", "dp"), 0)
+    routes = dict.fromkeys(("stamp", "pigeonhole", "dp", "fiber"), 0)
     try:
         for ri, rate in enumerate(cfg.rates):
             ok = 0

@@ -223,7 +223,7 @@ def test_simulate_manifest_counts_routes_and_the_environment(in_tmpdir):
     assert main(["simulate", "--family", "rc", "--q", "3", "--n", "6", "--L", "3",
                  "--l", "2", "--rho", "0.2", "--rates", "0.2:0.4:0.2", "--trials", "3"]) == 0
     man = read_manifest(in_tmpdir / "simulate.manifest.json")
-    assert man["counters"] == {"routes": {"stamp": 2, "pigeonhole": 4, "dp": 0}}
+    assert man["counters"] == {"routes": {"stamp": 2, "pigeonhole": 4, "dp": 0, "fiber": 0}}
     env = man["environment"]
     assert env["numpy"] == np.__version__ and env["python"].count(".") == 2
     assert env["cpu_count"] is None or env["cpu_count"] >= 1
@@ -248,6 +248,16 @@ def test_simulate_list_decoding_honours_the_budget(in_tmpdir, capsys):
     assert "work budget exceeded" in capsys.readouterr().err
     assert read_manifest(in_tmpdir / "simulate.manifest.json")["args"]["l"] == 1
     assert main(argv) == 0
+
+
+def test_simulate_rlc_list_decoding_past_the_enumeration_caps(in_tmpdir):
+    # at rate 0.9 the kernel has dimension 29 and the 2^32 centres exceed
+    # every cap, but a list-decoding trial reads only the 5,489 syndromes of
+    # the radius-3 ball, so no trial lists a codeword or a centre
+    assert main(["simulate", "--family", "rlc", "--q", "2", "--n", "32", "--rho", "0.1",
+                 "--L", "2", "--rates", "0.6:0.9:0.3", "--trials", "5"]) == 0
+    man = read_manifest(in_tmpdir / "simulate.manifest.json")
+    assert man["counters"] == {"routes": {"stamp": 0, "pigeonhole": 0, "dp": 0, "fiber": 10}}
 
 
 def test_rate_grids_do_not_drift():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -146,12 +147,30 @@ def _edge_max_mp(q, c1, c2, budget):
         return value(b - 2 * t, t)
 
 
+# the grid of the `bounds` bench jobs; `figure1` and ordering use subsets
+BINARY_L4_GRID = _decimal_grid(0.001, 0.312, 0.001)
+
+
+@functools.lru_cache(maxsize=None)
+def _binary_l4_ref(rho):
+    with mpmath.workdps(50):
+        return _edge_max_mp(2, 2, mpmath.log(3, 2), 4 * mpmath.mpf(rho))
+
+
 def test_binary_l4_optimum_to_50_digits():
-    # the grid of the `bounds` bench jobs; `figure1` and ordering use subsets
-    for rho in _decimal_grid(0.001, 0.312, 0.001):
+    for rho in BINARY_L4_GRID:
+        assert abs(_max_binary_l4(rho).value - _binary_l4_ref(rho)) <= 1e-15, rho
+
+
+def test_binary_l4_columns_print_their_50_digit_values():
+    # near rho = 5/16 the columns 1 - v/3 and 1 - (1 + v)/4 are about 1e-6
+    # with v about 3, so forming them in floats from a rounded v loses their
+    # last printed digits; each printed value must be the 50-digit one
+    for rho in BINARY_L4_GRID:
+        v = _binary_l4_ref(rho)
         with mpmath.workdps(50):
-            ref = _edge_max_mp(2, 2, mpmath.log(3, 2), 4 * mpmath.mpf(rho))
-        assert abs(_max_binary_l4(rho).value - ref) <= 1e-15, rho
+            want = (fmt12(float(1 - v / 3)), fmt12(float(1 - (1 + v) / 4)))
+        assert (fmt12(bound_rlc_binary_l4(rho)), fmt12(threshold_rc_binary_l4(rho))) == want, rho
 
 
 # the grids of the `bounds` (q = 3) and `verify --check ordering` bench jobs

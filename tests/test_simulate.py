@@ -6,7 +6,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thresholds.errors import (
@@ -15,6 +15,7 @@ from thresholds.errors import (
     SizeCapError,
     WorkBudgetExceededError,
 )
+from thresholds.fields import make_field
 from thresholds.infomeasures import ball_volume, hq
 from thresholds.simulate import (
     _CENTER_CAP,
@@ -23,9 +24,12 @@ from thresholds.simulate import (
     check_ld_centers,
     check_lr_dp,
     digits_of,
+    draw_parity_check,
     greedy_potential_code,
     half_crossing,
+    largest_fiber,
     occupancy_profile,
+    parity_rows,
     pack_digits,
     radius_of,
     sample_rc,
@@ -451,34 +455,139 @@ def test_curve_counts_the_route_of_every_trial():
     # the about 5 words of rate 0.3 stamp and the about 47 of rate 0.7 do not
     cfg = SweepConfig(q=3, n=5, family="rc", rho=0.2, L=2, rates=[0.3, 0.7], trials=5,
                       master_seed=1)
-    assert satisfaction_curve(cfg).routes == {"stamp": 5, "pigeonhole": 5, "dp": 0}
+    assert satisfaction_curve(cfg).routes == {"stamp": 5, "pigeonhole": 5, "dp": 0, "fiber": 0}
     # q = 2: a radius-3 ball has 93 of the 256 centers, so the bound fires
     # from 3 words on: on two of the rate-0.2 codes and every rate-0.9 one
     cfg = SweepConfig(q=2, n=8, family="rc", rho=0.4, L=2, rates=[0.2, 0.9], trials=4,
                       master_seed=21)
     curve = satisfaction_curve(cfg)
-    assert curve.routes == {"stamp": 2, "pigeonhole": 6, "dp": 0}
+    assert curve.routes == {"stamp": 2, "pigeonhole": 6, "dp": 0, "fiber": 0}
     assert curve.p_hat.tolist() == _dp_decisions(cfg)
+
+
+# the [7,4] Hamming code: column i of its parity check is i + 1 in binary
+HAMMING_H = np.asarray([[(i + 1) >> b & 1 for i in range(7)] for b in range(3)], dtype=np.int16)
+
+
+def hamming_code():
+    syndrome = [functools.reduce(lambda a, b: a ^ b, (i + 1 for i in range(7) if w >> i & 1), 0)
+                for w in range(2**7)]
+    return make_code(2, 7, [w for w in range(2**7) if syndrome[w] == 0])
 
 
 def test_pigeonhole_bound_is_strict(monkeypatch):
     # the perfect [7,4] Hamming code at radius 1: its 16 balls of 8 words
     # tile the 2^7 centers exactly once, so with L = 2 the bound is met with
     # equality and must leave the decision to the profile, which finds every
-    # ball holding one word; with L = 1 every ball overflows
-    syndrome = [functools.reduce(lambda a, b: a ^ b, (i + 1 for i in range(7) if w >> i & 1), 0)
-                for w in range(2**7)]
-    hamming = make_code(2, 7, [w for w in range(2**7) if syndrome[w] == 0])
+    # ball holding one word; with L = 1 every ball overflows.  Plain-code
+    # trials (and list recovery) still go through the bound
+    hamming = hamming_code()
     assert hamming.size * ball_volume(2, 7, 1) == 2**7
-    monkeypatch.setattr("thresholds.simulate.sample_rlc", lambda q, n, R, rng: hamming)
-    cfg = SweepConfig(q=2, n=7, family="rlc", rho=0.15, L=2, rates=[0.5], trials=3,
+    monkeypatch.setattr("thresholds.simulate.sample_rc", lambda q, n, R, rng: hamming)
+    cfg = SweepConfig(q=2, n=7, family="rc", rho=0.15, L=2, rates=[0.5], trials=3,
                       master_seed=0)
     curve = satisfaction_curve(cfg)
     assert curve.p_hat.tolist() == [1.0]
-    assert curve.routes == {"stamp": 3, "pigeonhole": 0, "dp": 0}
+    assert curve.routes == {"stamp": 3, "pigeonhole": 0, "dp": 0, "fiber": 0}
     curve = satisfaction_curve(SweepConfig(**{**vars(cfg), "L": 1}))
     assert curve.p_hat.tolist() == [0.0]
-    assert curve.routes == {"stamp": 0, "pigeonhole": 3, "dp": 0}
+    assert curve.routes == {"stamp": 0, "pigeonhole": 3, "dp": 0, "fiber": 0}
+
+
+def test_hamming_fibers_are_single_words(monkeypatch):
+    # the Hamming parity check sends the 8 words of B(0, 1) to the 8 distinct
+    # syndromes, so every fiber, and every radius-1 ball, holds one codeword
+    hamming = hamming_code()
+    assert hamming.size == 16 and not (hamming.digits() @ HAMMING_H.T % 2).any()
+    assert largest_fiber(HAMMING_H, 2, 1) == 1
+    assert int(occupancy_profile(hamming, 1).max()) == 1
+    monkeypatch.setattr("thresholds.simulate.draw_parity_check", lambda q, n, R, rng: HAMMING_H)
+    # rate 0.5 at n = 7 asks for the 3 parity rows the matrix has
+    cfg = SweepConfig(q=2, n=7, family="rlc", rho=0.15, L=2, rates=[0.5], trials=3,
+                      master_seed=0)
+    assert parity_rows(7, 0.5) == 3
+    curve = satisfaction_curve(cfg)
+    assert curve.p_hat.tolist() == [1.0]
+    assert curve.routes == {"stamp": 0, "pigeonhole": 0, "dp": 0, "fiber": 3}
+    curve = satisfaction_curve(SweepConfig(**{**vars(cfg), "L": 1}))
+    assert curve.p_hat.tolist() == [0.0]
+    assert curve.routes == {"stamp": 0, "pigeonhole": 0, "dp": 0, "fiber": 3}
+
+
+# q^n <= 4096 keeps the profile oracle's |C| * V stamps small at every radius
+FIBER_NMAX = {2: 12, 3: 7, 4: 6, 5: 5}
+
+
+@settings(max_examples=150, deadline=None)
+@given(q=st.sampled_from(sorted(FIBER_NMAX)), n=st.integers(1, 12),
+       R=st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9, 0.99]), seed=st.integers(0, 2**32),
+       r=st.integers(0, 12))
+@example(q=2, n=2, R=0.4, seed=11, r=1)  # a zero parity-check row
+@example(q=2, n=4, R=0.99, seed=0, r=2)  # no parity rows: the whole space
+@example(q=3, n=4, R=0.5, seed=0, r=1)
+def test_largest_fiber_is_the_fullest_ball(q, n, R, seed, r):
+    # same seed, same matrix: the fiber count from H alone equals the fullest
+    # ball of the enumerated kernel's occupancy profile, whatever H's rank
+    n = min(n, FIBER_NMAX[q])
+    r = min(r, n)
+    H = draw_parity_check(q, n, R, np.random.default_rng(seed))
+    code = sample_rlc(q, n, R, np.random.default_rng(seed))
+    assert np.array_equal(code.parity_check, H) and H.shape[0] == parity_rows(n, R)
+    fullest = int(occupancy_profile(code, r).max())
+    assert largest_fiber(H, q, r) == fullest
+    if H.shape[0] == 0:
+        assert fullest == ball_volume(q, n, r)
+
+
+def _column_rule(H, q):
+    """The fullest radius-1 ball of ker H: a centre in the code holds
+    1 + (q - 1) z0 codewords, z0 the zero columns, and a centre with nonzero
+    syndrome s one codeword per column on the line through s."""
+    fs = make_field(q)
+    zero = int((~H.any(axis=0)).sum())
+    lines = []
+    for col in H.T[H.any(axis=0)]:
+        lead = int(col[np.flatnonzero(col)[0]])
+        lines.append(tuple(int(fs.mul_table[fs.inv_table[lead], int(c)]) for c in col))
+    most = max(np.unique(np.asarray(lines), axis=0, return_counts=True)[1], default=0)
+    return max(1 + (q - 1) * zero, int(most))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_largest_fiber_at_radius_one_follows_the_column_rule(q):
+    # n = 40: neither the q^k codewords nor the q^40 centres can be listed;
+    # the high rates leave few rows, so columns collide on lines and zero
+    # columns occur
+    seen = set()
+    for R in (0.3, 0.6, 0.85, 0.9, 0.95):
+        for seed in range(12):
+            H = draw_parity_check(q, 40, R, np.random.default_rng(seed))
+            want = _column_rule(H, q)
+            assert largest_fiber(H, q, 1) == want, (R, seed)
+            seen.add(want)
+    assert len(seen) >= 4
+
+
+class Sampled(Exception):
+    pass
+
+
+def test_syndromes_past_int64_leave_the_trial_to_the_sampler(monkeypatch):
+    # 62 parity rows pack into int64 and H decides; 66 rows do not, so the
+    # trial samples its code as the other routes need
+    def sample(q, n, R, rng):
+        raise Sampled
+
+    monkeypatch.setattr("thresholds.simulate.sample_rlc", sample)
+    cfg = SweepConfig(q=2, n=70, family="rlc", rho=0.0, L=2, rates=[0.11], trials=2,
+                      master_seed=0)
+    assert parity_rows(70, 0.11) == 62
+    curve = satisfaction_curve(cfg)
+    assert curve.routes == {"stamp": 0, "pigeonhole": 0, "dp": 0, "fiber": 2}
+    assert curve.p_hat.tolist() == [1.0]
+    assert parity_rows(70, 0.05) == 66
+    with pytest.raises(Sampled):
+        satisfaction_curve(SweepConfig(**{**vars(cfg), "rates": [0.05]}))
 
 
 def _dp_decisions(cfg):
@@ -501,7 +610,7 @@ def test_sweep_falls_back_to_the_dp_past_the_cell_cap():
                       master_seed=4, ell=2)
     assert math.comb(5, 2) ** 7 > _CENTER_CAP
     curve = satisfaction_curve(cfg)
-    assert curve.routes == {"stamp": 0, "pigeonhole": 0, "dp": 12}
+    assert curve.routes == {"stamp": 0, "pigeonhole": 0, "dp": 12, "fiber": 0}
     assert curve.p_hat.tolist() == _dp_decisions(cfg)
     code = sample_rc(5, 7, 0.12, np.random.default_rng(trial_seed(4, 0, 0)))
     with pytest.raises(SizeCapError):
@@ -514,9 +623,9 @@ def test_sweep_falls_back_to_the_dp_past_the_profile_budget():
     cfg = SweepConfig(q=3, n=12, family="rc", rho=0.25, L=2, rates=[0.1], trials=8,
                       master_seed=5, ell=1, work_budget=500_000)
     curve = satisfaction_curve(cfg)
-    assert curve.routes == {"stamp": 0, "pigeonhole": 0, "dp": 8}
+    assert curve.routes == {"stamp": 0, "pigeonhole": 0, "dp": 8, "fiber": 0}
     free = satisfaction_curve(SweepConfig(**{**vars(cfg), "work_budget": 2**29}))
-    assert free.routes == {"stamp": 8, "pigeonhole": 0, "dp": 0}
+    assert free.routes == {"stamp": 8, "pigeonhole": 0, "dp": 0, "fiber": 0}
     assert curve.p_hat.tolist() == free.p_hat.tolist() == _dp_decisions(cfg)
 
 
