@@ -44,13 +44,17 @@ EXIT_DOMAIN = 3
 EXIT_BUDGET = 4
 EXIT_CONSTRUCT = 5
 
+# bound families solved on the whole grid at once: (args, rhos) -> (rows,
+# solves), and the column of each row that is the family's value
+_SOLVED_ROWS = {
+    "ld4-binary-rlc": (lambda a, rhos: eng.ld4_binary_rows(rhos), "rlc"),
+    "ld4-binary-rc": (lambda a, rhos: eng.ld4_binary_rows(rhos), "rc"),
+    "ld3-qary-rlc": (lambda a, rhos: eng.ld3_qary_rows(a.q, rhos), "rlc"),
+    "ld3-qary-rc": (lambda a, rhos: eng.ld3_qary_rows(a.q, rhos), "rc"),
+}
 # closed-form bound families: (args, rho) -> [(method, value), ...], one CSV
 # row per pair
 _BOUND_ROWS = {
-    "ld4-binary-rlc": lambda a, rho: [("closed_form", eng.bound_rlc_binary_l4(rho))],
-    "ld4-binary-rc": lambda a, rho: [("closed_form", eng.threshold_rc_binary_l4(rho))],
-    "ld3-qary-rlc": lambda a, rho: [("closed_form", eng.bound_rlc_qary_l3(a.q, rho))],
-    "ld3-qary-rc": lambda a, rho: [("closed_form", eng.threshold_rc_qary_l3(a.q, rho))],
     "lr-listsize-rlc": lambda a, rho: [
         ("lower", float(eng.lr_listsize_lower_rlc(a.q, a.l, rho, a.eps, a.delta)))],
     "lr-listsize-rc": lambda a, rho: list(zip(
@@ -60,7 +64,7 @@ _BOUND_ROWS = {
     "largeL-rc": lambda a, rho: [
         ("closed_form", eng.rate_rc_binary_largeL(rho, a.L, a.delta))],
 }
-BOUND_FAMILIES = (*_BOUND_ROWS, "figure1")
+BOUND_FAMILIES = (*_SOLVED_ROWS, *_BOUND_ROWS, "figure1")
 
 
 def _sha256(path: str) -> str:
@@ -94,6 +98,14 @@ def _write_manifest(command: str, args: argparse.Namespace, outputs: list[str],
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
+
+
+def _solver_counters(solves) -> dict[str, int]:
+    """A manifest's `counters` for the optimizer's solves."""
+    return {"solves": len(solves),
+            "interior": sum(s.method == "interior" for s in solves),
+            "edge": sum(s.method == "edge" for s in solves),
+            "bisection_rounds": sum(s.rounds for s in solves)}
 
 
 def _decimal_grid(lo: float, hi: float, step: float) -> list[float]:
@@ -165,13 +177,16 @@ def cmd_entropy(args) -> int:
 
 def _bounds_rows(args) -> tuple[list[dict], np.ndarray]:
     grid = _grid(args)
-    rows = []
-    for rho in grid.tolist():
-        try:
-            pairs = _BOUND_ROWS[args.family](args, rho)
-        except DomainError as err:
-            raise DomainError(f"at rho={fmt12(rho)}: {err}") from err
-        rows += [{"rho": rho, "value": v, "family": args.family, "method": m} for m, v in pairs]
+    rhos, solves = grid.tolist(), []
+    if args.family in _SOLVED_ROWS:
+        rows_of, column = _SOLVED_ROWS[args.family]
+        got, solves = rows_of(args, rhos)
+        pairs = [[("closed_form", row[column])] for row in got]
+    else:
+        pairs = eng.each_rho(rhos, lambda rho: _BOUND_ROWS[args.family](args, rho))
+    args._counters = _solver_counters(solves)
+    rows = [{"rho": rho, "value": v, "family": args.family, "method": m}
+            for rho, rho_pairs in zip(rhos, pairs) for m, v in rho_pairs]
     return rows, grid
 
 
@@ -179,6 +194,7 @@ def cmd_bounds(args) -> int:
     if args.family == "figure1":
         grid = _grid(args)
         blue, orange, ok = eng.dominance_curves(grid)
+        args._counters = _solver_counters(blue.solves)
         lines = ["rho,blue,orange,dominant"]
         for r, b, o, d in zip(grid, blue.values, orange.values, ok):
             lines.append(f"{fmt12(r)},{fmt12(b)},{fmt12(o)},{str(d).lower()}")
@@ -226,6 +242,7 @@ def _verify_claima1(args) -> tuple[bool, list[dict]]:
 
 def _verify_lemma33(args) -> tuple[bool, list[dict]]:
     rep = eng.kernel_slack_report(args.q, args.l, args.rho, args.L, args.delta)
+    args._counters = {"kernels": rep["kernels"]}
     det = rep["details"]
     details = [
         {"min_slack": rep["min_slack"],
@@ -244,8 +261,10 @@ def _verify_ordering(args) -> tuple[bool, list[dict]]:
     grid = _grid(args, 0.01, 0.31 if args.q == 2 else 0.33, 0.005).tolist()
     # the q-ary linear bound is valid only where the full-support case
     # dominates the low-dimension boundary, so each q-ary row checks that too
-    details = [{"rho": float(r), **(eng.ld4_binary_row(r) if args.q == 2
-                                    else eng.ld3_qary_row(args.q, r))} for r in grid]
+    rows, solves = (eng.ld4_binary_rows(grid) if args.q == 2
+                    else eng.ld3_qary_rows(args.q, grid))
+    args._counters = _solver_counters(solves)
+    details = [{"rho": float(r), **row} for r, row in zip(grid, rows)]
     for d in details:
         d["ok"] = bool(d["rlc"] - d["rc"] > eng.STRICT_MARGIN
                        and d.get("dominance", math.inf) > eng.STRICT_MARGIN)
@@ -263,8 +282,8 @@ def cmd_verify(args) -> int:
     report = {
         "check": args.check,
         "params": {k: v for k, v in vars(args).items()
-                   if k not in ("func", "manifest", "config", "report", "_outputs")
-                   and v is not None},
+                   if k not in ("func", "manifest", "config", "report")
+                   and not k.startswith("_") and v is not None},
         "pass": bool(passed),
         "details": details,
     }

@@ -4,7 +4,9 @@ Every threshold optimization has the same shape: maximize H_q(x) + c.x over
 the masses x of the free coincidence classes, subject to x >= 0, sum x <= 1
 and one error budget g.x <= L rho.  The entropy's slope is infinite on every
 face but the budget, so the maximizer is a Gibbs point with one multiplier,
-found by bisection on the monotone budget equation (`opt_polytope_2d`).  The
+found by bisection on the monotone budget equation.  `max_entropy` solves a
+whole array of budgets at once, with one numpy bisection for all of them, so
+a rho grid costs one call; `opt_polytope_2d` is its one-budget form.  The
 test suite certifies it against an independent nested golden-section
 maximum on random instances and against 50-digit mpmath on the bench grids.
 
@@ -47,57 +49,96 @@ class OptResult:
     value: float
     method: str
     exact: mpmath.mpf  # the value at 30 digits, before its one rounding
+    rounds: int  # bisection rounds spent on lam: bracket doublings and halvings
 
 
-def opt_polytope_2d(coeffs, gaps, budget: float, q: int) -> OptResult:
-    """Maximum of H_q(x, 1 - sum x) + c.x over x >= 0, sum x <= 1, g.x <= budget.
+def _gibbs(c: np.ndarray, g: np.ndarray, lam: np.ndarray, q: int):
+    """The Gibbs masses q^(c - lam g) / Z(lam) at each multiplier, shape
+    (classes, points), and their loads g.x; c and g are columns.  The sums
+    run over classes one row at a time, so a point's masses do not depend on
+    the other points of the grid."""
+    x = np.power(float(q), c - g * lam)
+    x = x / sum(x, 1.0)
+    return x, sum(gap * row for gap, row in zip(g[:, 0], x))
+
+
+def max_entropy(coeffs, gaps, budgets, q: int) -> list[OptResult]:
+    """Maximum of H_q(x, 1 - sum x) + c.x over x >= 0, sum x <= 1, g.x <= b,
+    one result per budget b of the 1-D array `budgets`.
 
     x holds the masses of the free classes and 1 - sum x that of the constant
     class.  The entropy's slope is infinite on every face but the budget, so
     the maximizer is the Gibbs point x_i = q^(c_i - lam g_i) / Z(lam) with
     Z(lam) = 1 + sum_j q^(c_j - lam g_j).  lam = 0 ("interior") when that
     point fits the budget; otherwise ("edge") lam is the root of the budget
-    equation g.x(lam) = budget, which decreases in lam, bisected down to
-    adjacent floats and taken on the feasible side.  The value is the dual
-    log_q Z(lam) + lam * budget, equal to the objective at the Gibbs point,
-    evaluated in 30 digits and rounded once; `exact` keeps it unrounded, and
-    a coefficient given as a 30-digit mpmath number enters it unrounded
-    (the bisection reads its float).  The name is kept because
-    `perfbench/tracing.py` wraps it and counts `.method`.
+    equation g.x(lam) = b, which decreases in lam, bisected down to adjacent
+    floats and taken on the feasible side.  All budgets are bisected together,
+    each point on its own bracket, so a point's result does not depend on the
+    rest of the grid.  The value is the dual log_q Z(lam) + lam * b, equal to
+    the objective at the Gibbs point, evaluated in 30 digits as
+    log(Z) / ln q with Z's terms exp((c - lam g) ln q), and rounded once;
+    `exact` keeps it unrounded, and a coefficient given as a 30-digit mpmath
+    number enters it unrounded (the bisection reads its float).
     """
-    if budget <= 0.0:
-        raise DomainError(f"the error budget must be positive, got {budget}")
+    b = np.asarray(budgets, dtype=np.float64)
+    if b.ndim != 1 or b.size == 0 or not np.all(b > 0.0):
+        raise DomainError(f"need a nonempty 1-D array of positive error budgets, got {budgets}")
     if len(coeffs) != len(gaps) or any(g < 0 for g in gaps):
         raise DomainError(f"need one nonnegative gap per class, got {gaps}")
+    c = np.array([float(v) for v in coeffs]).reshape(-1, 1)
+    g = np.array(gaps, dtype=np.float64).reshape(-1, 1)
 
-    floats = [float(c) for c in coeffs]
-
-    def gibbs(lam: float) -> tuple[tuple[float, ...], float]:
-        w = [q ** (c - lam * g) for c, g in zip(floats, gaps)]
-        z = sum(w, 1.0)
-        return tuple(v / z for v in w), z
-
-    def load(lam: float) -> float:
-        return sum(g * v for g, v in zip(gaps, gibbs(lam)[0]))
-
-    lam, method = 0.0, "interior"
-    if load(0.0) > budget:
-        lo, hi = 0.0, 1.0
-        while load(hi) > budget:
-            lo, hi = hi, 2.0 * hi
+    edge = _gibbs(c, g, np.zeros(b.size), q)[1] > b
+    lo, hi = np.zeros(b.size), np.where(edge, 1.0, 0.0)
+    rounds = np.zeros(b.size, dtype=np.int64)
+    grow = edge & (_gibbs(c, g, hi, q)[1] > b)
+    while grow.any():
+        rounds += grow
+        lo, hi = np.where(grow, hi, lo), np.where(grow, 2.0 * hi, hi)
+        grow &= _gibbs(c, g, hi, q)[1] > b
+    # lo is infeasible and hi feasible for every edge point, and both stay so:
+    # a point whose bracket is down to adjacent floats has mid equal to one of
+    # them, which the update leaves in place
+    mid = 0.5 * (lo + hi)
+    active = (lo < mid) & (mid < hi)
+    while active.any():
+        rounds += active
+        above = _gibbs(c, g, mid, q)[1] > b
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
         mid = 0.5 * (lo + hi)
-        while lo < mid < hi:
-            if load(mid) > budget:
-                lo = mid
-            else:
-                hi = mid
-            mid = 0.5 * (lo + hi)
-        lam, method = hi, "edge"
+        active = (lo < mid) & (mid < hi)
+    x = _gibbs(c, g, hi, q)[0].T.tolist()
+
+    out = []
     with mpmath.workdps(30):
-        lam_mp = mpmath.mpf(lam)
-        z = 1 + mpmath.fsum(mpmath.power(q, c - lam_mp * g) for c, g in zip(coeffs, gaps))
-        exact = mpmath.log(z, q) + lam_mp * budget
-    return OptResult(x=gibbs(lam)[0], value=float(exact), method=method, exact=exact)
+        lnq = mpmath.log(q)
+        for i, (lam, budget) in enumerate(zip(hi.tolist(), b.tolist())):
+            lam_mp = mpmath.mpf(lam)
+            z = 1 + mpmath.fsum(mpmath.exp((ci - lam_mp * gi) * lnq)
+                                for ci, gi in zip(coeffs, gaps))
+            exact = mpmath.log(z) / lnq + lam_mp * budget
+            out.append(OptResult(x=tuple(x[i]), value=float(exact),
+                                 method="edge" if edge[i] else "interior",
+                                 exact=exact, rounds=int(rounds[i])))
+    return out
+
+
+def opt_polytope_2d(coeffs, gaps, budget: float, q: int) -> OptResult:
+    """`max_entropy` at one budget.  The name is kept because
+    `perfbench/tracing.py` wraps it and counts `.method`; grid callers use
+    `max_entropy`, which it does not trace."""
+    return max_entropy(coeffs, gaps, [budget], q)[0]
+
+
+def each_rho(rhos, fn) -> list:
+    """[fn(rho) for rho in rhos], a DomainError naming the first rho it arose at."""
+    out = []
+    for rho in rhos:
+        try:
+            out.append(fn(rho))
+        except DomainError as err:
+            raise DomainError(f"at rho={fmt12(rho)}: {err}") from err
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -106,73 +147,85 @@ def opt_polytope_2d(coeffs, gaps, budget: float, q: int) -> OptResult:
 
 @functools.lru_cache(maxsize=None)
 def _log30(x: int, q: int) -> mpmath.mpf:
-    """log_q x at 30 digits, a coefficient `opt_polytope_2d` uses unrounded."""
+    """log_q x at 30 digits, a coefficient `max_entropy` uses unrounded."""
     with mpmath.workdps(30):
         return mpmath.log(x, q)
 
 
-def _max_binary_l4(rho: float) -> OptResult:
-    return opt_polytope_2d((2, _log30(3, 2)), (1, 2), 4.0 * rho, 2)
+def _max_binary_l4(rhos) -> list[OptResult]:
+    return max_entropy((2, _log30(3, 2)), (1, 2), 4.0 * np.asarray(rhos, dtype=np.float64), 2)
 
 
-def _max_qary_l3(q: int, rho: float) -> OptResult:
+def _max_qary_l3(q: int, rhos) -> list[OptResult]:
     c1, c2 = _log30(3 * (q - 1), q), _log30((q - 1) * (q - 2), q)
-    return opt_polytope_2d((c1, c2), (1, 2), 3.0 * rho, q)
+    return max_entropy((c1, c2), (1, 2), 3.0 * np.asarray(rhos, dtype=np.float64), q)
 
 
-def ld4_binary_row(rho: float) -> dict[str, float]:
-    """The binary list-of-4 bounds at rho from one optimization.
-
-    "rlc" is the lower bound on the linear ensemble's threshold rate and "rc"
-    the threshold rate of the plain random ensemble.  Each is formed from the
-    optimum at 30 digits and rounded once: near rho = 5/16 the optimum is
-    about 3 and the columns about 1e-6, so forming them in floats from the
-    rounded optimum would lose their last printed digits.
-    """
+def _ld4_domain(rho: float) -> None:
     if not 0.0 < rho < 5.0 / 16.0:
         raise DomainError(f"rho must lie in (0, 5/16) for the binary list-of-4 family, got {rho}")
-    v = _max_binary_l4(rho).exact
-    with mpmath.workdps(30):
-        return {"rlc": float(1 - v / 3), "rc": float(1 - (1 + v) / 4)}
 
 
-def ld3_qary_row(q: int, rho: float) -> dict[str, float]:
-    """The q-ary list-of-3 bounds at rho from one optimization.
-
-    "rlc" and "rc" as in `ld4_binary_row`, each rounded once from 30 digits;
-    "dominance" is the margin maxF/2 - h_q(3 rho/2) of the direct case
-    comparison, and the linear bound is valid only where it is positive.
-    """
+def _ld3_domain(q: int, rho: float) -> None:
     if q < 3:
         raise DomainError(f"this family needs q >= 3, got q={q}")
     make_field(q)
     if not 0.0 < rho < 1.0 / 3.0:
         raise DomainError(f"rho must lie in (0, 1/3) for the 3-list family, got {rho}")
-    v = _max_qary_l3(q, rho).exact
-    h = hql(q, 1, 1.5 * rho)
+
+
+def ld4_binary_rows(rhos) -> tuple[list[dict[str, float]], list[OptResult]]:
+    """The binary list-of-4 bounds at each rho of the grid, and the solves.
+
+    One `max_entropy` call serves the grid.  "rlc" is the lower bound on the
+    linear ensemble's threshold rate and "rc" the threshold rate of the plain
+    random ensemble.  Each is formed from the optimum at 30 digits and rounded
+    once: near rho = 5/16 the optimum is about 3 and the columns about 1e-6,
+    so forming them in floats from the rounded optimum would lose their last
+    printed digits.  A rho outside the domain is named in the DomainError.
+    """
+    each_rho(rhos, _ld4_domain)
+    solves = _max_binary_l4(rhos)
     with mpmath.workdps(30):
-        return {"rlc": float(1 - v / 2), "rc": float(1 - (1 + v) / 3),
-                "dominance": float(v / 2 - h)}
+        rows = [{"rlc": float(1 - s.exact / 3), "rc": float(1 - (1 + s.exact) / 4)}
+                for s in solves]
+    return rows, solves
+
+
+def ld3_qary_rows(q: int, rhos) -> tuple[list[dict[str, float]], list[OptResult]]:
+    """The q-ary list-of-3 bounds at each rho of the grid, and the solves.
+
+    "rlc" and "rc" as in `ld4_binary_rows`, each rounded once from 30 digits;
+    "dominance" is the margin maxF/2 - h_q(3 rho/2) of the direct case
+    comparison, and the linear bound is valid only where it is positive.
+    """
+    each_rho(rhos, functools.partial(_ld3_domain, q))
+    solves = _max_qary_l3(q, rhos)
+    with mpmath.workdps(30):
+        rows = [{"rlc": float(1 - s.exact / 2), "rc": float(1 - (1 + s.exact) / 3),
+                 "dominance": float(s.exact / 2 - hql(q, 1, 1.5 * rho))}
+                for rho, s in zip(rhos, solves)]
+    return rows, solves
 
 
 def bound_rlc_binary_l4(rho: float) -> float:
     """Lower bound on the binary list-of-4 threshold rate of the linear ensemble."""
-    return ld4_binary_row(rho)["rlc"]
+    return ld4_binary_rows([rho])[0][0]["rlc"]
 
 
 def threshold_rc_binary_l4(rho: float) -> float:
     """Threshold rate of the plain random ensemble, binary, list of 4."""
-    return ld4_binary_row(rho)["rc"]
+    return ld4_binary_rows([rho])[0][0]["rc"]
 
 
 def bound_rlc_qary_l3(q: int, rho: float) -> float:
     """Lower bound on the q-ary list-of-3 threshold rate of the linear ensemble."""
-    return ld3_qary_row(q, rho)["rlc"]
+    return ld3_qary_rows(q, [rho])[0][0]["rlc"]
 
 
 def threshold_rc_qary_l3(q: int, rho: float) -> float:
     """Threshold rate of the plain random ensemble, q-ary, list of 3."""
-    return ld3_qary_row(q, rho)["rc"]
+    return ld3_qary_rows(q, [rho])[0][0]["rc"]
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +252,7 @@ class BoundCurve:
     method: str
     rho_grid: np.ndarray
     values: np.ndarray
+    solves: list[OptResult] = dc_field(default_factory=list)  # the optima behind the values
 
     def __post_init__(self):
         self.rho_grid = np.asarray(self.rho_grid, dtype=np.float64)
@@ -297,9 +351,8 @@ def rlc_lower_generic(spec: LRSpec) -> ThresholdReport:
         )
 
     if q == 2 and L == 4:
-        res = _max_binary_l4(rho) if 0.0 < rho < 5.0 / 16.0 else None
-        if res is None:
-            raise DomainError("rho must lie in (0, 5/16) for the binary list-of-4 family")
+        _ld4_domain(rho)
+        res = _max_binary_l4([rho])[0]
         case_full = res.value / 3.0
         # support spans of dimension <= 2 collapse two coordinate pairs; the
         # resulting optimization is the two-variable curve below
@@ -316,9 +369,8 @@ def rlc_lower_generic(spec: LRSpec) -> ThresholdReport:
         )
 
     if q >= 3 and L == 3:
-        if not 0.0 < rho < 1.0 / 3.0:
-            raise DomainError("rho must lie in (0, 1/3) for the 3-list family")
-        res = _max_qary_l3(q, rho)
+        _ld3_domain(q, rho)
+        res = _max_qary_l3(q, [rho])[0]
         case_full = res.value / 2.0
         case_low = hql(q, 1, min(1.5 * rho, 1.0 - 1.0 / q))
         sub = max(case_full, case_low)
@@ -352,7 +404,8 @@ def rlc_lower_generic(spec: LRSpec) -> ThresholdReport:
 def dominance_curves(rho_grid) -> tuple[BoundCurve, BoundCurve, list[bool]]:
     """The binary list-of-4 lower bound's two comparison curves.
 
-    Blue: the full-support compression optimum divided by 3.  Orange: the
+    Blue: the full-support compression optimum divided by 3, the optima
+    taken by one `max_entropy` call and kept in blue's `solves`.  Orange: the
     low-dimension boundary curve (h2(2 rho) + 2 rho log2 3)/2.  The third
     return lists blue >= orange + margin per grid point; the subtracted
     bound is valid exactly because blue dominates.
@@ -360,11 +413,12 @@ def dominance_curves(rho_grid) -> tuple[BoundCurve, BoundCurve, list[bool]]:
     grid = np.asarray(list(rho_grid), dtype=np.float64)
     if grid.size == 0 or np.any(grid <= 0.0) or np.any(grid >= 5.0 / 16.0):
         raise DomainError("grid must lie inside (0, 5/16)")
-    blue = np.array([_max_binary_l4(r).value / 3.0 for r in grid])
+    solves = _max_binary_l4(grid)
+    blue = np.array([s.value / 3.0 for s in solves])
     orange = np.array([(hq(2, 2.0 * r) + 2.0 * r * math.log2(3.0)) / 2.0 for r in grid])
     ok = [bool(b - o > STRICT_MARGIN) for b, o in zip(blue, orange)]
     return (
-        BoundCurve(family="figure1", method="blue", rho_grid=grid, values=blue),
+        BoundCurve(family="figure1", method="blue", rho_grid=grid, values=blue, solves=solves),
         BoundCurve(family="figure1", method="orange", rho_grid=grid, values=orange),
         ok,
     )
@@ -390,22 +444,19 @@ def negativity_values(rho_grid) -> np.ndarray:
     return np.asarray(out)
 
 
-def _max_binary_l3(rho: float) -> OptResult:
-    # q = 2: the x2 class is empty, (q-1)(q-2) = 0, so x1 is the only one
-    return opt_polytope_2d((math.log2(3.0),), (1,), 3.0 * rho, 2)
-
-
 def negativity_optimum_values(rho_grid) -> np.ndarray:
     """2 h2(3r/2) - max F on the grid, F = h2(x1) + x1 log2(3) over x1 <= 3r.
 
-    The maximum is taken by `opt_polytope_2d`.  It equals
+    The maxima are taken by one `max_entropy` call; F is the q = 2 case of
+    `_max_qary_l3`'s objective, whose x2 class is empty.  It equals
     `negativity_values` for r <= 1/4, where the optimum is the vertex x1 = 3r,
     and past that the optimum is x1 = 3/4 with value 2.
     """
     grid = np.asarray(list(rho_grid), dtype=np.float64)
     if grid.size == 0 or np.any(grid <= 0.0) or np.any(grid >= 1.0 / 3.0):
         raise DomainError("grid must lie inside (0, 1/3)")
-    return np.asarray([2.0 * hq(2, 1.5 * r) - _max_binary_l3(r).value for r in grid])
+    opt = max_entropy((math.log2(3.0),), (1,), 3.0 * grid, 2)
+    return np.asarray([2.0 * hq(2, 1.5 * r) - o.value for r, o in zip(grid, opt)])
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +532,7 @@ def kernel_slack_report(q: int, ell: int, rho: float, L: int, delta: float) -> d
     entropy identity H(tau) = L*h + logC - H(S|u), and, as a diagnostic,
     `per_dimension_floor_min_slack`: the minimum slack against the
     rank-normalised floor L'*(h + c/L), which shares c out in proportion to L'.
+    `kernels` counts the kernels swept, the rows of every table read.
     """
     if delta < 0.0:
         raise DomainError("delta must be nonnegative")
@@ -495,8 +547,10 @@ def kernel_slack_report(q: int, ell: int, rho: float, L: int, delta: float) -> d
     per_dim: dict[int, float] = {}
     alt_min = math.inf
     identity_H = None
+    kernels = 0
     for k in range(L):
         H, D = kernel_entropy_table(tau, k)
+        kernels += H.size
         slack = H - (D * h + logc - 1.0 + h - delta)
         t = int(np.argmin(slack))  # first minimum, as in enumeration order
         if slack[t] < min_slack:
@@ -514,6 +568,7 @@ def kernel_slack_report(q: int, ell: int, rho: float, L: int, delta: float) -> d
         "min_slack": min_slack,
         "worst_kernel": SubspaceRREF(q=q, ambient=L, basis=worst),
         "pass": bool(min_slack >= 0.0),
+        "kernels": kernels,
         "details": {
             "q": q, "ell": ell, "rho": rho, "L": L, "delta": delta,
             "per_dim_min_slack": {int(k): float(v) for k, v in sorted(per_dim.items())},

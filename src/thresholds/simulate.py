@@ -218,7 +218,9 @@ def _zero_list_ball(q: int, n: int, r: int, ell: int) -> tuple[np.ndarray, np.nd
     as subset numbers, shape (n, V) with one row per coordinate, and the
     table shift[a, s], the number of subset s translated by a.  The cells
     are grown one coordinate at a time, dropping a prefix once it misses 0
-    more than r times, so no step holds more than V prefixes.
+    more than r times, so no step holds more than V prefixes.  A step keeps
+    only each prefix's parent and last subset; the rows are gathered once at
+    the end, back from the last coordinate, so the build costs O(n V).
     """
     fs = make_field(q)
     subsets = list(itertools.combinations(range(q), ell))
@@ -227,15 +229,19 @@ def _zero_list_ball(q: int, n: int, r: int, ell: int) -> tuple[np.ndarray, np.nd
                          for s in subsets] for a in range(q)], dtype=np.int64)
     misses_zero = np.asarray([0 not in s for s in subsets], dtype=np.int64)
     C = len(subsets)
-    cells = np.zeros((0, 1), dtype=np.int64)
+    steps = []  # per coordinate: (parent prefix, subset) of each kept prefix
     misses = np.zeros(1, dtype=np.int64)
     for _ in range(n):
-        width = misses.size
-        cells = np.concatenate([np.repeat(cells, C, axis=1),
-                                np.tile(np.arange(C, dtype=np.int64), width)[None, :]])
-        misses = np.repeat(misses, C) + np.tile(misses_zero, width)
-        keep = misses <= r
-        cells, misses = cells[:, keep], misses[keep]
+        # child j of the step is prefix j // C extended by subset j % C
+        grown = (misses[:, None] + misses_zero).ravel()
+        keep = np.flatnonzero(grown <= r)
+        steps.append(np.divmod(keep, C))
+        misses = grown[keep]
+    cells = np.empty((n, misses.size), dtype=np.int64)
+    at = np.arange(misses.size)
+    for i in range(n - 1, -1, -1):
+        cells[i] = steps[i][1][at]
+        at = steps[i][0][at]
     cells.setflags(write=False)
     shift.setflags(write=False)
     return cells, shift

@@ -102,6 +102,21 @@ def test_bounds_json_format(in_tmpdir):
     assert all(r["family"] == "ld3-qary-rc" for r in rows)
 
 
+def test_bounds_and_ordering_manifests_count_the_grid_solve(in_tmpdir):
+    # one solve per rho, all on the budget edge, each bisected from one
+    # bracket doubling or none down to adjacent floats: 54 + 53 + 55 rounds
+    grid = ["--rho-min", "0.1", "--rho-max", "0.3", "--step", "0.1"]
+    want = {"solves": 3, "interior": 0, "edge": 3, "bisection_rounds": 162}
+    for argv, manifest in ((["bounds", "--family", "ld4-binary-rlc"], "bounds"),
+                           (["bounds", "--family", "figure1"], "bounds"),
+                           (["verify", "--check", "ordering", "--q", "2"], "verify")):
+        assert main(argv + grid) == 0
+        assert read_manifest(in_tmpdir / f"{manifest}.manifest.json")["counters"] == want
+    assert main(["bounds", "--family", "largeL-rc", *grid]) == 0
+    assert read_manifest(in_tmpdir / "bounds.manifest.json")["counters"] == {
+        "solves": 0, "interior": 0, "edge": 0, "bisection_rounds": 0}
+
+
 def test_bounds_domain_error_names_the_rho(capsys):
     assert main(["bounds", "--family", "ld3-qary-rlc", "--q", "2",
                  "--rho-min", "0.1", "--rho-max", "0.1", "--step", "0.01"]) == 3
@@ -144,16 +159,23 @@ def test_verify_ordering_passes(in_tmpdir, capsys):
 
 def test_verify_ordering_reports_the_qary_dominance_margin(in_tmpdir):
     assert main(["verify", "--check", "ordering", "--q", "5", "--report", "o.json"]) == 0
-    for d in json.loads((in_tmpdir / "o.json").read_text())["details"]:
-        assert d["dominance"] == eng.ld3_qary_row(5, d["rho"])["dominance"]
+    details = json.loads((in_tmpdir / "o.json").read_text())["details"]
+    rows, _ = eng.ld3_qary_rows(5, [d["rho"] for d in details])
+    for d, row in zip(details, rows):
+        assert d["dominance"] == row["dominance"]
         assert d["ok"] and d["dominance"] > eng.STRICT_MARGIN
 
 
 def test_verify_ordering_fails_without_the_qary_dominance_margin(in_tmpdir, monkeypatch):
     # the q-ary linear bound is valid only where the dominance margin is
     # positive, so a negative margin fails every row though rlc still beats rc
-    row = eng.ld3_qary_row
-    monkeypatch.setattr(eng, "ld3_qary_row", lambda q, rho: {**row(q, rho), "dominance": -1e-3})
+    rows_of = eng.ld3_qary_rows
+
+    def negative_margin(q, rhos):
+        rows, solves = rows_of(q, rhos)
+        return [{**row, "dominance": -1e-3} for row in rows], solves
+
+    monkeypatch.setattr(eng, "ld3_qary_rows", negative_margin)
     assert main(["verify", "--check", "ordering", "--q", "3", "--report", "o.json"]) == 1
     rep = json.loads((in_tmpdir / "o.json").read_text())
     assert rep["pass"] is False
@@ -169,6 +191,14 @@ def test_verify_lemma33_fails_honestly(in_tmpdir, capsys):
     rep = json.loads((in_tmpdir / "lem.json").read_text())
     assert rep["pass"] is False
     assert rep["details"][0]["min_slack"] == pytest.approx(-0.157914141450, abs=1e-9)
+
+
+def test_verify_lemma33_counts_the_kernels_swept(in_tmpdir):
+    # q = 2, L = 4: every proper kernel, the Gaussian binomials [4, k]_2 for
+    # k < 4, 1 + 15 + 35 + 15
+    main(["verify", "--check", "lemma33", "--q", "2", "--L", "4", "--report", "lem.json"])
+    assert read_manifest(in_tmpdir / "verify.manifest.json")["counters"] == {"kernels": 66}
+    assert "_counters" not in json.loads((in_tmpdir / "lem.json").read_text())["params"]
 
 
 def test_verify_negativity_flips_with_the_grid(in_tmpdir):

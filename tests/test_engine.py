@@ -20,9 +20,11 @@ from thresholds.engine import (
     dominance_curves,
     fmt12,
     kernel_slack_report,
-    ld3_qary_row,
+    ld3_qary_rows,
+    ld4_binary_rows,
     lr_listsize_lower_rlc,
     lr_listsize_rc,
+    max_entropy,
     negativity_values,
     opt_polytope_2d,
     rate_rc_binary_largeL,
@@ -158,19 +160,19 @@ def _binary_l4_ref(rho):
 
 
 def test_binary_l4_optimum_to_50_digits():
-    for rho in BINARY_L4_GRID:
-        assert abs(_max_binary_l4(rho).value - _binary_l4_ref(rho)) <= 1e-15, rho
+    for rho, res in zip(BINARY_L4_GRID, _max_binary_l4(BINARY_L4_GRID)):
+        assert abs(res.value - _binary_l4_ref(rho)) <= 1e-15, rho
 
 
 def test_binary_l4_columns_print_their_50_digit_values():
     # near rho = 5/16 the columns 1 - v/3 and 1 - (1 + v)/4 are about 1e-6
     # with v about 3, so forming them in floats from a rounded v loses their
     # last printed digits; each printed value must be the 50-digit one
-    for rho in BINARY_L4_GRID:
+    for rho, row in zip(BINARY_L4_GRID, ld4_binary_rows(BINARY_L4_GRID)[0]):
         v = _binary_l4_ref(rho)
         with mpmath.workdps(50):
             want = (fmt12(float(1 - v / 3)), fmt12(float(1 - (1 + v) / 4)))
-        assert (fmt12(bound_rlc_binary_l4(rho)), fmt12(threshold_rc_binary_l4(rho))) == want, rho
+        assert (fmt12(row["rlc"]), fmt12(row["rc"])) == want, rho
 
 
 # the grids of the `bounds` (q = 3) and `verify --check ordering` bench jobs
@@ -179,14 +181,15 @@ def test_binary_l4_columns_print_their_50_digit_values():
                          ids=["3-bounds"] + [f"{q}-ordering" for q in (3, 4, 5, 7, 8, 9)])
 def test_qary_l3_optimum_to_50_digits(q, grid):
     # and the ordering check's dominance margin maxF/2 - h_q(3 rho/2) with it
-    for rho in _decimal_grid(*grid):
+    rhos = _decimal_grid(*grid)
+    for rho, res, row in zip(rhos, _max_qary_l3(q, rhos), ld3_qary_rows(q, rhos)[0]):
         with mpmath.workdps(50):
             c1, c2 = mpmath.log(3 * (q - 1), q), mpmath.log((q - 1) * (q - 2), q)
             ref = _edge_max_mp(q, c1, c2, 3 * mpmath.mpf(rho))
             x = 1.5 * mpmath.mpf(rho)
             h = (x * mpmath.log((q - 1) / x) - (1 - x) * mpmath.log(1 - x)) / mpmath.log(q)
-        assert abs(_max_qary_l3(q, rho).value - ref) <= 1e-15, (q, rho)
-        assert abs(ld3_qary_row(q, rho)["dominance"] - (ref / 2 - h)) <= 1e-14, (q, rho)
+        assert abs(res.value - ref) <= 1e-15, (q, rho)
+        assert abs(row["dominance"] - (ref / 2 - h)) <= 1e-14, (q, rho)
 
 
 def test_optimizer_domain_errors():
@@ -195,6 +198,45 @@ def test_optimizer_domain_errors():
             opt_polytope_2d((0.0,), (1,), budget, 2)
     with pytest.raises(DomainError):
         opt_polytope_2d((0.0, 0.0), (1, -1), 0.5, 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    q=st.sampled_from([2, 3, 4, 5, 7]),
+    classes=st.lists(st.tuples(st.floats(-3.0, 3.0), st.integers(0, 3)), min_size=1, max_size=3),
+    budgets=st.lists(st.floats(0.0, 3.0, exclude_min=True), min_size=1, max_size=6),
+    data=st.data(),
+)
+def test_grid_solve_equals_one_budget_solves(q, classes, budgets, data):
+    coeffs = tuple(c for c, _ in classes)
+    gaps = tuple(g for _, g in classes)
+    # the Gibbs point's load at lam = 0 parts interior budgets from edge ones
+    w = [q**c for c in coeffs]
+    load0 = sum(g * v for g, v in zip(gaps, w)) / (1.0 + sum(w))
+    if load0 > 0.0:
+        budgets = budgets + [0.5 * load0, load0, 2.0 * load0]
+    grid = max_entropy(coeffs, gaps, budgets, q)
+    if load0 > 0.0:
+        assert {r.method for r in grid} == {"interior", "edge"}
+    for budget, res in zip(budgets, grid):
+        one = opt_polytope_2d(coeffs, gaps, budget, q)
+        assert (res.value, res.exact, res.method, res.rounds) == (
+            one.value, one.exact, one.method, one.rounds)
+        assert max(abs(a - b) for a, b in zip(res.x, one.x)) <= 1e-15
+    order = data.draw(st.permutations(range(len(budgets))))
+    permuted = max_entropy(coeffs, gaps, [budgets[i] for i in order], q)
+    assert [(r.value, r.exact, r.x) for r in permuted] == [
+        (grid[i].value, grid[i].exact, grid[i].x) for i in order]
+
+
+def test_grid_solve_domain_errors():
+    for budgets in ([], [0.5, 0.0], [0.5, -1.0], [float("nan")], [[0.5]]):
+        with pytest.raises(DomainError):
+            max_entropy((0.0,), (1,), budgets, 2)
+    with pytest.raises(DomainError):
+        ld4_binary_rows([])
+    with pytest.raises(DomainError, match="at rho=0.4"):
+        ld4_binary_rows([0.1, 0.4, 0.5])
 
 
 def test_interior_stationary_point():
@@ -386,8 +428,8 @@ def test_negativity_sign_flips_inside_the_interval():
 
 def test_qary_boundary_dominance():
     for q in (3, 4, 5, 7, 8, 9):
-        for rho in (0.02, 0.15, 0.3):
-            assert ld3_qary_row(q, rho)["dominance"] > 1e-9
+        for row in ld3_qary_rows(q, [0.02, 0.15, 0.3])[0]:
+            assert row["dominance"] > 1e-9
 
 
 # ---------------------------------------------------------------------------

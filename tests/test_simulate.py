@@ -21,6 +21,7 @@ from thresholds.simulate import (
     _CENTER_CAP,
     Code,
     SweepConfig,
+    _zero_list_ball,
     check_ld_centers,
     check_lr_dp,
     digits_of,
@@ -339,6 +340,34 @@ def test_stamp_route_matches_brute_force(data):
     code = random_code(data, q, n, 40)
     r = data.draw(st.integers(0, n))
     assert np.array_equal(occupancy_profile(code, r, ell), brute_occupancy(code, r, ell))
+
+
+def _prefix_grown_ball(q, n, r, ell):
+    """The zero word's list ball as first built: every step re-concatenates
+    all prefix rows, C(q, ell) children per prefix, then drops the prefixes
+    that miss 0 more than r times."""
+    subsets = list(itertools.combinations(range(q), ell))
+    misses_zero = np.asarray([0 not in s for s in subsets], dtype=np.int64)
+    C = len(subsets)
+    cells = np.zeros((0, 1), dtype=np.int64)
+    misses = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        width = misses.size
+        cells = np.concatenate([np.repeat(cells, C, axis=1),
+                                np.tile(np.arange(C, dtype=np.int64), width)[None, :]])
+        misses = np.repeat(misses, C) + np.tile(misses_zero, width)
+        keep = misses <= r
+        cells, misses = cells[:, keep], misses[keep]
+    return cells
+
+
+@pytest.mark.parametrize("q,ell", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2)])
+def test_zero_list_ball_matches_the_prefix_grown_ball(q, ell):
+    for n in range(0, 6):
+        for r in range(0, n + 2):
+            got, _ = _zero_list_ball(q, n, r, ell)
+            want = _prefix_grown_ball(q, n, r, ell)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (n, r)
 
 
 def test_stamp_blocks_add_up(monkeypatch):
