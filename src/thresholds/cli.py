@@ -13,6 +13,7 @@ budget exceeded (partial results flagged), 5 construction failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -373,7 +374,11 @@ def cmd_construct(args) -> int:
 # parser plumbing
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then reused: a
+    parse leaves the parser as it found it, and a batch of `main` calls in one
+    process would otherwise spend about 2 ms per call rebuilding it."""
     p = argparse.ArgumentParser(
         prog="thresholds",
         description="List-decoding threshold bounds, verifications, and simulations.",

@@ -21,7 +21,9 @@ accepting a vector only when the potential of the doubled code stays below the
 square of the previous potential.  It keeps the profile's support, the centres
 within r of a codeword, beside a dense lookup array, so scoring a candidate
 costs O(min(2^n, |C| V)) rather than O(2^n); at the theorem's dimension
-|C| V <= 2^((1 - 1/L' - delta) n).
+|C| V <= 2^((1 - 1/L' - delta) n).  Its candidates come in a random order
+drawn lazily, one Fisher-Yates step per candidate scanned, so a run that
+accepts after a few candidates never materializes the 2^n - 1 vectors.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import functools
 import hashlib
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import mpmath
@@ -306,11 +309,12 @@ def _ball_slots(q: int, n: int, r: int) -> np.ndarray:
     Shape (min(r, n), V), cells in the order of `_zero_list_ball`.
     """
     ball, _ = _zero_list_ball(q, n, r, 1)
-    cell, coord = np.nonzero(ball.T)  # by cell, then coordinate
-    weight = np.bincount(cell, minlength=ball.shape[1])
-    slot = np.arange(cell.size) - np.repeat(np.cumsum(weight) - weight, weight)
     slots = np.zeros((min(r, n), ball.shape[1]), dtype=np.int64)
-    slots[slot, cell] = coord * q + ball[coord, cell]
+    used = np.zeros(ball.shape[1], dtype=np.int64)  # slots filled per cell
+    for i, row in enumerate(ball):  # coordinates in ascending order
+        cell = np.flatnonzero(row)
+        slots[used[cell], cell] = i * q + row[cell]
+        used[cell] += 1
     slots.setflags(write=False)
     return slots
 
@@ -618,6 +622,23 @@ def half_crossing(rates, p_hat) -> float | None:
 # the potential greedy
 
 
+def _candidate_order(rng: np.random.Generator, m: int) -> Iterator[int]:
+    """Yield 1..m in a uniform random order, drawing each one when asked.
+
+    A forward Fisher-Yates shuffle of the slots 0..m-1, where slot s holds s
+    until a draw displaces its value: draw i picks j uniform in [i, m), yields
+    the value at slot j plus 1, and moves the value at slot i into slot j.
+    Only displaced values are stored, so the first t draws cost O(t) time and
+    memory rather than the O(m) of a full permutation.
+    """
+    moved: dict[int, int] = {}
+    for i in range(m):
+        j = int(rng.integers(i, m))
+        v = moved.get(j, j)
+        moved[j] = moved.pop(i, i)
+        yield v + 1
+
+
 @dataclass
 class GreedyResult:
     """A greedy run: the code, its accepted steps and its final profile.
@@ -657,7 +678,11 @@ def greedy_potential_code(
     The potential of a code C is 2^{-n} * sum_z 2^{(n/L') P(z)} with P the
     occupancy profile at radius r = floor(rho*n) and L' = (L-1-2*delta)/h2(rho).
     At each step candidates v outside the current span are scanned in a seeded
-    random order and the first with S_new <= S_prev^2 is accepted.  Such a v
+    random order and the first with S_new <= S_prev^2 is accepted.  The order
+    is a uniform random permutation of 1..2^n - 1 drawn by `_candidate_order`
+    only as far as a scan reaches, and every step rescans it from its first
+    candidate, so a run that scores a dozen candidates draws a dozen rather
+    than shuffling all 2^n - 1.  Such a v
     always exists in exact arithmetic: S_new summed over all v is 2^n S^2 and
     every v inside the span gives S_new >= S^2, so some v outside gives at
     most S^2.  NoCandidateError, whose `history` holds the steps done, can
@@ -686,7 +711,7 @@ def greedy_potential_code(
         raise DomainError("delta must be positive")
     N = 1 << n
     if N > _CENTER_CAP:
-        raise SizeCapError(f"2^n = {N} exceeds the cap on the candidate order")
+        raise SizeCapError(f"2^n = {N} exceeds the cap on the profile lookup")
     h = hq(2, rho)
     num = L - 1 - 2.0 * delta
     if num <= 0.0:
@@ -725,12 +750,19 @@ def greedy_potential_code(
         basis: list[int] = []
         history: list[dict] = []
         scanned = 0
-        order = rng.permutation(N - 1)
+        drawn: list[int] = []  # the order's prefix, rescanned at every step
+        draws = _candidate_order(rng, N - 1)
+
+        def order():
+            yield from drawn
+            for v in draws:
+                drawn.append(v)
+                yield v
+
         for step in range(1, k + 1):
             target = S * S
             accepted = None
-            for v in order:
-                v = int(v) + 1
+            for v in order():
                 if v in span:
                     continue
                 scanned += 1

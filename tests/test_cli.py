@@ -6,7 +6,7 @@ import pytest
 
 from thresholds import engine as eng
 from thresholds import simulate as sim
-from thresholds.cli import main
+from thresholds.cli import build_parser, main
 from thresholds.engine import fmt12
 from thresholds.infomeasures import hq, hql
 
@@ -361,19 +361,10 @@ def test_construct_beyond_the_theorem_dimension(in_tmpdir, capsys):
     assert 1 < ex_max <= bound
     assert len((in_tmpdir / "construct_code.txt").read_text().split()) == 512
     assert len((in_tmpdir / "construct_trace.csv").read_text().splitlines()) == 10
-    # every candidate scored was taken, and 512 radius-1 balls cover all 1024 centres
+    # 15 candidates scored for 9 steps at seed 0, and 512 radius-1 balls
+    # cover all 1024 centres
     counters = read_manifest(in_tmpdir / "construct.manifest.json")["counters"]
-    assert counters == {"scanned": 9, "support": 1024}
-
-
-class OneCandidate:
-    """RNG stand-in whose candidate order holds the single vector v."""
-
-    def __init__(self, v):
-        self.v = v
-
-    def permutation(self, m):
-        return np.array([self.v - 1])
+    assert counters == {"scanned": 15, "support": 1024}
 
 
 def test_construct_failure_writes_the_steps_done(in_tmpdir, capsys, monkeypatch):
@@ -382,8 +373,9 @@ def test_construct_failure_writes_the_steps_done(in_tmpdir, capsys, monkeypatch)
     args = (10, 0.125, 4, 0.2)
     first = sim.greedy_potential_code(*args, np.random.default_rng(1), k=1).history[0]
     real = sim.greedy_potential_code
+    monkeypatch.setattr(sim, "_candidate_order", lambda rng, m: iter([first["vector"]]))
     monkeypatch.setattr(sim, "greedy_potential_code",
-                        lambda *a, k=None: real(*args, OneCandidate(first["vector"]), k=2))
+                        lambda *a, k=None: real(*args, np.random.default_rng(1), k=2))
     rc = main(["construct", "--n", "10", "--rho", "0.125", "--L", "4",
                "--delta", "0.2", "--seed", "1"])
     assert rc == 5
@@ -448,6 +440,51 @@ def test_config_flag_needs_a_boolean(in_tmpdir, capsys):
         main(["entropy", "--config", str(cfg)])
     assert exc.value.code == 2
     assert "hq = maybe" in capsys.readouterr().err
+
+
+def test_one_parser_serves_a_batch_of_calls(in_tmpdir, capsys):
+    # the parser is built once per process; runs on it match runs on fresh
+    # parsers, whatever ran before them (a config file, a failed parse)
+    cfg = in_tmpdir / "run.cfg"
+    cfg.write_text("q = 4\nrho = 0.2\n")
+    bad = in_tmpdir / "bad.cfg"
+    bad.write_text("hq = maybe\n")
+    calls = [
+        ["entropy", "--hq", "--q", "3", "--rho", "0.1"],
+        ["bounds", "--family", "ld4-binary-rlc", "--rho-min", "0.1", "--rho-max", "0.2",
+         "--step", "0.05"],
+        ["entropy", "--hq", "--config", str(cfg)],
+        ["entropy", "--hq"],
+        ["entropy", "--config", str(bad)],
+        ["construct", "--n", "10", "--rho", "0.125", "--L", "4", "--delta", "0.2",
+         "--k", "0"],
+        ["entropy", "--hq", "--rho", "-0.5"],
+        ["bounds", "--family", "ld4-binary-rc", "--rho-min", "0.1", "--rho-max", "0.2",
+         "--step", "0.05", "--format", "json"],
+        ["entropy", "--hq", "--hql", "--q", "4", "--l", "2", "--rho", "0.2"],
+    ]
+
+    def run(argv):
+        manifest = in_tmpdir / f"{argv[0]}.manifest.json"
+        manifest.unlink(missing_ok=True)
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = ("exit", exc.code)
+        out = capsys.readouterr()
+        args = read_manifest(manifest)["args"] if manifest.exists() else None
+        return rc, out.out, out.err, args
+
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run(argv))
+    build_parser.cache_clear()
+    shared = [run(argv) for argv in calls]
+    assert build_parser.cache_info().misses == 1
+    assert shared == fresh
+    assert [r[0] for r in shared] == [0, 0, 0, 0, ("exit", 2), 2, 3, 0, 0]
+    assert "hq(q=4, rho=0.2)" in shared[2][1] and "hq(q=2, rho=0) = 0" in shared[3][1]
 
 
 def test_version_flag():

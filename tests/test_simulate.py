@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -21,6 +22,8 @@ from thresholds.simulate import (
     _CENTER_CAP,
     Code,
     SweepConfig,
+    _ball_slots,
+    _candidate_order,
     _zero_list_ball,
     check_ld_centers,
     check_lr_dp,
@@ -582,6 +585,31 @@ def _column_rule(H, q):
     return max(1 + (q - 1) * zero, int(most))
 
 
+def _transposed_ball_slots(q, n, r):
+    """The slots by one nonzero over the transposed ball: its entries by cell,
+    then coordinate, each cell's j-th entry going to slot j."""
+    ball, _ = _zero_list_ball(q, n, r, 1)
+    cell, coord = np.nonzero(ball.T)
+    weight = np.bincount(cell, minlength=ball.shape[1])
+    slot = np.arange(cell.size) - np.repeat(np.cumsum(weight) - weight, weight)
+    slots = np.zeros((min(r, n), ball.shape[1]), dtype=np.int64)
+    slots[slot, cell] = coord * q + ball[coord, cell]
+    return slots
+
+
+@pytest.mark.parametrize("q, n, r", [(2, 12, 3), (3, 9, 2), (4, 7, 3), (2, 40, 4), (3, 40, 4)])
+def test_ball_slots_match_the_transposed_construction(q, n, r):
+    # the n = 40 balls hold up to 1.5 million cells; they are dropped from
+    # the caches afterwards rather than kept for the rest of the session
+    try:
+        got = _ball_slots.__wrapped__(q, n, r)
+        want = _transposed_ball_slots(q, n, r)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    finally:
+        if n == 40:
+            _zero_list_ball.cache_clear()
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_largest_fiber_at_radius_one_follows_the_column_rule(q):
     # n = 40: neither the q^k codewords nor the q^40 centres can be listed;
@@ -760,29 +788,80 @@ def test_greedy_golden_run():
     # accepted vectors and potentials of one run, pinned so that the candidate
     # order drawn from the seed and the acceptance rule stay as they are
     g = greedy_potential_code(12, 0.2, 6, 0.2, np.random.default_rng(4), k=7)
-    assert [rec["vector"] for rec in g.history] == [1294, 1009, 2342, 1343, 860, 475, 4030]
-    assert [rec["s_after"] for rec in g.history] == [
+    vectors = [2975, 3610, 2096, 3862, 338, 3974, 3852]
+    pinned = [
         1.1037320805572433, 1.2074641611144863, 1.457300734876751, 2.084091120344615,
-        3.337671891280343, 8.28180841135111, 50.31238414146225,
+        3.337671891280343, 11.121882560656372, 89.09477102063084,
     ]
-    assert g.scanned == 11 and g.final_max_count == 4
+    assert [rec["vector"] for rec in g.history] == vectors
+    assert [rec["s_after"] for rec in g.history] == pinned
+    assert g.scanned == 14 and g.final_max_count == 5
+    # each pinned potential is the dense potential of the code the prefix spans
+    span = np.zeros(1, dtype=np.int64)
+    for v, s_after in zip(vectors, pinned):
+        span = np.concatenate((span, span ^ v))
+        s, _ = dense_potential(Code(q=2, n=12, words=np.sort(span)), 2, g.lprime)
+        assert s == s_after
 
 
-class OneCandidate:
-    """RNG stand-in whose candidate order holds the single vector v."""
-
-    def __init__(self, v):
-        self.v = v
-
-    def permutation(self, m):
-        return np.array([self.v - 1])
+def test_candidate_order_draws_each_vector_once():
+    for n in (3, 4):
+        m = 2**n - 1
+        for seed in range(20):
+            order = list(_candidate_order(np.random.default_rng(seed), m))
+            assert sorted(order) == list(range(1, m + 1)), (n, seed)
 
 
-def test_greedy_failure_carries_the_steps_done():
+def test_candidate_order_first_draw_is_uniform():
+    # 400 fixed seeds over the 15 nonzero vectors of F_2^4; the bound is the
+    # 0.999 quantile of chi-square with 14 degrees of freedom
+    m = 15
+    firsts = [next(_candidate_order(np.random.default_rng(seed), m)) for seed in range(400)]
+    observed = np.bincount(firsts, minlength=m + 1)[1:]
+    expected = 400 / m
+    chi2 = float(((observed - expected) ** 2 / expected).sum())
+    assert chi2 < 36.12
+
+
+def test_greedy_never_holds_a_full_candidate_order():
+    # a bench-sized run: its peak stays below the 2^n int64 entries that a
+    # materialized order of the 2^n - 1 candidates would take by itself
+    n = 22
+    tracemalloc.start()
+    try:
+        greedy_potential_code(n, 0.1, 6, 0.1, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**n * 8
+
+
+def test_greedy_failure_carries_the_steps_done(monkeypatch):
+    # with one candidate in the scan order, step 1 takes it and step 2 finds
+    # nothing outside the span
     first = greedy_potential_code(10, 0.125, 4, 0.2, np.random.default_rng(1), k=1).history
+    monkeypatch.setattr("thresholds.simulate._candidate_order",
+                        lambda rng, m: iter([first[0]["vector"]]))
     with pytest.raises(NoCandidateError, match="step 2") as exc:
-        greedy_potential_code(10, 0.125, 4, 0.2, OneCandidate(first[0]["vector"]), k=2)
+        greedy_potential_code(10, 0.125, 4, 0.2, np.random.default_rng(1), k=2)
     assert exc.value.history == first
+
+
+def test_greedy_rescans_the_drawn_prefix_without_redrawing(monkeypatch):
+    # an order of the three vectors of one plane: steps 1 and 2 take 1 and 2,
+    # step 3 rescans the prefix, finds it inside the span and ends the order
+    drawn = []
+
+    def plane(rng, m):
+        for v in (1, 2, 3):
+            drawn.append(v)
+            yield v
+
+    monkeypatch.setattr("thresholds.simulate._candidate_order", plane)
+    with pytest.raises(NoCandidateError, match="step 3") as exc:
+        greedy_potential_code(4, 0.2, 2, 0.1, np.random.default_rng(0), k=3)
+    assert [rec["vector"] for rec in exc.value.history] == [1, 2]
+    assert drawn == [1, 2, 3]
 
 
 def test_greedy_domain_errors():
