@@ -8,7 +8,7 @@ reach for one of them.
 
 from thresholds.engine import kernel_slack_report
 from thresholds.infomeasures import hq
-from thresholds.subspaces import entropy_over_kernels, gaussian_binomial
+from thresholds.subspaces import gaussian_binomial, iter_rref_bases, kernel_entropy_table
 from thresholds.typespace import LRSpec, TypeDist, bad_type
 
 q, L, rho, delta = 2, 3, 0.1, 0.1
@@ -32,9 +32,11 @@ print()
 n_kernels = sum(gaussian_binomial(L, k, q) for k in range(L))
 print(f"{n_kernels} proper kernels:")
 print("kernel basis         dim(image)  entropy of quotient")
-for rec in entropy_over_kernels(tau):
-    rows = ",".join("".join(str(x) for x in row) for row in rec["kernel"].basis) or "-"
-    print(f"  {rows:<18} {rec['dim_image']:^10}  {rec['entropy']:.6f}")
+for k in range(L):
+    H, D = kernel_entropy_table(tau, k)  # row t belongs to the t-th basis
+    for basis, dim_image, entropy in zip(iter_rref_bases(q, L, k), D.tolist(), H.tolist()):
+        rows = ",".join("".join(str(x) for x in row) for row in basis) or "-"
+        print(f"  {rows:<18} {dim_image:^10}  {entropy:.6f}")
 print()
 
 # --- the slack report -------------------------------------------------------

@@ -37,6 +37,7 @@ from .errors import (
     WorkBudgetExceededError,
 )
 from .infomeasures import hq, hq_multi, hql
+from .typespace import LRSpec
 
 EXIT_OK = 0
 EXIT_ASSERT = 1
@@ -234,6 +235,7 @@ def _verify_negativity(args) -> tuple[bool, list[dict]]:
 
 
 def _verify_claima1(args) -> tuple[bool, list[dict]]:
+    LRSpec(q=args.q, ell=args.l, L=1, rho=args.rho)  # q < 2 leaves no beta to check
     details = []
     for beta in range(1, args.q):
         lam = eng.shifted_sum_entropy_ratio(args.q, args.l, args.rho, beta)

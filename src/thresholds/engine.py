@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DomainError, UnsupportedError
 from .fields import make_field
 from .infomeasures import entropy, hq, hq_multi, hql, joint_measures
-from .subspaces import SubspaceRREF, iter_rref_bases, kernel_entropy_table, rref_of
+from .subspaces import SubspaceRREF, kernel_at, kernel_entropy_table, rref_of
 from .typespace import LRSpec, TypeDist, bad_type, coincidence_orbits
 
 STRICT_MARGIN = 1e-9
@@ -469,8 +469,8 @@ def lr_listsize_lower_rlc(q: int, ell: int, rho: float, eps: float, delta: float
         raise DomainError("eps must be positive")
     if delta < 0.0:
         raise DomainError("delta must be nonnegative")
-    logc = math.log(math.comb(q, ell)) / math.log(q)
     LRSpec(q=q, ell=ell, L=1, rho=rho)  # validates q, ell, rho
+    logc = math.log(math.comb(q, ell)) / math.log(q)
     return math.floor((logc - (1.0 - hql(q, ell, rho))) / eps - delta)
 
 
@@ -555,7 +555,7 @@ def kernel_slack_report(q: int, ell: int, rho: float, L: int, delta: float) -> d
         t = int(np.argmin(slack))  # first minimum, as in enumeration order
         if slack[t] < min_slack:
             min_slack = float(slack[t])
-            worst = next(itertools.islice(iter_rref_bases(q, L, k), t, None))
+            worst = kernel_at(q, L, k, t)
         for d in set(D.tolist()):
             per_dim[d] = min(per_dim.get(d, math.inf), float(slack[D == d].min()))
         alt_min = min(alt_min, float((H - D * (h + (logc - 1.0 + h - delta) / L)).min()))
@@ -566,7 +566,7 @@ def kernel_slack_report(q: int, ell: int, rho: float, L: int, delta: float) -> d
 
     return {
         "min_slack": min_slack,
-        "worst_kernel": SubspaceRREF(q=q, ambient=L, basis=worst),
+        "worst_kernel": worst,
         "pass": bool(min_slack >= 0.0),
         "kernels": kernels,
         "details": {

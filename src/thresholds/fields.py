@@ -10,10 +10,13 @@ array, reads these tables.  Beside `row_reduce`, the one Gauss-Jordan
 elimination over GF(q) behind RREF bases, ranks and quotient maps, stands
 `matvec_all`, the one routine for linear images: the images of all of
 GF(q)^b under a stack of matrices, behind pushforwards, the kernel sweep and
-the words of a random linear code.  `matvec_apply` is its scalar oracle.
+the words of a random linear code.
 
 Vectors over GF(q) of length b are identified with indices in [0, q^b) by the
 little-endian radix-q packing: coordinate i is the i-th base-q digit.
+`digits_of` and `pack_digits` convert whole arrays either way; the field
+codes' base-p digits, `vec_table` and the kernel enumeration's free entries
+all come from them.  `vec_encode`/`vec_decode` are the one-vector forms.
 """
 
 from __future__ import annotations
@@ -54,38 +57,18 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
     return p, m
 
 
-def _poly_mul_mod(a: list[int], b: list[int], modulus: list[int], p: int) -> list[int]:
-    """Multiply coefficient lists a*b modulo the monic `modulus`, coefficients mod p."""
-    m = len(modulus) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            prod[i + j] = (prod[i + j] + ca * cb) % p
-    # reduce: x^m = -(modulus[0] + ... + modulus[m-1] x^{m-1})
-    for deg in range(len(prod) - 1, m - 1, -1):
-        c = prod[deg]
-        if c == 0:
-            continue
-        prod[deg] = 0
-        for j in range(m):
-            prod[deg - m + j] = (prod[deg - m + j] - c * modulus[j]) % p
-    out = prod[:m]
-    out += [0] * (m - len(out))
-    return out
-
-
 def _powers_of_x(modulus: list[int], p: int) -> list[int]:
-    """Codes of x^0, x^1, ... modulo the monic `modulus`, up to the first repeat."""
-    m = len(modulus)
-    x = [0] * m
-    x[1] = 1
-    cur = [1] + [0] * (m - 1)
+    """Codes of x^0, x^1, ... modulo the monic `modulus`, up to the first repeat.
+
+    Multiplying by x shifts the coefficients up one place; the coefficient
+    that leaves the top, of x^m, comes back as minus itself times `modulus`.
+    """
+    cur = [1] + [0] * (len(modulus) - 1)
     seen: dict[int, None] = {}
     while (packed := sum(c * p**i for i, c in enumerate(cur))) not in seen:
         seen[packed] = None
-        cur = _poly_mul_mod(cur, x, modulus + [1], p)
+        top = cur[-1]
+        cur = [(c - top * a) % p for c, a in zip([0] + cur[:-1], modulus)]
     return list(seen)
 
 
@@ -166,10 +149,9 @@ def make_field(q: int) -> FieldSpec:
         raise UnsupportedError(f"field order {q} exceeds the cap {MAX_ORDER}")
     p, m = _factor_prime_power(q)
     codes = np.arange(q)
-    place = p ** np.arange(m)
-    digits = codes[:, None] // place % p
-    add = (digits[:, None, :] + digits[None, :, :]) % p @ place
-    neg = -digits % p @ place
+    digits = digits_of(codes, p, m)
+    add = pack_digits((digits[:, None, :] + digits[None, :, :]) % p, p)
+    neg = pack_digits(-digits % p, p)
     if m == 1:
         modulus: list[int] = []
         mul = np.outer(codes, codes) % p
@@ -223,29 +205,35 @@ def row_reduce(M, fs: FieldSpec) -> tuple[np.ndarray, tuple[int, ...]]:
 
 def vec_encode(v, q: int, b: int | None = None) -> int:
     """Pack a length-b digit sequence into its little-endian radix-q index."""
-    v = list(v)
+    v = [int(d) for d in v]
     if b is not None and len(v) != b:
         raise LengthMismatchError(f"expected {b} coordinates, got {len(v)}")
-    idx = 0
-    mult = 1
     for d in v:
-        d = int(d)
         if not 0 <= d < q:
             raise DigitOutOfRangeError(f"digit {d} outside [0, {q})")
-        idx += d * mult
-        mult *= q
-    return idx
+    return sum(d * q**i for i, d in enumerate(v))
 
 
 def vec_decode(idx: int, q: int, b: int) -> tuple[int, ...]:
     """Inverse of vec_encode; raises if idx needs more than b digits."""
     if not 0 <= idx < q**b:
         raise DigitOutOfRangeError(f"index {idx} outside [0, {q}^{b})")
-    out = []
-    for _ in range(b):
-        out.append(idx % q)
-        idx //= q
-    return tuple(out)
+    return tuple(idx // q**i % q for i in range(b))
+
+
+def digits_of(idx, q: int, n: int) -> np.ndarray:
+    """Little-endian radix-q digits of each index, shape (len(idx), n), int16."""
+    cur = np.asarray(idx, dtype=np.int64)
+    out = np.empty((cur.shape[0], n), dtype=np.int16)
+    for i in range(n):
+        cur, out[:, i] = np.divmod(cur, q)
+    return out
+
+
+def pack_digits(digits, q: int) -> np.ndarray:
+    """Inverse of digits_of: the radix-q index of each row of digits (last axis)."""
+    digits = np.asarray(digits, dtype=np.int64)
+    return digits @ q ** np.arange(digits.shape[-1], dtype=np.int64)
 
 
 @functools.lru_cache(maxsize=64)
@@ -254,31 +242,9 @@ def vec_table(q: int, b: int) -> np.ndarray:
     n = q**b
     if n > 1 << 24:
         raise SizeCapError(f"q^b = {n} exceeds the vector-table cap 2^24")
-    idx = np.arange(n, dtype=np.int64)
-    cols = [(idx // q**j) % q for j in range(b)]
-    tab = np.stack(cols, axis=1).astype(np.int16)
+    tab = digits_of(np.arange(n), q, b)
     tab.setflags(write=False)
     return tab
-
-
-def matvec_apply(A, v, fs: FieldSpec) -> tuple[int, ...]:
-    """Apply a rows x cols matrix (list of rows of element codes) to a vector."""
-    A = [list(row) for row in A]
-    v = list(v)
-    if not A:
-        raise ShapeMismatchError("matrix must have at least one row")
-    cols = len(A[0])
-    if any(len(row) != cols for row in A):
-        raise ShapeMismatchError("ragged matrix rows")
-    if len(v) != cols:
-        raise LengthMismatchError(f"matrix has {cols} columns, vector has {len(v)}")
-    out = []
-    for row in A:
-        acc = 0
-        for a, x in zip(row, v):
-            acc = fs.add(acc, fs.mul(a, x))
-        out.append(acc)
-    return tuple(out)
 
 
 def matvec_all(A, fs: FieldSpec) -> np.ndarray:

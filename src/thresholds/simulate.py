@@ -14,7 +14,8 @@ times the pigeonhole bound decides without it, and when the cells do not fit
 a dynamic program over the L-subsets of codewords decides without
 enumerating them.  A random linear code's words are the image of GF(q)^k
 under its generator, listed by `fields.matvec_all`, and a code is linear
-exactly when it has q^rank words.
+exactly when it has q^rank words.  Codewords are held as packed indices;
+`fields.digits_of` and `fields.pack_digits` turn them into digit rows and back.
 
 The greedy constructor grows a binary linear code one basis vector at a time,
 accepting a vector only when the potential of the doubled code stays below the
@@ -39,7 +40,7 @@ import mpmath
 import numpy as np
 
 from .errors import DomainError, NoCandidateError, SizeCapError, WorkBudgetExceededError
-from .fields import make_field, matvec_all, row_reduce
+from .fields import digits_of, make_field, matvec_all, pack_digits, row_reduce
 from .infomeasures import ball_volume, hq
 from .subspaces import map_with_kernel, rref_of
 
@@ -51,22 +52,6 @@ _PACK_CAP = 2**63 - 1  # largest q^m whose syndromes pack into int64
 DEFAULT_WORK_BUDGET = 2**29
 
 WILSON_Z = 1.96
-
-
-def digits_of(idx: np.ndarray, q: int, n: int) -> np.ndarray:
-    """Little-endian radix-q digits, shape (len(idx), n)."""
-    cur = np.asarray(idx, dtype=np.int64).copy()
-    out = np.empty((cur.shape[0], n), dtype=np.int16)
-    for i in range(n):
-        out[:, i] = cur % q
-        cur //= q
-    return out
-
-
-def pack_digits(digits: np.ndarray, q: int) -> np.ndarray:
-    digits = np.asarray(digits, dtype=np.int64)
-    radix = q ** np.arange(digits.shape[1], dtype=np.int64)
-    return digits @ radix
 
 
 def radius_of(rho: float, n: int) -> int:
@@ -474,6 +459,8 @@ class SweepConfig:
 
     def __post_init__(self):
         make_field(self.q)
+        if self.n < 1:
+            raise DomainError(f"code length must be >= 1, got {self.n}")
         if self.family not in ("rlc", "rc"):
             raise DomainError(f"family must be rlc or rc, got {self.family!r}")
         if not self.rates:

@@ -2,18 +2,15 @@
 
 Subspaces are represented by their reduced-row-echelon basis, which makes the
 representation canonical: two subspaces are equal iff their RREF bases are
-equal.  `rref_of` validates generator rows and hands them to
-`fields.row_reduce`; `map_with_kernel` reads a quotient matrix off an RREF
-basis, which is also how `simulate.sample_rlc` turns a parity-check matrix
-into a generator.  Enumeration walks pivot-column combinations and fills the
-free entries, which visits every subspace exactly once; counts per dimension
-match the Gaussian binomials.
-
-`kernel_entropy_table` pushes a type through the quotient map of every
-k-dimensional kernel at once: the kernels that share a pivot pattern are
-stacked into blocks of quotient matrices, and `fields.matvec_all` gives the
-images of one block; `iter_kernel_entropies` and `entropy_over_kernels` pair
-its rows with the kernel bases.
+equal; `rref_of` computes it with `fields.row_reduce`.  One enumeration visits
+every k-dim subspace once (counts match the Gaussian binomials): the pivot
+patterns in turn, each with its free entries filled from blocks of base-q
+counter digits.  Two index templates per pattern read a block's RREF bases
+(`iter_rref_bases`, `kernel_at`) and its quotient matrices off the same
+digits; `kernel_entropy_table` pushes a type through a block's quotients with
+one `fields.matvec_all` call, and `map_with_kernel` applies the quotient
+template to one basis, which is also how `simulate.sample_rlc` turns a
+parity-check matrix into a generator.
 """
 
 from __future__ import annotations
@@ -28,13 +25,12 @@ from .errors import (
     DomainError,
     FullSpaceKernelError,
     ShapeMismatchError,
-    SizeCapError,
 )
-from .fields import make_field, matvec_all, row_reduce, vec_table
+from .fields import digits_of, make_field, matvec_all, row_reduce, vec_table
 from .infomeasures import entropy
 from .typespace import TypeDist
 
-_ENUM_CAP = 200_000
+_CHUNK = 1 << 14  # kernels x q^L cells pushed forward per numpy block
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -100,50 +96,73 @@ def rref_of(rows, q: int) -> SubspaceRREF:
     return SubspaceRREF(q=q, ambient=M.shape[1], basis=tuple(map(tuple, R.tolist())))
 
 
-def _pivot_patterns(L: int, k: int):
-    """Yield (pivots, free positions) of each k-row RREF pattern, in enumeration
-    order.  Free positions are the (row, column) entries a pattern leaves open."""
+def _templates(L: int, pivots) -> tuple[np.ndarray, np.ndarray]:
+    """Where a pivot pattern's RREF basis and quotient matrix read their
+    entries: 0 and 1 stand for themselves, 2 + f for the f-th free entry
+    (right of a row's pivot, outside the pivot columns; row by row).  Quotient
+    row r has 1 in the r-th free column c and minus basis entry (i, c) in the
+    pivot column of basis row i, so it kills every basis row."""
+    k = len(pivots)
+    free_cols = [j for j in range(L) if j not in pivots]
+    basis = np.zeros((k, L), dtype=np.intp)
+    quotient = np.zeros((L - k, L), dtype=np.intp)
+    basis[np.arange(k), list(pivots)] = 1
+    quotient[np.arange(L - k), free_cols] = 1
+    f = 2
+    for i, p in enumerate(pivots):
+        for r, j in enumerate(free_cols):
+            if j > p:
+                basis[i, j] = quotient[r, p] = f
+                f += 1
+    return basis, quotient
+
+
+def _fill(template: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    """The int64 matrices a template reads off each row of free digits."""
+    ones = np.ones((len(digits), 1), dtype=np.int64)
+    return np.concatenate([ones - 1, ones, digits], axis=1)[:, template]
+
+
+def _rref_blocks(q: int, L: int, k: int, step: int, start: int = 0):
+    """Yield (templates, digits) for the k-dim subspaces of GF(q)^L from the
+    start-th on: the `_templates` of a pivot pattern and a (B, F) block of
+    B <= step rows of its F free digits.  Pivot patterns come in
+    `itertools.combinations` order; within one the free digits run through
+    GF(q) like a base-q counter, the last fastest."""
     for pivots in itertools.combinations(range(L), k):
-        yield pivots, [
-            (i, j) for i in range(k) for j in range(pivots[i] + 1, L) if j not in pivots
-        ]
+        templates = _templates(L, pivots)
+        F = int((templates[0] > 1).sum())
+        for t0 in range(start, q**F, step):
+            yield templates, digits_of(np.arange(t0, min(t0 + step, q**F)), q, F)[:, ::-1]
+        start = max(0, start - q**F)
 
 
 def iter_rref_bases(q: int, L: int, k: int):
-    """Yield the RREF basis (tuple of row tuples) of every k-dim subspace of GF(q)^L.
+    """Yield the RREF basis (tuple of row tuples) of every k-dim subspace of
+    GF(q)^L, in the enumeration order of every kernel table."""
+    for (basis, _), digits in _rref_blocks(q, L, k, _CHUNK):
+        yield from (tuple(map(tuple, b)) for b in _fill(basis, digits).tolist())
 
-    Within a pivot pattern the free entries run through GF(q) like the digits
-    of a base-q counter, the last free position fastest.
-    """
-    for pivots, freepos in _pivot_patterns(L, k):
-        base = [[int(j == p) for j in range(L)] for p in pivots]
-        for assignment in itertools.product(range(q), repeat=len(freepos)):
-            rows = [r[:] for r in base]
-            for (i, j), v in zip(freepos, assignment):
-                rows[i][j] = v
-            yield tuple(tuple(r) for r in rows)
+
+def kernel_at(q: int, L: int, k: int, t: int) -> SubspaceRREF:
+    """The t-th k-dim subspace of `iter_rref_bases(q, L, k)`, decoded from t."""
+    (basis, _), digits = next(_rref_blocks(q, L, k, 1, t))
+    rows = _fill(basis, digits)[0].tolist()
+    return SubspaceRREF(q=q, ambient=L, basis=tuple(map(tuple, rows)))
 
 
 def map_with_kernel(s: SubspaceRREF) -> np.ndarray:
     """Deterministic surjection GF(q)^L -> GF(q)^(L-dim) with kernel s.
 
-    Returns its (L - dim, L) int16 matrix: the nullspace basis of the RREF
-    basis matrix, one row per free column in ascending order, with 1 in that
-    column and minus the basis entries in the pivot columns; for the zero
-    subspace this is the identity.
+    Returns its (L - dim, L) int16 matrix, the `_templates` quotient read off
+    the basis's free digits; for the zero subspace this is the identity.
     """
     L = s.ambient
     if s.dim == L:
         raise FullSpaceKernelError("the full space leaves no quotient to map onto")
-    free = [j for j in range(L) if j not in s.pivots]
-    out = np.zeros((len(free), L), dtype=np.int16)
-    out[np.arange(len(free)), free] = 1
-    if s.dim:
-        out[:, list(s.pivots)] = make_field(s.q).neg_table[np.asarray(s.basis)[:, free].T]
-    return out
-
-
-_CHUNK = 1 << 14  # kernels x q^L cells pushed forward per numpy block
+    basis, quotient = _templates(L, s.pivots)
+    digits = np.asarray(s.basis, dtype=np.int64).reshape(s.dim, L)[basis > 1]
+    return _fill(quotient, make_field(s.q).neg_table[digits][None])[0].astype(np.int16)
 
 
 def kernel_entropy_table(tau: TypeDist, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -151,12 +170,13 @@ def kernel_entropy_table(tau: TypeDist, k: int) -> tuple[np.ndarray, np.ndarray]
 
     Row t of the (entropy, dim_image) arrays belongs to the t-th basis of
     `iter_rref_bases(q, L, k)`: the base-q entropy of tau pushed through that
-    kernel's `map_with_kernel` quotient map, and L - k, or for an image
-    without full support the rank of its support.  Kernels sharing a pivot
-    pattern are pushed forward together, _CHUNK kernels x q^L cells at most:
-    their (B, L - k, L) stack of quotient matrices goes through one
-    `fields.matvec_all` call, and the masses come from one bincount with a
-    per-kernel offset.
+    kernel's `map_with_kernel` quotient map, and the dimension of the span
+    of its support.  That is L - k for every kernel when the support of tau
+    spans GF(q)^L, which is checked once; otherwise each image without full
+    support is ranked.  Kernels sharing a pivot pattern are pushed forward
+    together, _CHUNK kernels x q^L cells at most: their (B, L - k, L) stack
+    of quotient matrices goes through one `fields.matvec_all` call, and the
+    masses come from one bincount with a per-kernel offset.
     """
     q, L = tau.q, tau.b
     if not 0 <= k < L:
@@ -166,30 +186,21 @@ def kernel_entropy_table(tau: TypeDist, k: int) -> tuple[np.ndarray, np.ndarray]
     N, M = q**L, q**Lp
     step = max(1, _CHUNK // N)
     weights = np.tile(tau.probs, step)
+    spans = tau.probs.all() or len(row_reduce(vec_table(q, L)[tau.probs > 0], fs)[1]) == L
     entropies, dims = [], []
-    for pivots, freepos in _pivot_patterns(L, k):
-        F = len(freepos)
-        free_cols = [j for j in range(L) if j not in pivots]
-        # quotient-map entry (row r, pivot column p) = -(free digit f)
-        entries = [(free_cols.index(j), pivots[i], f) for f, (i, j) in enumerate(freepos)]
-        for t0 in range(0, q**F, step):
-            t = np.arange(t0, min(t0 + step, q**F))
-            B = t.size
-            digits = (t[:, None] // q ** np.arange(F - 1, -1, -1)) % q
-            maps = np.zeros((B, Lp, L), dtype=np.int64)
-            maps[:, np.arange(Lp), free_cols] = 1
-            for r, p, f in entries:
-                maps[:, r, p] = fs.neg_table[digits[:, f]]
-            images = matvec_all(maps, fs)
-            images += (np.arange(B) * M)[:, None]
-            masses = np.bincount(images.ravel(), weights=weights[:B * N],
-                                 minlength=B * M).reshape(B, M)
-            entropies.append(entropy(masses, q))
+    for (_, quotient), digits in _rref_blocks(q, L, k, step):
+        B = digits.shape[0]
+        images = matvec_all(_fill(quotient, fs.neg_table[digits]), fs)
+        images += (np.arange(B) * M)[:, None]
+        masses = np.bincount(images.ravel(), weights=weights[:B * N],
+                             minlength=B * M).reshape(B, M)
+        entropies.append(entropy(masses, q))
+        dim = np.full(B, Lp)
+        if not spans:
             full = masses > 0
-            dim = np.full(B, Lp)
             for b in np.flatnonzero(~full.all(axis=1)):
                 dim[b] = len(row_reduce(vec_table(q, Lp)[full[b]], fs)[1])
-            dims.append(dim)
+        dims.append(dim)
     return np.concatenate(entropies), np.concatenate(dims)
 
 
@@ -197,24 +208,9 @@ def iter_kernel_entropies(tau: TypeDist, dims=None):
     """Stream (basis, image_dim, entropy_base_q) over proper-subspace kernels.
 
     `basis` is the RREF basis tuple of the kernel; the numbers are the rows
-    of `kernel_entropy_table`, one kernel dimension at a time.
+    of `kernel_entropy_table`, one kernel dimension at a time.  It stays a
+    generator: `perfbench/tracing.py` traces it and counts one kernel per item.
     """
     for k in range(tau.b) if dims is None else sorted(set(dims)):
         H, D = kernel_entropy_table(tau, k)
         yield from zip(iter_rref_bases(tau.q, tau.b, k), D.tolist(), H.tolist())
-
-
-def entropy_over_kernels(tau: TypeDist, dims=None) -> list[dict]:
-    """Pushforward entropy and image dimension for every proper kernel.
-
-    Returns a list of {"kernel": SubspaceRREF, "entropy": float, "dim_image":
-    int}; entropies in base-q units.  Capped; use `iter_kernel_entropies` for
-    the large streaming sweeps.
-    """
-    q, L = tau.q, tau.b
-    dims = list(range(L)) if dims is None else sorted(set(dims))
-    total = sum(gaussian_binomial(L, k, q) for k in dims)
-    if total > _ENUM_CAP:
-        raise SizeCapError(f"{total} kernels exceed the list cap; use iter_kernel_entropies")
-    return [{"kernel": SubspaceRREF(q=q, ambient=L, basis=basis), "entropy": H, "dim_image": d}
-            for basis, d, H in iter_kernel_entropies(tau, dims=dims)]

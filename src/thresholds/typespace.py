@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, ShapeMismatchError, SizeCapError, UnsupportedError
-from .fields import make_field, matvec_all, row_reduce, vec_table
+from .fields import make_field, matvec_all, vec_table
 from .infomeasures import JointTable, _checked_masses, entropy
 
 _ORBIT_L_CAP = 6
@@ -71,7 +71,7 @@ class LRSpec:
 
 
 # ---------------------------------------------------------------------------
-# linear images and ranks
+# linear images
 
 
 def pushforward(tau: TypeDist, A) -> TypeDist:
@@ -83,11 +83,6 @@ def pushforward(tau: TypeDist, A) -> TypeDist:
     images = matvec_all(A, make_field(tau.q))
     probs = np.bincount(images, weights=tau.probs, minlength=tau.q**rows)
     return TypeDist(q=tau.q, b=rows, probs=probs)
-
-
-def dim_of_type(tau: TypeDist) -> int:
-    """Dimension of the span of the support of tau."""
-    return len(row_reduce(vec_table(tau.q, tau.b)[tau.probs > 0], make_field(tau.q))[1])
 
 
 # ---------------------------------------------------------------------------

@@ -315,7 +315,15 @@ CONSTRUCT_N8 = ["construct", "--n", "8", "--rho", "0.1", "--L", "3", "--delta", 
     (["bounds", "--family", "ld4-binary-rlc", "--config", "no-such.cfg"], 2),
     (CONSTRUCT_N8 + ["--out-code", "no-such-dir/x.txt"], 2),
     (CONSTRUCT_N8 + ["--manifest", "no-such-dir/m.json"], 2),
-], ids=["multi-masses", "rate-step", "config", "out-code", "manifest"])
+    (["simulate", "--family", "rc", "--q", "2", "--n", "-3", "--L", "2", "--rho", "0.1",
+      "--rates", "0.1:0.8:0.1"], 3),
+    (["simulate", "--family", "rlc", "--q", "2", "--n", "0", "--L", "2", "--rho", "0.1",
+      "--rates", "0.1:0.8:0.1"], 3),
+    (["bounds", "--family", "lr-listsize-rlc", "--q", "3", "--l", "5"], 3),
+    (["verify", "--check", "claimA1", "--q", "1"], 3),
+    (["verify", "--check", "claimA1", "--q", "0"], 3),
+], ids=["multi-masses", "rate-step", "config", "out-code", "manifest", "rc-negative-n",
+        "rlc-zero-n", "listsize-ell-past-q", "claimA1-q1", "claimA1-q0"])
 def test_bad_input_exits_with_its_code(argv, code, capsys):
     assert main(argv) == code
     assert ("domain error" if code == 3 else "usage error") in capsys.readouterr().err

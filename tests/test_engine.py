@@ -37,7 +37,9 @@ from thresholds.engine import (
 )
 from thresholds.infomeasures import hq, hql
 from thresholds.subspaces import SubspaceRREF, iter_rref_bases, map_with_kernel
-from thresholds.typespace import LRSpec, TypeDist, bad_type, dim_of_type, pushforward
+from thresholds.typespace import LRSpec, TypeDist, bad_type, pushforward
+
+from reference import dim_of_type
 
 # Reference values below were frozen from a separate stationary-point
 # calculation (quadratic in the edge parameter) before this module existed.
@@ -444,6 +446,8 @@ def test_listsize_lower_formula():
     assert lr_listsize_lower_rlc(q, ell, rho, eps, delta) == math.floor(cap_gap / eps)
     with pytest.raises(DomainError):
         lr_listsize_lower_rlc(q, ell, rho, 0.0, delta)
+    with pytest.raises(DomainError):  # C(3, 5) = 0 has no logarithm
+        lr_listsize_lower_rlc(3, 5, rho, eps, delta)
 
 
 def test_listsize_rc_sandwich():

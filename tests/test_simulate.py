@@ -16,7 +16,7 @@ from thresholds.errors import (
     SizeCapError,
     WorkBudgetExceededError,
 )
-from thresholds.fields import make_field
+from thresholds.fields import digits_of, make_field, pack_digits
 from thresholds.infomeasures import ball_volume, hq
 from thresholds.simulate import (
     _CENTER_CAP,
@@ -27,14 +27,12 @@ from thresholds.simulate import (
     _zero_list_ball,
     check_ld_centers,
     check_lr_dp,
-    digits_of,
     draw_parity_check,
     greedy_potential_code,
     half_crossing,
     largest_fiber,
     occupancy_profile,
     parity_rows,
-    pack_digits,
     radius_of,
     sample_rc,
     sample_rlc,
@@ -162,7 +160,7 @@ def test_rlc_dimension_and_membership():
         assert code.linearity_ok()
         # every word lies in the kernel of the drawn parity-check matrix
         if code.parity_check is not None and code.parity_check.size:
-            from thresholds.fields import make_field
+            from thresholds.fields import digits_of, make_field, pack_digits
 
             fs = make_field(q)
             dig = code.digits()

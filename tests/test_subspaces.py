@@ -10,20 +10,21 @@ from thresholds.errors import (
     DomainError,
     FullSpaceKernelError,
     ShapeMismatchError,
-    SizeCapError,
 )
-from thresholds.fields import make_field, matvec_apply, row_reduce
+from thresholds.fields import make_field, row_reduce
 from thresholds.subspaces import (
     SubspaceRREF,
-    entropy_over_kernels,
     gaussian_binomial,
     iter_kernel_entropies,
     iter_rref_bases,
+    kernel_at,
     kernel_entropy_table,
     map_with_kernel,
     rref_of,
 )
-from thresholds.typespace import LRSpec, TypeDist, bad_type, dim_of_type, pushforward
+from thresholds.typespace import LRSpec, TypeDist, bad_type, pushforward
+
+from reference import dim_of_type, matvec_apply
 
 
 def test_gaussian_binomial_values():
@@ -49,6 +50,13 @@ def test_enum_counts_match_gaussian_binomials():
 def test_enum_counts_q3():
     assert len(list(iter_rref_bases(3, 3, 1))) == gaussian_binomial(3, 1, 3)
     assert len(list(iter_rref_bases(3, 3, 2))) == gaussian_binomial(3, 2, 3)
+
+
+@pytest.mark.parametrize("q,L", [(2, 4), (3, 3), (4, 2)])
+def test_kernel_at_decodes_every_index(q, L):
+    for k in range(L + 1):
+        for t, basis in enumerate(iter_rref_bases(q, L, k)):
+            assert kernel_at(q, L, k, t) == SubspaceRREF(q=q, ambient=L, basis=basis)
 
 
 def test_rref_validation():
@@ -174,10 +182,10 @@ def test_full_space_has_no_quotient():
 
 def test_identity_kernel_entropy_equals_type_entropy():
     tau = TypeDist(2, 2, bad_type(LRSpec(q=2, ell=1, L=2, rho=0.3)).marginal("x"))
-    rows = entropy_over_kernels(tau, dims=[0])
-    assert len(rows) == 1
-    assert rows[0]["entropy"] == pytest.approx(tau.entropy(), abs=1e-12)
-    assert rows[0]["dim_image"] == 2
+    H, D = kernel_entropy_table(tau, 0)
+    assert H.size == D.size == 1
+    assert H[0] == pytest.approx(tau.entropy(), abs=1e-12)
+    assert D[0] == 2
 
 
 def test_difference_kernel_entropy_ternary():
@@ -187,20 +195,21 @@ def test_difference_kernel_entropy_ternary():
     rho = 0.2
     tau = TypeDist(3, 2, bad_type(LRSpec(q=3, ell=1, L=2, rho=rho)).marginal("x"))
     kernel = rref_of([[1, 1]], 3)
-    rows = entropy_over_kernels(tau, dims=[1])
-    match = [r for r in rows if r["kernel"] == kernel]
+    H, _ = kernel_entropy_table(tau, 1)
+    match = [h for basis, h in zip(iter_rref_bases(3, 2, 1), H.tolist())
+             if basis == kernel.basis]
     assert len(match) == 1
     p0 = (1 - rho) ** 2 + rho**2 / 2
     p1 = (1 - p0) / 2
     expected = -(p0 * math.log(p0) + 2 * p1 * math.log(p1)) / math.log(3)
-    assert match[0]["entropy"] == pytest.approx(expected, abs=1e-12)
-    assert match[0]["entropy"] == pytest.approx(0.798012, abs=1e-6)
+    assert match[0] == pytest.approx(expected, abs=1e-12)
+    assert match[0] == pytest.approx(0.798012, abs=1e-6)
 
 
 def test_uniform_type_saturates_every_kernel():
     tau = TypeDist(q=2, b=3, probs=np.full(8, 1 / 8))
-    for row in entropy_over_kernels(tau):
-        assert row["entropy"] == pytest.approx(row["dim_image"], abs=1e-12)
+    for _, dim_image, H in iter_kernel_entropies(tau):
+        assert H == pytest.approx(dim_image, abs=1e-12)
 
 
 def test_image_dimension_tracks_support():
@@ -208,22 +217,25 @@ def test_image_dimension_tracks_support():
     probs = np.zeros(8)
     probs[0] = probs[7] = 0.5
     tau = TypeDist(q=2, b=3, probs=probs)
-    rows = entropy_over_kernels(tau, dims=[0])
-    assert rows[0]["dim_image"] == 1
-    assert rows[0]["entropy"] == pytest.approx(1.0, abs=1e-12)
+    H, D = kernel_entropy_table(tau, 0)
+    assert D[0] == 1
+    assert H[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_iter_matches_list_form():
+    # the stream is the tables of every kernel dimension, row t paired with
+    # the t-th basis
     tau = TypeDist(2, 3, bad_type(LRSpec(q=2, ell=1, L=3, rho=0.25)).marginal("x"))
-    listed = entropy_over_kernels(tau)
+    listed = [(basis, d, H) for k in range(3) for basis, d, H in zip(
+        iter_rref_bases(2, 3, k), *(a.tolist() for a in kernel_entropy_table(tau, k)[::-1]))]
     streamed = list(iter_kernel_entropies(tau))
     assert len(listed) == len(streamed) == sum(
         gaussian_binomial(3, k, 2) for k in range(3)
     )
-    for row, (basis, dim_img, H) in zip(listed, streamed):
-        assert row["kernel"].basis == basis
-        assert row["dim_image"] == dim_img
-        assert row["entropy"] == pytest.approx(H, abs=1e-12)
+    for (basis, dim_img, H), (s_basis, s_dim, s_H) in zip(listed, streamed):
+        assert basis == s_basis
+        assert dim_img == s_dim
+        assert H == pytest.approx(s_H, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +302,18 @@ def test_table_of_a_full_support_type_has_full_images():
         assert (kernel_entropy_table(tau, k)[1] == 3 - k).all()
 
 
+def test_table_of_a_sparse_spanning_type_has_full_images():
+    # 7 of 32 cells: zero, the unit vectors and the all-ones vector.  The
+    # support spans GF(2)^5, so every image has dimension 5 - k even where
+    # it misses cells
+    probs = np.zeros(32)
+    probs[[0, 1, 2, 4, 8, 16, 31]] = [1, 2, 3, 1, 2, 3, 4]
+    tau = TypeDist(q=2, b=5, probs=probs / probs.sum())
+    assert_matches_brute(tau)
+    for k in range(5):
+        assert (kernel_entropy_table(tau, k)[1] == 5 - k).all()
+
+
 def test_table_rejects_improper_kernels():
     tau = TypeDist(q=2, b=2, probs=np.full(4, 0.25))
     for k in (-1, 2):
@@ -301,9 +325,3 @@ def test_kernel_dims_bounds_checked():
     tau = TypeDist(q=2, b=2, probs=np.full(4, 0.25))
     with pytest.raises(DomainError):
         list(iter_kernel_entropies(tau, dims=[2]))  # full space is not a kernel
-
-
-def test_enum_cap_triggers():
-    # 417,198 proper kernels of GF(2)^8, over the list cap
-    with pytest.raises(SizeCapError):
-        entropy_over_kernels(TypeDist(q=2, b=8, probs=np.full(256, 1 / 256)))

@@ -20,9 +20,10 @@ from thresholds.typespace import (
     TypeDist,
     bad_type,
     coincidence_orbits,
-    dim_of_type,
     pushforward,
 )
+
+from reference import dim_of_type
 
 # ---------------------------------------------------------------------------
 # TypeDist basics
