@@ -22,8 +22,9 @@ from thresholds.typespace import LRSpec
 
 # --- binary, list size 4 ----------------------------------------------------
 # The story in one table: the linear ensemble tolerates a strictly higher
-# rate than the plain ensemble at every radius, and the generic optimizer
-# (which knows nothing about the closed forms) lands on the same numbers.
+# rate than the plain ensemble at every radius, and the generic routes, which
+# read the same coincidence-class table at any list size, land on the same
+# numbers.
 
 print("binary, L = 4      linear       plain        generic(linear)  generic(plain)")
 for rho in (0.02, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3):

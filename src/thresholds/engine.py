@@ -13,7 +13,9 @@ maximum on random instances and against 50-digit mpmath on the bench grids.
 Threshold bounds follow from the orbit reduction: averaging a type over
 coordinate permutations and alphabet relabelings preserves the defining
 constraints and cannot decrease entropy, so the outer maximization may be
-restricted to types that are uniform on each coincidence class.
+restricted to types that are uniform on each coincidence class.  Every
+solve reads those classes' coefficients and gaps from one table,
+`_class_problem`, at any (q, ell, L).
 """
 
 from __future__ import annotations
@@ -146,19 +148,40 @@ def each_rho(rhos, fn) -> list:
 
 
 @functools.lru_cache(maxsize=None)
-def _log30(x: int, q: int) -> mpmath.mpf:
-    """log_q x at 30 digits, a coefficient `max_entropy` uses unrounded."""
+def _class_problem(q: int, ell: int, L: int) -> tuple[tuple[mpmath.mpf, ...], tuple[int, ...]]:
+    """Coefficients and gaps of the free coincidence classes of GF(q)^L.
+
+    A type uniform on each class A_w has entropy H_q(x) + sum_w x_w log_q|A_w|
+    in the class masses x.  The constant class holds q vectors, so this is
+    1 + H_q(x) + c.x with c_w = log_q(|A_w|/q), an integer ratio because
+    adding a constant vector moves each class onto itself without fixed
+    points, taken at 30 digits, which `max_entropy` uses unrounded.  The gap of w, L minus the sum of its ell
+    largest parts, is the fewest coordinates a subset coupling leaves
+    uncovered, so the error budget reads g.x <= L rho.
+    """
+    free = coincidence_orbits(q, L)[1:]
     with mpmath.workdps(30):
-        return mpmath.log(x, q)
+        coeffs = tuple(mpmath.log(oc.size // q, q) for oc in free)
+    return coeffs, tuple(L - sum(oc.shape[:ell]) for oc in free)
 
 
-def _max_binary_l4(rhos) -> list[OptResult]:
-    return max_entropy((2, _log30(3, 2)), (1, 2), 4.0 * np.asarray(rhos, dtype=np.float64), 2)
+def _solve_classes(q: int, ell: int, L: int, rhos) -> list[OptResult]:
+    """The optimum of `_class_problem(q, ell, L)` at each rho of the grid,
+    budget L rho, from one `max_entropy` call."""
+    coeffs, gaps = _class_problem(q, ell, L)
+    return max_entropy(coeffs, gaps, L * np.asarray(rhos, dtype=np.float64), q)
 
 
-def _max_qary_l3(q: int, rhos) -> list[OptResult]:
-    c1, c2 = _log30(3 * (q - 1), q), _log30((q - 1) * (q - 2), q)
-    return max_entropy((c1, c2), (1, 2), 3.0 * np.asarray(rhos, dtype=np.float64), q)
+def _rate_rows(solves: list[OptResult], L: int) -> list[dict[str, float]]:
+    """The rates of each optimum over GF(q)^L, formed at 30 digits and rounded
+    once: near rho = 5/16 the binary list-of-4 columns are about 1e-6 from an
+    optimum about 3, so floats would lose their last printed digits.  "rc" is
+    the plain ensemble's threshold 1 - (1 + max)/L; "rlc", for L >= 2, the
+    full-support case of the linear ensemble's bound, 1 - max/(L - 1).
+    """
+    with mpmath.workdps(30):
+        return [{**({"rlc": float(1 - s.exact / (L - 1))} if L > 1 else {}),
+                 "rc": float(1 - (1 + s.exact) / L)} for s in solves]
 
 
 def _ld4_domain(rho: float) -> None:
@@ -179,32 +202,27 @@ def ld4_binary_rows(rhos) -> tuple[list[dict[str, float]], list[OptResult]]:
 
     One `max_entropy` call serves the grid.  "rlc" is the lower bound on the
     linear ensemble's threshold rate and "rc" the threshold rate of the plain
-    random ensemble.  Each is formed from the optimum at 30 digits and rounded
-    once: near rho = 5/16 the optimum is about 3 and the columns about 1e-6,
-    so forming them in floats from the rounded optimum would lose their last
-    printed digits.  A rho outside the domain is named in the DomainError.
+    random ensemble, both from `_rate_rows`.  A rho outside the domain is
+    named in the DomainError.
     """
     each_rho(rhos, _ld4_domain)
-    solves = _max_binary_l4(rhos)
-    with mpmath.workdps(30):
-        rows = [{"rlc": float(1 - s.exact / 3), "rc": float(1 - (1 + s.exact) / 4)}
-                for s in solves]
-    return rows, solves
+    solves = _solve_classes(2, 1, 4, rhos)
+    return _rate_rows(solves, 4), solves
 
 
 def ld3_qary_rows(q: int, rhos) -> tuple[list[dict[str, float]], list[OptResult]]:
     """The q-ary list-of-3 bounds at each rho of the grid, and the solves.
 
-    "rlc" and "rc" as in `ld4_binary_rows`, each rounded once from 30 digits;
-    "dominance" is the margin maxF/2 - h_q(3 rho/2) of the direct case
-    comparison, and the linear bound is valid only where it is positive.
+    "rlc" and "rc" as in `ld4_binary_rows`; "dominance" is the margin
+    maxF/2 - h_q(3 rho/2) of the direct case comparison, rounded once from 30
+    digits, and the linear bound is valid only where it is positive.
     """
     each_rho(rhos, functools.partial(_ld3_domain, q))
-    solves = _max_qary_l3(q, rhos)
+    solves = _solve_classes(q, 1, 3, rhos)
+    rows = _rate_rows(solves, 3)
     with mpmath.workdps(30):
-        rows = [{"rlc": float(1 - s.exact / 2), "rc": float(1 - (1 + s.exact) / 3),
-                 "dominance": float(s.exact / 2 - hql(q, 1, 1.5 * rho))}
-                for rho, s in zip(rhos, solves)]
+        for rho, s, row in zip(rhos, solves, rows):
+            row["dominance"] = float(s.exact / 2 - hql(q, 1, 1.5 * rho))
     return rows, solves
 
 
@@ -263,46 +281,18 @@ class BoundCurve:
             raise DomainError("rho grid must be strictly increasing")
 
 
-def _orbit_setup(spec: LRSpec):
-    """Free-class coefficients of the orbit-symmetric optimization.
-
-    Returns (classes, log_size0, free_cs, free_gaps): the objective over free
-    masses x_w is H_q(x) + sum c_w x_w + log_q|A_0| and the error-budget
-    constraint is sum gap_w x_w <= L rho, where gap_w is the number of
-    coordinates left outside the ell best-covered value blocks of the class
-    pattern (any subset-coupling must leave at least that many coordinates
-    uncovered, and the symmetric coupling attains it).
-    """
-    classes = coincidence_orbits(spec.q, spec.L)
-    lq = math.log(spec.q)
-    log0 = math.log(classes[0].size) / lq
-    cs, gaps = [], []
-    for oc in classes[1:]:
-        cs.append(math.log(oc.size) / lq - log0)
-        gaps.append(spec.L - sum(sorted(oc.shape, reverse=True)[: spec.ell]))
-    return classes, log0, cs, gaps
-
-
-def _exact_mode_check(spec: LRSpec) -> None:
-    if spec.q == 2:
-        if spec.L > 4:
-            raise UnsupportedError("binary exact mode covers list sizes up to 4")
-    else:
-        if spec.L > 3:
-            raise UnsupportedError("q >= 3 exact mode covers list sizes up to 3")
-
-
 def rc_threshold_generic(spec: LRSpec) -> ThresholdReport:
     """Threshold rate 1 - max H_q(tau)/L of the plain random ensemble.
 
-    The maximum runs over the orbit polytope described in `_orbit_setup`,
-    taken by `opt_polytope_2d`; with no free class it is the constant type.
+    The maximum of `_class_problem` at any list size is taken by
+    `opt_polytope_2d`; with no free class it is the constant type.  The rate
+    is `_rate_rows`' "rc", so it equals the family rows' column.
     """
-    _exact_mode_check(spec)
-    classes, log0, cs, gaps = _orbit_setup(spec)
     L, q = spec.L, spec.q
-    res = opt_polytope_2d(cs, gaps, L * spec.rho, q)
-    raw = 1.0 - (log0 + res.value) / L
+    coeffs, gaps = _class_problem(q, spec.ell, L)
+    res = opt_polytope_2d(coeffs, gaps, L * spec.rho, q)
+    raw = _rate_rows([res], L)[0]["rc"]
+    classes = coincidence_orbits(q, L)
     return ThresholdReport(
         family="rc",
         q=q,
@@ -310,12 +300,12 @@ def rc_threshold_generic(spec: LRSpec) -> ThresholdReport:
         L=L,
         rho=spec.rho,
         value=min(max(raw, 0.0), 1.0),
-        method="kkt" if cs else "closed_form",
+        method="kkt" if coeffs else "closed_form",
         argmax={"free_class_masses": res.x, "constant_class_mass": 1.0 - sum(res.x)},
-        details={"max_entropy": log0 + res.value, "raw_value": raw,
+        details={"max_entropy": 1.0 + res.value, "raw_value": raw,
                  "class_shapes": [list(c.shape) for c in classes],
                  "class_sizes": [c.size for c in classes],
-                 "budget_coeffs": gaps},
+                 "budget_coeffs": list(gaps)},
     )
 
 
@@ -330,7 +320,6 @@ def rlc_lower_generic(spec: LRSpec) -> ThresholdReport:
     """
     if spec.ell != 1:
         raise UnsupportedError("the linear-ensemble case analysis is derived for ell = 1")
-    _exact_mode_check(spec)
     q, L, rho = spec.q, spec.L, spec.rho
 
     if L == 2:
@@ -351,17 +340,15 @@ def rlc_lower_generic(spec: LRSpec) -> ThresholdReport:
         )
 
     if q == 2 and L == 4:
-        _ld4_domain(rho)
-        res = _max_binary_l4([rho])[0]
+        (row,), (res,) = ld4_binary_rows([rho])
         case_full = res.value / 3.0
         # support spans of dimension <= 2 collapse two coordinate pairs; the
         # resulting optimization is the two-variable curve below
         case_low = (hq(2, min(2.0 * rho, 0.5)) + 2.0 * rho * math.log2(3.0)) / 2.0
-        sub = max(case_full, case_low)
         kernel = rref_of([[1, 1, 1, 1]], 2)
         return ThresholdReport(
             family="rlc-lower", q=2, ell=1, L=4, rho=rho,
-            value=min(max(1.0 - sub, 0.0), 1.0), method="closed_form",
+            value=min(max(min(row["rlc"], 1.0 - case_low), 0.0), 1.0), method="closed_form",
             argmax={"free_class_masses": res.x},
             inner_kernel=kernel,
             details={"case_values": {"full_support_compression": case_full,
@@ -369,24 +356,21 @@ def rlc_lower_generic(spec: LRSpec) -> ThresholdReport:
         )
 
     if q >= 3 and L == 3:
-        _ld3_domain(q, rho)
-        res = _max_qary_l3(q, [rho])[0]
+        (row,), (res,) = ld3_qary_rows(q, [rho])
         case_full = res.value / 2.0
         case_low = hql(q, 1, min(1.5 * rho, 1.0 - 1.0 / q))
-        sub = max(case_full, case_low)
         # the identity-kernel reading of the full-support case divides by 3
         # instead of 2; it is strictly weaker for every attainable objective
         # value, so it is reported but not folded into the bound
-        alt = (res.value + 1.0) / 3.0
         kernel = rref_of([[1, 1, 1]], q)
         return ThresholdReport(
             family="rlc-lower", q=q, ell=1, L=3, rho=rho,
-            value=min(max(1.0 - sub, 0.0), 1.0), method="closed_form",
+            value=min(max(min(row["rlc"], 1.0 - case_low), 0.0), 1.0), method="closed_form",
             argmax={"free_class_masses": res.x},
             inner_kernel=kernel,
             details={"case_values": {"full_support_compression": case_full,
                                      "low_dimension_boundary": case_low},
-                     "identity_kernel_reading": 1.0 - alt,
+                     "identity_kernel_reading": row["rc"],
                      "ambiguity_note": "dividing the full-support case by L instead of "
                                        "dim would reproduce the plain-ensemble bound"},
         )
@@ -413,7 +397,7 @@ def dominance_curves(rho_grid) -> tuple[BoundCurve, BoundCurve, list[bool]]:
     grid = np.asarray(list(rho_grid), dtype=np.float64)
     if grid.size == 0 or np.any(grid <= 0.0) or np.any(grid >= 5.0 / 16.0):
         raise DomainError("grid must lie inside (0, 5/16)")
-    solves = _max_binary_l4(grid)
+    solves = _solve_classes(2, 1, 4, grid)
     blue = np.array([s.value / 3.0 for s in solves])
     orange = np.array([(hq(2, 2.0 * r) + 2.0 * r * math.log2(3.0)) / 2.0 for r in grid])
     ok = [bool(b - o > STRICT_MARGIN) for b, o in zip(blue, orange)]
@@ -427,7 +411,7 @@ def dominance_curves(rho_grid) -> tuple[BoundCurve, BoundCurve, list[bool]]:
 def negativity_values(rho_grid) -> np.ndarray:
     """2 H2(0, 3r/2) - H2(3r, 0) - 3r log2(3) on the grid (base-2 units).
 
-    The subtracted term is the q = 2 case of `_max_qary_l3`'s objective,
+    The subtracted term is the objective of `_class_problem(2, 1, 3)`,
     F(x1) = h2(x1) + x1 log2(3), at the vertex x1 = 3r.  F peaks at x1 = 3/4
     with value 2, so the vertex is the optimum only for r <= 1/4 (the binary
     Plotkin point for list size 2).  Beyond that this is a vertex value, not
@@ -437,9 +421,10 @@ def negativity_values(rho_grid) -> np.ndarray:
     grid = np.asarray(list(rho_grid), dtype=np.float64)
     if grid.size == 0 or np.any(grid <= 0.0) or np.any(grid >= 1.0 / 3.0):
         raise DomainError("grid must lie inside (0, 1/3)")
+    (c,), _ = _class_problem(2, 1, 3)
     out = []
     for r in grid:
-        v = 2.0 * hq_multi(2, [0.0, 1.5 * r]) - hq_multi(2, [3.0 * r, 0.0]) - 3.0 * r * math.log2(3.0)
+        v = 2.0 * hq_multi(2, [0.0, 1.5 * r]) - hq_multi(2, [3.0 * r, 0.0]) - 3.0 * r * float(c)
         out.append(v)
     return np.asarray(out)
 
@@ -447,15 +432,16 @@ def negativity_values(rho_grid) -> np.ndarray:
 def negativity_optimum_values(rho_grid) -> np.ndarray:
     """2 h2(3r/2) - max F on the grid, F = h2(x1) + x1 log2(3) over x1 <= 3r.
 
-    The maxima are taken by one `max_entropy` call; F is the q = 2 case of
-    `_max_qary_l3`'s objective, whose x2 class is empty.  It equals
+    The maxima are taken by one `max_entropy` call; F is the objective of
+    `_class_problem(2, 1, 3)`, the q = 2 case of the list-of-3 family, whose
+    class of three distinct values is empty.  It equals
     `negativity_values` for r <= 1/4, where the optimum is the vertex x1 = 3r,
     and past that the optimum is x1 = 3/4 with value 2.
     """
     grid = np.asarray(list(rho_grid), dtype=np.float64)
     if grid.size == 0 or np.any(grid <= 0.0) or np.any(grid >= 1.0 / 3.0):
         raise DomainError("grid must lie inside (0, 1/3)")
-    opt = max_entropy((math.log2(3.0),), (1,), 3.0 * grid, 2)
+    opt = _solve_classes(2, 1, 3, grid)
     return np.asarray([2.0 * hq(2, 1.5 * r) - o.value for r, o in zip(grid, opt)])
 
 
@@ -464,10 +450,17 @@ def negativity_optimum_values(rho_grid) -> np.ndarray:
 
 
 def lr_listsize_lower_rlc(q: int, ell: int, rho: float, eps: float, delta: float) -> int:
-    """Output list size forced on the linear ensemble at rate capacity - eps."""
-    if eps <= 0.0:
+    """Output list size forced on the linear ensemble at rate capacity - eps.
+
+    The rate in the formula is R = 1 - h_{q,ell}(rho), capacity itself: the
+    value is floor((log_q C(q, ell) - (1 - h))/eps - delta).  Reading R as the
+    code rate 1 - h - eps instead adds exactly 1 before the floor; at q = 2,
+    rho = 0.1, eps = 0.05 the two readings are 9.38 and 10.38, and this
+    returns 9.
+    """
+    if not eps > 0.0:
         raise DomainError("eps must be positive")
-    if delta < 0.0:
+    if not delta >= 0.0:
         raise DomainError("delta must be nonnegative")
     LRSpec(q=q, ell=ell, L=1, rho=rho)  # validates q, ell, rho
     logc = math.log(math.comb(q, ell)) / math.log(q)
@@ -476,9 +469,9 @@ def lr_listsize_lower_rlc(q: int, ell: int, rho: float, eps: float, delta: float
 
 def lr_listsize_rc(q: int, ell: int, rho: float, eps: float, delta: float) -> tuple[int, int]:
     """(lower, upper) list sizes for the plain ensemble near capacity."""
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise DomainError("eps must be positive")
-    if delta < 0.0:
+    if not delta >= 0.0:
         raise DomainError("delta must be nonnegative")
     LRSpec(q=q, ell=ell, L=1, rho=rho)
     logc = math.log(math.comb(q, ell)) / math.log(q)
@@ -490,11 +483,11 @@ def lr_listsize_rc(q: int, ell: int, rho: float, eps: float, delta: float) -> tu
 def _check_largelist(rho: float, L: int, delta: float) -> None:
     if L < 2:
         raise DomainError("list size must be >= 2")
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise DomainError("delta must be positive")
     if not 0.0 < rho < 0.5:
         raise DomainError("rho must lie in (0, 1/2)")
-    if L - 1 - 2 * delta <= 0.0:
+    if not L - 1 - 2 * delta > 0.0:
         raise DomainError("need L - 1 - 2 delta > 0")
 
 
@@ -534,7 +527,7 @@ def kernel_slack_report(q: int, ell: int, rho: float, L: int, delta: float) -> d
     rank-normalised floor L'*(h + c/L), which shares c out in proportion to L'.
     `kernels` counts the kernels swept, the rows of every table read.
     """
-    if delta < 0.0:
+    if not delta >= 0.0:
         raise DomainError("delta must be nonnegative")
     spec = LRSpec(q=q, ell=ell, L=L, rho=rho)
     jt = bad_type(spec)

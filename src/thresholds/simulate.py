@@ -112,16 +112,14 @@ class Code:
 
     @classmethod
     def load(cls, path: str, q: int) -> "Code":
+        """Read a file `dump` wrote; q fixes the format, as it does there."""
         rows = []
         with open(path) as fh:
             for line in fh:
                 line = line.strip()
                 if not line:
                     continue
-                if "," in line:
-                    rows.append([int(t) for t in line.split(",")])
-                else:
-                    rows.append([int(ch) for ch in line])
+                rows.append([int(t) for t in (line.split(",") if q > 10 else line)])
         if not rows:
             raise DomainError(f"no codewords in {path}")
         n = len(rows[0])
@@ -694,14 +692,16 @@ def greedy_potential_code(
         raise DomainError("rho must lie in (0, 1/2)")
     if L < 2:
         raise DomainError("list size must be >= 2")
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise DomainError("delta must be positive")
+    if n < 1:
+        raise DomainError(f"need n >= 1, got {n}")
     N = 1 << n
     if N > _CENTER_CAP:
         raise SizeCapError(f"2^n = {N} exceeds the cap on the profile lookup")
     h = hq(2, rho)
     num = L - 1 - 2.0 * delta
-    if num <= 0.0:
+    if not num > 0.0:
         raise DomainError("need L - 1 - 2 delta > 0")
     lprime = num / h
     default_k = max(1, math.floor((1.0 - h - 1.0 / lprime - delta) * n))

@@ -7,21 +7,24 @@ little-endian packing from `fields`, validated by the same rule as every
 boundary of the list-recovery constraints, as a JointTable with axis x the
 vector u in GF(q)^L and axis y the ell-subset S; the kernel sweep of
 `engine.kernel_slack_report` reads its u-marginal.  All masses are floats.
+`coincidence_orbits` lists the coincidence classes of GF(q)^L, the free
+variables of every threshold optimization in `engine`, by shape and size,
+generated from the integer partitions of L without visiting a vector.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, ShapeMismatchError, SizeCapError, UnsupportedError
+from .errors import DomainError, ShapeMismatchError, SizeCapError
 from .fields import make_field, matvec_all, vec_table
 from .infomeasures import JointTable, _checked_masses, entropy
-
-_ORBIT_L_CAP = 6
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +124,7 @@ def bad_type(spec: LRSpec) -> JointTable:
 
 
 # ---------------------------------------------------------------------------
-# coincidence orbits
+# coincidence classes
 
 
 @dataclass(frozen=True)
@@ -134,34 +137,36 @@ class OrbitClass:
 
     shape: tuple[int, ...]
     size: int
-    indices: np.ndarray = field(compare=False, repr=False)
 
 
-def _shape_of(digvec) -> tuple[int, ...]:
-    counts: dict[int, int] = {}
-    for d in digvec:
-        counts[int(d)] = counts.get(int(d), 0) + 1
-    return tuple(sorted(counts.values(), reverse=True))
+def _partitions(n: int, parts: int, most: int):
+    """Partitions of n into at most `parts` parts of at most `most` each,
+    largest part first, in decreasing lexicographic order."""
+    if n == 0:
+        yield ()
+    elif parts:
+        least = -(-n // parts)  # the largest of `parts` parts is at least n/parts
+        for first in range(min(n, most), least - 1, -1):
+            for rest in _partitions(n - first, parts - 1, first):
+                yield (first, *rest)
 
 
 def coincidence_orbits(q: int, L: int) -> list[OrbitClass]:
     """Partition of GF(q)^L by coincidence pattern shape.
 
-    Ordered with the constant-vector class first, then by decreasing largest
-    part.  Supported for L <= 6 (the shapes grow as partitions of L).
+    A shape is a partition lambda of L into k <= q parts.  Its vectors split
+    the coordinates into blocks of sizes lambda_1..lambda_k, L!/prod lambda_i!
+    ways, and give the blocks k distinct values, q!/(q-k)! ways; blocks of
+    equal size are interchangeable, so the product is divided by prod_j m_j!,
+    m_j the number of parts equal to j.  Ordered with the constant-vector
+    class first, then by number of parts, then by decreasing parts.
     """
     make_field(q)
     if L < 1:
         raise DomainError(f"need L >= 1, got {L}")
-    if L > _ORBIT_L_CAP:
-        raise UnsupportedError(f"coincidence orbits capped at L = {_ORBIT_L_CAP}")
-    digits = vec_table(q, L)
-    buckets: dict[tuple[int, ...], list[int]] = {}
-    for idx in range(q**L):
-        buckets.setdefault(_shape_of(digits[idx]), []).append(idx)
-    order = sorted(buckets, key=lambda sh: (len(sh), tuple(-c for c in sh)))
     out = []
-    for sh in order:
-        idxs = np.asarray(buckets[sh], dtype=np.int64)
-        out.append(OrbitClass(shape=sh, size=len(idxs), indices=idxs))
+    for sh in sorted(_partitions(L, q, L), key=len):
+        reorderings = math.prod(map(math.factorial, (*sh, *Counter(sh).values())))
+        size = math.factorial(L) * math.perm(q, len(sh)) // reorderings
+        out.append(OrbitClass(shape=sh, size=size))
     return out

@@ -5,7 +5,9 @@ bulk: `_poly_mul_mod` multiplies polynomials over GF(p) modulo the defining
 polynomial, the product rule behind an extension field's tables;
 `matvec_apply` applies one matrix to one vector with the scalar field
 operations, the rule behind `fields.matvec_all`; `dim_of_type` ranks the
-support of a type, the image dimension of a kernel table row.
+support of a type, the image dimension of a kernel table row;
+`coincidence_walk` sorts every vector of GF(q)^L by its coincidence shape,
+the classes `typespace.coincidence_orbits` generates from partitions.
 """
 
 from __future__ import annotations
@@ -62,3 +64,19 @@ def matvec_apply(A, v, fs: FieldSpec) -> tuple[int, ...]:
 def dim_of_type(tau: TypeDist) -> int:
     """Dimension of the span of the support of tau."""
     return len(row_reduce(vec_table(tau.q, tau.b)[tau.probs > 0], make_field(tau.q))[1])
+
+
+
+def coincidence_walk(q: int, L: int) -> list[tuple[tuple[int, ...], int]]:
+    """(shape, size) of each coincidence class of GF(q)^L, found by visiting
+    all q^L vectors; constant class first, then by number of parts, then by
+    decreasing parts."""
+    sizes: dict[tuple[int, ...], int] = {}
+    for digits in vec_table(q, L):
+        counts: dict[int, int] = {}
+        for d in digits.tolist():
+            counts[d] = counts.get(d, 0) + 1
+        shape = tuple(sorted(counts.values(), reverse=True))
+        sizes[shape] = sizes.get(shape, 0) + 1
+    order = sorted(sizes, key=lambda sh: (len(sh), tuple(-c for c in sh)))
+    return [(sh, sizes[sh]) for sh in order]

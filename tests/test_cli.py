@@ -322,8 +322,16 @@ CONSTRUCT_N8 = ["construct", "--n", "8", "--rho", "0.1", "--L", "3", "--delta", 
     (["bounds", "--family", "lr-listsize-rlc", "--q", "3", "--l", "5"], 3),
     (["verify", "--check", "claimA1", "--q", "1"], 3),
     (["verify", "--check", "claimA1", "--q", "0"], 3),
+    (["construct", "--n", "-1", "--rho", "0.1", "--L", "3", "--delta", "0.1"], 3),
+    (["construct", "--n", "8", "--rho", "0.1", "--L", "3", "--delta", "nan"], 3),
+    (["bounds", "--family", "lr-listsize-rc", "--eps", "nan"], 3),
+    (["bounds", "--family", "lr-listsize-rlc", "--delta", "nan"], 3),
+    (["verify", "--check", "lemma33", "--delta", "nan"], 3),
+    (["bounds", "--family", "largeL-rlc", "--delta", "nan"], 3),
 ], ids=["multi-masses", "rate-step", "config", "out-code", "manifest", "rc-negative-n",
-        "rlc-zero-n", "listsize-ell-past-q", "claimA1-q1", "claimA1-q0"])
+        "rlc-zero-n", "listsize-ell-past-q", "claimA1-q1", "claimA1-q0", "construct-negative-n",
+        "construct-nan-delta", "listsize-rc-nan-eps", "listsize-rlc-nan-delta",
+        "lemma33-nan-delta", "largeL-nan-delta"])
 def test_bad_input_exits_with_its_code(argv, code, capsys):
     assert main(argv) == code
     assert ("domain error" if code == 3 else "usage error") in capsys.readouterr().err

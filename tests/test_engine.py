@@ -13,8 +13,8 @@ from thresholds.errors import DomainError, UnsupportedError
 from thresholds.fields import make_field
 from thresholds.engine import (
     BoundCurve,
-    _max_binary_l4,
-    _max_qary_l3,
+    _class_problem,
+    _solve_classes,
     bound_rlc_binary_l4,
     bound_rlc_qary_l3,
     dominance_curves,
@@ -162,7 +162,7 @@ def _binary_l4_ref(rho):
 
 
 def test_binary_l4_optimum_to_50_digits():
-    for rho, res in zip(BINARY_L4_GRID, _max_binary_l4(BINARY_L4_GRID)):
+    for rho, res in zip(BINARY_L4_GRID, _solve_classes(2, 1, 4, BINARY_L4_GRID)):
         assert abs(res.value - _binary_l4_ref(rho)) <= 1e-15, rho
 
 
@@ -184,7 +184,7 @@ def test_binary_l4_columns_print_their_50_digit_values():
 def test_qary_l3_optimum_to_50_digits(q, grid):
     # and the ordering check's dominance margin maxF/2 - h_q(3 rho/2) with it
     rhos = _decimal_grid(*grid)
-    for rho, res, row in zip(rhos, _max_qary_l3(q, rhos), ld3_qary_rows(q, rhos)[0]):
+    for rho, res, row in zip(rhos, _solve_classes(q, 1, 3, rhos), ld3_qary_rows(q, rhos)[0]):
         with mpmath.workdps(50):
             c1, c2 = mpmath.log(3 * (q - 1), q), mpmath.log((q - 1) * (q - 2), q)
             ref = _edge_max_mp(q, c1, c2, 3 * mpmath.mpf(rho))
@@ -296,16 +296,17 @@ def test_family_domain_errors():
 
 
 def test_generic_rc_agrees_with_binary_closed_form():
+    # the same class table, solve and 30-digit column: equal to the last bit
     for rho in np.arange(0.01, 0.31, 0.02):
         rep = rc_threshold_generic(LRSpec(q=2, ell=1, L=4, rho=float(rho)))
-        assert rep.value == pytest.approx(threshold_rc_binary_l4(float(rho)), abs=1e-9)
+        assert rep.value == threshold_rc_binary_l4(float(rho))
 
 
 def test_generic_rc_agrees_with_qary_closed_form():
     for q in (3, 5):
         for rho in (0.05, 0.15, 0.3):
             rep = rc_threshold_generic(LRSpec(q=q, ell=1, L=3, rho=rho))
-            assert rep.value == pytest.approx(threshold_rc_qary_l3(q, rho), abs=1e-9)
+            assert rep.value == threshold_rc_qary_l3(q, rho)
 
 
 def test_generic_rlc_agrees_with_closed_forms():
@@ -372,10 +373,50 @@ def test_unsupported_combinations():
         rlc_lower_generic(LRSpec(q=2, ell=1, L=3, rho=0.1))
     with pytest.raises(UnsupportedError):
         rlc_lower_generic(LRSpec(q=4, ell=2, L=3, rho=0.1))
-    with pytest.raises(UnsupportedError):
-        rc_threshold_generic(LRSpec(q=2, ell=1, L=5, rho=0.1))
-    with pytest.raises(UnsupportedError):
-        rc_threshold_generic(LRSpec(q=3, ell=1, L=4, rho=0.1))
+    # the plain ensemble has no such limit: one list size past each family,
+    # the threshold lies between the family's and capacity
+    for q, L, below in [(2, 5, threshold_rc_binary_l4(0.1)),
+                        (3, 4, threshold_rc_qary_l3(3, 0.1))]:
+        rep = rc_threshold_generic(LRSpec(q=q, ell=1, L=L, rho=0.1))
+        assert rep.method == "kkt"
+        assert sum(rep.details["class_sizes"]) == q**L
+        assert below < rep.value < 1 - hq(q, 0.1)
+
+
+def _rc_rate(q, ell, L, rho):
+    return rc_threshold_generic(LRSpec(q=q, ell=ell, L=L, rho=rho)).value
+
+
+@pytest.mark.parametrize("q,ell", [(2, 1), (3, 1), (4, 2)])
+def test_rc_list_size_lies_in_the_closed_bracket(q, ell):
+    # the smallest L whose threshold reaches the rate 1 - h - eps
+    h = hql(q, ell, 0.1)
+    for eps in (0.2, 0.1, 0.05, 0.03):
+        L = 1
+        while _rc_rate(q, ell, L, 0.1) < 1 - h - eps:
+            L += 1
+        lower, upper = lr_listsize_rc(q, ell, 0.1, eps, 0)
+        assert lower <= L <= upper, (eps, L, lower, upper)
+
+
+@pytest.mark.parametrize("q,ell,L", [(2, 1, 16), (4, 2, 64)])
+def test_rc_gap_to_capacity_tends_to_the_list_size_law(q, ell, L):
+    # L * eps_RC(L) -> log_q C(q, ell), eps_RC = 1 - h - R_RC
+    gap = 1 - hql(q, ell, 0.1) - _rc_rate(q, ell, L, 0.1)
+    assert abs(L * gap - math.log(math.comb(q, ell), q)) <= 1e-3
+
+
+def test_class_problem_hand_derived_coefficients():
+    # binary lists of 4: |(3,1)| = 8 and |(2,2)| = 6 against the 2 constant
+    # vectors; q-ary lists of 3: |(2,1)| = 3q(q-1), |(1,1,1)| = q(q-1)(q-2)
+    # against q; binary lists of 3: |(2,1)| = 6 against 2.  The 30-digit
+    # values are the ones the frozen outputs were computed from.
+    with mpmath.workdps(30):
+        assert _class_problem(2, 1, 4) == ((2, mpmath.log(3, 2)), (1, 2))
+        for q in (3, 4, 5, 7, 8, 9):
+            assert _class_problem(q, 1, 3) == (
+                (mpmath.log(3 * (q - 1), q), mpmath.log((q - 1) * (q - 2), q)), (1, 2))
+        assert _class_problem(2, 1, 3) == ((mpmath.log(3, 2),), (1,))
 
 
 def test_rc_threshold_decreasing_in_rho():

@@ -112,6 +112,9 @@ def test_dump_load_roundtrip(tmp_path):
         (2, 5, [0, 1, 6, 19, 31], "00000\n10000\n01100\n11001\n11111\n"),
         (3, 4, [0, 5, 17, 80], "0000\n2100\n2210\n2222\n"),
         (13, 3, [0, 12, 170, 2196], "0,0,0\n12,0,0\n1,0,1\n12,12,12\n"),
+        # one coordinate: q fixes the format, not whether a line has a comma
+        (11, 1, [0, 10], "0\n10\n"),
+        (16, 1, [12], "12\n"),
     ]:
         c = make_code(q, n, indices)
         p = tmp_path / f"q{q}.txt"

@@ -11,7 +11,6 @@ from thresholds.errors import (
     DigitOutOfRangeError,
     DomainError,
     ShapeMismatchError,
-    UnsupportedError,
 )
 from thresholds.fields import make_field, vec_decode, vec_encode, vec_table
 from thresholds.infomeasures import JointTable, hql
@@ -23,7 +22,7 @@ from thresholds.typespace import (
     pushforward,
 )
 
-from reference import dim_of_type
+from reference import coincidence_walk, dim_of_type
 
 # ---------------------------------------------------------------------------
 # TypeDist basics
@@ -227,13 +226,22 @@ def test_orbit_shapes_ternary_three():
     assert sum(o.size for o in orbits) == 27
 
 
-def test_orbit_indices_partition_the_space():
-    for q, L in [(2, 3), (3, 2), (4, 3)]:
-        orbits = coincidence_orbits(q, L)
-        seen = sorted(i for o in orbits for i in o.indices)
-        assert seen == list(range(q**L))
+@pytest.mark.parametrize("q,L", [(q, L) for q in (2, 3, 4, 5) for L in range(1, 7)])
+def test_orbits_match_the_walk_over_every_vector(q, L):
+    # shapes, sizes and order, against sorting all q^L vectors by shape
+    assert [(o.shape, o.size) for o in coincidence_orbits(q, L)] == coincidence_walk(q, L)
 
 
-def test_orbit_cap():
-    with pytest.raises(UnsupportedError):
-        coincidence_orbits(2, 9)
+def test_orbits_past_the_walk():
+    # q = 2, L = 9: the partitions of 9 into at most two parts, C(9, j)
+    # vectors with j coordinates on the minority value, twice when j = 0
+    orbits = coincidence_orbits(2, 9)
+    assert [o.shape for o in orbits] == [(9,), (8, 1), (7, 2), (6, 3), (5, 4)]
+    assert [o.size for o in orbits] == [2, 18, 72, 168, 252]
+    assert sum(o.size for o in orbits) == 512
+
+
+def test_orbit_domain_errors():
+    for q, L in [(6, 3), (2, 0)]:
+        with pytest.raises(DomainError):
+            coincidence_orbits(q, L)
