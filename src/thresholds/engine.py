@@ -325,16 +325,17 @@ def rlc_lower_generic(spec: LRSpec) -> ThresholdReport:
     if L == 2:
         # quotient by the difference of the two coordinates: the image puts
         # mass Pr[u1 != u2] <= 2 rho off zero, so its entropy is at most
-        # h_q(2 rho); the canonical boundary type attains the budget.
+        # h_q(min(2 rho, 1 - 1/q)); the canonical boundary type attains it.
         if 2.0 * rho >= 1.0:
             raise DomainError("rho too large for the list-of-2 case (needs 2 rho < 1)")
-        case_main = hq(q, 2.0 * rho)
+        offdiag = min(2.0 * rho, 1.0 - 1.0 / q)
+        case_main = hq(q, offdiag)
         value = 1.0 - case_main
         kernel = rref_of([[1, 1 if q == 2 else q - 1]], q)  # span{(1, -1)}
         return ThresholdReport(
             family="rlc-lower", q=q, ell=1, L=2, rho=rho,
             value=min(max(value, 0.0), 1.0), method="closed_form",
-            argmax={"offdiag_mass": 2.0 * rho},
+            argmax={"offdiag_mass": offdiag},
             inner_kernel=kernel,
             details={"case_values": {"difference_quotient": case_main}},
         )
@@ -458,10 +459,10 @@ def lr_listsize_lower_rlc(q: int, ell: int, rho: float, eps: float, delta: float
     rho = 0.1, eps = 0.05 the two readings are 9.38 and 10.38, and this
     returns 9.
     """
-    if not eps > 0.0:
-        raise DomainError("eps must be positive")
-    if not delta >= 0.0:
-        raise DomainError("delta must be nonnegative")
+    if not 0.0 < eps < math.inf:
+        raise DomainError("eps must be positive and finite")
+    if not 0.0 <= delta < math.inf:
+        raise DomainError("delta must be nonnegative and finite")
     LRSpec(q=q, ell=ell, L=1, rho=rho)  # validates q, ell, rho
     logc = math.log(math.comb(q, ell)) / math.log(q)
     return math.floor((logc - (1.0 - hql(q, ell, rho))) / eps - delta)
@@ -469,10 +470,10 @@ def lr_listsize_lower_rlc(q: int, ell: int, rho: float, eps: float, delta: float
 
 def lr_listsize_rc(q: int, ell: int, rho: float, eps: float, delta: float) -> tuple[int, int]:
     """(lower, upper) list sizes for the plain ensemble near capacity."""
-    if not eps > 0.0:
-        raise DomainError("eps must be positive")
-    if not delta >= 0.0:
-        raise DomainError("delta must be nonnegative")
+    if not 0.0 < eps < math.inf:
+        raise DomainError("eps must be positive and finite")
+    if not 0.0 <= delta < math.inf:
+        raise DomainError("delta must be nonnegative and finite")
     LRSpec(q=q, ell=ell, L=1, rho=rho)
     logc = math.log(math.comb(q, ell)) / math.log(q)
     lower = math.floor(logc / eps - delta)

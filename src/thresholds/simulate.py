@@ -176,19 +176,22 @@ def sample_rlc(q: int, n: int, R: float, rng: np.random.Generator) -> Code:
 
 
 def sample_rc(q: int, n: int, R: float, rng: np.random.Generator) -> Code:
-    """Each vector of GF(q)^n included independently with probability q^{(R-1)n}."""
+    """Each vector of GF(q)^n included independently with probability q^{(R-1)n}.
+
+    Independent Bernoulli(p) inclusion of N = q^n vectors is a Binomial(N, p)
+    count k followed by a uniform k-subset, so the code is drawn that way:
+    O(k log k) work, plus one permutation of N indices when k exceeds N/50
+    (numpy's switch from a hash set), rather than N uniforms.
+    """
     if not 0.0 < R <= 1.0:
         raise DomainError(f"rate must lie in (0, 1], got {R}")
     N = q**n
     if N > _SPACE_CAP:
         raise SizeCapError(f"q^n = {N} exceeds the enumeration cap")
     p = float(q) ** ((R - 1.0) * n)
-    picked = []
-    block = 1 << 20
-    for start in range(0, N, block):
-        mask = rng.random(min(block, N - start)) < p
-        picked.append(np.nonzero(mask)[0].astype(np.int64) + start)
-    return Code(q=q, n=n, words=np.concatenate(picked), kind="plain")
+    k = int(rng.binomial(N, p))
+    words = np.sort(rng.choice(N, size=k, replace=False, shuffle=False))
+    return Code(q=q, n=n, words=words, kind="plain")
 
 
 # ---------------------------------------------------------------------------

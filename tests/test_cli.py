@@ -253,7 +253,7 @@ def test_simulate_manifest_counts_routes_and_the_environment(in_tmpdir):
     assert main(["simulate", "--family", "rc", "--q", "3", "--n", "6", "--L", "3",
                  "--l", "2", "--rho", "0.2", "--rates", "0.2:0.4:0.2", "--trials", "3"]) == 0
     man = read_manifest(in_tmpdir / "simulate.manifest.json")
-    assert man["counters"] == {"routes": {"stamp": 2, "pigeonhole": 4, "dp": 0, "fiber": 0}}
+    assert man["counters"] == {"routes": {"stamp": 1, "pigeonhole": 5, "dp": 0, "fiber": 0}}
     env = man["environment"]
     assert env["numpy"] == np.__version__ and env["python"].count(".") == 2
     assert env["cpu_count"] is None or env["cpu_count"] >= 1
@@ -326,11 +326,17 @@ CONSTRUCT_N8 = ["construct", "--n", "8", "--rho", "0.1", "--L", "3", "--delta", 
     (["construct", "--n", "8", "--rho", "0.1", "--L", "3", "--delta", "nan"], 3),
     (["bounds", "--family", "lr-listsize-rc", "--eps", "nan"], 3),
     (["bounds", "--family", "lr-listsize-rlc", "--delta", "nan"], 3),
+    (["bounds", "--family", "lr-listsize-rc", "--delta", "inf"], 3),
+    (["bounds", "--family", "lr-listsize-rlc", "--delta", "inf"], 3),
+    (["bounds", "--family", "lr-listsize-rc", "--eps", "inf"], 3),
+    (["bounds", "--family", "lr-listsize-rlc", "--eps", "inf"], 3),
     (["verify", "--check", "lemma33", "--delta", "nan"], 3),
     (["bounds", "--family", "largeL-rlc", "--delta", "nan"], 3),
 ], ids=["multi-masses", "rate-step", "config", "out-code", "manifest", "rc-negative-n",
         "rlc-zero-n", "listsize-ell-past-q", "claimA1-q1", "claimA1-q0", "construct-negative-n",
         "construct-nan-delta", "listsize-rc-nan-eps", "listsize-rlc-nan-delta",
+        "listsize-rc-inf-delta", "listsize-rlc-inf-delta", "listsize-rc-inf-eps",
+        "listsize-rlc-inf-eps",
         "lemma33-nan-delta", "largeL-nan-delta"])
 def test_bad_input_exits_with_its_code(argv, code, capsys):
     assert main(argv) == code

@@ -361,6 +361,16 @@ def test_rlc_pair_closed_form():
     assert rep3.inner_kernel.basis == ((1, 2),)
 
 
+@pytest.mark.parametrize("q,rho", [(2, 0.3), (3, 0.4), (2, 0.26), (3, 0.49)])
+def test_rlc_pair_is_zero_past_the_entropy_peak(q, rho):
+    # past 2 rho = 1 - 1/q the off-diagonal mass no longer binds, h_q peaks
+    # at 1, and the bound is 0, as for the plain ensemble
+    assert 2 * rho > 1 - 1 / q
+    rep = rlc_lower_generic(LRSpec(q=q, ell=1, L=2, rho=rho))
+    assert rep.value == 0.0
+    assert rc_threshold_generic(LRSpec(q=q, ell=1, L=2, rho=rho)).value == 0.0
+
+
 def test_rlc_dim3_alternative_reading_is_weaker():
     rep = rlc_lower_generic(LRSpec(q=3, ell=1, L=3, rho=0.15))
     alt = rep.details["identity_kernel_reading"]
@@ -489,6 +499,13 @@ def test_listsize_lower_formula():
         lr_listsize_lower_rlc(q, ell, rho, 0.0, delta)
     with pytest.raises(DomainError):  # C(3, 5) = 0 has no logarithm
         lr_listsize_lower_rlc(3, 5, rho, eps, delta)
+
+
+@pytest.mark.parametrize("listsize", [lr_listsize_lower_rlc, lr_listsize_rc])
+@pytest.mark.parametrize("eps,delta", [(math.inf, 0.0), (0.1, math.inf), (math.inf, math.inf)])
+def test_listsizes_reject_infinite_eps_and_delta(listsize, eps, delta):
+    with pytest.raises(DomainError):
+        listsize(2, 1, 0.1, eps, delta)
 
 
 def test_listsize_rc_sandwich():

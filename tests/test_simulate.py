@@ -199,6 +199,57 @@ def test_rlc_samples_are_pinned(q, n, R, seeds, want):
     assert h.hexdigest() == want
 
 
+# sha256 over the sizes and words of sample_rc for seeds 0..seeds-1, recorded
+# when sample_rc first drew a binomial count and then a uniform subset
+RC_DIGESTS = [
+    (2, 18, 0.5, 20, "fd08e0a25d7edc9f93e821ca3854f669201ccfff35b6b7400c311c84cb9cc65b"),
+    (3, 9, 0.4, 20, "acf7da312a58d2dbbe1ca442f0dfc0e908ac0095913bc2b42480b03ed8b50183"),
+    # half the space: the subset comes from a permutation rather than a set
+    (2, 10, 0.9, 20, "5199e443bf46f2f94c453cd0700c676332330deb1a8bcd9f96acd1fe9f7a5ad9"),
+    (5, 7, 0.12, 20, "c5ebd5e671d2bc887931e569afa74962072c47f7c297c2166b02f017fb3897fd"),
+    # rate 1: every vector is kept
+    (2, 4, 1.0, 5, "b9dfb0ac8a8d26d25bf456f426d67ddddc5893cda596dd07a88b84d70ef2e1ef"),
+]
+
+
+@pytest.mark.parametrize("q,n,R,seeds,want", RC_DIGESTS)
+def test_rc_samples_are_pinned(q, n, R, seeds, want):
+    h = hashlib.sha256()
+    for seed in range(seeds):
+        words = np.asarray(sample_rc(q, n, R, np.random.default_rng(seed)).words, dtype=np.int64)
+        h.update(repr(words.shape).encode())
+        h.update(words.tobytes())
+    assert h.hexdigest() == want
+
+
+@pytest.mark.parametrize("R", [0.25, 0.5, 0.75])
+def test_rc_draws_every_subset_with_its_bernoulli_probability(R):
+    # each of the 4 vectors of GF(2)^2 is kept with probability p = 2^(2(R-1)),
+    # so subset S has probability p^|S| (1-p)^(4-|S|); chi-square over the 16
+    # subsets, 15 degrees of freedom, against its 0.999 quantile 37.70
+    draws = 16_000
+    p = 2.0 ** (2 * (R - 1))
+    rng = np.random.default_rng(0)
+    masks = [int(np.sum(1 << sample_rc(2, 2, R, rng).words)) for _ in range(draws)]
+    observed = np.bincount(masks, minlength=16)
+    sizes = np.asarray([bin(s).count("1") for s in range(16)])
+    expected = draws * p**sizes * (1 - p) ** (4 - sizes)
+    chi2 = float(((observed - expected) ** 2 / expected).sum())
+    assert chi2 < 37.70
+
+
+def test_rc_draw_holds_no_array_over_the_space():
+    # at q^n = 2^24 and about 130 words the draw's peak is a few kB; one
+    # float or mask per vector of the space would take megabytes
+    tracemalloc.start()
+    try:
+        sample_rc(2, 24, 0.3, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_rlc_of_a_zero_parity_check_is_the_whole_space():
     for R, seed in [(0.4, 11), (0.99, 0)]:
         code = sample_rlc(2, 2, R, np.random.default_rng(seed))
@@ -490,11 +541,11 @@ def test_curve_counts_the_route_of_every_trial():
                       master_seed=1)
     assert satisfaction_curve(cfg).routes == {"stamp": 5, "pigeonhole": 5, "dp": 0, "fiber": 0}
     # q = 2: a radius-3 ball has 93 of the 256 centers, so the bound fires
-    # from 3 words on: on two of the rate-0.2 codes and every rate-0.9 one
+    # from 3 words on: on three of the rate-0.2 codes and every rate-0.9 one
     cfg = SweepConfig(q=2, n=8, family="rc", rho=0.4, L=2, rates=[0.2, 0.9], trials=4,
                       master_seed=21)
     curve = satisfaction_curve(cfg)
-    assert curve.routes == {"stamp": 2, "pigeonhole": 6, "dp": 0, "fiber": 0}
+    assert curve.routes == {"stamp": 1, "pigeonhole": 7, "dp": 0, "fiber": 0}
     assert curve.p_hat.tolist() == _dp_decisions(cfg)
 
 
