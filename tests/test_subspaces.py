@@ -14,12 +14,14 @@ from thresholds.errors import (
 from thresholds.fields import make_field, row_reduce
 from thresholds.subspaces import (
     SubspaceRREF,
+    _ones_kernels,
     gaussian_binomial,
     iter_kernel_entropies,
     iter_rref_bases,
     kernel_at,
     kernel_entropy_table,
     map_with_kernel,
+    ones_kernel_table,
     rref_of,
 )
 from thresholds.typespace import LRSpec, TypeDist, bad_type, pushforward
@@ -319,6 +321,49 @@ def test_table_rejects_improper_kernels():
     for k in (-1, 2):
         with pytest.raises(DomainError):
             kernel_entropy_table(tau, k)
+    for k in (0, 2):
+        with pytest.raises(DomainError):
+            ones_kernel_table(tau, k)
+
+
+# ---------------------------------------------------------------------------
+# the kernels through the all-ones vector
+
+
+def contains_ones(basis, q, L):
+    return bool(basis) and rref_of([*basis, (1,) * L], q).dim == len(basis)
+
+
+@pytest.mark.parametrize("q,L", TABLE_CASES)
+def test_ones_kernels_are_the_enumerated_kernels_through_ones(q, L):
+    # bases and indices are the iter_rref_bases entries that contain 1, each
+    # once; the quotient is map_with_kernel's.  The first row 1 - (sum of the
+    # rows below) goes through the field tables, GF(4), GF(8), GF(9) included
+    for k in range(1, L + 1):
+        blocks = list(_ones_kernels(q, L, k))
+        index = np.concatenate([t for _, _, t in blocks]).tolist()
+        bases = [tuple(map(tuple, b)) for B, _, _ in blocks for b in B.tolist()]
+        quotients = [Q for _, Qs, _ in blocks for Q in Qs]
+        assert len(index) == len(bases) == gaussian_binomial(L - 1, k - 1, q)
+        assert dict(zip(index, bases)) == {
+            t: b for t, b in enumerate(iter_rref_bases(q, L, k)) if contains_ones(b, q, L)}
+        for t, basis, Q in zip(index, bases, quotients):
+            kernel = kernel_at(q, L, k, t)
+            assert kernel.basis == basis
+            if k < L:
+                assert np.array_equal(map_with_kernel(kernel), Q)
+
+
+@pytest.mark.parametrize("q,L", TABLE_CASES)
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_ones_table_rows_are_the_full_table_rows(q, L, data):
+    # bit for bit, the image ranks of a sparse type included
+    tau = data.draw(sparse_types(q, L))
+    for k in range(1, L):
+        H, D = kernel_entropy_table(tau, k)
+        h, d, t = ones_kernel_table(tau, k)
+        assert np.array_equal(H[t], h) and np.array_equal(D[t], d)
 
 
 def test_kernel_dims_bounds_checked():
