@@ -15,7 +15,9 @@ coordinate permutations and alphabet relabelings preserves the defining
 constraints and cannot decrease entropy, so the outer maximization may be
 restricted to types that are uniform on each coincidence class.  Every
 solve reads those classes' coefficients and gaps from one table,
-`_class_problem`, at any (q, ell, L).
+`_class_problem`, at any (q, ell, L).  Every case of the linear ensemble's
+bound (`rlc_lower_generic`) quotients by span{1}, the kernel that binds by
+the lemma in `kernel_slack_report`'s docstring.
 """
 
 from __future__ import annotations
@@ -203,6 +205,19 @@ def _ld3_domain(q: int, rho: float) -> None:
         raise DomainError(f"rho must lie in (0, 1/3) for the 3-list family, got {rho}")
 
 
+def _low_dimension_case(q: int, L: int, rho: float) -> float | None:
+    """The linear ensemble's low-dimension case: the largest quotient entropy
+    per dimension of a type whose support spans fewer than L dimensions, at
+    a rho inside the family's domain.  For binary lists of 4 two coordinate
+    pairs collapse, giving (h2(min(2 rho, 1/2)) + 2 rho log2 3)/2; for q-ary
+    lists of 3, h_q(min(3 rho/2, 1 - 1/q)).  Lists of 2 have none."""
+    if L == 2:
+        return None
+    if q == 2:  # L = 4
+        return (hq(2, min(2.0 * rho, 0.5)) + 2.0 * rho * math.log2(3.0)) / 2.0
+    return hql(q, 1, min(1.5 * rho, 1.0 - 1.0 / q))
+
+
 def ld4_binary_rows(rhos) -> tuple[list[dict[str, float]], list[OptResult]]:
     """The binary list-of-4 bounds at each rho of the grid, and the solves.
 
@@ -220,15 +235,16 @@ def ld3_qary_rows(q: int, rhos) -> tuple[list[dict[str, float]], list[OptResult]
     """The q-ary list-of-3 bounds at each rho of the grid, and the solves.
 
     "rlc" and "rc" as in `ld4_binary_rows`; "dominance" is the margin
-    maxF/2 - h_q(3 rho/2) of the direct case comparison, rounded once from 30
-    digits, and the linear bound is valid only where it is positive.
+    maxF/2 - h_q(3 rho/2) of the full-support case over `_low_dimension_case`,
+    rounded once from 30 digits; the linear bound is valid only where it is
+    positive.
     """
     each_rho(rhos, functools.partial(_ld3_domain, q))
     solves = _solve_classes(q, 1, 3, rhos)
     rows = _rate_rows(solves, 3)
     with mpmath.workdps(30):
         for rho, s, row in zip(rhos, solves, rows):
-            row["dominance"] = float(s.exact / 2 - hql(q, 1, 1.5 * rho))
+            row["dominance"] = float(s.exact / 2 - _low_dimension_case(q, 3, rho))
     return rows, solves
 
 
@@ -318,73 +334,49 @@ def rc_threshold_generic(spec: LRSpec) -> ThresholdReport:
 def rlc_lower_generic(spec: LRSpec) -> ThresholdReport:
     """Lower bound 1 - max_tau min_kernels H_q(A tau)/dim(A tau), linear ensemble.
 
-    The inner minimum stops the symmetric reduction from applying wholesale,
-    so the outer maximum is split by the dimension of the support span and
-    each support class is optimized separately; the subtracted quantity is the
-    maximum of the per-case optima.  Exact case splits exist for the binary
-    list-of-4 family, the q-ary list-of-3 family, and every list-of-2 family.
+    The outer maximum is split by the dimension of the support span, and the
+    bound subtracts the larger case.  Exact case splits exist for every
+    list-of-2 family, the binary list-of-4 family and the q-ary list-of-3
+    family, and each makes one solve: the full-support case is the optimum
+    of `_class_problem(q, 1, L)` at budget L rho over dim = L - 1 (the
+    `_rate_rows` "rlc" column), the other case is `_low_dimension_case`.
+
+    Every case quotients by span{1}, the reported `inner_kernel`: the
+    boundary type and the class-uniform optimum are invariant under
+    u -> u + a*1, so by the lemma in `kernel_slack_report`'s docstring
+    span{1} is a 1-dim kernel of least quotient entropy, H_q(tau) - 1, the
+    solve's maximum.  Dividing by L instead (`identity_kernel_reading`)
+    gives the plain ensemble's threshold, which is strictly weaker.
     """
     if spec.ell != 1:
         raise UnsupportedError("the linear-ensemble case analysis is derived for ell = 1")
     q, L, rho = spec.q, spec.L, spec.rho
-
     if L == 2:
-        # quotient by the difference of the two coordinates: the image puts
-        # mass Pr[u1 != u2] <= 2 rho off zero, so its entropy is at most
-        # h_q(min(2 rho, 1 - 1/q)); the canonical boundary type attains it.
-        if 2.0 * rho >= 1.0:
+        if not 2.0 * rho < 1.0:
             raise DomainError("rho too large for the list-of-2 case (needs 2 rho < 1)")
-        offdiag = min(2.0 * rho, 1.0 - 1.0 / q)
-        case_main = hq(q, offdiag)
-        value = 1.0 - case_main
-        kernel = rref_of([[1, 1 if q == 2 else q - 1]], q)  # span{(1, -1)}
-        return ThresholdReport(
-            family="rlc-lower", q=q, ell=1, L=2, rho=rho,
-            value=min(max(value, 0.0), 1.0), method="closed_form",
-            argmax={"offdiag_mass": offdiag},
-            inner_kernel=kernel,
-            details={"case_values": {"difference_quotient": case_main}},
+    elif (q, L) == (2, 4):
+        each_rho([rho], _ld4_domain)
+    elif q >= 3 and L == 3:
+        each_rho([rho], functools.partial(_ld3_domain, q))
+    else:
+        raise UnsupportedError(
+            f"no established case analysis for q={q}, L={L}; "
+            "supported: (q=2, L in {2,4}) and (q>=3, L in {2,3})"
         )
-
-    if q == 2 and L == 4:
-        (row,), (res,) = ld4_binary_rows([rho])
-        case_full = res.value / 3.0
-        # support spans of dimension <= 2 collapse two coordinate pairs; the
-        # resulting optimization is the two-variable curve below
-        case_low = (hq(2, min(2.0 * rho, 0.5)) + 2.0 * rho * math.log2(3.0)) / 2.0
-        kernel = rref_of([[1, 1, 1, 1]], 2)
-        return ThresholdReport(
-            family="rlc-lower", q=2, ell=1, L=4, rho=rho,
-            value=min(max(min(row["rlc"], 1.0 - case_low), 0.0), 1.0), method="closed_form",
-            argmax={"free_class_masses": res.x},
-            inner_kernel=kernel,
-            details={"case_values": {"full_support_compression": case_full,
-                                     "low_dimension_boundary": case_low}},
-        )
-
-    if q >= 3 and L == 3:
-        (row,), (res,) = ld3_qary_rows(q, [rho])
-        case_full = res.value / 2.0
-        case_low = hql(q, 1, min(1.5 * rho, 1.0 - 1.0 / q))
-        # the identity-kernel reading of the full-support case divides by 3
-        # instead of 2; it is strictly weaker for every attainable objective
-        # value, so it is reported but not folded into the bound
-        kernel = rref_of([[1, 1, 1]], q)
-        return ThresholdReport(
-            family="rlc-lower", q=q, ell=1, L=3, rho=rho,
-            value=min(max(min(row["rlc"], 1.0 - case_low), 0.0), 1.0), method="closed_form",
-            argmax={"free_class_masses": res.x},
-            inner_kernel=kernel,
-            details={"case_values": {"full_support_compression": case_full,
-                                     "low_dimension_boundary": case_low},
-                     "identity_kernel_reading": row["rc"],
-                     "ambiguity_note": "dividing the full-support case by L instead of "
-                                       "dim would reproduce the plain-ensemble bound"},
-        )
-
-    raise UnsupportedError(
-        f"no established case analysis for q={q}, L={L}; "
-        "supported: (q=2, L in {2,4}) and (q>=3, L in {2,3})"
+    res = opt_polytope_2d(*_class_problem(q, 1, L), L * rho, q)
+    row = _rate_rows([res], L)[0]
+    cases = {"full_support_compression": res.value / (L - 1)}
+    bound = row["rlc"]
+    low = _low_dimension_case(q, L, rho)
+    if low is not None:
+        cases["low_dimension_boundary"] = low
+        bound = min(bound, 1.0 - low)
+    return ThresholdReport(
+        family="rlc-lower", q=q, ell=1, L=L, rho=rho,
+        value=min(max(bound, 0.0), 1.0), method="kkt",
+        argmax={"free_class_masses": res.x},
+        inner_kernel=rref_of([[1] * L], q),
+        details={"case_values": cases, "identity_kernel_reading": row["rc"]},
     )
 
 
@@ -400,6 +392,12 @@ def dominance_curves(rho_grid) -> tuple[BoundCurve, BoundCurve, list[bool]]:
     low-dimension boundary curve (h2(2 rho) + 2 rho log2 3)/2.  The third
     return lists blue >= orange + margin per grid point; the subtracted
     bound is valid exactly because blue dominates.
+
+    Past rho = 1/4 orange is the vertex value: it reads h2(2 rho) where
+    2 rho > 1/2, so it falls below the face maximum h2(min(2 rho, 1/2)) that
+    `rlc_lower_generic` subtracts (`_low_dimension_case`).  The
+    `figure1.csv` fixture pins orange as it is; the test suite checks that
+    blue dominates the face maximum too.
     """
     grid = np.asarray(list(rho_grid), dtype=np.float64)
     if grid.size == 0 or np.any(grid <= 0.0) or np.any(grid >= 5.0 / 16.0):
@@ -456,6 +454,16 @@ def negativity_optimum_values(rho_grid) -> np.ndarray:
 # list sizes and the large-list regime
 
 
+def _listsize_logc(q: int, ell: int, rho: float, eps: float, delta: float) -> float:
+    """log_q C(q, ell), once eps, delta, q, ell and rho are validated."""
+    if not 0.0 < eps < math.inf:
+        raise DomainError("eps must be positive and finite")
+    if not 0.0 <= delta < math.inf:
+        raise DomainError("delta must be nonnegative and finite")
+    LRSpec(q=q, ell=ell, L=1, rho=rho)  # validates q, ell, rho
+    return math.log(math.comb(q, ell)) / math.log(q)
+
+
 def lr_listsize_lower_rlc(q: int, ell: int, rho: float, eps: float, delta: float) -> int:
     """Output list size forced on the linear ensemble at rate capacity - eps.
 
@@ -465,23 +473,13 @@ def lr_listsize_lower_rlc(q: int, ell: int, rho: float, eps: float, delta: float
     rho = 0.1, eps = 0.05 the two readings are 9.38 and 10.38, and this
     returns 9.
     """
-    if not 0.0 < eps < math.inf:
-        raise DomainError("eps must be positive and finite")
-    if not 0.0 <= delta < math.inf:
-        raise DomainError("delta must be nonnegative and finite")
-    LRSpec(q=q, ell=ell, L=1, rho=rho)  # validates q, ell, rho
-    logc = math.log(math.comb(q, ell)) / math.log(q)
+    logc = _listsize_logc(q, ell, rho, eps, delta)
     return math.floor((logc - (1.0 - hql(q, ell, rho))) / eps - delta)
 
 
 def lr_listsize_rc(q: int, ell: int, rho: float, eps: float, delta: float) -> tuple[int, int]:
     """(lower, upper) list sizes for the plain ensemble near capacity."""
-    if not 0.0 < eps < math.inf:
-        raise DomainError("eps must be positive and finite")
-    if not 0.0 <= delta < math.inf:
-        raise DomainError("delta must be nonnegative and finite")
-    LRSpec(q=q, ell=ell, L=1, rho=rho)
-    logc = math.log(math.comb(q, ell)) / math.log(q)
+    logc = _listsize_logc(q, ell, rho, eps, delta)
     lower = math.floor(logc / eps - delta)
     upper = math.ceil(logc / eps) + 1
     return lower, upper

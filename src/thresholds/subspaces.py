@@ -298,13 +298,13 @@ def ones_kernel_table(tau: TypeDist, k: int) -> tuple[np.ndarray, np.ndarray, np
     return H, D, np.concatenate(indices)
 
 
-def iter_kernel_entropies(tau: TypeDist, dims=None):
+def iter_kernel_entropies(tau: TypeDist):
     """Stream (basis, image_dim, entropy_base_q) over proper-subspace kernels.
 
     `basis` is the RREF basis tuple of the kernel; the numbers are the rows
     of `kernel_entropy_table`, one kernel dimension at a time.  It stays a
     generator: `perfbench/tracing.py` traces it and counts one kernel per item.
     """
-    for k in range(tau.b) if dims is None else sorted(set(dims)):
+    for k in range(tau.b):
         H, D = kernel_entropy_table(tau, k)
         yield from zip(iter_rref_bases(tau.q, tau.b, k), D.tolist(), H.tolist())

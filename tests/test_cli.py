@@ -117,6 +117,37 @@ def test_bounds_and_ordering_manifests_count_the_grid_solve(in_tmpdir):
         "solves": 0, "interior": 0, "edge": 0, "bisection_rounds": 0}
 
 
+# sha256 of the outputs of the `bounds-verify` bench jobs that read the
+# list-of-4 and list-of-3 class tables, on the bench grids: a byte-level
+# guard on every printed digit of the rlc/rc columns and dominance margins
+PINNED_OUTPUTS = [
+    (["bounds", "--family", "ld4-binary-rlc", "--rho-min", "0.001", "--rho-max", "0.312",
+      "--step", "0.001", "--out", "out"],
+     "e506aa6a05503f9eba8db6caaeaf36f9ae040bfdb3f308f9d7d43c90c3757c90"),
+    (["bounds", "--family", "ld4-binary-rc", "--rho-min", "0.001", "--rho-max", "0.312",
+      "--step", "0.001", "--out", "out"],
+     "c173acfaf7622bd867db2648210679f1922cdd15c84d13f58c92095d650d9218"),
+    (["bounds", "--family", "ld3-qary-rlc", "--q", "3", "--rho-min", "0.001",
+      "--rho-max", "0.333", "--step", "0.001", "--out", "out"],
+     "d8f60e25ac518f6c678d5a40856ec43cb571da4b6f174151d108980608029120"),
+    (["bounds", "--family", "ld3-qary-rc", "--q", "3", "--rho-min", "0.001",
+      "--rho-max", "0.333", "--step", "0.001", "--out", "out"],
+     "7ac1b0a583d1eeac1552e1695929f2e87b914257744b06a6932a80e9de9fe19c"),
+    (["verify", "--check", "ordering", "--q", "2", "--report", "out"],
+     "6bb2d5776e5883bac2ffaa4e7adf999a2766ed5860acfb3e69b6d26810f8d561"),
+    (["verify", "--check", "ordering", "--q", "3", "--report", "out"],
+     "d3b63575b818b29850e5bae2162e9d0c0657d859d31028124b3b49781d408757"),
+]
+
+
+@pytest.mark.parametrize("argv,sha", PINNED_OUTPUTS,
+                         ids=["ld4-rlc", "ld4-rc", "ld3-rlc", "ld3-rc", "ordering-q2",
+                              "ordering-q3"])
+def test_bench_bound_outputs_are_byte_stable(argv, sha, in_tmpdir):
+    assert main(argv) == 0
+    assert digest(in_tmpdir / "out") == sha
+
+
 def test_bounds_domain_error_names_the_rho(capsys):
     assert main(["bounds", "--family", "ld3-qary-rlc", "--q", "2",
                  "--rho-min", "0.1", "--rho-max", "0.1", "--step", "0.01"]) == 3

@@ -12,8 +12,10 @@ from thresholds.cli import _decimal_grid
 from thresholds.errors import DomainError, UnsupportedError
 from thresholds.fields import make_field
 from thresholds.engine import (
+    STRICT_MARGIN,
     BoundCurve,
     _class_problem,
+    _low_dimension_case,
     _solve_classes,
     bound_rlc_binary_l4,
     bound_rlc_qary_l3,
@@ -365,7 +367,24 @@ def test_rlc_pair_closed_form():
     assert rep.inner_kernel.basis == ((1, 1),)
     rep3 = rlc_lower_generic(LRSpec(q=3, ell=1, L=2, rho=rho))
     assert rep3.value == pytest.approx(1 - hq(3, 2 * rho), abs=1e-12)
-    assert rep3.inner_kernel.basis == ((1, 2),)
+    assert rep3.inner_kernel.basis == ((1, 1),)
+
+
+RLC_CASES = [(q, 2) for q in (2, 3, 4, 5, 7)] + [(2, 4)] + [(q, 3) for q in (3, 4, 5)]
+
+
+@pytest.mark.parametrize("q,L", RLC_CASES)
+@pytest.mark.parametrize("rho", [0.11, 0.2])
+def test_rlc_inner_kernel_is_the_binding_line(q, L, rho):
+    # the reported kernel is a 1-dim kernel of least quotient entropy for the
+    # boundary type: span{1}, not the difference line through which the
+    # boundary pair is uniform for q >= 3
+    spec = LRSpec(q=q, ell=1, L=L, rho=rho)
+    rep = rlc_lower_generic(spec)
+    tau = TypeDist(q, L, bad_type(spec).marginal("x"))
+    H = pushforward(tau, map_with_kernel(rep.inner_kernel)).entropy()
+    assert H == pytest.approx(kernel_entropy_table(tau, 1)[0].min(), abs=1e-12)
+    assert rep.inner_kernel.basis == ((1,) * L,)
 
 
 @pytest.mark.parametrize("q,rho", [(2, 0.3), (3, 0.4), (2, 0.26), (3, 0.49)])
@@ -460,6 +479,12 @@ def test_dominance_curves_hold_on_the_grid():
     assert all(ok)
     assert blue.values.shape == grid.shape
     assert np.all(blue.values > orange.values)
+    # past rho = 1/4 orange is the vertex value h2(2 rho); the bound subtracts
+    # the face maximum h2(min(2 rho, 1/2)), which blue must dominate too
+    for g in (grid, BINARY_L4_GRID):
+        b = dominance_curves(g)[0].values
+        low = np.array([_low_dimension_case(2, 4, r) for r in g])
+        assert np.all(b - low > STRICT_MARGIN)
     with pytest.raises(DomainError):
         dominance_curves([0.1, 0.35])
 
