@@ -12,7 +12,12 @@ the V = |B(0, r)| syndromes, whatever q^k and q^n are.  Sweeps decide the
 other trials by the profile; when the balls cover the cells more than L - 1
 times the pigeonhole bound decides without it, and when the cells do not fit
 a dynamic program over the L-subsets of codewords decides without
-enumerating them.  A random linear code's words are the image of GF(q)^k
+enumerating them.  Profiled codes are decided in blocks: one stamping pass
+and one bincount give the profiles of every code of a block side by side.
+Each trial still draws from its own seeded stream, so a sweep's output is
+the same, byte for byte, as one profile per code gives; a block holds at
+most `_STAMP_CHUNK` cells and stamps, so batching adds under a megabyte to
+a sweep's peak RSS.  A random linear code's words are the image of GF(q)^k
 under its generator, listed by `fields.matvec_all`, and a code is linear
 exactly when it has q^rank words.  Codewords are held as packed indices;
 `fields.digits_of` and `fields.pack_digits` turn them into digit rows and back.
@@ -46,7 +51,10 @@ from .subspaces import map_with_kernel, rref_of
 
 _SPAN_CAP = 2**24
 _CENTER_CAP = 2**22
-_STAMP_CHUNK = 2**20  # ball cells stamped per numpy block
+# ball cells, and profile cells, per stamping block: its stamps and its
+# counter stay at 512 KiB each, so batching codes adds under a megabyte of
+# peak RSS
+_STAMP_CHUNK = 2**16
 _SPACE_CAP = 2**24
 _PACK_CAP = 2**63 - 1  # largest q^m whose syndromes pack into int64
 DEFAULT_WORK_BUDGET = 2**29
@@ -82,9 +90,10 @@ class Code:
         self.words = np.asarray(self.words, dtype=np.int64)
         if self.words.ndim != 1:
             raise DomainError("codewords must form a flat index array")
-        if np.any(np.diff(self.words) <= 0):
+        w = self.words
+        if (w[1:] <= w[:-1]).any():
             raise DomainError("codeword indices must be strictly increasing")
-        if self.words.size and (self.words[0] < 0 or self.words[-1] >= self.q**self.n):
+        if w.size and (w[0] < 0 or w[-1] >= self.q**self.n):
             raise DomainError("codeword index out of range")
         if self.kind not in ("plain", "linear"):
             raise DomainError(f"unknown code kind {self.kind!r}")
@@ -242,26 +251,35 @@ def occupancy_profile(code: Code, r: int, ell: int = 1) -> np.ndarray:
     A cell T is a tuple of ell-subsets of GF(q), one per coordinate, packed in
     base C(q, ell) with subsets numbered as in `_zero_list_ball`; it counts
     the codewords c with c_i outside T_i at no more than r coordinates.  For
-    ell = 1 the cells are the q^n centers and the balls Hamming balls.
-
-    Every codeword's list ball is stamped into the counter, at a cost of
-    |C| * ball volume.  T lies in the ball of c exactly when T - c lies in the
-    ball of 0, so the ball of c is the zero word's ball with coordinate i's
-    subsets translated by c_i: one gather per coordinate from the shift
-    table, packed in base C(q, ell).  For ell = 1 over GF(2^m) a translate is
-    the XOR of packed indices, so the ball is one XOR of the codeword with
-    packed offsets.  Codewords go in blocks of at most max(_STAMP_CHUNK,
-    cells) ball cells.
+    ell = 1 the cells are the q^n centers and the balls Hamming balls.  The
+    balls are stamped by `_stamped_profiles`.
     """
     q, n = code.q, code.n
     if not 1 <= ell < q:
         raise DomainError(f"need 1 <= ell < q, got ell={ell}, q={q}")
-    C = math.comb(q, ell)
-    N = C**n
+    N = math.comb(q, ell) ** n
     if N > _CENTER_CAP:
         raise SizeCapError(f"cell space C(q, ell)^n = {N} exceeds the cap")
+    return _stamped_profiles(q, n, r, ell, [code.words])[0]
+
+
+def _stamped_profiles(q: int, n: int, r: int, ell: int,
+                      codes: list[np.ndarray]) -> np.ndarray:
+    """Occupancy profiles of T codes given by their words, shape (T, N).
+
+    Every codeword's list ball is stamped, at a cost of |C| * ball volume per
+    code.  T lies in the ball of c exactly when T - c lies in the ball of 0,
+    so the ball of c is the zero word's ball with coordinate i's subsets
+    translated by c_i: one gather per coordinate from the shift table,
+    packed in base C(q, ell).  For ell = 1 over GF(2^m) a translate is the
+    XOR of packed indices, so the ball is one XOR of the codeword with
+    packed offsets.  Code t's cells are shifted by t * N, so one bincount of
+    length T * N counts all T codes at once.  Codewords go in chunks of at
+    most max(_STAMP_CHUNK, T * N) ball cells.
+    """
     offsets, shift = _zero_list_ball(q, n, r, ell)
-    V = offsets.shape[1]
+    C = math.comb(q, ell)
+    N = C**n
     radix = C ** np.arange(n, dtype=np.int64)
     if ell == 1 and make_field(q).p == 2:
         packed = radix @ offsets
@@ -278,11 +296,24 @@ def occupancy_profile(code: Code, r: int, ell: int = 1) -> np.ndarray:
                 out += scaled[i][dig[:, i:i + 1], offsets[i]]
             return out
 
-    rows = max(1, max(_STAMP_CHUNK, N) // V)
-    P = np.bincount(balls(code.words[:rows]).ravel(), minlength=N)
-    for start in range(rows, code.size, rows):
-        P += np.bincount(balls(code.words[start:start + rows]).ravel(), minlength=N)
-    return P
+    if len(codes) == 1:
+        words, slot = codes[0], None
+    else:
+        words = np.concatenate(codes)
+        slot = np.repeat(np.arange(0, len(codes) * N, N), [c.size for c in codes])
+    length = len(codes) * N
+
+    def stamps(start, stop):
+        cells = balls(words[start:stop])
+        if slot is not None:
+            cells += slot[start:stop, None]
+        return cells.ravel()
+
+    rows = max(1, max(_STAMP_CHUNK, length) // offsets.shape[1])
+    P = np.bincount(stamps(0, rows), minlength=length)
+    for start in range(rows, words.size, rows):
+        P += np.bincount(stamps(start, start + rows), minlength=length)
+    return P.reshape(len(codes), N)
 
 
 @functools.lru_cache(maxsize=8)
@@ -476,6 +507,8 @@ class SweepConfig:
             raise DomainError("rho must lie in [0, 1]")
         if not 1 <= self.ell < self.q:
             raise DomainError("need 1 <= ell < q")
+        if self.work_budget < 0:
+            raise DomainError(f"work budget must be >= 0, got {self.work_budget}")
 
 
 @dataclass
@@ -487,6 +520,7 @@ class SatisfactionCurve:
     ci_hi: np.ndarray
     trials: int
     routes: dict[str, int]
+    stamp_blocks: int
 
     def to_csv(self) -> str:
         from .engine import fmt12
@@ -514,8 +548,8 @@ def trial_seed(master_seed: int, rate_index: int, trial_index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _one_trial(cfg: SweepConfig, rate: float, ri: int, ti: int) -> tuple[bool, str]:
-    """Whether one sampled code satisfies the property, and the route that decided.
+def _decide_rate(cfg: SweepConfig, ri: int, rate: float, work: dict) -> int:
+    """How many of one rate's sampled codes satisfy the property.
 
     The property holds exactly when no cell of the occupancy profile holds L
     codewords.  A random linear code's list decoding (ell = 1) is decided
@@ -529,29 +563,58 @@ def _one_trial(cfg: SweepConfig, rate: float, ri: int, ti: int) -> tuple[bool, s
     when the cells exceed the cap or cells plus stamps exceed the work
     budget ("dp"), and the fullest cell of the profile decides the rest
     ("stamp").  Every route is exact, so the route never changes a decision.
+
+    Stamp-route codes wait in a queue that `_stamped_profiles` decides in
+    one pass, and the queue is flushed before a code that would take its
+    cells, (codes + 1) * C(q, ell)^n, or its stamps past `_STAMP_CHUNK`,
+    and at the end of the rate.  Each trial's route is counted into
+    `work["routes"]` and each flush into `work["stamp_blocks"]`.
     """
-    rng = np.random.default_rng(trial_seed(cfg.master_seed, ri, ti))
-    r = radius_of(cfg.rho, cfg.n)
-    if (cfg.family == "rlc" and cfg.ell == 1
-            and cfg.n * ball_volume(cfg.q, cfg.n, r) <= cfg.work_budget
-            and cfg.q ** parity_rows(cfg.n, rate) <= _PACK_CAP):
-        H = draw_parity_check(cfg.q, cfg.n, rate, rng)
-        return largest_fiber(H, cfg.q, r) < cfg.L, "fiber"
-    if cfg.family == "rlc":
-        code = sample_rlc(cfg.q, cfg.n, rate, rng)
-    else:
-        code = sample_rc(cfg.q, cfg.n, rate, rng)
-    stamps = code.size * ball_volume(cfg.q, cfg.n, r, cfg.ell)
-    cells = math.comb(cfg.q, cfg.ell) ** cfg.n
-    if stamps > (cfg.L - 1) * cells:
-        return False, "pigeonhole"
-    if cells > _CENTER_CAP or cells + stamps > cfg.work_budget:
-        return check_lr_dp(code, cfg.rho, cfg.ell, cfg.L, cfg.work_budget).recoverable, "dp"
-    return int(occupancy_profile(code, r, cfg.ell).max()) < cfg.L, "stamp"
+    q, n, ell, L = cfg.q, cfg.n, cfg.ell, cfg.L
+    r = radius_of(cfg.rho, n)
+    V = ball_volume(q, n, r, ell)
+    cells = math.comb(q, ell) ** n
+    fiber = (cfg.family == "rlc" and ell == 1 and n * V <= cfg.work_budget
+             and q ** parity_rows(n, rate) <= _PACK_CAP)
+    sample = sample_rlc if cfg.family == "rlc" else sample_rc
+    ok = 0
+    queue: list[np.ndarray] = []
+    queued = 0
+
+    def flush() -> int:
+        work["stamp_blocks"] += 1
+        peaks = _stamped_profiles(q, n, r, ell, queue).max(axis=1)
+        return int(np.count_nonzero(peaks < L))
+
+    for ti in range(cfg.trials):
+        rng = np.random.default_rng(trial_seed(cfg.master_seed, ri, ti))
+        if fiber:
+            route, decided = "fiber", largest_fiber(draw_parity_check(q, n, rate, rng), q, r) < L
+        else:
+            code = sample(q, n, rate, rng)
+            stamps = code.size * V
+            if stamps > (L - 1) * cells:
+                route, decided = "pigeonhole", False
+            elif cells > _CENTER_CAP or cells + stamps > cfg.work_budget:
+                route, decided = "dp", check_lr_dp(code, cfg.rho, ell, L,
+                                                   cfg.work_budget).recoverable
+            else:
+                route, decided = "stamp", False
+                if queue and ((len(queue) + 1) * cells > _STAMP_CHUNK
+                              or queued + stamps > _STAMP_CHUNK):
+                    ok += flush()
+                    queue, queued = [], 0
+                queue.append(code.words)
+                queued += stamps
+        work["routes"][route] += 1
+        ok += decided
+    if queue:
+        ok += flush()
+    return ok
 
 
 def _partial_curve(cfg: SweepConfig, done: list[tuple[float, int]],
-                   routes: dict[str, int]) -> SatisfactionCurve:
+                   work: dict) -> SatisfactionCurve:
     rates = np.asarray([d[0] for d in done])
     ks = [d[1] for d in done]
     phat = np.asarray([k / cfg.trials for k in ks])
@@ -562,7 +625,8 @@ def _partial_curve(cfg: SweepConfig, done: list[tuple[float, int]],
         his.append(hi)
     return SatisfactionCurve(family=cfg.family, rates=rates, p_hat=phat,
                              ci_lo=np.asarray(los), ci_hi=np.asarray(his),
-                             trials=cfg.trials, routes=dict(routes))
+                             trials=cfg.trials, routes=dict(work["routes"]),
+                             stamp_blocks=work["stamp_blocks"])
 
 
 def satisfaction_curve(cfg: SweepConfig) -> SatisfactionCurve:
@@ -570,26 +634,27 @@ def satisfaction_curve(cfg: SweepConfig) -> SatisfactionCurve:
 
     Each trial owns an RNG stream keyed by (master seed, rate index, trial
     index), so results do not depend on the order the trials run in.  The
-    curve counts the trials each route of `_one_trial` decided: "stamp",
+    curve counts the trials each route of `_decide_rate` decided: "stamp",
     "pigeonhole", "dp" or "fiber"; a random linear code's list-decoding
     trials take "fiber" whenever the n * |B(0, r)| digits of the zero word's
-    ball fit the work budget and q^m fits in int64.  On a blown work budget
-    the partial curve is attached to the raised error.
+    ball fit the work budget and q^m fits in int64.  Stamp-route codes are
+    decided in blocks, one stamping pass and one bincount of T * C(q, ell)^n
+    cells for T codes, which spares the numpy call overhead of one profile
+    per code; as every trial keeps its own stream and its own decision, the
+    curve is the same, byte for byte, as one profile per code gives.
+    `stamp_blocks` counts the blocks.  On a blown work budget the curve of
+    the rates completed so far is attached to the raised error.
     """
     done: list[tuple[float, int]] = []
-    routes = dict.fromkeys(("stamp", "pigeonhole", "dp", "fiber"), 0)
+    work = {"routes": dict.fromkeys(("stamp", "pigeonhole", "dp", "fiber"), 0),
+            "stamp_blocks": 0}
     try:
         for ri, rate in enumerate(cfg.rates):
-            ok = 0
-            for ti in range(cfg.trials):
-                decided, route = _one_trial(cfg, rate, ri, ti)
-                ok += decided
-                routes[route] += 1
-            done.append((rate, ok))
+            done.append((rate, _decide_rate(cfg, ri, rate, work)))
     except WorkBudgetExceededError as err:
-        err.partial = _partial_curve(cfg, done, routes)
+        err.partial = _partial_curve(cfg, done, work)
         raise
-    return _partial_curve(cfg, done, routes)
+    return _partial_curve(cfg, done, work)
 
 
 def half_crossing(rates, p_hat) -> float | None:

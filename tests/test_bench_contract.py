@@ -79,3 +79,19 @@ def test_oracle_resamples_through_trial_seed(family):
     def draw():
         return family(2, 6, 0.5, np.random.default_rng(simulate.trial_seed(7, 1, 2)))
     assert np.array_equal(draw().words, draw().words)
+
+
+def test_sweep_counts_the_resampled_codes_under_L():
+    # `oracles.lr_sweep` re-samples every trial's code through `trial_seed`
+    # and counts those whose fullest cell holds fewer than L codewords; the
+    # sweep decides its stamp-route codes in blocks, several per rate here
+    cfg = simulate.SweepConfig(q=3, n=8, family="rc", rho=0.125, L=3, rates=[0.125, 0.25],
+                               trials=40, master_seed=11, ell=1)
+    curve = simulate.satisfaction_curve(cfg)
+    assert curve.routes["stamp"] == 80 and curve.stamp_blocks >= 2 * len(cfg.rates)
+    r = simulate.radius_of(cfg.rho, cfg.n)
+    for ri, (rate, p) in enumerate(zip(cfg.rates, curve.p_hat)):
+        codes = [simulate.sample_rc(cfg.q, cfg.n, rate, np.random.default_rng(
+            simulate.trial_seed(cfg.master_seed, ri, ti))) for ti in range(cfg.trials)]
+        want = sum(int(simulate.occupancy_profile(c, r, cfg.ell).max()) < cfg.L for c in codes)
+        assert round(p * cfg.trials) == want, rate

@@ -285,7 +285,8 @@ def test_simulate_manifest_counts_routes_and_the_environment(in_tmpdir):
     assert main(["simulate", "--family", "rc", "--q", "3", "--n", "6", "--L", "3",
                  "--l", "2", "--rho", "0.2", "--rates", "0.2:0.4:0.2", "--trials", "3"]) == 0
     man = read_manifest(in_tmpdir / "simulate.manifest.json")
-    assert man["counters"] == {"routes": {"stamp": 1, "pigeonhole": 5, "dp": 0, "fiber": 0}}
+    assert man["counters"] == {"routes": {"stamp": 1, "pigeonhole": 5, "dp": 0, "fiber": 0},
+                               "stamp_blocks": 1}
     env = man["environment"]
     assert env["numpy"] == np.__version__ and env["python"].count(".") == 2
     assert env["cpu_count"] is None or env["cpu_count"] >= 1
@@ -319,7 +320,49 @@ def test_simulate_rlc_list_decoding_past_the_enumeration_caps(in_tmpdir):
     assert main(["simulate", "--family", "rlc", "--q", "2", "--n", "32", "--rho", "0.1",
                  "--L", "2", "--rates", "0.6:0.9:0.3", "--trials", "5"]) == 0
     man = read_manifest(in_tmpdir / "simulate.manifest.json")
-    assert man["counters"] == {"routes": {"stamp": 0, "pigeonhole": 0, "dp": 0, "fiber": 10}}
+    assert man["counters"] == {"routes": {"stamp": 0, "pigeonhole": 0, "dp": 0, "fiber": 10},
+                               "stamp_blocks": 0}
+
+
+def simulate_argv(family, q, n, rho, L, ell, rates, trials):
+    argv = ["simulate", "--family", family, "--q", str(q), "--n", str(n), "--rho", str(rho),
+            "--L", str(L), "--rates", rates, "--trials", str(trials), "--seed", "2026",
+            "--out", "out"]
+    return argv + ([] if ell is None else ["--l", str(ell)])
+
+
+# sha256 and route counts of the `simulate` outputs of the `ld-sweep` and
+# `lr-sweep` bench configs at --seed 2026: a byte-level guard on every
+# decision of every trial, whichever route and stamping block decided it
+PINNED_SWEEPS = [
+    (("rlc", 2, 18, 0.1, 2, None, "0.1:0.8:0.05", 20),
+     "b39ca083034c8f8205f26c6caa408e58636044f0480eee29c09f988fdb35b988",
+     {"stamp": 0, "pigeonhole": 0, "dp": 0, "fiber": 300}),
+    (("rc", 2, 18, 0.1, 2, None, "0.1:0.8:0.05", 20),
+     "4e5ddf97dbe709e74ab857856f87dc93cb27aff7a9448b13e333e1c1e84556ab",
+     {"stamp": 280, "pigeonhole": 20, "dp": 0, "fiber": 0}),
+    (("rlc", 3, 9, 0.12, 2, None, "0.1:0.8:0.1", 10),
+     "7a4e3640ffd1f9c1fb8d90e6f285b6cb0e3b125cb31e5d25324b06f9b2d1675b",
+     {"stamp": 0, "pigeonhole": 0, "dp": 0, "fiber": 80}),
+    (("rc", 3, 9, 0.12, 2, None, "0.1:0.8:0.1", 10),
+     "142df17ebfca380f269296a6a7275a4a32d9e39cbab1768290bc312efb4142c9",
+     {"stamp": 67, "pigeonhole": 13, "dp": 0, "fiber": 0}),
+    (("rlc", 3, 8, 0.125, 3, 1, "0.125:0.125:0.125", 200),
+     "33776a009e9a2f71d6be28dbe85e0f50d12122c18ff131224b774399a8ad1de5",
+     {"stamp": 0, "pigeonhole": 0, "dp": 0, "fiber": 200}),
+    (("rc", 3, 8, 0.125, 3, 1, "0.125:0.25:0.125", 1000),
+     "a39c66039030beabfbac1317e7a3200db118061f8a1e0c25c3689593cd0f3311",
+     {"stamp": 2000, "pigeonhole": 0, "dp": 0, "fiber": 0}),
+]
+
+
+@pytest.mark.parametrize("config,sha,routes", PINNED_SWEEPS,
+                         ids=["ld-rlc-q2", "ld-rc-q2", "ld-rlc-q3", "ld-rc-q3", "lr-rlc",
+                              "lr-rc"])
+def test_bench_sweep_outputs_are_byte_stable(config, sha, routes, in_tmpdir):
+    assert main(simulate_argv(*config)) == 0
+    assert digest(in_tmpdir / "out") == sha
+    assert read_manifest(in_tmpdir / "simulate.manifest.json")["counters"]["routes"] == routes
 
 
 def test_rate_grids_do_not_drift():
@@ -364,12 +407,14 @@ CONSTRUCT_N8 = ["construct", "--n", "8", "--rho", "0.1", "--L", "3", "--delta", 
     (["bounds", "--family", "lr-listsize-rlc", "--eps", "inf"], 3),
     (["verify", "--check", "lemma33", "--delta", "nan"], 3),
     (["bounds", "--family", "largeL-rlc", "--delta", "nan"], 3),
+    (["simulate", "--family", "rc", "--q", "2", "--n", "5", "--L", "2", "--rho", "0.1",
+      "--rates", "0.1:0.8:0.1", "--budget", "-5"], 3),
 ], ids=["multi-masses", "rate-step", "config", "out-code", "manifest", "rc-negative-n",
         "rlc-zero-n", "listsize-ell-past-q", "claimA1-q1", "claimA1-q0", "construct-negative-n",
         "construct-nan-delta", "listsize-rc-nan-eps", "listsize-rlc-nan-delta",
         "listsize-rc-inf-delta", "listsize-rlc-inf-delta", "listsize-rc-inf-eps",
         "listsize-rlc-inf-eps",
-        "lemma33-nan-delta", "largeL-nan-delta"])
+        "lemma33-nan-delta", "largeL-nan-delta", "simulate-negative-budget"])
 def test_bad_input_exits_with_its_code(argv, code, capsys):
     assert main(argv) == code
     assert ("domain error" if code == 3 else "usage error") in capsys.readouterr().err

@@ -24,6 +24,7 @@ from thresholds.simulate import (
     SweepConfig,
     _ball_slots,
     _candidate_order,
+    _stamped_profiles,
     _zero_list_ball,
     check_ld_centers,
     check_lr_dp,
@@ -97,6 +98,12 @@ def test_code_validation():
         Code(q=2, n=3, words=np.asarray([0, 8]))
     with pytest.raises(DomainError):
         Code(q=2, n=3, words=np.asarray([0]), kind="affine")
+    with pytest.raises(DomainError):
+        Code(q=2, n=3, words=np.asarray([8]))
+    with pytest.raises(DomainError):
+        Code(q=2, n=3, words=np.asarray([-1]))
+    assert Code(q=2, n=3, words=np.asarray([], dtype=np.int64)).size == 0
+    assert Code(q=2, n=3, words=np.asarray([7])).size == 1
 
 
 def test_empty_code_is_allowed():
@@ -433,6 +440,67 @@ def test_stamp_blocks_add_up(monkeypatch):
     monkeypatch.setattr("thresholds.simulate._STAMP_CHUNK", 1)
     assert np.array_equal(occupancy_profile(code, 2, 2), whole)
     assert np.array_equal(whole, brute_occupancy(code, 2, 2))
+
+
+@pytest.mark.parametrize("q,n,ell", [(2, 6, 1), (3, 4, 1), (3, 4, 2), (4, 3, 1), (4, 3, 2)])
+def test_block_profiles_are_the_codes_profiles(q, n, ell, monkeypatch):
+    # one bincount over T codes, the empty code among them, gives each its
+    # own profile; at a chunk of 16 ball cells every nonempty code's stamps
+    # exceed the block and are stamped over several chunks
+    rng = np.random.default_rng(q * 10 + ell)
+    codes = [make_code(q, n, rng.choice(q**n, size=k, replace=False)) for k in (3, 0, 1, 7)]
+    for r in range(n + 1):
+        want = [brute_occupancy(c, r, ell) for c in codes]
+        for chunk in (16, 2**16):
+            monkeypatch.setattr("thresholds.simulate._STAMP_CHUNK", chunk)
+            got = _stamped_profiles(q, n, r, ell, [c.words for c in codes])
+            assert got.shape == (len(codes), math.comb(q, ell) ** n)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), (r, chunk)
+
+
+def _profile_decisions(cfg):
+    """Per rate, the trials' codes whose fullest cell holds fewer than L
+    codewords, one profile per code."""
+    r = radius_of(cfg.rho, cfg.n)
+    sample = sample_rlc if cfg.family == "rlc" else sample_rc
+    return [sum(int(occupancy_profile(sample(cfg.q, cfg.n, rate, np.random.default_rng(
+                trial_seed(cfg.master_seed, ri, ti))), r, cfg.ell).max()) < cfg.L
+                for ti in range(cfg.trials))
+            for ri, rate in enumerate(cfg.rates)]
+
+
+# (q, n, ell, family, rho, rates): q = 4, ell = 1 stamps by XOR; rlc with
+# ell = 2 stamps linear codes; low rates draw empty plain codes
+BLOCK_SWEEPS = [
+    (2, 8, 1, "rc", 0.125, [0.1, 0.3, 0.5]),
+    (3, 6, 1, "rc", 0.2, [0.1, 0.3, 0.5]),
+    (3, 5, 2, "rc", 0.2, [0.1, 0.3]),
+    (3, 5, 2, "rlc", 0.1, [0.2, 0.4]),
+    (4, 4, 1, "rc", 0.25, [0.2, 0.5]),
+    (4, 4, 2, "rc", 0.25, [0.2, 0.5]),
+]
+
+
+@pytest.mark.parametrize("L", [1, 2, 3])
+@pytest.mark.parametrize("q,n,ell,family,rho,rates", BLOCK_SWEEPS,
+                         ids=["q2", "q3", "q3-l2", "q3-l2-rlc", "q4-xor", "q4-l2"])
+def test_block_decisions_match_one_profile_per_code(q, n, ell, family, rho, rates, L,
+                                                    monkeypatch):
+    cfg = SweepConfig(q=q, n=n, family=family, rho=rho, L=L, rates=rates, trials=12,
+                      master_seed=5, ell=ell)
+    curve = satisfaction_curve(cfg)
+    assert [round(p * cfg.trials) for p in curve.p_hat] == _profile_decisions(cfg)
+    assert (curve.routes["stamp"] > 0 or L == 1) and curve.routes["fiber"] == 0
+    # a chunk of 1 stamps one code per block, 2^22 one block per rate, and a
+    # chunk of two codes' cells leaves queues that straddle a flush
+    cells = math.comb(q, ell) ** n
+    for chunk, blocks in ((1, curve.routes["stamp"]), (2 * cells, None), (2**22, None)):
+        monkeypatch.setattr("thresholds.simulate._STAMP_CHUNK", chunk)
+        again = satisfaction_curve(cfg)
+        assert again.to_csv() == curve.to_csv() and again.routes == curve.routes
+        if blocks is not None:
+            assert again.stamp_blocks == blocks
+    assert again.stamp_blocks <= len(rates)
 
 
 # ---------------------------------------------------------------------------
