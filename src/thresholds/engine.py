@@ -5,10 +5,14 @@ the masses x of the free coincidence classes, subject to x >= 0, sum x <= 1
 and one error budget g.x <= L rho.  The entropy's slope is infinite on every
 face but the budget, so the maximizer is a Gibbs point with one multiplier,
 found by bisection on the monotone budget equation.  `max_entropy` solves a
-whole array of budgets at once, with one numpy bisection for all of them, so
-a rho grid costs one call; `opt_polytope_2d` is its one-budget form.  The
-test suite certifies it against an independent nested golden-section
-maximum on random instances and against 50-digit mpmath on the bench grids.
+whole array of budgets at once, with one numpy bisection for all of them and
+one double-double pass (about 32 digits from pairs of floats) for their dual
+values, so a rho grid costs one call; `opt_polytope_2d` is its one-budget
+form.  mpmath runs only in `_class_problem`, for the coefficients whose
+floats the bisection reads.  The test suite certifies the solver against an
+independent nested golden-section maximum on random instances, against
+50-digit mpmath on the bench grids, and its dual against a 30-digit mpmath
+evaluation per point (`tests/reference.py`).
 
 Threshold bounds follow from the orbit reduction: averaging a type over
 coordinate permutations and alphabet relabelings preserves the defining
@@ -50,6 +54,177 @@ def fmt12(x: float) -> str:
 
 
 # ---------------------------------------------------------------------------
+# double-double arithmetic
+#
+# A number is an unevaluated sum hi + lo of two floats with |lo| <= ulp(hi)/2,
+# about 32 significant digits (Dekker 1971; Hida, Li and Bailey 2001).  The
+# routines use + - * / only, besides exact scaling by powers of 2 and the
+# float log that seeds `_dd_log`, so they take floats and numpy arrays alike
+# and give the same bits on both: a lone point runs on floats, at a tenth of
+# the cost of numpy calls on length-1 arrays.
+
+_SPLIT = 134217729.0  # 2^27 + 1, splits a float into two 26-bit halves
+_ROUND = 6755399441055744.0  # 1.5 * 2^52: (x + _ROUND) - _ROUND rounds x to an integer
+_LN2 = (0.6931471805599453, 2.3190468138462996e-17)
+_INV_LN2 = 1.4426950408889634
+# 1/k! for k = 7 down to 1 as double-doubles, and for k = 14 down to 8 as floats:
+# past 1/7! a term of exp(r), |r| <= ln(2)/32, is below 1e-16 of r
+_INV_FACT = ((1.984126984126984e-04, 1.7209558293420705e-22),
+             (1.388888888888889e-03, -5.300543954373577e-20),
+             (8.333333333333333e-03, 1.1564823173178714e-19),
+             (4.1666666666666664e-02, 2.3129646346357427e-18),
+             (1.6666666666666666e-01, 9.25185853854297e-18),
+             (0.5, 0.0), (1.0, 0.0))
+_INV_FACT_TAIL = (1.1470745597729725e-11, 1.6059043836821613e-10, 2.08767569878681e-09,
+                  2.505210838544172e-08, 2.755731922398589e-07, 2.7557319223985893e-06,
+                  2.48015873015873e-05)
+
+
+def _two_sum(a, b):
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _fast_two_sum(a, b):
+    """`_two_sum` for |a| >= |b|: the renormalization of a + b."""
+    s = a + b
+    return s, b - (s - a)
+
+
+def _two_prod(a, b):
+    """(p, e) with p = fl(a * b) and p + e = a * b exactly (Dekker's splitting)."""
+    p = a * b
+    t = _SPLIT * a
+    ah = t - (t - a)
+    t = _SPLIT * b
+    bh = t - (t - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _dd_add(x, y):
+    s, e = _two_sum(x[0], y[0])
+    t, f = _two_sum(x[1], y[1])
+    s, e = _fast_two_sum(s, e + t)
+    return _fast_two_sum(s, e + f)
+
+
+def _dd_mul(x, y):
+    p, e = _two_prod(x[0], y[0])
+    return _fast_two_sum(p, e + (x[0] * y[1] + x[1] * y[0]))
+
+
+def _dd_div(x, y):
+    q1 = x[0] / y[0]
+    p, e = _two_prod(q1, y[0])
+    s, f = _two_sum(x[0], -p)
+    return _fast_two_sum(q1, (s + (f - e - q1 * y[1] + x[1])) / y[0])
+
+
+def _dd_ldexp(x, k):
+    """x * 2^k, exactly, for an integral float k or an array of them."""
+    if isinstance(k, float):
+        return math.ldexp(x[0], int(k)), math.ldexp(x[1], int(k))
+    k = k.astype(np.int64)
+    return np.ldexp(x[0], k), np.ldexp(x[1], k)
+
+
+def _dd_exp_parts(x):
+    """(k, s) with exp(x) = 2^k (1 + s), |s| < 0.42, s to double-double accuracy
+    relative to itself.
+
+    r = (x - k ln 2) / 16 is summed by Horner's rule, the terms past 1/7! in
+    floats, and 1 + s is squared four times as s <- s (2 + s), so s keeps its
+    relative accuracy near x = 0.
+    """
+    k = (x[0] * _INV_LN2 + _ROUND) - _ROUND
+    p, e = _two_prod(k, _LN2[0])
+    rh, rl = _dd_add(x, (-p, -e - k * _LN2[1]))
+    rh, rl = rh * 0.0625, rl * 0.0625
+    ph = 0.0
+    for c in _INV_FACT_TAIL:
+        ph = c + rh * ph
+    pl = 0.0
+    t = _SPLIT * rh
+    ra = t - (t - rh)
+    rb = rh - ra
+    for ch, cl in _INV_FACT:  # p <- 1/k! + r p, inlined: the loop is the hot path
+        mh = rh * ph
+        t = _SPLIT * ph
+        pa = t - (t - ph)
+        pb = ph - pa
+        ml = (((ra * pa - mh) + ra * pb + rb * pa) + rb * pb) + (rh * pl + rl * ph)
+        s = ch + mh
+        v = s - ch
+        e = ((ch - (s - v)) + (mh - v)) + (cl + ml)
+        ph = s + e
+        pl = e - (ph - s)
+    sh, sl = _dd_mul((rh, rl), (ph, pl))
+    for _ in range(4):  # s <- s (2 + s), inlined likewise
+        ah = 2.0 + sh
+        al = (sh - (ah - 2.0)) + sl
+        mh = sh * ah
+        t = _SPLIT * sh
+        sa = t - (t - sh)
+        sb = sh - sa
+        t = _SPLIT * ah
+        aa = t - (t - ah)
+        ab = ah - aa
+        ml = (((sa * aa - mh) + sa * ab + sb * aa) + sb * ab) + (sh * al + sl * ah)
+        sh = mh + ml
+        sl = ml - (sh - mh)
+    return k, (sh, sl)
+
+
+def _dd_exp(x):
+    k, s = _dd_exp_parts(x)
+    return _dd_ldexp(_dd_add((1.0, 0.0), s), k)
+
+
+def _dd_log(x):
+    """ln x for x > 0: one Newton step y0 + log(x e^-y0) from the float log y0
+    of x's leading float, with log(1 + d) taken as d - d^2/2.  With
+    e^-y0 = 2^k (1 + s), d = (x 2^k - 1) + x 2^k s has no cancelling rounding,
+    so the result keeps its relative accuracy near x = 1."""
+    if isinstance(x[0], float):
+        y0 = math.log(x[0])
+    else:  # math.log elementwise, so that an array gives a float's bits
+        y0 = np.array([math.log(v) for v in x[0].tolist()])
+    k, s = _dd_exp_parts((-y0, 0.0))
+    u = _dd_ldexp(x, k)
+    d = _dd_add(_dd_add(u, (-1.0, 0.0)), _dd_mul(u, s))
+    return _dd_add((y0, 0.0), _dd_add(d, (-0.5 * d[0] * d[0], 0.0)))
+
+
+@functools.lru_cache(maxsize=None)
+def _dd_ln(q: int) -> tuple[float, float]:
+    return _LN2 if q == 2 else _dd_log((float(q), 0.0))
+
+
+def _dd_of_int(n: int) -> tuple[float, float]:
+    hi = float(n)
+    return hi, float(n - int(hi))
+
+
+def _dd_stack(pairs):
+    """Double-doubles as one: a pair of floats for one, of arrays for more."""
+    if len(pairs) == 1:
+        return pairs[0]
+    return tuple(np.array(part) for part in zip(*pairs))
+
+
+def _as_list(v) -> list[float]:
+    return v.tolist() if isinstance(v, np.ndarray) else [v]
+
+
+def _dd_round(x) -> list[float]:
+    """The floats nearest each double-double, +0.0 in place of -0.0."""
+    return _as_list(x[0] + x[1] + 0.0)
+
+
+# ---------------------------------------------------------------------------
 # the threshold optimizer
 
 
@@ -58,7 +233,8 @@ class OptResult:
     x: tuple[float, ...]
     value: float
     method: str
-    exact: mpmath.mpf  # the value at 30 digits, before its one rounding
+    deficit: tuple[float, float]  # value - log_q Z(0), as a double-double: 0.0 if interior
+    lam: float  # the multiplier: 0.0 if interior
     rounds: int  # bisection rounds spent on lam: bracket doublings and halvings
 
 
@@ -72,7 +248,45 @@ def _gibbs(c: np.ndarray, g: np.ndarray, lam: np.ndarray, q: int):
     return x, sum(gap * row for gap, row in zip(g[:, 0], x))
 
 
-def max_entropy(coeffs, gaps, budgets, q: int) -> list[OptResult]:
+@functools.lru_cache(maxsize=256)
+def _dual_terms(coeffs: tuple, gaps: tuple, q: int, sizes: tuple | None):
+    """The budget-free terms of `max_entropy`'s dual, as double-doubles: the
+    coefficients [1 + M_0, M_1, ..., M_G] of Z(lam) as a polynomial in
+    t = q^-lam, M_g the Gibbs weights q^c of the classes with gap g summed;
+    Z(0); and log_q Z(0).  Integer `sizes` are summed exactly; otherwise each
+    q^c is taken from the coefficient's leading float and its rounded rest.
+    Cached, since a problem is solved at many budgets and one at a time."""
+    lnq = _dd_ln(q)
+    top = max(gaps, default=0)
+    if sizes is not None:
+        weights = [1] + [0] * top
+        for n, gap in zip(sizes, gaps):
+            weights[gap] += n
+        poly = [_dd_of_int(n) for n in weights]
+    else:
+        poly = [(1.0, 0.0)] + [(0.0, 0.0)] * top
+        for c, gap in zip(coeffs, gaps):
+            hi = float(c)
+            poly[gap] = _dd_add(poly[gap], _dd_exp(_dd_mul(lnq, (hi, float(c - hi)))))
+    z0 = _horner(poly, (1.0, 0.0))
+    return tuple(poly), z0, _dd_div(_dd_log(z0), lnq)
+
+
+def _horner(poly, t):
+    z = poly[-1]
+    for m in poly[-2::-1]:
+        z = _dd_add(_dd_mul(z, t), m)
+    return z
+
+
+def _deficit(poly, z0, lam, budget, lnq):
+    """D = log_q(Z(lam)/Z(0)) + lam * budget in double-double, on floats or
+    arrays: the dual's drop below its value at lam = 0, exactly 0.0 there."""
+    z = _horner(poly, _dd_exp(_dd_mul(lnq, (-lam, 0.0))))
+    return _dd_add(_dd_div(_dd_log(_dd_div(z, z0)), lnq), _two_prod(lam, budget))
+
+
+def max_entropy(coeffs, gaps, budgets, q: int, sizes=None) -> list[OptResult]:
     """Maximum of H_q(x, 1 - sum x) + c.x over x >= 0, sum x <= 1, g.x <= b,
     one result per budget b of the 1-D array `budgets`.
 
@@ -81,20 +295,30 @@ def max_entropy(coeffs, gaps, budgets, q: int) -> list[OptResult]:
     the maximizer is the Gibbs point x_i = q^(c_i - lam g_i) / Z(lam) with
     Z(lam) = 1 + sum_j q^(c_j - lam g_j).  lam = 0 ("interior") when that
     point fits the budget; otherwise ("edge") lam is the root of the budget
-    equation g.x(lam) = b, which decreases in lam, bisected down to adjacent
-    floats and taken on the feasible side.  All budgets are bisected together,
-    each point on its own bracket, so a point's result does not depend on the
-    rest of the grid.  The value is the dual log_q Z(lam) + lam * b, equal to
-    the objective at the Gibbs point, evaluated in 30 digits as
-    log(Z) / ln q with Z's terms exp((c - lam g) ln q), and rounded once;
-    `exact` keeps it unrounded, and a coefficient given as a 30-digit mpmath
-    number enters it unrounded (the bisection reads its float).
+    equation g.x(lam) = b, which decreases in lam, bisected in floats down to
+    adjacent floats and taken on the feasible side.  All budgets are bisected
+    together, each point on its own bracket, so a point's result does not
+    depend on the rest of the grid.
+
+    The value is the dual log_q Z(lam) + lam * b, equal to the objective at
+    the Gibbs point, written as log_q Z(0) + D with the deficit
+    D = log_q(Z(lam)/Z(0)) + lam * b <= 0.  D is evaluated in double-double
+    arithmetic (about 32 digits) for the whole grid in one numpy pass, or on
+    floats for a lone budget, with the same bits either way: Z(lam) is a
+    polynomial in t = q^-lam whose coefficients are the classes' weights q^c
+    summed per gap.  `sizes`, when given, are those weights as exact integers
+    (a class table's |A_w|/q, whose Z(0) is q^(L-1)); otherwise q^c is taken
+    from each coefficient, whose float the bisection reads (a 30-digit
+    mpmath number enters at its first 106 bits).  `deficit` keeps D unrounded,
+    exactly 0.0 at an interior point; `value` is log_q Z(0) + D rounded once.
     """
     b = np.asarray(budgets, dtype=np.float64)
     if b.ndim != 1 or b.size == 0 or not np.all(b > 0.0):
         raise DomainError(f"need a nonempty 1-D array of positive error budgets, got {budgets}")
     if len(coeffs) != len(gaps) or any(g < 0 for g in gaps):
         raise DomainError(f"need one nonnegative gap per class, got {gaps}")
+    if sizes is not None and len(sizes) != len(gaps):
+        raise DomainError(f"need one size per class, got {sizes}")
     c = np.array([float(v) for v in coeffs]).reshape(-1, 1)
     g = np.array(gaps, dtype=np.float64).reshape(-1, 1)
 
@@ -119,24 +343,22 @@ def max_entropy(coeffs, gaps, budgets, q: int) -> list[OptResult]:
         active = (lo < mid) & (mid < hi)
     x = _gibbs(c, g, hi, q)[0].T.tolist()
 
-    out = []
-    with mpmath.workdps(30):
-        lnq = mpmath.log(q)
-        for i, (lam, budget) in enumerate(zip(hi.tolist(), b.tolist())):
-            lam_mp = mpmath.mpf(lam)
-            z = 1 + mpmath.fsum(mpmath.exp((ci - lam_mp * gi) * lnq)
-                                for ci, gi in zip(coeffs, gaps))
-            exact = mpmath.log(z) / lnq + lam_mp * budget
-            out.append(OptResult(x=tuple(x[i]), value=float(exact),
-                                 method="edge" if edge[i] else "interior",
-                                 exact=exact, rounds=int(rounds[i])))
-    return out
+    poly, z0, logz0 = _dual_terms(tuple(coeffs), tuple(gaps), q,
+                                  None if sizes is None else tuple(sizes))
+    lam, bud = (float(hi[0]), float(b[0])) if b.size == 1 else (hi, b)
+    d = _deficit(poly, z0, lam, bud, _dd_ln(q))
+    value = _dd_round(_dd_add(logz0, d))
+    deficits = list(zip(_as_list(d[0]), _as_list(d[1])))
+    return [OptResult(x=tuple(x[i]), value=value[i], method="edge" if edge[i] else "interior",
+                      deficit=deficits[i], lam=lam_i, rounds=int(rounds[i]))
+            for i, lam_i in enumerate(hi.tolist())]
 
 
 def opt_polytope_2d(coeffs, gaps, budget: float, q: int) -> OptResult:
-    """`max_entropy` at one budget.  The name is kept because
-    `perfbench/tracing.py` wraps it and counts `.method`; grid callers use
-    `max_entropy`, which it does not trace."""
+    """`max_entropy` at one budget, for real coefficients (no class sizes).
+    The name is kept because `perfbench/tracing.py` wraps it and counts
+    `.method`; the library's solves go through `max_entropy`, which it does
+    not trace."""
     return max_entropy(coeffs, gaps, [budget], q)[0]
 
 
@@ -161,35 +383,51 @@ def _class_problem(q: int, ell: int, L: int) -> tuple[tuple[mpmath.mpf, ...], tu
 
     A type uniform on each class A_w has entropy H_q(x) + sum_w x_w log_q|A_w|
     in the class masses x.  The constant class holds q vectors, so this is
-    1 + H_q(x) + c.x with c_w = log_q(|A_w|/q), an integer ratio because
-    adding a constant vector moves each class onto itself without fixed
-    points, taken at 30 digits, which `max_entropy` uses unrounded.  The gap of w, L minus the sum of its ell
-    largest parts, is the fewest coordinates a subset coupling leaves
-    uncovered, so the error budget reads g.x <= L rho.
+    1 + H_q(x) + c.x with c_w = log_q(|A_w|/q), the log of the integer
+    `_class_sizes` entry, taken at 30 digits so that its float, which the
+    bisection of `max_entropy` reads, is correctly rounded.  The gap of w, L
+    minus the sum of its ell largest parts, is the fewest coordinates a
+    subset coupling leaves uncovered, so the error budget reads g.x <= L rho.
     """
     free = coincidence_orbits(q, L)[1:]
     with mpmath.workdps(30):
-        coeffs = tuple(mpmath.log(oc.size // q, q) for oc in free)
+        coeffs = tuple(mpmath.log(n, q) for n in _class_sizes(q, L))
     return coeffs, tuple(L - sum(oc.shape[:ell]) for oc in free)
+
+
+@functools.lru_cache(maxsize=None)
+def _class_sizes(q: int, L: int) -> tuple[int, ...]:
+    """|A_w|/q for each free coincidence class w of GF(q)^L, an integer
+    because adding a constant vector moves each class onto itself without
+    fixed points; with the constant class's 1 they total q^(L-1)."""
+    return tuple(oc.size // q for oc in coincidence_orbits(q, L)[1:])
 
 
 def _solve_classes(q: int, ell: int, L: int, rhos) -> list[OptResult]:
     """The optimum of `_class_problem(q, ell, L)` at each rho of the grid,
-    budget L rho, from one `max_entropy` call."""
+    budget L rho, from one `max_entropy` call whose dual reads the exact
+    `_class_sizes`."""
     coeffs, gaps = _class_problem(q, ell, L)
-    return max_entropy(coeffs, gaps, L * np.asarray(rhos, dtype=np.float64), q)
+    return max_entropy(coeffs, gaps, L * np.asarray(rhos, dtype=np.float64), q,
+                       sizes=_class_sizes(q, L))
 
 
 def _rate_rows(solves: list[OptResult], L: int) -> list[dict[str, float]]:
-    """The rates of each optimum over GF(q)^L, formed at 30 digits and rounded
-    once: near rho = 5/16 the binary list-of-4 columns are about 1e-6 from an
-    optimum about 3, so floats would lose their last printed digits.  "rc" is
-    the plain ensemble's threshold 1 - (1 + max)/L; "rlc", for L >= 2, the
-    full-support case of the linear ensemble's bound, 1 - max/(L - 1).
+    """The rates of each optimum over GF(q)^L.  "rc" is the plain ensemble's
+    threshold 1 - (1 + max)/L; "rlc", for L >= 2, the full-support case of
+    the linear ensemble's bound, 1 - max/(L - 1).  With max = L - 1 + D they
+    are -D/L and -D/(L - 1), formed from the deficit D in double-double and
+    rounded once: near rho = 5/16 the binary list-of-4 columns are about 1e-6
+    from an optimum about 3, where floats would lose their last printed
+    digits, and at an interior point (D = 0) both are exactly 0.0.
     """
-    with mpmath.workdps(30):
-        return [{**({"rlc": float(1 - s.exact / (L - 1))} if L > 1 else {}),
-                 "rc": float(1 - (1 + s.exact) / L)} for s in solves]
+    d = _dd_stack([s.deficit for s in solves])
+    neg = (-d[0], -d[1])
+    rc = _dd_round(_dd_div(neg, (float(L), 0.0)))
+    if L == 1:
+        return [{"rc": v} for v in rc]
+    rlc = _dd_round(_dd_div(neg, (float(L - 1), 0.0)))
+    return [{"rlc": a, "rc": b} for a, b in zip(rlc, rc)]
 
 
 def _ld4_domain(rho: float) -> None:
@@ -236,15 +474,18 @@ def ld3_qary_rows(q: int, rhos) -> tuple[list[dict[str, float]], list[OptResult]
 
     "rlc" and "rc" as in `ld4_binary_rows`; "dominance" is the margin
     maxF/2 - h_q(3 rho/2) of the full-support case over `_low_dimension_case`,
-    rounded once from 30 digits; the linear bound is valid only where it is
-    positive.
+    1 + D/2 - h_q(3 rho/2) with `_rate_rows`' deficit D, formed in
+    double-double and rounded once; the linear bound is valid only where it
+    is positive.
     """
     each_rho(rhos, functools.partial(_ld3_domain, q))
     solves = _solve_classes(q, 1, 3, rhos)
     rows = _rate_rows(solves, 3)
-    with mpmath.workdps(30):
-        for rho, s, row in zip(rhos, solves, rows):
-            row["dominance"] = float(s.exact / 2 - _low_dimension_case(q, 3, rho))
+    d = _dd_stack([s.deficit for s in solves])
+    low = _dd_stack([(-_low_dimension_case(q, 3, rho), 0.0) for rho in rhos])
+    margin = _dd_add(_dd_add((1.0, 0.0), (0.5 * d[0], 0.5 * d[1])), low)
+    for row, v in zip(rows, _dd_round(margin)):
+        row["dominance"] = v
     return rows, solves
 
 
@@ -307,12 +548,13 @@ def rc_threshold_generic(spec: LRSpec) -> ThresholdReport:
     """Threshold rate 1 - max H_q(tau)/L of the plain random ensemble.
 
     The maximum of `_class_problem` at any list size is taken by
-    `opt_polytope_2d`; with no free class it is the constant type.  The rate
-    is `_rate_rows`' "rc", so it equals the family rows' column.
+    `_solve_classes` at the one rho; with no free class it is the constant
+    type.  The rate is `_rate_rows`' "rc", so it equals the family rows'
+    column, and it is exactly 0.0 where the optimum is interior.
     """
     L, q = spec.L, spec.q
     coeffs, gaps = _class_problem(q, spec.ell, L)
-    res = opt_polytope_2d(coeffs, gaps, L * spec.rho, q)
+    res = _solve_classes(q, spec.ell, L, [spec.rho])[0]
     raw = _rate_rows([res], L)[0]["rc"]
     classes = coincidence_orbits(q, L)
     return ThresholdReport(
@@ -363,7 +605,7 @@ def rlc_lower_generic(spec: LRSpec) -> ThresholdReport:
             f"no established case analysis for q={q}, L={L}; "
             "supported: (q=2, L in {2,4}) and (q>=3, L in {2,3})"
         )
-    res = opt_polytope_2d(*_class_problem(q, 1, L), L * rho, q)
+    res = _solve_classes(q, 1, L, [rho])[0]
     row = _rate_rows([res], L)[0]
     cases = {"full_support_compression": res.value / (L - 1)}
     bound = row["rlc"]

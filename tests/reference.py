@@ -10,13 +10,16 @@ support of a type, the image dimension of a kernel table row;
 the classes `typespace.coincidence_orbits` generates from partitions;
 `all_kernel_slack_report` takes the minima of `engine.kernel_slack_report`
 over every proper kernel, not only the zero kernel and those through the
-all-ones vector.
+all-ones vector; `dual_30` evaluates `engine.max_entropy`'s dual one point
+at a time in 30-digit mpmath, and `rate_columns_30` forms the rate columns
+from it, where the library uses one double-double pass per grid.
 """
 
 from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 
 from thresholds.errors import LengthMismatchError, ShapeMismatchError
@@ -117,4 +120,26 @@ def all_kernel_slack_report(q: int, ell: int, rho: float, L: int, delta: float) 
             float((H - D * (h + (logc - 1.0 + h - delta) / L)).min()))
         if k == 0 and D[0] == L:
             out["identity_kernel_entropy"] = float(H[0])
+    return out
+
+
+def dual_30(coeffs, gaps, lam: float, budget: float, q: int) -> mpmath.mpf:
+    """The dual log_q Z(lam) + lam * budget at 30 digits, Z(lam) =
+    1 + sum exp((c - lam g) ln q) over the classes, coefficients taken
+    unrounded."""
+    with mpmath.workdps(30):
+        lnq = mpmath.log(q)
+        lam_mp = mpmath.mpf(lam)
+        z = 1 + mpmath.fsum(mpmath.exp((c - lam_mp * g) * lnq) for c, g in zip(coeffs, gaps))
+        return mpmath.log(z) / lnq + lam_mp * budget
+
+
+def rate_columns_30(value: mpmath.mpf, L: int, low: float | None = None) -> dict[str, float]:
+    """The rates 1 - value/(L - 1) and 1 - (1 + value)/L of a dual value over
+    GF(q)^L and, given the low-dimension case, the margin value/2 - low, each
+    formed at 30 digits and rounded once."""
+    with mpmath.workdps(30):
+        out = {"rlc": float(1 - value / (L - 1)), "rc": float(1 - (1 + value) / L)}
+        if low is not None:
+            out["dominance"] = float(value / 2 - low)
     return out

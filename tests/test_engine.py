@@ -15,7 +15,11 @@ from thresholds.engine import (
     STRICT_MARGIN,
     BoundCurve,
     _class_problem,
+    _dd_exp,
+    _dd_log,
+    _fast_two_sum,
     _low_dimension_case,
+    _rate_rows,
     _solve_classes,
     bound_rlc_binary_l4,
     bound_rlc_qary_l3,
@@ -48,7 +52,7 @@ from thresholds.subspaces import (
 )
 from thresholds.typespace import LRSpec, TypeDist, bad_type, pushforward
 
-from reference import all_kernel_slack_report, dim_of_type
+from reference import all_kernel_slack_report, dim_of_type, dual_30, rate_columns_30
 
 # Reference values below were frozen from a separate stationary-point
 # calculation (quadratic in the edge parameter) before this module existed.
@@ -203,6 +207,98 @@ def test_qary_l3_optimum_to_50_digits(q, grid):
         assert abs(row["dominance"] - (ref / 2 - h)) <= 1e-14, (q, rho)
 
 
+# (q, L, grid): the grids of the `bounds`, `figure1` and `negativity` bench
+# jobs, which hold those of `verify --check ordering`
+BENCH_DUAL_GRIDS = ([(2, 4, (0.001, 0.312, 0.001))]
+                    + [(q, 3, (0.001, 0.333, 0.001)) for q in (3, 4, 5, 7, 8, 9)]
+                    + [(2, 3, (0.001, 0.333, 0.001))])
+
+
+@pytest.mark.parametrize("q,L,grid", BENCH_DUAL_GRIDS,
+                         ids=[f"q{q}-L{L}" for q, L, _ in BENCH_DUAL_GRIDS])
+def test_double_double_dual_equals_the_30_digit_dual(q, L, grid):
+    # the one double-double pass gives, bit for bit, what a 30-digit mpmath
+    # evaluation per point gives, except at interior points, where the
+    # 30-digit rates are rounding noise about 1e-31 and the pass gives 0.0
+    rhos = _decimal_grid(*grid)
+    coeffs, gaps = _class_problem(q, 1, L)
+    if L == 3 and q >= 3:
+        rows, solves = ld3_qary_rows(q, rhos)
+    else:
+        solves = _solve_classes(q, 1, L, rhos)
+        rows = _rate_rows(solves, L)
+    for i, (rho, res, row) in enumerate(zip(rhos, solves, rows)):
+        exact = dual_30(coeffs, gaps, res.lam, L * rho, q)
+        assert res.value == float(exact), rho
+        if i % 25 == 0:  # a lone budget runs the same arithmetic on floats
+            one = _solve_classes(q, 1, L, [rho])[0]
+            assert (one.value, one.deficit, one.lam, one.rounds) == (
+                res.value, res.deficit, res.lam, res.rounds), rho
+        if res.method == "interior":
+            assert res.deficit == (0.0, 0.0)
+            assert [math.copysign(1.0, v) for v in (row["rlc"], row["rc"])] == [1.0, 1.0]
+            assert (row["rlc"], row["rc"]) == (0.0, 0.0)
+            continue
+        low = _low_dimension_case(q, L, rho) if "dominance" in row else None
+        assert row == rate_columns_30(exact, L, low), rho
+
+
+def test_interior_points_have_rate_exactly_zero():
+    # at (2, 1, 12) the optimum is interior from rho = 0.388 on: the rates are
+    # exactly +0.0, where a 30-digit value of L - 1 left 9.86e-32
+    rhos = _decimal_grid(0.388, 0.4, 0.001)
+    assert len(rhos) == 13
+    assert {s.method for s in _solve_classes(2, 1, 12, rhos)} == {"interior"}
+    for rho in rhos:
+        rep = rc_threshold_generic(LRSpec(q=2, ell=1, L=12, rho=rho))
+        for v in (rep.value, rep.details["raw_value"]):
+            assert v == 0.0 and math.copysign(1.0, v) == 1.0, rho
+    assert rc_threshold_generic(LRSpec(q=2, ell=1, L=12, rho=0.387)).value > 0.0
+
+
+def _dd_draw(hi: float, frac: float) -> tuple[float, float]:
+    """The double-double hi + frac * ulp(hi)/2, renormalized."""
+    return _fast_two_sum(hi, hi * frac * 2.0**-53)
+
+
+def _dd_exact(x, shift=0) -> mpmath.mpf:
+    """x[0] + x[1] + shift, exactly."""
+    return mpmath.fadd(mpmath.fadd(x[0], x[1], exact=True), shift, exact=True)
+
+
+def _dd_relative_error(got, want) -> mpmath.mpf:
+    with mpmath.workdps(50):
+        return abs(_dd_exact(got) / want - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hi=st.floats(-40.0, 40.0), frac=st.floats(-1.0, 1.0))
+def test_double_double_exp_to_50_digits(hi, frac):
+    # over the arguments the solver takes: -lam ln q, c ln q and a log's seed
+    x = _dd_draw(hi, frac)
+    got = _dd_exp(x)
+    with mpmath.workdps(50):
+        assert _dd_relative_error(got, mpmath.exp(_dd_exact(x))) <= 1e-30
+    arr = _dd_exp((np.array([x[0], 0.5]), np.array([x[1], 0.0])))
+    assert (arr[0][0], arr[1][0]) == got  # an array gives a float's bits
+
+
+@settings(max_examples=200, deadline=None)
+@given(e=st.one_of(st.floats(-700.0, 700.0), st.floats(-1e-3, 1e-3)), frac=st.floats(-1.0, 1.0))
+def test_double_double_log_to_50_digits(e, frac):
+    # relative accuracy holds near x = 1 too, where log x is near 0
+    x = _dd_draw(math.exp(e) if abs(e) > 1e-3 else 1.0 + e, frac)
+    got = _dd_log(x)
+    with mpmath.workdps(50):
+        want = mpmath.log1p(_dd_exact(x, -1))
+        if want == 0:
+            assert got == (0.0, 0.0)
+        else:
+            assert _dd_relative_error(got, want) <= 1e-30
+    arr = _dd_log((np.array([x[0], 2.0]), np.array([x[1], 0.0])))
+    assert (arr[0][0], arr[1][0]) == got
+
+
 def test_optimizer_domain_errors():
     for budget in (0.0, -0.5):
         with pytest.raises(DomainError):
@@ -231,13 +327,13 @@ def test_grid_solve_equals_one_budget_solves(q, classes, budgets, data):
         assert {r.method for r in grid} == {"interior", "edge"}
     for budget, res in zip(budgets, grid):
         one = opt_polytope_2d(coeffs, gaps, budget, q)
-        assert (res.value, res.exact, res.method, res.rounds) == (
-            one.value, one.exact, one.method, one.rounds)
+        assert (res.value, res.deficit, res.lam, res.method, res.rounds) == (
+            one.value, one.deficit, one.lam, one.method, one.rounds)
         assert max(abs(a - b) for a, b in zip(res.x, one.x)) <= 1e-15
     order = data.draw(st.permutations(range(len(budgets))))
     permuted = max_entropy(coeffs, gaps, [budgets[i] for i in order], q)
-    assert [(r.value, r.exact, r.x) for r in permuted] == [
-        (grid[i].value, grid[i].exact, grid[i].x) for i in order]
+    assert [(r.value, r.deficit, r.x) for r in permuted] == [
+        (grid[i].value, grid[i].deficit, grid[i].x) for i in order]
 
 
 def test_grid_solve_domain_errors():
@@ -305,7 +401,7 @@ def test_family_domain_errors():
 
 
 def test_generic_rc_agrees_with_binary_closed_form():
-    # the same class table, solve and 30-digit column: equal to the last bit
+    # the same class table, solve and deficit column: equal to the last bit
     for rho in np.arange(0.01, 0.31, 0.02):
         rep = rc_threshold_generic(LRSpec(q=2, ell=1, L=4, rho=float(rho)))
         assert rep.value == threshold_rc_binary_l4(float(rho))
