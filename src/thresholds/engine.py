@@ -8,11 +8,12 @@ found by bisection on the monotone budget equation.  `max_entropy` solves a
 whole array of budgets at once, with one numpy bisection for all of them and
 one double-double pass (about 32 digits from pairs of floats) for their dual
 values, so a rho grid costs one call; `opt_polytope_2d` is its one-budget
-form.  mpmath runs only in `_class_problem`, for the coefficients whose
-floats the bisection reads.  The test suite certifies the solver against an
-independent nested golden-section maximum on random instances, against
-50-digit mpmath on the bench grids, and its dual against a 30-digit mpmath
-evaluation per point (`tests/reference.py`).
+form.  mpmath runs only in `_class_problem`, for the class coefficients at
+30 digits, which the bisection reads as floats and the dual at 106 bits.
+The test suite certifies the solver against an independent nested
+golden-section maximum on random instances, against 50-digit mpmath on the
+bench grids, and its dual against a 30-digit mpmath evaluation per point
+(`tests/reference.py`).
 
 Threshold bounds follow from the orbit reduction: averaging a type over
 coordinate permutations and alphabet relabelings preserves the defining
@@ -146,36 +147,13 @@ def _dd_exp_parts(x):
     ph = 0.0
     for c in _INV_FACT_TAIL:
         ph = c + rh * ph
-    pl = 0.0
-    t = _SPLIT * rh
-    ra = t - (t - rh)
-    rb = rh - ra
-    for ch, cl in _INV_FACT:  # p <- 1/k! + r p, inlined: the loop is the hot path
-        mh = rh * ph
-        t = _SPLIT * ph
-        pa = t - (t - ph)
-        pb = ph - pa
-        ml = (((ra * pa - mh) + ra * pb + rb * pa) + rb * pb) + (rh * pl + rl * ph)
-        s = ch + mh
-        v = s - ch
-        e = ((ch - (s - v)) + (mh - v)) + (cl + ml)
-        ph = s + e
-        pl = e - (ph - s)
-    sh, sl = _dd_mul((rh, rl), (ph, pl))
-    for _ in range(4):  # s <- s (2 + s), inlined likewise
-        ah = 2.0 + sh
-        al = (sh - (ah - 2.0)) + sl
-        mh = sh * ah
-        t = _SPLIT * sh
-        sa = t - (t - sh)
-        sb = sh - sa
-        t = _SPLIT * ah
-        aa = t - (t - ah)
-        ab = ah - aa
-        ml = (((sa * aa - mh) + sa * ab + sb * aa) + sb * ab) + (sh * al + sl * ah)
-        sh = mh + ml
-        sl = ml - (sh - mh)
-    return k, (sh, sl)
+    r, p = (rh, rl), (ph, 0.0)
+    for c in _INV_FACT:
+        p = _dd_add(c, _dd_mul(r, p))
+    s = _dd_mul(r, p)
+    for _ in range(4):
+        s = _dd_mul(s, _dd_add((2.0, 0.0), s))
+    return k, s
 
 
 def _dd_exp(x):
@@ -201,11 +179,6 @@ def _dd_log(x):
 @functools.lru_cache(maxsize=None)
 def _dd_ln(q: int) -> tuple[float, float]:
     return _LN2 if q == 2 else _dd_log((float(q), 0.0))
-
-
-def _dd_of_int(n: int) -> tuple[float, float]:
-    hi = float(n)
-    return hi, float(n - int(hi))
 
 
 def _dd_stack(pairs):
@@ -249,25 +222,20 @@ def _gibbs(c: np.ndarray, g: np.ndarray, lam: np.ndarray, q: int):
 
 
 @functools.lru_cache(maxsize=256)
-def _dual_terms(coeffs: tuple, gaps: tuple, q: int, sizes: tuple | None):
+def _dual_terms(coeffs: tuple, gaps: tuple, q: int):
     """The budget-free terms of `max_entropy`'s dual, as double-doubles: the
     coefficients [1 + M_0, M_1, ..., M_G] of Z(lam) as a polynomial in
     t = q^-lam, M_g the Gibbs weights q^c of the classes with gap g summed;
-    Z(0); and log_q Z(0).  Integer `sizes` are summed exactly; otherwise each
-    q^c is taken from the coefficient's leading float and its rounded rest.
-    Cached, since a problem is solved at many budgets and one at a time."""
+    Z(0); and log_q Z(0).  Each q^c is taken in one pass from the
+    coefficient's leading float and its rounded rest.  Cached, since a
+    problem is solved at many budgets and one at a time."""
     lnq = _dd_ln(q)
-    top = max(gaps, default=0)
-    if sizes is not None:
-        weights = [1] + [0] * top
-        for n, gap in zip(sizes, gaps):
-            weights[gap] += n
-        poly = [_dd_of_int(n) for n in weights]
-    else:
-        poly = [(1.0, 0.0)] + [(0.0, 0.0)] * top
-        for c, gap in zip(coeffs, gaps):
-            hi = float(c)
-            poly[gap] = _dd_add(poly[gap], _dd_exp(_dd_mul(lnq, (hi, float(c - hi)))))
+    poly = [(1.0, 0.0)] + [(0.0, 0.0)] * max(gaps, default=0)
+    hi = [float(c) for c in coeffs]
+    lo = [float(c - h) for c, h in zip(coeffs, hi)]
+    w = _dd_exp(_dd_mul(lnq, (np.array(hi), np.array(lo))))
+    for gap, wi in zip(gaps, zip(w[0].tolist(), w[1].tolist())):
+        poly[gap] = _dd_add(poly[gap], wi)
     z0 = _horner(poly, (1.0, 0.0))
     return tuple(poly), z0, _dd_div(_dd_log(z0), lnq)
 
@@ -286,7 +254,18 @@ def _deficit(poly, z0, lam, budget, lnq):
     return _dd_add(_dd_div(_dd_log(_dd_div(z, z0)), lnq), _two_prod(lam, budget))
 
 
-def max_entropy(coeffs, gaps, budgets, q: int, sizes=None) -> list[OptResult]:
+def _gap(g) -> int:
+    """A class's gap as an int: an integer, or a number with an integral value."""
+    try:
+        n = int(g)
+        if n == g:
+            return n
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"need integer gaps, got {g!r}")
+
+
+def max_entropy(coeffs, gaps, budgets, q: int) -> list[OptResult]:
     """Maximum of H_q(x, 1 - sum x) + c.x over x >= 0, sum x <= 1, g.x <= b,
     one result per budget b of the 1-D array `budgets`.
 
@@ -306,19 +285,18 @@ def max_entropy(coeffs, gaps, budgets, q: int, sizes=None) -> list[OptResult]:
     arithmetic (about 32 digits) for the whole grid in one numpy pass, or on
     floats for a lone budget, with the same bits either way: Z(lam) is a
     polynomial in t = q^-lam whose coefficients are the classes' weights q^c
-    summed per gap.  `sizes`, when given, are those weights as exact integers
-    (a class table's |A_w|/q, whose Z(0) is q^(L-1)); otherwise q^c is taken
-    from each coefficient, whose float the bisection reads (a 30-digit
-    mpmath number enters at its first 106 bits).  `deficit` keeps D unrounded,
+    summed per gap, so the gaps must be integers (an integral float is taken
+    as its int) and the dual costs max(gaps) + 1 terms per budget.  A
+    coefficient given as a 30-digit mpmath number enters q^c at its first 106
+    bits; the bisection reads its float.  `deficit` keeps D unrounded,
     exactly 0.0 at an interior point; `value` is log_q Z(0) + D rounded once.
     """
     b = np.asarray(budgets, dtype=np.float64)
     if b.ndim != 1 or b.size == 0 or not np.all(b > 0.0):
         raise DomainError(f"need a nonempty 1-D array of positive error budgets, got {budgets}")
+    gaps = tuple(_gap(v) for v in gaps)
     if len(coeffs) != len(gaps) or any(g < 0 for g in gaps):
         raise DomainError(f"need one nonnegative gap per class, got {gaps}")
-    if sizes is not None and len(sizes) != len(gaps):
-        raise DomainError(f"need one size per class, got {sizes}")
     c = np.array([float(v) for v in coeffs]).reshape(-1, 1)
     g = np.array(gaps, dtype=np.float64).reshape(-1, 1)
 
@@ -343,8 +321,7 @@ def max_entropy(coeffs, gaps, budgets, q: int, sizes=None) -> list[OptResult]:
         active = (lo < mid) & (mid < hi)
     x = _gibbs(c, g, hi, q)[0].T.tolist()
 
-    poly, z0, logz0 = _dual_terms(tuple(coeffs), tuple(gaps), q,
-                                  None if sizes is None else tuple(sizes))
+    poly, z0, logz0 = _dual_terms(tuple(coeffs), gaps, q)
     lam, bud = (float(hi[0]), float(b[0])) if b.size == 1 else (hi, b)
     d = _deficit(poly, z0, lam, bud, _dd_ln(q))
     value = _dd_round(_dd_add(logz0, d))
@@ -355,10 +332,9 @@ def max_entropy(coeffs, gaps, budgets, q: int, sizes=None) -> list[OptResult]:
 
 
 def opt_polytope_2d(coeffs, gaps, budget: float, q: int) -> OptResult:
-    """`max_entropy` at one budget, for real coefficients (no class sizes).
-    The name is kept because `perfbench/tracing.py` wraps it and counts
-    `.method`; the library's solves go through `max_entropy`, which it does
-    not trace."""
+    """`max_entropy` at one budget.  The name is kept because
+    `perfbench/tracing.py` wraps it and counts `.method`; grid callers use
+    `max_entropy`, which it does not trace."""
     return max_entropy(coeffs, gaps, [budget], q)[0]
 
 
@@ -383,33 +359,23 @@ def _class_problem(q: int, ell: int, L: int) -> tuple[tuple[mpmath.mpf, ...], tu
 
     A type uniform on each class A_w has entropy H_q(x) + sum_w x_w log_q|A_w|
     in the class masses x.  The constant class holds q vectors, so this is
-    1 + H_q(x) + c.x with c_w = log_q(|A_w|/q), the log of the integer
-    `_class_sizes` entry, taken at 30 digits so that its float, which the
-    bisection of `max_entropy` reads, is correctly rounded.  The gap of w, L
-    minus the sum of its ell largest parts, is the fewest coordinates a
-    subset coupling leaves uncovered, so the error budget reads g.x <= L rho.
+    1 + H_q(x) + c.x with c_w = log_q(|A_w|/q), an integer ratio because
+    adding a constant vector moves each class onto itself without fixed
+    points, taken at 30 digits, which `max_entropy` uses at 106 bits.  The gap
+    of w, L minus the sum of its ell largest parts, is the fewest coordinates
+    a subset coupling leaves uncovered, so the error budget reads g.x <= L rho.
     """
     free = coincidence_orbits(q, L)[1:]
     with mpmath.workdps(30):
-        coeffs = tuple(mpmath.log(n, q) for n in _class_sizes(q, L))
+        coeffs = tuple(mpmath.log(oc.size // q, q) for oc in free)
     return coeffs, tuple(L - sum(oc.shape[:ell]) for oc in free)
-
-
-@functools.lru_cache(maxsize=None)
-def _class_sizes(q: int, L: int) -> tuple[int, ...]:
-    """|A_w|/q for each free coincidence class w of GF(q)^L, an integer
-    because adding a constant vector moves each class onto itself without
-    fixed points; with the constant class's 1 they total q^(L-1)."""
-    return tuple(oc.size // q for oc in coincidence_orbits(q, L)[1:])
 
 
 def _solve_classes(q: int, ell: int, L: int, rhos) -> list[OptResult]:
     """The optimum of `_class_problem(q, ell, L)` at each rho of the grid,
-    budget L rho, from one `max_entropy` call whose dual reads the exact
-    `_class_sizes`."""
+    budget L rho, from one `max_entropy` call."""
     coeffs, gaps = _class_problem(q, ell, L)
-    return max_entropy(coeffs, gaps, L * np.asarray(rhos, dtype=np.float64), q,
-                       sizes=_class_sizes(q, L))
+    return max_entropy(coeffs, gaps, L * np.asarray(rhos, dtype=np.float64), q)
 
 
 def _rate_rows(solves: list[OptResult], L: int) -> list[dict[str, float]]:
@@ -548,13 +514,13 @@ def rc_threshold_generic(spec: LRSpec) -> ThresholdReport:
     """Threshold rate 1 - max H_q(tau)/L of the plain random ensemble.
 
     The maximum of `_class_problem` at any list size is taken by
-    `_solve_classes` at the one rho; with no free class it is the constant
-    type.  The rate is `_rate_rows`' "rc", so it equals the family rows'
-    column, and it is exactly 0.0 where the optimum is interior.
+    `opt_polytope_2d`; with no free class it is the constant type.  The rate
+    is `_rate_rows`' "rc", so it equals the family rows' column, and it is
+    exactly 0.0 where the optimum is interior.
     """
     L, q = spec.L, spec.q
     coeffs, gaps = _class_problem(q, spec.ell, L)
-    res = _solve_classes(q, spec.ell, L, [spec.rho])[0]
+    res = opt_polytope_2d(coeffs, gaps, L * spec.rho, q)
     raw = _rate_rows([res], L)[0]["rc"]
     classes = coincidence_orbits(q, L)
     return ThresholdReport(
@@ -605,7 +571,7 @@ def rlc_lower_generic(spec: LRSpec) -> ThresholdReport:
             f"no established case analysis for q={q}, L={L}; "
             "supported: (q=2, L in {2,4}) and (q>=3, L in {2,3})"
         )
-    res = _solve_classes(q, 1, L, [rho])[0]
+    res = opt_polytope_2d(*_class_problem(q, 1, L), L * rho, q)
     row = _rate_rows([res], L)[0]
     cases = {"full_support_compression": res.value / (L - 1)}
     bound = row["rlc"]

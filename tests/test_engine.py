@@ -305,6 +305,13 @@ def test_optimizer_domain_errors():
             opt_polytope_2d((0.0,), (1,), budget, 2)
     with pytest.raises(DomainError):
         opt_polytope_2d((0.0, 0.0), (1, -1), 0.5, 3)
+    # the dual is a polynomial in q^-lam, so a gap must be an integer
+    for gap in (0.5, float("nan"), float("inf"), "1", None):
+        with pytest.raises(DomainError):
+            opt_polytope_2d((0.0, 1.0), (1, gap), 0.5, 2)
+    # an integral float is its int
+    assert opt_polytope_2d((0.0, 1.0), (1.0, np.float64(2.0)), 0.5, 2) == opt_polytope_2d(
+        (0.0, 1.0), (1, 2), 0.5, 2)
 
 
 @settings(max_examples=40, deadline=None)
