@@ -113,7 +113,10 @@ def _solver_counters(solves) -> dict[str, int]:
 def _decimal_grid(lo: float, hi: float, step: float) -> list[float]:
     """round((hi - lo) / step) + 1 points from lo (none for step <= 0), point
     i the float nearest the decimal lo + i*step, so that 0.1:0.8:0.05 holds
-    0.5 and not the drifted 0.5000000000000001 of repeated float addition."""
+    0.5 and not the drifted 0.5000000000000001 of repeated float addition.
+    A bound that is not finite is a DomainError."""
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise DomainError(f"grid bounds must be finite, got {lo}:{hi}:{step}")
     count = round((hi - lo) / step) + 1 if step > 0 else 0
     lo_d, step_d = Decimal(str(lo)), Decimal(str(step))
     return [float(lo_d + i * step_d) for i in range(count)]

@@ -1,28 +1,27 @@
 """Threshold bounds and verification reports.
 
-Every threshold optimization has the same shape: maximize H_q(x) + c.x over
-the masses x of the free coincidence classes, subject to x >= 0, sum x <= 1
-and one error budget g.x <= L rho.  The entropy's slope is infinite on every
-face but the budget, so the maximizer is a Gibbs point with one multiplier,
-found by bisection on the monotone budget equation.  `max_entropy` solves a
-whole array of budgets at once, with one numpy bisection for all of them and
-one double-double pass (about 32 digits from pairs of floats) for their dual
-values, so a rho grid costs one call; `opt_polytope_2d` is its one-budget
-form.  mpmath runs only in `_class_problem`, for the class coefficients at
-30 digits, which the bisection reads as floats and the dual at 106 bits.
-The test suite certifies the solver against an independent nested
-golden-section maximum on random instances, against 50-digit mpmath on the
-bench grids, and its dual against a 30-digit mpmath evaluation per point
-(`tests/reference.py`).
+Every threshold optimization has the same shape: maximize H_q(x) + x.log_q w
+over the masses x of the free classes, with weights w, subject to x >= 0,
+sum x <= 1 and one error budget g.x <= L rho.  The entropy's slope is
+infinite on every face but the budget, so the maximizer is a Gibbs point
+with one multiplier, found by bisection on the monotone budget equation.
+`max_entropy` solves a whole array of budgets at once, with one numpy
+bisection for all of them and one double-double pass (about 32 digits from
+pairs of floats) for their dual values, so a rho grid costs one call;
+`opt_polytope_2d` is its one-budget form.  The test suite certifies the
+solver against an independent nested golden-section maximum on random
+instances, against 50-digit mpmath on the bench grids, and its dual against
+a 30-digit mpmath evaluation per point (`tests/reference.py`).
 
 Threshold bounds follow from the orbit reduction: averaging a type over
 coordinate permutations and alphabet relabelings preserves the defining
 constraints and cannot decrease entropy, so the outer maximization may be
-restricted to types that are uniform on each coincidence class.  Every
-solve reads those classes' coefficients and gaps from one table,
-`_class_problem`, at any (q, ell, L).  Every case of the linear ensemble's
-bound (`rlc_lower_generic`) quotients by span{1}, the kernel that binds by
-the lemma in `kernel_slack_report`'s docstring.
+restricted to types that are uniform on each coincidence class.  Classes
+with the same gap then merge, so every solve reads one gap enumerator,
+`_class_problem`: at most L + 1 exact integer weights at any (q, ell, L).
+Every case of the linear ensemble's bound (`rlc_lower_generic`) quotients by
+span{1}, the kernel that binds by the lemma in `kernel_slack_report`'s
+docstring.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 
-import mpmath
 import numpy as np
 
 from .errors import DomainError, UnsupportedError
@@ -211,31 +209,26 @@ class OptResult:
     rounds: int  # bisection rounds spent on lam: bracket doublings and halvings
 
 
-def _gibbs(c: np.ndarray, g: np.ndarray, lam: np.ndarray, q: int):
-    """The Gibbs masses q^(c - lam g) / Z(lam) at each multiplier, shape
-    (classes, points), and their loads g.x; c and g are columns.  The sums
+def _gibbs(w: np.ndarray, g: np.ndarray, lam: np.ndarray, q: int):
+    """The Gibbs masses w q^(-lam g) / Z(lam) at each multiplier, shape
+    (classes, points), and their loads g.x; w and g are columns.  The sums
     run over classes one row at a time, so a point's masses do not depend on
     the other points of the grid."""
-    x = np.power(float(q), c - g * lam)
+    x = w * np.power(float(q), -g * lam)
     x = x / sum(x, 1.0)
     return x, sum(gap * row for gap, row in zip(g[:, 0], x))
 
 
 @functools.lru_cache(maxsize=256)
-def _dual_terms(coeffs: tuple, gaps: tuple, q: int):
+def _dual_terms(weights: tuple, gaps: tuple, q: int):
     """The budget-free terms of `max_entropy`'s dual, as double-doubles: the
-    coefficients [1 + M_0, M_1, ..., M_G] of Z(lam) as a polynomial in
-    t = q^-lam, M_g the Gibbs weights q^c of the classes with gap g summed;
-    Z(0); and log_q Z(0).  Each q^c is taken in one pass from the
-    coefficient's leading float and its rounded rest.  Cached, since a
-    problem is solved at many budgets and one at a time."""
+    coefficients [1 + M_0, M_1, ..., M_G] of Z(lam) in t = q^-lam, M_g the
+    weights of gap g summed; Z(0); and log_q Z(0).  Cached, since a problem
+    is solved at many budgets and one at a time."""
     lnq = _dd_ln(q)
     poly = [(1.0, 0.0)] + [(0.0, 0.0)] * max(gaps, default=0)
-    hi = [float(c) for c in coeffs]
-    lo = [float(c - h) for c, h in zip(coeffs, hi)]
-    w = _dd_exp(_dd_mul(lnq, (np.array(hi), np.array(lo))))
-    for gap, wi in zip(gaps, zip(w[0].tolist(), w[1].tolist())):
-        poly[gap] = _dd_add(poly[gap], wi)
+    for w, gap in zip(weights, gaps):
+        poly[gap] = _dd_add(poly[gap], w)
     z0 = _horner(poly, (1.0, 0.0))
     return tuple(poly), z0, _dd_div(_dd_log(z0), lnq)
 
@@ -265,49 +258,59 @@ def _gap(g) -> int:
     raise DomainError(f"need integer gaps, got {g!r}")
 
 
-def max_entropy(coeffs, gaps, budgets, q: int) -> list[OptResult]:
-    """Maximum of H_q(x, 1 - sum x) + c.x over x >= 0, sum x <= 1, g.x <= b,
-    one result per budget b of the 1-D array `budgets`.
+def _weight(w) -> tuple[float, float]:
+    """A class's weight as a double-double: a positive finite number, an int
+    taken to its first 106 bits."""
+    try:
+        hi = float(w)
+        if 0.0 < hi < math.inf:
+            return hi, float(w - int(hi)) if isinstance(w, int) else 0.0
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"need positive finite weights, got {w!r}")
 
-    x holds the masses of the free classes and 1 - sum x that of the constant
-    class.  The entropy's slope is infinite on every face but the budget, so
-    the maximizer is the Gibbs point x_i = q^(c_i - lam g_i) / Z(lam) with
-    Z(lam) = 1 + sum_j q^(c_j - lam g_j).  lam = 0 ("interior") when that
-    point fits the budget; otherwise ("edge") lam is the root of the budget
-    equation g.x(lam) = b, which decreases in lam, bisected in floats down to
-    adjacent floats and taken on the feasible side.  All budgets are bisected
-    together, each point on its own bracket, so a point's result does not
-    depend on the rest of the grid.
 
-    The value is the dual log_q Z(lam) + lam * b, equal to the objective at
-    the Gibbs point, written as log_q Z(0) + D with the deficit
-    D = log_q(Z(lam)/Z(0)) + lam * b <= 0.  D is evaluated in double-double
-    arithmetic (about 32 digits) for the whole grid in one numpy pass, or on
-    floats for a lone budget, with the same bits either way: Z(lam) is a
-    polynomial in t = q^-lam whose coefficients are the classes' weights q^c
-    summed per gap, so the gaps must be integers (an integral float is taken
-    as its int) and the dual costs max(gaps) + 1 terms per budget.  A
-    coefficient given as a 30-digit mpmath number enters q^c at its first 106
-    bits; the bisection reads its float.  `deficit` keeps D unrounded,
+def max_entropy(weights, gaps, budgets, q: int) -> list[OptResult]:
+    """Maximum of H_q(x, 1 - sum x) + x.log_q w over x >= 0, sum x <= 1,
+    g.x <= b, one result per budget b of the 1-D array `budgets`.
+
+    x holds the masses of the free classes, of weights w, and 1 - sum x that
+    of the constant class, of weight 1.  The entropy's slope is infinite on
+    every face but the budget, so the maximizer is the Gibbs point
+    x_i = w_i q^(-lam g_i) / Z(lam), Z(lam) = 1 + sum_j w_j q^(-lam g_j).
+    lam = 0 ("interior") when that point fits the budget; otherwise ("edge")
+    lam is the root of the decreasing budget equation g.x(lam) = b, bisected
+    in floats down to adjacent floats and taken on the feasible side, each
+    budget on its own bracket, so a point does not depend on the others.
+
+    The value is the dual log_q Z(lam) + lam * b, the objective at the Gibbs
+    point, written as log_q Z(0) + D with the deficit
+    D = log_q(Z(lam)/Z(0)) + lam * b <= 0.  Z is a polynomial in t = q^-lam
+    with the weights summed per gap as coefficients, so gaps must be integers
+    (an integral float is taken as its int).  D is evaluated in double-double
+    for the whole grid in one numpy pass, or on floats for a lone budget,
+    with the same bits either way; the bisection reads each weight as a
+    float, the dual an int weight at 106 bits.  `deficit` keeps D unrounded,
     exactly 0.0 at an interior point; `value` is log_q Z(0) + D rounded once.
     """
     b = np.asarray(budgets, dtype=np.float64)
     if b.ndim != 1 or b.size == 0 or not np.all(b > 0.0):
         raise DomainError(f"need a nonempty 1-D array of positive error budgets, got {budgets}")
     gaps = tuple(_gap(v) for v in gaps)
-    if len(coeffs) != len(gaps) or any(g < 0 for g in gaps):
+    if len(weights) != len(gaps) or any(g < 0 for g in gaps):
         raise DomainError(f"need one nonnegative gap per class, got {gaps}")
-    c = np.array([float(v) for v in coeffs]).reshape(-1, 1)
+    dd = tuple(_weight(v) for v in weights)
+    w = np.array([hi for hi, _ in dd]).reshape(-1, 1)
     g = np.array(gaps, dtype=np.float64).reshape(-1, 1)
 
-    edge = _gibbs(c, g, np.zeros(b.size), q)[1] > b
+    edge = _gibbs(w, g, np.zeros(b.size), q)[1] > b
     lo, hi = np.zeros(b.size), np.where(edge, 1.0, 0.0)
     rounds = np.zeros(b.size, dtype=np.int64)
-    grow = edge & (_gibbs(c, g, hi, q)[1] > b)
+    grow = edge & (_gibbs(w, g, hi, q)[1] > b)
     while grow.any():
         rounds += grow
         lo, hi = np.where(grow, hi, lo), np.where(grow, 2.0 * hi, hi)
-        grow &= _gibbs(c, g, hi, q)[1] > b
+        grow &= _gibbs(w, g, hi, q)[1] > b
     # lo is infeasible and hi feasible for every edge point, and both stay so:
     # a point whose bracket is down to adjacent floats has mid equal to one of
     # them, which the update leaves in place
@@ -315,13 +318,13 @@ def max_entropy(coeffs, gaps, budgets, q: int) -> list[OptResult]:
     active = (lo < mid) & (mid < hi)
     while active.any():
         rounds += active
-        above = _gibbs(c, g, mid, q)[1] > b
+        above = _gibbs(w, g, mid, q)[1] > b
         lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
         mid = 0.5 * (lo + hi)
         active = (lo < mid) & (mid < hi)
-    x = _gibbs(c, g, hi, q)[0].T.tolist()
+    x = _gibbs(w, g, hi, q)[0].T.tolist()
 
-    poly, z0, logz0 = _dual_terms(tuple(coeffs), gaps, q)
+    poly, z0, logz0 = _dual_terms(dd, gaps, q)
     lam, bud = (float(hi[0]), float(b[0])) if b.size == 1 else (hi, b)
     d = _deficit(poly, z0, lam, bud, _dd_ln(q))
     value = _dd_round(_dd_add(logz0, d))
@@ -331,11 +334,11 @@ def max_entropy(coeffs, gaps, budgets, q: int) -> list[OptResult]:
             for i, lam_i in enumerate(hi.tolist())]
 
 
-def opt_polytope_2d(coeffs, gaps, budget: float, q: int) -> OptResult:
+def opt_polytope_2d(weights, gaps, budget: float, q: int) -> OptResult:
     """`max_entropy` at one budget.  The name is kept because
     `perfbench/tracing.py` wraps it and counts `.method`; grid callers use
     `max_entropy`, which it does not trace."""
-    return max_entropy(coeffs, gaps, [budget], q)[0]
+    return max_entropy(weights, gaps, [budget], q)[0]
 
 
 def each_rho(rhos, fn) -> list:
@@ -354,28 +357,32 @@ def each_rho(rhos, fn) -> list:
 
 
 @functools.lru_cache(maxsize=None)
-def _class_problem(q: int, ell: int, L: int) -> tuple[tuple[mpmath.mpf, ...], tuple[int, ...]]:
-    """Coefficients and gaps of the free coincidence classes of GF(q)^L.
+def _class_problem(q: int, ell: int, L: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The gap enumerator of GF(q)^L: (weights, gaps) over its distinct gaps,
+    ascending, the weight of gap g the sum of |A_w|/q over the free
+    coincidence classes A_w with that gap.
 
-    A type uniform on each class A_w has entropy H_q(x) + sum_w x_w log_q|A_w|
-    in the class masses x.  The constant class holds q vectors, so this is
-    1 + H_q(x) + c.x with c_w = log_q(|A_w|/q), an integer ratio because
-    adding a constant vector moves each class onto itself without fixed
-    points, taken at 30 digits, which `max_entropy` uses at 106 bits.  The gap
-    of w, L minus the sum of its ell largest parts, is the fewest coordinates
-    a subset coupling leaves uncovered, so the error budget reads g.x <= L rho.
+    A type uniform on each class has entropy 1 + H_q(x) + sum_w x_w log_q
+    (|A_w|/q) in the class masses x, as the constant class holds q vectors;
+    |A_w|/q is an integer because adding a constant vector moves each class
+    onto itself without fixed points.  The gap of w, L minus the sum of its
+    ell largest parts, is the fewest coordinates a subset coupling leaves
+    uncovered, so the error budget reads g.x <= L rho.  The optimum splits a
+    gap's mass among its classes in proportion to their sizes.
     """
-    free = coincidence_orbits(q, L)[1:]
-    with mpmath.workdps(30):
-        coeffs = tuple(mpmath.log(oc.size // q, q) for oc in free)
-    return coeffs, tuple(L - sum(oc.shape[:ell]) for oc in free)
+    tally: dict[int, int] = {}
+    for oc in coincidence_orbits(q, L)[1:]:
+        gap = L - sum(oc.shape[:ell])
+        tally[gap] = tally.get(gap, 0) + oc.size // q
+    gaps = tuple(sorted(tally))
+    return tuple(tally[g] for g in gaps), gaps
 
 
 def _solve_classes(q: int, ell: int, L: int, rhos) -> list[OptResult]:
     """The optimum of `_class_problem(q, ell, L)` at each rho of the grid,
     budget L rho, from one `max_entropy` call."""
-    coeffs, gaps = _class_problem(q, ell, L)
-    return max_entropy(coeffs, gaps, L * np.asarray(rhos, dtype=np.float64), q)
+    weights, gaps = _class_problem(q, ell, L)
+    return max_entropy(weights, gaps, L * np.asarray(rhos, dtype=np.float64), q)
 
 
 def _rate_rows(solves: list[OptResult], L: int) -> list[dict[str, float]]:
@@ -516,26 +523,19 @@ def rc_threshold_generic(spec: LRSpec) -> ThresholdReport:
     The maximum of `_class_problem` at any list size is taken by
     `opt_polytope_2d`; with no free class it is the constant type.  The rate
     is `_rate_rows`' "rc", so it equals the family rows' column, and it is
-    exactly 0.0 where the optimum is interior.
+    exactly 0.0 where the optimum is interior.  `free_class_masses` holds the
+    merged mass of each gap, in the order of `budget_coeffs`.
     """
     L, q = spec.L, spec.q
-    coeffs, gaps = _class_problem(q, spec.ell, L)
-    res = opt_polytope_2d(coeffs, gaps, L * spec.rho, q)
+    weights, gaps = _class_problem(q, spec.ell, L)
+    res = opt_polytope_2d(weights, gaps, L * spec.rho, q)
     raw = _rate_rows([res], L)[0]["rc"]
-    classes = coincidence_orbits(q, L)
     return ThresholdReport(
-        family="rc",
-        q=q,
-        ell=spec.ell,
-        L=L,
-        rho=spec.rho,
+        family="rc", q=q, ell=spec.ell, L=L, rho=spec.rho,
         value=min(max(raw, 0.0), 1.0),
-        method="kkt" if coeffs else "closed_form",
+        method="kkt" if weights else "closed_form",
         argmax={"free_class_masses": res.x, "constant_class_mass": 1.0 - sum(res.x)},
-        details={"max_entropy": 1.0 + res.value, "raw_value": raw,
-                 "class_shapes": [list(c.shape) for c in classes],
-                 "class_sizes": [c.size for c in classes],
-                 "budget_coeffs": list(gaps)},
+        details={"max_entropy": 1.0 + res.value, "raw_value": raw, "budget_coeffs": list(gaps)},
     )
 
 
@@ -624,22 +624,18 @@ def dominance_curves(rho_grid) -> tuple[BoundCurve, BoundCurve, list[bool]]:
 def negativity_values(rho_grid) -> np.ndarray:
     """2 H2(0, 3r/2) - H2(3r, 0) - 3r log2(3) on the grid (base-2 units).
 
-    The subtracted term is the objective of `_class_problem(2, 1, 3)`,
-    F(x1) = h2(x1) + x1 log2(3), at the vertex x1 = 3r.  F peaks at x1 = 3/4
-    with value 2, so the vertex is the optimum only for r <= 1/4 (the binary
-    Plotkin point for list size 2).  Beyond that this is a vertex value, not
-    the comparison against the optimum; it turns nonnegative near r = 0.281.
-    `negativity_optimum_values` gives the comparison on the whole interval.
+    The subtracted term is the objective of `_class_problem(2, 1, 3)`, of
+    weight 3, F(x1) = h2(x1) + x1 log2(3), at the vertex x1 = 3r.  F peaks at
+    x1 = 3/4 with value 2, so the vertex is the optimum only for r <= 1/4
+    (the binary Plotkin point for list size 2).  Beyond that this is a vertex
+    value, not the comparison against the optimum, and it turns nonnegative
+    near r = 0.281; `negativity_optimum_values` compares on all of (0, 1/3).
     """
     grid = np.asarray(list(rho_grid), dtype=np.float64)
     if grid.size == 0 or np.any(grid <= 0.0) or np.any(grid >= 1.0 / 3.0):
         raise DomainError("grid must lie inside (0, 1/3)")
-    (c,), _ = _class_problem(2, 1, 3)
-    out = []
-    for r in grid:
-        v = 2.0 * hq_multi(2, [0.0, 1.5 * r]) - hq_multi(2, [3.0 * r, 0.0]) - 3.0 * r * float(c)
-        out.append(v)
-    return np.asarray(out)
+    return np.asarray([2.0 * hq_multi(2, [0.0, 1.5 * r]) - hq_multi(2, [3.0 * r, 0.0])
+                       - 3.0 * r * math.log2(3.0) for r in grid])
 
 
 def negativity_optimum_values(rho_grid) -> np.ndarray:

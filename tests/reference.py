@@ -123,14 +123,13 @@ def all_kernel_slack_report(q: int, ell: int, rho: float, L: int, delta: float) 
     return out
 
 
-def dual_30(coeffs, gaps, lam: float, budget: float, q: int) -> mpmath.mpf:
+def dual_30(weights, gaps, lam: float, budget: float, q: int) -> mpmath.mpf:
     """The dual log_q Z(lam) + lam * budget at 30 digits, Z(lam) =
-    1 + sum exp((c - lam g) ln q) over the classes, coefficients taken
-    unrounded."""
+    1 + sum w exp(-lam g ln q) over the classes, weights taken unrounded."""
     with mpmath.workdps(30):
         lnq = mpmath.log(q)
         lam_mp = mpmath.mpf(lam)
-        z = 1 + mpmath.fsum(mpmath.exp((c - lam_mp * g) * lnq) for c, g in zip(coeffs, gaps))
+        z = 1 + mpmath.fsum(w * mpmath.exp(-lam_mp * g * lnq) for w, g in zip(weights, gaps))
         return mpmath.log(z) / lnq + lam_mp * budget
 
 

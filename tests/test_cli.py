@@ -409,12 +409,22 @@ CONSTRUCT_N8 = ["construct", "--n", "8", "--rho", "0.1", "--L", "3", "--delta", 
     (["bounds", "--family", "largeL-rlc", "--delta", "nan"], 3),
     (["simulate", "--family", "rc", "--q", "2", "--n", "5", "--L", "2", "--rho", "0.1",
       "--rates", "0.1:0.8:0.1", "--budget", "-5"], 3),
+    (["bounds", "--family", "ld4-binary-rc", "--rho-max", "inf"], 3),
+    (["bounds", "--family", "ld4-binary-rc", "--rho-min", "nan"], 3),
+    (["bounds", "--family", "ld4-binary-rc", "--step", "inf"], 3),
+    (["verify", "--check", "ordering", "--rho-max", "inf"], 3),
+    (["simulate", "--family", "rc", "--q", "2", "--n", "5", "--L", "2", "--rho", "0.1",
+      "--rates", "0.1:inf:0.1"], 3),
+    (["simulate", "--family", "rc", "--q", "2", "--n", "5", "--L", "2", "--rho", "0.1",
+      "--rates", "nan:0.5:0.1"], 3),
 ], ids=["multi-masses", "rate-step", "config", "out-code", "manifest", "rc-negative-n",
         "rlc-zero-n", "listsize-ell-past-q", "claimA1-q1", "claimA1-q0", "construct-negative-n",
         "construct-nan-delta", "listsize-rc-nan-eps", "listsize-rlc-nan-delta",
         "listsize-rc-inf-delta", "listsize-rlc-inf-delta", "listsize-rc-inf-eps",
         "listsize-rlc-inf-eps",
-        "lemma33-nan-delta", "largeL-nan-delta", "simulate-negative-budget"])
+        "lemma33-nan-delta", "largeL-nan-delta", "simulate-negative-budget",
+        "bounds-inf-rho-max", "bounds-nan-rho-min", "bounds-inf-step", "ordering-inf-rho-max",
+        "rates-inf-max", "rates-nan-min"])
 def test_bad_input_exits_with_its_code(argv, code, capsys):
     assert main(argv) == code
     assert ("domain error" if code == 3 else "usage error") in capsys.readouterr().err

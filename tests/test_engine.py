@@ -50,9 +50,15 @@ from thresholds.subspaces import (
     map_with_kernel,
     rref_of,
 )
-from thresholds.typespace import LRSpec, TypeDist, bad_type, pushforward
+from thresholds.typespace import LRSpec, TypeDist, bad_type, coincidence_orbits, pushforward
 
-from reference import all_kernel_slack_report, dim_of_type, dual_30, rate_columns_30
+from reference import (
+    all_kernel_slack_report,
+    coincidence_walk,
+    dim_of_type,
+    dual_30,
+    rate_columns_30,
+)
 
 # Reference values below were frozen from a separate stationary-point
 # calculation (quadratic in the edge parameter) before this module existed.
@@ -124,7 +130,7 @@ def _nested_golden_max(q, coeffs, gaps, budget):
 def test_optimizer_matches_nested_golden_sections(q, classes, budget):
     coeffs = tuple(c for c, _ in classes)
     gaps = tuple(g for _, g in classes)
-    res = opt_polytope_2d(coeffs, gaps, budget, q)
+    res = opt_polytope_2d(tuple(q**c for c in coeffs), gaps, budget, q)
     assert res.method in ("interior", "edge")
     assert all(m >= 0.0 for m in res.x) and sum(res.x) <= 1.0
     load = sum(g * m for g, m in zip(gaps, res.x))
@@ -221,14 +227,14 @@ def test_double_double_dual_equals_the_30_digit_dual(q, L, grid):
     # evaluation per point gives, except at interior points, where the
     # 30-digit rates are rounding noise about 1e-31 and the pass gives 0.0
     rhos = _decimal_grid(*grid)
-    coeffs, gaps = _class_problem(q, 1, L)
+    weights, gaps = _class_problem(q, 1, L)
     if L == 3 and q >= 3:
         rows, solves = ld3_qary_rows(q, rhos)
     else:
         solves = _solve_classes(q, 1, L, rhos)
         rows = _rate_rows(solves, L)
     for i, (rho, res, row) in enumerate(zip(rhos, solves, rows)):
-        exact = dual_30(coeffs, gaps, res.lam, L * rho, q)
+        exact = dual_30(weights, gaps, res.lam, L * rho, q)
         assert res.value == float(exact), rho
         if i % 25 == 0:  # a lone budget runs the same arithmetic on floats
             one = _solve_classes(q, 1, L, [rho])[0]
@@ -241,6 +247,21 @@ def test_double_double_dual_equals_the_30_digit_dual(q, L, grid):
             continue
         low = _low_dimension_case(q, L, rho) if "dominance" in row else None
         assert row == rate_columns_30(exact, L, low), rho
+
+
+def test_int_weights_past_float_precision_enter_the_dual_at_106_bits():
+    # at (4, 2, 64) the gap weights run up to 4^63, far past 2^53, and just
+    # below the interior boundary a weight rounded to a float would move the
+    # tiny rates: each value and rate is still the 30-digit one
+    weights, gaps = _class_problem(4, 2, 64)
+    assert max(weights) > 2**106
+    boundary = sum(g * w for g, w in zip(gaps, weights)) / (64 * (1 + sum(weights)))
+    rhos = _decimal_grid(0.01, 0.29, 0.01) + [boundary * (1 - 10.0**-k) for k in (3, 5, 7)]
+    solves = _solve_classes(4, 2, 64, rhos)
+    for rho, res, row in zip(rhos, solves, _rate_rows(solves, 64)):
+        exact = dual_30(weights, gaps, res.lam, 64 * rho, 4)
+        assert res.method == "edge" and res.value == float(exact), rho
+        assert row == rate_columns_30(exact, 64), rho
 
 
 def test_interior_points_have_rate_exactly_zero():
@@ -274,7 +295,7 @@ def _dd_relative_error(got, want) -> mpmath.mpf:
 @settings(max_examples=200, deadline=None)
 @given(hi=st.floats(-40.0, 40.0), frac=st.floats(-1.0, 1.0))
 def test_double_double_exp_to_50_digits(hi, frac):
-    # over the arguments the solver takes: -lam ln q, c ln q and a log's seed
+    # over the arguments the solver takes: -lam ln q and a log's seed
     x = _dd_draw(hi, frac)
     got = _dd_exp(x)
     with mpmath.workdps(50):
@@ -302,16 +323,22 @@ def test_double_double_log_to_50_digits(e, frac):
 def test_optimizer_domain_errors():
     for budget in (0.0, -0.5):
         with pytest.raises(DomainError):
-            opt_polytope_2d((0.0,), (1,), budget, 2)
+            opt_polytope_2d((1.0,), (1,), budget, 2)
     with pytest.raises(DomainError):
-        opt_polytope_2d((0.0, 0.0), (1, -1), 0.5, 3)
+        opt_polytope_2d((1.0, 1.0), (1, -1), 0.5, 3)
     # the dual is a polynomial in q^-lam, so a gap must be an integer
     for gap in (0.5, float("nan"), float("inf"), "1", None):
         with pytest.raises(DomainError):
-            opt_polytope_2d((0.0, 1.0), (1, gap), 0.5, 2)
+            opt_polytope_2d((1.0, 2.0), (1, gap), 0.5, 2)
     # an integral float is its int
-    assert opt_polytope_2d((0.0, 1.0), (1.0, np.float64(2.0)), 0.5, 2) == opt_polytope_2d(
-        (0.0, 1.0), (1, 2), 0.5, 2)
+    assert opt_polytope_2d((1.0, 2.0), (1.0, np.float64(2.0)), 0.5, 2) == opt_polytope_2d(
+        (1.0, 2.0), (1, 2), 0.5, 2)
+    # a weight is a class's size: positive and finite, also as a float
+    for weight in (-1.0, 0, 0.0, float("nan"), float("inf"), -math.inf, 10**400, "x", None):
+        with pytest.raises(DomainError):
+            opt_polytope_2d((1.0, weight), (1, 2), 0.5, 2)
+    with pytest.raises(DomainError):
+        opt_polytope_2d((1.0,), (1, 2), 0.5, 2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -322,23 +349,22 @@ def test_optimizer_domain_errors():
     data=st.data(),
 )
 def test_grid_solve_equals_one_budget_solves(q, classes, budgets, data):
-    coeffs = tuple(c for c, _ in classes)
+    w = tuple(q**c for c, _ in classes)
     gaps = tuple(g for _, g in classes)
     # the Gibbs point's load at lam = 0 parts interior budgets from edge ones
-    w = [q**c for c in coeffs]
     load0 = sum(g * v for g, v in zip(gaps, w)) / (1.0 + sum(w))
     if load0 > 0.0:
         budgets = budgets + [0.5 * load0, load0, 2.0 * load0]
-    grid = max_entropy(coeffs, gaps, budgets, q)
+    grid = max_entropy(w, gaps, budgets, q)
     if load0 > 0.0:
         assert {r.method for r in grid} == {"interior", "edge"}
     for budget, res in zip(budgets, grid):
-        one = opt_polytope_2d(coeffs, gaps, budget, q)
+        one = opt_polytope_2d(w, gaps, budget, q)
         assert (res.value, res.deficit, res.lam, res.method, res.rounds) == (
             one.value, one.deficit, one.lam, one.method, one.rounds)
         assert max(abs(a - b) for a, b in zip(res.x, one.x)) <= 1e-15
     order = data.draw(st.permutations(range(len(budgets))))
-    permuted = max_entropy(coeffs, gaps, [budgets[i] for i in order], q)
+    permuted = max_entropy(w, gaps, [budgets[i] for i in order], q)
     assert [(r.value, r.deficit, r.x) for r in permuted] == [
         (grid[i].value, grid[i].deficit, grid[i].x) for i in order]
 
@@ -346,7 +372,7 @@ def test_grid_solve_equals_one_budget_solves(q, classes, budgets, data):
 def test_grid_solve_domain_errors():
     for budgets in ([], [0.5, 0.0], [0.5, -1.0], [float("nan")], [[0.5]]):
         with pytest.raises(DomainError):
-            max_entropy((0.0,), (1,), budgets, 2)
+            max_entropy((1.0,), (1,), budgets, 2)
     with pytest.raises(DomainError):
         ld4_binary_rows([])
     with pytest.raises(DomainError, match="at rho=0.4"):
@@ -354,7 +380,7 @@ def test_grid_solve_domain_errors():
 
 
 def test_interior_stationary_point():
-    res = opt_polytope_2d((0.0, 0.0), (1, 1), 1.0, 2)
+    res = opt_polytope_2d((1.0, 1.0), (1, 1), 1.0, 2)
     assert res.method == "interior"
     assert res.x[0] == pytest.approx(1 / 3, abs=1e-12)
     assert res.value == pytest.approx(math.log2(3), abs=1e-12)
@@ -365,7 +391,7 @@ def test_edge_maximum_matches_stationary_closed_form():
     # eliminating x1 gives a quadratic stationary condition with root
     # x2* = 2(rho - 1) + 2 sqrt(1 - 2 rho + 4 rho^2)
     rho = 0.1
-    res = opt_polytope_2d((2.0, math.log2(3.0)), (1, 2), 4 * rho, 2)
+    res = opt_polytope_2d((4, 3), (1, 2), 4 * rho, 2)
     assert res.method == "edge"
     x2_star = 2 * (rho - 1) + 2 * math.sqrt(1 - 2 * rho + 4 * rho * rho)
     assert res.x[1] == pytest.approx(x2_star, abs=1e-8)
@@ -518,7 +544,6 @@ def test_unsupported_combinations():
                         (3, 4, threshold_rc_qary_l3(3, 0.1))]:
         rep = rc_threshold_generic(LRSpec(q=q, ell=1, L=L, rho=0.1))
         assert rep.method == "kkt"
-        assert sum(rep.details["class_sizes"]) == q**L
         assert below < rep.value < 1 - hq(q, 0.1)
 
 
@@ -548,14 +573,51 @@ def test_rc_gap_to_capacity_tends_to_the_list_size_law(q, ell, L):
 def test_class_problem_hand_derived_coefficients():
     # binary lists of 4: |(3,1)| = 8 and |(2,2)| = 6 against the 2 constant
     # vectors; q-ary lists of 3: |(2,1)| = 3q(q-1), |(1,1,1)| = q(q-1)(q-2)
-    # against q; binary lists of 3: |(2,1)| = 6 against 2.  The 30-digit
-    # values are the ones the frozen outputs were computed from.
-    with mpmath.workdps(30):
-        assert _class_problem(2, 1, 4) == ((2, mpmath.log(3, 2)), (1, 2))
-        for q in (3, 4, 5, 7, 8, 9):
-            assert _class_problem(q, 1, 3) == (
-                (mpmath.log(3 * (q - 1), q), mpmath.log((q - 1) * (q - 2), q)), (1, 2))
-        assert _class_problem(2, 1, 3) == ((mpmath.log(3, 2),), (1,))
+    # against q; binary lists of 3: |(2,1)| = 6 against 2
+    assert _class_problem(2, 1, 4) == ((4, 3), (1, 2))
+    for q in (3, 4, 5, 7, 8, 9):
+        assert _class_problem(q, 1, 3) == ((3 * (q - 1), (q - 1) * (q - 2)), (1, 2))
+    assert _class_problem(2, 1, 3) == ((3,), (1,))
+
+
+@pytest.mark.parametrize("q,L", [(2, L) for L in range(1, 9)] + [(3, L) for L in range(1, 7)]
+                         + [(4, L) for L in range(1, 6)] + [(5, 4)])
+def test_class_problem_is_the_walks_gap_tally(q, L):
+    # the weights summed per gap from a walk over all q^L vectors
+    walk = coincidence_walk(q, L)[1:]
+    for ell in range(1, q):
+        tally = {}
+        for shape, size in walk:
+            gap = L - sum(shape[:ell])
+            tally[gap] = tally.get(gap, 0) + size // q
+        gaps = tuple(sorted(tally))
+        assert _class_problem(q, ell, L) == (tuple(tally[g] for g in gaps), gaps), ell
+
+
+@pytest.mark.parametrize("q,ell,L", [(2, 1, 1), (2, 1, 16), (3, 1, 9), (3, 2, 12), (4, 2, 24),
+                                     (4, 2, 64), (5, 3, 20)])
+def test_class_problem_counts_every_vector(q, ell, L):
+    weights, gaps = _class_problem(q, ell, L)
+    assert all(type(w) is int for w in weights)
+    assert len(gaps) <= L + 1 and list(gaps) == sorted(set(gaps))
+    assert q * (1 + sum(weights)) == q**L
+
+
+@pytest.mark.parametrize("q,ell,L,grid", [(3, 1, 4, (0.002, 0.664, 0.002)),
+                                          (3, 1, 5, (0.002, 0.664, 0.002)),
+                                          (4, 2, 24, (0.002, 0.3, 0.002))])
+def test_merged_problem_equals_the_per_class_problem(q, ell, L, grid):
+    # one row per coincidence class, several of them sharing a gap, gives the
+    # same optimum as the gap enumerator
+    free = coincidence_orbits(q, L)[1:]
+    weights = [oc.size // q for oc in free]
+    gaps = [L - sum(oc.shape[:ell]) for oc in free]
+    assert len(set(gaps)) < len(gaps)
+    rhos = _decimal_grid(*grid)
+    per_class = max_entropy(weights, gaps, L * np.asarray(rhos), q)
+    merged = _solve_classes(q, ell, L, rhos)
+    assert [s.value for s in per_class] == [s.value for s in merged]
+    assert _rate_rows(per_class, L) == _rate_rows(merged, L)
 
 
 def test_rc_threshold_decreasing_in_rho():
