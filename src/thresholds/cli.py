@@ -341,6 +341,8 @@ def cmd_simulate(args) -> int:
 def cmd_construct(args) -> int:
     if args.k is not None and args.k < 1:
         raise _Usage("requested dimension k must be >= 1")
+    if args.seed < 0:
+        raise DomainError(f"seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     out_code = args.out_code or "construct_code.txt"
     out_trace = args.out_trace or "construct_trace.csv"

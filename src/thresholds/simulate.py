@@ -57,6 +57,7 @@ _CENTER_CAP = 2**22
 _STAMP_CHUNK = 2**16
 _SPACE_CAP = 2**24
 _PACK_CAP = 2**63 - 1  # largest q^m whose syndromes pack into int64
+_SEED_BLOCK = 4096  # trial seeds hashed per `_pcg64_states` call
 DEFAULT_WORK_BUDGET = 2**29
 
 WILSON_Z = 1.96
@@ -189,8 +190,9 @@ def sample_rc(q: int, n: int, R: float, rng: np.random.Generator) -> Code:
 
     Independent Bernoulli(p) inclusion of N = q^n vectors is a Binomial(N, p)
     count k followed by a uniform k-subset, so the code is drawn that way:
-    O(k log k) work, plus one permutation of N indices when k exceeds N/50
-    (numpy's switch from a hash set), rather than N uniforms.
+    O(k log k) work rather than N uniforms, plus one shuffle of the N
+    indices when N > 10,000 and k > N // 20, where numpy leaves Floyd's
+    hash set for a shuffle of the tail.
     """
     if not 0.0 < R <= 1.0:
         raise DomainError(f"rate must lie in (0, 1], got {R}")
@@ -548,6 +550,77 @@ def trial_seed(master_seed: int, rate_index: int, trial_index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def _pcg64_states(seeds: list[int]) -> list[tuple[int, int]]:
+    """The PCG64 (state, inc) that `np.random.default_rng(s)` starts from,
+    for each seed s in [0, 2^64).
+
+    default_rng(s) seeds PCG64 from NumPy's SeedSequence(s).  Its pool is
+    s's two 32-bit words, low first, padded with zeros to four; each word
+    is hashed, then every word is mixed with the hash of every other.
+    generate_state(4, uint64) hashes the pool, cycled, out into eight
+    32-bit words, read in pairs as four little-endian 64-bit words a, b, c,
+    d.  PCG64 takes the 128-bit initial state a:b and stream c:d, sets
+    inc = 2 (c:d) + 1 and runs two LCG steps: state = ((inc + a:b) M + inc)
+    mod 2^128.  The hash constants step through the same sequence for every
+    seed, so the pool runs as uint32 numpy ops over all seeds at once,
+    wrapping mod 2^32 as NumPy's C code does; the 128-bit steps run on
+    Python ints.
+    """
+    def hasher(h, mult):
+        # SeedSequence's hash of a uint32 word, its constant stepped per call
+        def hash32(v):
+            nonlocal h
+            v = v ^ h
+            h = h * mult & 0xFFFFFFFF
+            v = v * h
+            return v ^ v >> 16
+        return hash32
+
+    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
+    s = np.asarray(seeds, dtype=np.uint64)
+    pool[0], pool[1] = s & 0xFFFFFFFF, s >> 32
+    hashmix = hasher(0x43B0D7E5, 0x931E8875)
+    for i in range(4):
+        pool[i] = hashmix(pool[i])
+    for i in range(4):
+        for j in range(4):
+            if i != j:
+                x = pool[j] * 0xCA01F9DD - hashmix(pool[i]) * 0x4973F715
+                pool[j] = x ^ x >> 16
+    out_hash = hasher(0x8B51F9DD, 0x58F38DED)
+    words = np.stack([out_hash(pool[i % 4]) for i in range(8)]).astype(np.uint64)
+    a, b, c, d = (words[0::2] | words[1::2] << 32).tolist()
+    mask, mult = 2**128 - 1, 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's LCG multiplier
+    out = []
+    for a_, b_, c_, d_ in zip(a, b, c, d):
+        inc = (c_ << 65 | d_ << 1 | 1) & mask
+        out.append((((inc + (a_ << 64 | b_)) * mult + inc) & mask, inc))
+    return out
+
+
+def _trial_rngs(master_seed: int, ri: int, trials: int) -> Iterator[np.random.Generator]:
+    """The streams of one rate's trials: the i-th yield draws as
+    `np.random.default_rng(trial_seed(master_seed, ri, i))` does.
+
+    One Generator serves every trial, its PCG64 set to the trial's state
+    from `_pcg64_states` with no buffered 32-bit half left over, so a trial
+    must finish its draws before asking for the next.  The Generator's only
+    other state, the binomial setup it caches, is rebuilt whenever (n, p)
+    changes and depends on nothing else, so it carries no draw between
+    trials.  Seeds are hashed `_SEED_BLOCK` at a time, which keeps memory
+    flat in the number of trials.
+    """
+    rng = np.random.Generator(np.random.PCG64(0))
+    bits = rng.bit_generator
+    for start in range(0, trials, _SEED_BLOCK):
+        stop = min(start + _SEED_BLOCK, trials)
+        seeds = [trial_seed(master_seed, ri, ti) for ti in range(start, stop)]
+        for state, inc in _pcg64_states(seeds):
+            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                          "has_uint32": 0, "uinteger": 0}
+            yield rng
+
+
 def _decide_rate(cfg: SweepConfig, ri: int, rate: float, work: dict) -> int:
     """How many of one rate's sampled codes satisfy the property.
 
@@ -586,8 +659,7 @@ def _decide_rate(cfg: SweepConfig, ri: int, rate: float, work: dict) -> int:
         peaks = _stamped_profiles(q, n, r, ell, queue).max(axis=1)
         return int(np.count_nonzero(peaks < L))
 
-    for ti in range(cfg.trials):
-        rng = np.random.default_rng(trial_seed(cfg.master_seed, ri, ti))
+    for rng in _trial_rngs(cfg.master_seed, ri, cfg.trials):
         if fiber:
             route, decided = "fiber", largest_fiber(draw_parity_check(q, n, rate, rng), q, r) < L
         else:
@@ -634,6 +706,9 @@ def satisfaction_curve(cfg: SweepConfig) -> SatisfactionCurve:
 
     Each trial owns an RNG stream keyed by (master seed, rate index, trial
     index), so results do not depend on the order the trials run in.  The
+    streams are computed per rate by `_trial_rngs`, and the stream of trial
+    ti at rate ri equals `np.random.default_rng(trial_seed(master_seed, ri,
+    ti))`.  The
     curve counts the trials each route of `_decide_rate` decided: "stamp",
     "pigeonhole", "dp" or "fiber"; a random linear code's list-decoding
     trials take "fiber" whenever the n * |B(0, r)| digits of the zero word's

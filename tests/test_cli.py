@@ -417,6 +417,7 @@ CONSTRUCT_N8 = ["construct", "--n", "8", "--rho", "0.1", "--L", "3", "--delta", 
       "--rates", "0.1:inf:0.1"], 3),
     (["simulate", "--family", "rc", "--q", "2", "--n", "5", "--L", "2", "--rho", "0.1",
       "--rates", "nan:0.5:0.1"], 3),
+    (CONSTRUCT_N8 + ["--seed", "-3"], 3),
 ], ids=["multi-masses", "rate-step", "config", "out-code", "manifest", "rc-negative-n",
         "rlc-zero-n", "listsize-ell-past-q", "claimA1-q1", "claimA1-q0", "construct-negative-n",
         "construct-nan-delta", "listsize-rc-nan-eps", "listsize-rlc-nan-delta",
@@ -424,7 +425,7 @@ CONSTRUCT_N8 = ["construct", "--n", "8", "--rho", "0.1", "--L", "3", "--delta", 
         "listsize-rlc-inf-eps",
         "lemma33-nan-delta", "largeL-nan-delta", "simulate-negative-budget",
         "bounds-inf-rho-max", "bounds-nan-rho-min", "bounds-inf-step", "ordering-inf-rho-max",
-        "rates-inf-max", "rates-nan-min"])
+        "rates-inf-max", "rates-nan-min", "construct-negative-seed"])
 def test_bad_input_exits_with_its_code(argv, code, capsys):
     assert main(argv) == code
     assert ("domain error" if code == 3 else "usage error") in capsys.readouterr().err

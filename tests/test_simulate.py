@@ -24,7 +24,9 @@ from thresholds.simulate import (
     SweepConfig,
     _ball_slots,
     _candidate_order,
+    _pcg64_states,
     _stamped_profiles,
+    _trial_rngs,
     _zero_list_ball,
     check_ld_centers,
     check_lr_dp,
@@ -565,6 +567,97 @@ def test_trial_seed_distinct_and_stable():
     seeds = {trial_seed(123, ri, ti) for ri in range(4) for ti in range(50)}
     assert len(seeds) == 200
     assert all(0 <= x < 2**64 for x in seeds)
+
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+def test_pcg64_states_are_the_default_rng_states():
+    seeds = [trial_seed(m, ri, ti) for m in (0, -5, 2026) for ri in range(3)
+             for ti in range(300)] + EDGE_SEEDS
+    for s, (state, inc) in zip(seeds, _pcg64_states(seeds), strict=True):
+        want = np.random.default_rng(s).bit_generator.state
+        assert want["state"] == {"state": state, "inc": inc}, s
+        assert want["has_uint32"] == want["uinteger"] == 0
+
+
+def _sweep_draws(rng, t):
+    """One trial's draws, made by every sampler call a sweep makes; the
+    binomial and choice parameters change from trial to trial."""
+    return [
+        # draw_parity_check: 15 bounded 32-bit draws leave half a 64-bit word
+        rng.integers(0, 3, size=(3, 5)),
+        # binomial by inversion, n p < 30
+        rng.binomial(3**8, 3.0 ** (-0.875 * 8 + t % 3)),
+        # binomial by BTPE, at two (n, p) in alternating order
+        rng.binomial(2**18, 2**-3.6) if t % 2 else rng.binomial(2**17, 2**-3.1),
+        rng.binomial(2**17, 2**-3.1) if t % 2 else rng.binomial(2**18, 2**-3.6),
+        # choice by Floyd's hash set (N <= 10,000), then by the tail
+        # shuffle (N > 10,000 and, unshuffled, k > N // 20)
+        rng.choice(6561, size=3000 + t, replace=False, shuffle=False),
+        rng.choice(2**18, size=2**18 // 20 + 1 + t, replace=False, shuffle=False),
+        rng.integers(0, 5, size=7),
+    ]
+
+
+def test_choice_takes_both_numpy_paths():
+    # the draws above reach both of numpy's paths: Floyd's algorithm, one
+    # bounded draw per step from N - k to N - 1, and a shuffle of the tail
+    # of all N indices, which holds an int64 array of length N
+    def floyd(rng, N, k):
+        chosen, out = set(), []
+        for j in range(N - k, N):
+            v = int(rng.integers(0, j + 1))
+            v = j if v in chosen else v
+            chosen.add(v)
+            out.append(v)
+        return out
+
+    got = np.random.default_rng(5).choice(6561, size=3000, replace=False, shuffle=False)
+    assert got.tolist() == floyd(np.random.default_rng(5), 6561, 3000)
+    for k, whole in ((2**18 // 20, False), (2**18 // 20 + 1, True)):
+        tracemalloc.start()
+        try:
+            np.random.default_rng(0).choice(2**18, size=k, replace=False, shuffle=False)
+            assert (tracemalloc.get_traced_memory()[1] >= 8 * 2**18) == whole, k
+        finally:
+            tracemalloc.stop()
+
+
+def test_one_reseeded_generator_draws_as_fresh_streams():
+    buffered = 0
+    for t, rng in enumerate(_trial_rngs(11, 2, 24)):
+        assert rng.bit_generator.state["has_uint32"] == 0
+        got = _sweep_draws(rng, t)
+        buffered += rng.bit_generator.state["has_uint32"]
+        want = _sweep_draws(np.random.default_rng(trial_seed(11, 2, t)), t)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True)), t
+    # some trials end on a buffered 32-bit half word, which the next drops
+    assert buffered > 0
+    for family in (sample_rc, sample_rlc):
+        codes = [family(3, 6, 0.4, rng).words for rng in _trial_rngs(4, 1, 30)]
+        assert all(np.array_equal(c, family(3, 6, 0.4, np.random.default_rng(
+            trial_seed(4, 1, t))).words) for t, c in enumerate(codes))
+
+
+def test_seed_blocks_keep_memory_flat(monkeypatch):
+    # 23 trials in blocks of 5: no call hashes more than one block, and the
+    # curve is the one fresh `default_rng` streams give, one profile per code
+    cfg = SweepConfig(q=2, n=6, family="rc", rho=0.2, L=2, rates=[0.3, 0.6], trials=23,
+                      master_seed=3)
+    whole = satisfaction_curve(cfg)
+    sizes = []
+
+    def record(seeds):
+        sizes.append(len(seeds))
+        return _pcg64_states(seeds)
+
+    monkeypatch.setattr("thresholds.simulate._pcg64_states", record)
+    monkeypatch.setattr("thresholds.simulate._SEED_BLOCK", 5)
+    blocked = satisfaction_curve(cfg)
+    assert sizes == [5, 5, 5, 5, 3] * 2
+    assert blocked.to_csv() == whole.to_csv() and blocked.routes == whole.routes
+    assert [round(p * cfg.trials) for p in whole.p_hat] == _profile_decisions(cfg)
 
 
 def test_sweep_config_validation():
