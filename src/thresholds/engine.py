@@ -64,6 +64,9 @@ def fmt12(x: float) -> str:
 
 _SPLIT = 134217729.0  # 2^27 + 1, splits a float into two 26-bit halves
 _ROUND = 6755399441055744.0  # 1.5 * 2^52: (x + _ROUND) - _ROUND rounds x to an integer
+# the dual's range limit: past it, splitting Z(0) by _SPLIT overflows
+_Z_LIMIT = 2.0**996
+_PAST_THE_RANGE = "Z(0) = 1 + the sum of the weights passes the dual's range limit 2^996"
 _LN2 = (0.6931471805599453, 2.3190468138462996e-17)
 _INV_LN2 = 1.4426950408889634
 # 1/k! for k = 7 down to 1 as double-doubles, and for k = 14 down to 8 as floats:
@@ -263,10 +266,12 @@ def _weight(w) -> tuple[float, float]:
     taken to its first 106 bits."""
     try:
         hi = float(w)
-        if 0.0 < hi < math.inf:
-            return hi, float(w - int(hi)) if isinstance(w, int) else 0.0
-    except (TypeError, ValueError, OverflowError):
-        pass
+    except OverflowError:  # an int past the float range
+        raise DomainError(_PAST_THE_RANGE) from None
+    except (TypeError, ValueError):
+        hi = math.nan
+    if 0.0 < hi < math.inf:
+        return hi, float(w - int(hi)) if isinstance(w, int) else 0.0
     raise DomainError(f"need positive finite weights, got {w!r}")
 
 
@@ -292,6 +297,8 @@ def max_entropy(weights, gaps, budgets, q: int) -> list[OptResult]:
     with the same bits either way; the bisection reads each weight as a
     float, the dual an int weight at 106 bits.  `deficit` keeps D unrounded,
     exactly 0.0 at an interior point; `value` is log_q Z(0) + D rounded once.
+    Z(0) must not pass 2^996, where Dekker's splitting of it would overflow;
+    a larger problem (q = 2, ell = 1 from L = 998) raises DomainError.
     """
     b = np.asarray(budgets, dtype=np.float64)
     if b.ndim != 1 or b.size == 0 or not np.all(b > 0.0):
@@ -300,6 +307,8 @@ def max_entropy(weights, gaps, budgets, q: int) -> list[OptResult]:
     if len(weights) != len(gaps) or any(g < 0 for g in gaps):
         raise DomainError(f"need one nonnegative gap per class, got {gaps}")
     dd = tuple(_weight(v) for v in weights)
+    if not 1.0 + sum(hi for hi, _ in dd) <= _Z_LIMIT:
+        raise DomainError(_PAST_THE_RANGE)
     w = np.array([hi for hi, _ in dd]).reshape(-1, 1)
     g = np.array(gaps, dtype=np.float64).reshape(-1, 1)
 

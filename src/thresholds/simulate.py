@@ -114,22 +114,32 @@ class Code:
 
     def dump(self, path: str) -> None:
         """One codeword per line, digits run together for q <= 10 and
-        comma-separated above."""
-        sep = "" if self.q <= 10 else ","
-        symbols = np.asarray([str(d) for d in range(self.q)])
-        with open(path, "w") as fh:
-            fh.write("".join(sep.join(row) + "\n" for row in symbols[self.digits()].tolist()))
+        comma-separated above.  For q <= 10 the file is written as one block
+        of bytes: the digit array plus ord("0"), with a newline column."""
+        if self.q > 10:
+            with open(path, "w") as fh:
+                fh.write("".join(",".join(map(str, row)) + "\n"
+                                 for row in self.digits().tolist()))
+            return
+        text = np.full((self.size, self.n + 1), ord("\n"), dtype=np.uint8)
+        text[:, :-1] = self.digits() + ord("0")
+        with open(path, "wb") as fh:
+            fh.write(text.tobytes())
 
     @classmethod
     def load(cls, path: str, q: int) -> "Code":
         """Read a file `dump` wrote; q fixes the format, as it does there."""
         rows = []
         with open(path) as fh:
-            for line in fh:
+            for number, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
-                rows.append([int(t) for t in (line.split(",") if q > 10 else line)])
+                try:
+                    rows.append([int(t) for t in (line.split(",") if q > 10 else line)])
+                except ValueError:
+                    raise DomainError(f"non-digit token on line {number} of {path}: "
+                                      f"{line!r}") from None
         if not rows:
             raise DomainError(f"no codewords in {path}")
         n = len(rows[0])
@@ -265,39 +275,43 @@ def occupancy_profile(code: Code, r: int, ell: int = 1) -> np.ndarray:
     return _stamped_profiles(q, n, r, ell, [code.words])[0]
 
 
+def _ball_stamper(q: int, n: int, r: int, ell: int):
+    """The radius-r list balls of codewords as packed cells: a function from
+    k words to their cells, shape (k, V), and the ball volume V.
+
+    T lies in the ball of c exactly when T - c lies in the ball of 0, so the
+    ball of c is the zero word's ball with coordinate i's subsets translated
+    by c_i: one gather per coordinate from the shift table, packed in base
+    C(q, ell).  For ell = 1 over GF(2^m) a translate is the XOR of packed
+    indices, so the ball is one XOR of the codeword with packed offsets.
+    """
+    offsets, shift = _zero_list_ball(q, n, r, ell)
+    radix = math.comb(q, ell) ** np.arange(n, dtype=np.int64)
+    if ell == 1 and make_field(q).p == 2:
+        packed = radix @ offsets
+        return (lambda words: words[:, None] ^ packed), offsets.shape[1]
+    scaled = shift[None, :, :] * radix[:, None, None]
+
+    def balls(words):
+        dig = digits_of(words, q, n)
+        out = scaled[0][dig[:, :1], offsets[0]]
+        for i in range(1, n):
+            out += scaled[i][dig[:, i:i + 1], offsets[i]]
+        return out
+    return balls, offsets.shape[1]
+
+
 def _stamped_profiles(q: int, n: int, r: int, ell: int,
                       codes: list[np.ndarray]) -> np.ndarray:
     """Occupancy profiles of T codes given by their words, shape (T, N).
 
-    Every codeword's list ball is stamped, at a cost of |C| * ball volume per
-    code.  T lies in the ball of c exactly when T - c lies in the ball of 0,
-    so the ball of c is the zero word's ball with coordinate i's subsets
-    translated by c_i: one gather per coordinate from the shift table,
-    packed in base C(q, ell).  For ell = 1 over GF(2^m) a translate is the
-    XOR of packed indices, so the ball is one XOR of the codeword with
-    packed offsets.  Code t's cells are shifted by t * N, so one bincount of
-    length T * N counts all T codes at once.  Codewords go in chunks of at
-    most max(_STAMP_CHUNK, T * N) ball cells.
+    Every codeword's list ball is stamped by `_ball_stamper`, at a cost of
+    |C| * ball volume per code.  Code t's cells are shifted by t * N, so one
+    bincount of length T * N counts all T codes at once.  Codewords go in
+    chunks of at most max(_STAMP_CHUNK, T * N) ball cells.
     """
-    offsets, shift = _zero_list_ball(q, n, r, ell)
-    C = math.comb(q, ell)
-    N = C**n
-    radix = C ** np.arange(n, dtype=np.int64)
-    if ell == 1 and make_field(q).p == 2:
-        packed = radix @ offsets
-
-        def balls(words):
-            return words[:, None] ^ packed
-    else:
-        scaled = shift[None, :, :] * radix[:, None, None]
-
-        def balls(words):
-            dig = digits_of(words, q, n)
-            out = scaled[0][dig[:, :1], offsets[0]]
-            for i in range(1, n):
-                out += scaled[i][dig[:, i:i + 1], offsets[i]]
-            return out
-
+    balls, V = _ball_stamper(q, n, r, ell)
+    N = math.comb(q, ell)**n
     if len(codes) == 1:
         words, slot = codes[0], None
     else:
@@ -311,7 +325,7 @@ def _stamped_profiles(q: int, n: int, r: int, ell: int,
             cells += slot[start:stop, None]
         return cells.ravel()
 
-    rows = max(1, max(_STAMP_CHUNK, length) // offsets.shape[1])
+    rows = max(1, max(_STAMP_CHUNK, length) // V)
     P = np.bincount(stamps(0, rows), minlength=length)
     for start in range(rows, words.size, rows):
         P += np.bincount(stamps(start, start + rows), minlength=length)
@@ -377,21 +391,61 @@ class LDReport:
     witness_list: list[int] | None = None
 
 
+def _longest_run(cells: np.ndarray) -> tuple[int, int | None]:
+    """Length and value of the first longest run of equal values in a sorted
+    array; (0, None) for an empty one.
+
+    A run of t equal values exists exactly when cells[i] == cells[i + t - 1]
+    for some i, a condition monotone in t, so the length is found by doubling
+    and bisection in O(log t) passes of one byte per cell; the first such i
+    starts the first longest run.
+    """
+    m = cells.size
+
+    def runs(t):  # where a run of t equal values starts
+        return cells[t - 1:] == cells[:m - t + 1]
+
+    if m == 0:
+        return 0, None
+    lo, hi = 1, 2  # runs of lo values exist
+    while hi <= m and runs(hi).any():
+        lo, hi = hi, 2 * hi
+    hi = min(hi, m + 1)  # and none of hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if runs(mid).any() else (lo, mid)
+    return lo, int(cells[int(np.argmax(runs(lo)))])
+
+
 def check_ld_centers(code: Code, rho: float, L: int) -> LDReport:
     """Exhaustively decide whether any center sees >= L codewords within radius.
 
     Decodable means every radius-floor(rho*n) ball holds at most L-1 codewords;
-    on violation the fullest center and its codeword list are returned.
+    on violation the fullest center and its codeword list are returned, the
+    smallest center when several are fullest.  The balls touch at most |C| V
+    centers, V = |B(0, r)|, so when |C| V <= q^n the stamps of
+    `_ball_stamper` are sorted and read: the longest run of equal stamps is
+    the largest count and its first run the smallest fullest center, at
+    O(|C| V log(|C| V)) time and |C| V words of memory.  Past q^n stamps the
+    dense profile of `occupancy_profile` decides instead, at q^n words, so
+    memory never exceeds the dense profile's; both routes give the same
+    report, and both raise SizeCapError when q^n exceeds `_CENTER_CAP`.
     """
     if L < 1:
         raise DomainError("list size must be >= 1")
-    r = radius_of(rho, code.n)
-    P = occupancy_profile(code, r)
-    mx = int(P.max())
+    q, n = code.q, code.n
+    r = radius_of(rho, n)
+    if q**n > _CENTER_CAP or code.size * ball_volume(q, n, r) > q**n:
+        P = occupancy_profile(code, r)
+        mx = int(P.max())
+        z = int(P.argmax())
+    else:
+        cells = _ball_stamper(q, n, r, 1)[0](code.words).ravel()
+        cells.sort()
+        mx, z = _longest_run(cells)
     if mx < L:
         return LDReport(decodable=True, radius=r, max_count=mx)
-    z = int(P.argmax())
-    dz = digits_of(np.asarray([z]), code.q, code.n)[0]
+    dz = digits_of(np.asarray([z]), q, n)[0]
     near = (code.digits() != dz).sum(axis=1) <= r
     return LDReport(
         decodable=False,

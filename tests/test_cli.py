@@ -148,6 +148,35 @@ def test_bench_bound_outputs_are_byte_stable(argv, sha, in_tmpdir):
     assert digest(in_tmpdir / "out") == sha
 
 
+# `construct` at two bench shapes with fixed seeds: sha256 of the code file
+# and the trace, the printed summary line and the manifest counters
+PINNED_CONSTRUCTS = [
+    (["--n", "20", "--rho", "0.05", "--L", "8", "--delta", "0.05", "--seed", "3"],
+     "8c3fbd8446183fa5f7496d7e31a1eddbd4d754ec77b9286ba7e71f5eb8055cae",
+     "5114211d7270650080a12e9b7026a7a88035592cb39493c44e237ecd9c90bff0",
+     "constructed dim-12 code, |C| = 4096, list-size cap 7, exhaustive max 1, "
+     "chain held; potential bound 24.1999329524",
+     {"scanned": 13, "support": 86016}),
+    (["--n", "22", "--rho", "0.1", "--L", "6", "--delta", "0.1", "--seed", "5"],
+     "5273945325447a4717faf6b42051e3c5dff867215ccaa618b9e588037a69db9f",
+     "a1d360887ac30f26e9c458037c2aab946499473821f4c8aa5a7d900ab951d67b",
+     "constructed dim-7 code, |C| = 128, list-size cap 5, exhaustive max 1, "
+     "chain held; potential bound 10.2522841899",
+     {"scanned": 7, "support": 32512}),
+]
+
+
+@pytest.mark.parametrize("argv,code_sha,trace_sha,line,counters", PINNED_CONSTRUCTS,
+                         ids=["n20-rho0.05-L8", "n22-rho0.1-L6"])
+def test_bench_construct_outputs_are_byte_stable(argv, code_sha, trace_sha, line,
+                                                 counters, in_tmpdir, capsys):
+    assert main(["construct", *argv]) == 0
+    assert capsys.readouterr().out == line + "\n"
+    assert digest(in_tmpdir / "construct_code.txt") == code_sha
+    assert digest(in_tmpdir / "construct_trace.csv") == trace_sha
+    assert read_manifest(in_tmpdir / "construct.manifest.json")["counters"] == counters
+
+
 def test_bounds_domain_error_names_the_rho(capsys):
     assert main(["bounds", "--family", "ld3-qary-rlc", "--q", "2",
                  "--rho-min", "0.1", "--rho-max", "0.1", "--step", "0.01"]) == 3

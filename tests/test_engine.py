@@ -277,6 +277,17 @@ def test_interior_points_have_rate_exactly_zero():
     assert rc_threshold_generic(LRSpec(q=2, ell=1, L=12, rho=0.387)).value > 0.0
 
 
+def test_lists_past_the_dual_range_raise_a_domain_error():
+    # Z(0) = 2^(L - 1) at (2, 1, L), and splitting it overflows past 2^996:
+    # L = 998 and 1000 pass that limit, and from L = 1030 a gap weight passes
+    # the float range; each names the limit, and L = 997 still solves
+    assert rc_threshold_generic(LRSpec(q=2, ell=1, L=600, rho=0.1)).value == 0.5293377397440521
+    assert 0.0 < rc_threshold_generic(LRSpec(q=2, ell=1, L=997, rho=0.1)).value < 1.0
+    for L in (998, 1000, 1100):
+        with pytest.raises(DomainError, match=r"passes the dual.s range limit 2\^996"):
+            rc_threshold_generic(LRSpec(q=2, ell=1, L=L, rho=0.1))
+
+
 def _dd_draw(hi: float, frac: float) -> tuple[float, float]:
     """The double-double hi + frac * ulp(hi)/2, renormalized."""
     return _fast_two_sum(hi, hi * frac * 2.0**-53)

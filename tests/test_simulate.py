@@ -134,6 +134,14 @@ def test_dump_load_roundtrip(tmp_path):
     assert p.read_bytes() == b""
 
 
+@pytest.mark.parametrize("q,text", [(2, "0101\n01x1\n"), (13, "1,0,0\n1,,0\n")])
+def test_load_names_the_line_of_a_non_digit_token(q, text, tmp_path):
+    p = tmp_path / "code.txt"
+    p.write_text(text)
+    with pytest.raises(DomainError, match="non-digit token on line 2 of"):
+        Code.load(str(p), q=q)
+
+
 def test_linearity_check():
     rng = np.random.default_rng(3)
     lin = sample_rlc(2, 8, 0.5, rng)
@@ -369,6 +377,48 @@ def test_single_codeword_is_always_coverable():
     assert check_ld_centers(code, 0.4, 2).decodable
     # with list size 1 even a lone codeword overflows its own ball
     assert not check_ld_centers(code, 0.0, 1).decodable
+
+
+def dense_ld_report(code, r, L):
+    """`check_ld_centers`' fields read off the dense profile: the first
+    fullest center and the codewords within r of it."""
+    P = occupancy_profile(code, r)
+    mx, z = int(P.max()), int(P.argmax())
+    if mx < L:
+        return (True, mx, None, None)
+    near = (code.digits() != digits_of(np.asarray([z]), code.q, code.n)).sum(axis=1) <= r
+    return (False, mx, z, code.words[near].tolist())
+
+
+def test_sorted_stamps_decide_like_the_dense_profile(monkeypatch):
+    # both routes against the dense profile: codes of every size up to the
+    # whole space, the empty code, one word, a cluster whose fullest ball
+    # holds 13 words (a bisected run length), and a greedy code at n = 22
+    dense = []
+    real = occupancy_profile
+    monkeypatch.setattr("thresholds.simulate.occupancy_profile",
+                        lambda code, r: dense.append(code.size) or real(code, r))
+    rng = np.random.default_rng(41)
+    codes = [make_code(q, n, rng.choice(q**n, size=size, replace=False))
+             for q, n in [(2, 7), (3, 4), (4, 3), (5, 3)]
+             for size in (0, 1, 2, 5, 12, q**n // 3, q**n)]
+    codes.append(make_code(2, 12, [0] + [1 << i for i in range(12)]))
+    codes.append(greedy_potential_code(22, 0.1, 6, 0.1, np.random.default_rng(5)).code)
+    routes = set()
+    for code in codes:
+        q, n = code.q, code.n
+        for r in range(4):
+            rho = (r + 0.5) / n if r < n else 1.0
+            sorted_route = code.size * ball_volume(q, n, r) <= q**n
+            routes.add(sorted_route)
+            for L in (1, 2, 3):
+                dense.clear()
+                rep = check_ld_centers(code, rho, L)
+                assert rep.radius == r and dense == ([] if sorted_route else [code.size])
+                assert (rep.decodable, rep.max_count, rep.witness_center,
+                        rep.witness_list) == dense_ld_report(code, r, L), (q, n, code.size, r, L)
+    assert routes == {True, False}
+    assert check_ld_centers(codes[-2], 2.5 / 12, 3).max_count == 13
 
 
 def random_code(data, q, n, max_size):
