@@ -37,6 +37,7 @@ from .errors import (
     WorkBudgetExceededError,
 )
 from .infomeasures import hq, hq_multi, hql
+from .subspaces import image_cache_hits
 from .typespace import LRSpec
 
 EXIT_OK = 0
@@ -247,8 +248,9 @@ def _verify_claima1(args) -> tuple[bool, list[dict]]:
 
 
 def _verify_lemma33(args) -> tuple[bool, list[dict]]:
+    hits = image_cache_hits()
     rep = eng.kernel_slack_report(args.q, args.l, args.rho, args.L, args.delta)
-    args._counters = {"kernels": rep["kernels"]}
+    args._counters = {"kernels": rep["kernels"], "cached_tables": image_cache_hits() - hits}
     det = rep["details"]
     details = [
         {"min_slack": rep["min_slack"],

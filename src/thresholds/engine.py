@@ -39,7 +39,6 @@ from .infomeasures import entropy, hq, hq_multi, hql, joint_measures
 from .subspaces import (
     SubspaceRREF,
     kernel_at,
-    kernel_entropy_table,
     ones_kernel_table,
     rref_of,
 )
@@ -764,6 +763,13 @@ def kernel_slack_report(q: int, ell: int, rho: float, L: int, delta: float) -> d
     two-coordinate-sum kernels tie, one of them rounds 2 ulp lower, and the
     report names it (4-dim index 29, kernel 371 counting all proper kernels
     from 0), not the first of the ten (index 1, kernel 343).
+
+    The zero kernel's row is H(tau) itself, with image dimension L (step 3).
+    The quotient images of the kernels through 1 do not depend on rho, so
+    `subspaces.ones_kernel_table` keeps them per (q, L, k) while all kept
+    images fit in 32 MiB, and a further radius at the same (q, L) costs one
+    bincount per block of them; a table over that bound streams unkept.  The
+    report is bit for bit the same either way.
     """
     if not delta >= 0.0:
         raise DomainError("delta must be nonnegative")
@@ -777,9 +783,10 @@ def kernel_slack_report(q: int, ell: int, rho: float, L: int, delta: float) -> d
     worst = None
     per_dim: dict[int, float] = {}
     alt_min = math.inf
-    identity_H = None
     kernels = 0
-    tables = [(0, *kernel_entropy_table(tau, 0), np.zeros(1, dtype=np.int64))]
+    identity_H = float(entropy(tau.probs, q))
+    zero = np.zeros(1, dtype=np.int64)
+    tables = [(0, np.array([identity_H]), zero + L, zero)]
     tables += [(k, *ones_kernel_table(tau, k)) for k in range(1, L)]
     for k, H, D, T in tables:
         kernels += H.size
@@ -792,8 +799,6 @@ def kernel_slack_report(q: int, ell: int, rho: float, L: int, delta: float) -> d
         for d in set(D.tolist()):
             per_dim[d] = min(per_dim.get(d, math.inf), float(slack[D == d].min()))
         alt_min = min(alt_min, float((H - D * (h + (logc - 1.0 + h - delta) / L)).min()))
-        if k == 0 and D[0] == L:
-            identity_H = float(H[0])
 
     hsu = joint_measures(jt, base=q)["H_y_given_x"]  # H(S|u) = H(u, S) - H(u)
 

@@ -17,9 +17,14 @@ all-ones vector only, [L-1, k-1]_q of the [L, k]_q, each built from a
 (k-1)-dim subspace of GF(q)^(L-1) and carrying its index in the full
 enumeration.  `engine.kernel_slack_report` reads the zero kernel and these
 tables: over GF(2), 2,825 of the 29,211 proper kernels at L = 7 and 29,212
-of 417,198 at L = 8, which brings acceptance criterion 6 (every L in 2..8 at
-three radii) from 5.2 s to about 0.5 s on 2 CPU cores (Python 3.11.7,
-numpy 2.4.6).
+of 417,198 at L = 8.  Their quotient images do not depend on the type, so
+they are kept per (q, L, k), read-only and in the smallest unsigned dtype
+that holds q^(L-k), while all kept tables fit in `_IMAGE_BYTES` (32 MiB); a
+table that would not fit streams block by block, as the full tables do, and
+is not kept.  A further radius then costs one bincount per block.  Acceptance
+criterion 6 (every L in 2..8 at three radii) took 5.2 s when every kernel was
+swept, 0.49 s with these tables and takes 0.27 s with the cache, on 2 CPU
+cores (Python 3.11.7, numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -40,6 +45,11 @@ from .infomeasures import entropy
 from .typespace import TypeDist
 
 _CHUNK = 1 << 14  # kernels x q^L cells pushed forward per numpy block
+_IMAGE_BYTES = 32 << 20  # bytes of ones-kernel quotient images kept across calls
+
+# (q, L, k) -> (image blocks, index blocks) of `_ones_images`, and its hits
+_images: dict[tuple[int, int, int], tuple[list[np.ndarray], list[np.ndarray]]] = {}
+_image_hits = 0
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -154,7 +164,14 @@ def iter_rref_bases(q: int, L: int, k: int):
 
 
 def kernel_at(q: int, L: int, k: int, t: int) -> SubspaceRREF:
-    """The t-th k-dim subspace of `iter_rref_bases(q, L, k)`, decoded from t."""
+    """The t-th k-dim subspace of `iter_rref_bases(q, L, k)`, decoded from t
+    (0 <= k <= L, 0 <= t < [L, k]_q)."""
+    if not 0 <= k <= L:
+        raise DomainError(f"subspace dimension {k} outside [0, {L}]")
+    count = gaussian_binomial(L, k, q)
+    if not 0 <= t < count:
+        raise DomainError(f"index {t} outside [0, {count}) of the {k}-dim subspaces "
+                          f"of GF({q})^{L}")
     (basis, _), digits = next(_rref_blocks(q, L, k, 1, t))
     rows = _fill(basis, digits)[0].tolist()
     return SubspaceRREF(q=q, ambient=L, basis=tuple(map(tuple, rows)))
@@ -187,14 +204,22 @@ def _regroup(stacks, step: int):
         yield held
 
 
-def _push_quotients(tau: TypeDist, Lp: int, stacks) -> tuple[np.ndarray, np.ndarray]:
-    """Base-q entropies and image dimensions of tau pushed through each
-    quotient matrix of a stream of (B, Lp, L) stacks, in stream order.
+def _quotient_images(q: int, L: int, stacks):
+    """Yield the packed images (`fields.matvec_all`) of a stream of (B, L', L)
+    quotient stacks, regrouped across stack boundaries into blocks of
+    max(1, _CHUNK // q^L) matrices, each block cast to the smallest unsigned
+    dtype that holds q^L' values."""
+    fs = make_field(q)
+    for quotients in _regroup(stacks, max(1, _CHUNK // q**L)):
+        yield matvec_all(quotients, fs).astype(np.min_scalar_type(q ** quotients.shape[1] - 1))
 
-    The matrices are pushed forward in blocks of max(1, _CHUNK // q^L),
-    across stack boundaries: each block goes through one `fields.matvec_all`
-    call, and its masses come from one bincount with a per-kernel offset.
-    The image dimension is Lp for every row when the support of tau spans
+
+def _push_images(tau: TypeDist, Lp: int, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Base-q entropies and image dimensions of tau pushed through each
+    quotient map of a stream of `_quotient_images` blocks, in stream order.
+
+    A block's masses come from one bincount with a per-kernel offset.  The
+    image dimension is Lp for every row when the support of tau spans
     GF(q)^L, which is checked once; otherwise each image without full support
     is ranked.
     """
@@ -203,13 +228,12 @@ def _push_quotients(tau: TypeDist, Lp: int, stacks) -> tuple[np.ndarray, np.ndar
     N, M = q**L, q**Lp
     step = max(1, _CHUNK // N)
     weights = np.tile(tau.probs, step)
+    offsets = (np.arange(step) * M)[:, None]
     spans = tau.probs.all() or len(row_reduce(vec_table(q, L)[tau.probs > 0], fs)[1]) == L
     entropies, dims = [], []
-    for quotients in _regroup(stacks, step):
-        B = len(quotients)
-        images = matvec_all(quotients, fs)
-        images += (np.arange(B) * M)[:, None]
-        masses = np.bincount(images.ravel(), weights=weights[:B * N],
+    for images in blocks:
+        B = len(images)
+        masses = np.bincount((images + offsets[:B]).ravel(), weights=weights[:B * N],
                              minlength=B * M).reshape(B, M)
         entropies.append(entropy(masses, q))
         dim = np.full(B, Lp)
@@ -227,7 +251,7 @@ def kernel_entropy_table(tau: TypeDist, k: int) -> tuple[np.ndarray, np.ndarray]
     Row t of the (entropy, dim_image) arrays belongs to the t-th basis of
     `iter_rref_bases(q, L, k)`: the base-q entropy of tau pushed through that
     kernel's `map_with_kernel` quotient map, and the dimension of the span
-    of its support, both from `_push_quotients`.
+    of its support, both from `_push_images`.
     """
     q, L = tau.q, tau.b
     if not 0 <= k < L:
@@ -235,7 +259,7 @@ def kernel_entropy_table(tau: TypeDist, k: int) -> tuple[np.ndarray, np.ndarray]
     neg = make_field(q).neg_table
     stacks = (_fill(quotient, neg[digits])
               for (_, quotient), digits in _rref_blocks(q, L, k, _CHUNK))
-    return _push_quotients(tau, L - k, stacks)
+    return _push_images(tau, L - k, _quotient_images(q, L, stacks))
 
 
 def _ones_kernels(q: int, L: int, k: int):
@@ -250,11 +274,13 @@ def _ones_kernels(q: int, L: int, k: int):
     (B, L-k, L) `_templates` quotient matrices and the (B,) indices of the
     kernels in `iter_rref_bases(q, L, k)`: the offset of the pivot pattern
     plus the free digits read most significant first.  The first row's
-    digits lead, so the order of the indices is not W's order.
+    digits lead, so the order of the indices is not W's order.  A block
+    holds at most _CHUNK // L kernels, which keeps its int64 stacks to a few
+    MB at q = 2, L = 9.
     """
     fs = make_field(q)
     offset, size, pattern = 0, 0, None  # first index and count of `pattern`
-    for (w_basis, _), digits in _rref_blocks(q, L - 1, k - 1, _CHUNK):
+    for (w_basis, _), digits in _rref_blocks(q, L - 1, k - 1, _CHUNK // L):
         pivots = (0, *(1 + np.nonzero(w_basis == 1)[1]).tolist())
         if pivots != pattern:
             offset += size
@@ -274,19 +300,19 @@ def _ones_kernels(q: int, L: int, k: int):
         yield bases, _fill(quotient, fs.neg_table[free]), index
 
 
-def ones_kernel_table(tau: TypeDist, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pushforward entropies, image dimensions and enumeration indices of the
-    k-dim kernels that contain the all-ones vector (1 <= k < L).
+def _ones_images(q: int, L: int, k: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The `_quotient_images` blocks and the index blocks of the k-dim kernels
+    of `_ones_kernels(q, L, k)`, memoized per (q, L, k).
 
-    Row i is one kernel of `_ones_kernels`: its index t in
-    `iter_rref_bases(q, L, k)` (so `kernel_at(q, L, k, t)` decodes it) and the
-    numbers `kernel_entropy_table(tau, k)` holds in its row t, computed from
-    the same quotient matrix.  All pivot patterns go through `_push_quotients`
-    as one stream.
+    A table is kept, read-only, while all kept tables fit in _IMAGE_BYTES;
+    otherwise it streams: the image blocks come as a generator and the index
+    list fills as they are consumed, so it is never held whole.
     """
-    q, L = tau.q, tau.b
-    if not 1 <= k < L:
-        raise DomainError(f"kernel dimension {k} outside [1, {L})")
+    global _image_hits
+    key = (q, L, k)
+    if key in _images:
+        _image_hits += 1
+        return _images[key]
     indices = []
 
     def stacks():
@@ -294,7 +320,40 @@ def ones_kernel_table(tau: TypeDist, k: int) -> tuple[np.ndarray, np.ndarray, np
             indices.append(index)
             yield quotients
 
-    H, D = _push_quotients(tau, L - k, stacks())
+    blocks = _quotient_images(q, L, stacks())
+    cell = np.min_scalar_type(q ** (L - k) - 1).itemsize
+    held = sum(a.nbytes for table in _images.values() for part in table for a in part)
+    if held + gaussian_binomial(L - 1, k - 1, q) * (q**L * cell + 8) > _IMAGE_BYTES:
+        return blocks, indices
+    blocks = list(blocks)
+    for a in blocks + indices:
+        a.flags.writeable = False
+    _images[key] = blocks, indices
+    return blocks, indices
+
+
+def image_cache_hits() -> int:
+    """How many `ones_kernel_table` calls in this process read their images
+    from the cache."""
+    return _image_hits
+
+
+def ones_kernel_table(tau: TypeDist, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pushforward entropies, image dimensions and enumeration indices of the
+    k-dim kernels that contain the all-ones vector (1 <= k < L).
+
+    Row i is one kernel of `_ones_kernels`: its index t in
+    `iter_rref_bases(q, L, k)` (so `kernel_at(q, L, k, t)` decodes it) and the
+    numbers `kernel_entropy_table(tau, k)` holds in its row t, computed from
+    the same quotient matrix and the same blocks.  The quotient images do not
+    depend on tau, so `_ones_images` keeps them per (q, L, k), and a call on
+    a kept table costs one bincount and one entropy per block.
+    """
+    q, L = tau.q, tau.b
+    if not 1 <= k < L:
+        raise DomainError(f"kernel dimension {k} outside [1, {L})")
+    blocks, indices = _ones_images(q, L, k)
+    H, D = _push_images(tau, L - k, blocks)
     return H, D, np.concatenate(indices)
 
 

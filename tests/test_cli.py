@@ -6,6 +6,7 @@ import pytest
 
 from thresholds import engine as eng
 from thresholds import simulate as sim
+from thresholds import subspaces
 from thresholds.cli import build_parser, main
 from thresholds.engine import fmt12
 from thresholds.infomeasures import hq, hql
@@ -253,12 +254,17 @@ def test_verify_lemma33_fails_honestly(in_tmpdir, capsys):
     assert rep["details"][0]["min_slack"] == pytest.approx(-0.157914141450, abs=1e-9)
 
 
-def test_verify_lemma33_counts_the_kernels_swept(in_tmpdir):
+def test_verify_lemma33_counts_the_kernels_swept(in_tmpdir, monkeypatch):
     # q = 2, L = 4: the zero kernel and the k-dim kernels through the
     # all-ones vector, [3, k - 1]_2 of them for k = 1, 2, 3: 1 + 1 + 7 + 7 of
-    # the 66 proper kernels
-    main(["verify", "--check", "lemma33", "--q", "2", "--L", "4", "--report", "lem.json"])
-    assert read_manifest(in_tmpdir / "verify.manifest.json")["counters"] == {"kernels": 16}
+    # the 66 proper kernels; a second radius reads those three tables' images
+    # from the cache
+    monkeypatch.setattr(subspaces, "_images", {})
+    for rho, cached in (("0.1", 0), ("0.2", 3)):
+        main(["verify", "--check", "lemma33", "--q", "2", "--L", "4", "--rho", rho,
+              "--report", "lem.json"])
+        assert read_manifest(in_tmpdir / "verify.manifest.json")["counters"] == {
+            "kernels": 16, "cached_tables": cached}
     assert "_counters" not in json.loads((in_tmpdir / "lem.json").read_text())["params"]
 
 

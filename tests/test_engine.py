@@ -41,10 +41,12 @@ from thresholds.engine import (
     threshold_rc_binary_l4,
     threshold_rc_qary_l3,
 )
+from thresholds import subspaces
 from thresholds.infomeasures import hq, hql
 from thresholds.subspaces import (
     SubspaceRREF,
     gaussian_binomial,
+    image_cache_hits,
     iter_rref_bases,
     kernel_entropy_table,
     map_with_kernel,
@@ -903,6 +905,33 @@ def test_kernel_slack_report_matches_the_all_kernel_sweep(q, ell, L):
         assert rep["kernels"] == 1 + sum(gaussian_binomial(L - 1, k - 1, q)
                                          for k in range(1, L))
         assert ref["kernels"] == sum(gaussian_binomial(L, k, q) for k in range(L))
+
+
+SLACK_BENCH_CASES = [(2, L) for L in range(2, 8)] + [(3, L) for L in range(2, 6)]  # bench's lemma33
+
+
+def test_kernel_slack_reports_agree_cold_warm_and_streamed(monkeypatch):
+    # the quotient images kept per (q, L, k) across radii change no bit of a
+    # report, whether the tables are built, read back or streamed unkept
+    def reports():
+        before = image_cache_hits()
+        out = [kernel_slack_report(q, 1, rho, L, 0.1)
+               for rho in SLACK_RADII for q, L in SLACK_BENCH_CASES]
+        return out, image_cache_hits() - before
+
+    tables = sum(L - 1 for _, L in SLACK_BENCH_CASES)
+    monkeypatch.setattr(subspaces, "_images", {})
+    cold, cold_hits = reports()
+    warm, warm_hits = reports()
+    kept = [a for table in subspaces._images.values() for part in table for a in part]
+    assert len(subspaces._images) == tables
+    assert kept and not any(a.flags.writeable for a in kept)
+    monkeypatch.setattr(subspaces, "_images", {})
+    monkeypatch.setattr(subspaces, "_IMAGE_BYTES", 0)
+    streamed, streamed_hits = reports()
+    assert not subspaces._images
+    assert (cold_hits, warm_hits, streamed_hits) == (2 * tables, 3 * tables, 0)
+    assert cold == warm == streamed
 
 
 def test_kernel_slack_rejects_negative_delta():

@@ -61,6 +61,12 @@ def test_kernel_at_decodes_every_index(q, L):
             assert kernel_at(q, L, k, t) == SubspaceRREF(q=q, ambient=L, basis=basis)
 
 
+@pytest.mark.parametrize("q,L,k,t", [(2, 3, 1, 7), (2, 3, 5, 0), (2, 3, 1, -1), (2, 3, -1, 0)])
+def test_kernel_at_rejects_an_index_or_dimension_out_of_range(q, L, k, t):
+    with pytest.raises(DomainError):
+        kernel_at(q, L, k, t)
+
+
 def test_rref_validation():
     with pytest.raises(DomainError):
         SubspaceRREF(q=2, ambient=2, basis=((1, 1), (0, 1)))
