@@ -318,7 +318,8 @@ def cmd_simulate(args) -> int:
         print(f"work budget exceeded: {err}", file=sys.stderr)
         partial = getattr(err, "partial", None)
         if partial is not None:
-            args._counters = {"routes": partial.routes, "stamp_blocks": partial.stamp_blocks}
+            args._counters = {"routes": partial.routes, "stamp_blocks": partial.stamp_blocks,
+                              "stamps": partial.stamps}
         if partial is not None and partial.rates.size:
             with open(out, "w") as fh:
                 fh.write(partial.to_csv())
@@ -330,7 +331,8 @@ def cmd_simulate(args) -> int:
             args._outputs = []
         args._partial = True
         return EXIT_BUDGET
-    args._counters = {"routes": curve.routes, "stamp_blocks": curve.stamp_blocks}
+    args._counters = {"routes": curve.routes, "stamp_blocks": curve.stamp_blocks,
+                      "stamps": curve.stamps}
     with open(out, "w") as fh:
         fh.write(curve.to_csv())
     crossing = sim.half_crossing(curve.rates, curve.p_hat)

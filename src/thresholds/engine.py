@@ -33,11 +33,12 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedError
+from .errors import DomainError, SizeCapError, UnsupportedError
 from .fields import make_field
 from .infomeasures import entropy, hq, hq_multi, hql, joint_measures
 from .subspaces import (
     SubspaceRREF,
+    gaussian_binomial,
     kernel_at,
     ones_kernel_table,
     rref_of,
@@ -45,6 +46,9 @@ from .subspaces import (
 from .typespace import LRSpec, TypeDist, bad_type, coincidence_orbits
 
 STRICT_MARGIN = 1e-9
+# cells the kernel-slack sweep may push forward: q = 2, L = 9 pushes 213 M
+# and L = 10 about 8 G
+_PUSH_CAP = 2**28
 
 
 def fmt12(x: float) -> str:
@@ -769,11 +773,18 @@ def kernel_slack_report(q: int, ell: int, rho: float, L: int, delta: float) -> d
     `subspaces.ones_kernel_table` keeps them per (q, L, k) while all kept
     images fit in 32 MiB, and a further radius at the same (q, L) costs one
     bincount per block of them; a table over that bound streams unkept.  The
-    report is bit for bit the same either way.
+    report is bit for bit the same either way.  A sweep that would push more
+    than `_PUSH_CAP` cells, [L-1, k-1]_q kernels of q^L cells for each k,
+    raises SizeCapError before any kernel is built.
     """
     if not delta >= 0.0:
         raise DomainError("delta must be nonnegative")
     spec = LRSpec(q=q, ell=ell, L=L, rho=rho)
+    pushed = sum(gaussian_binomial(L - 1, k - 1, q) for k in range(1, L)) * q**L
+    if pushed > _PUSH_CAP:
+        raise SizeCapError(f"q = {q}, L = {L} would push {pushed:,} cells through the "
+                           f"kernels that contain the all-ones vector, past the cap of "
+                           f"{_PUSH_CAP:,}")
     jt = bad_type(spec)
     tau = TypeDist(q, L, jt.marginal("x"))
     h = hql(q, ell, rho)

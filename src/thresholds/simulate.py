@@ -9,15 +9,17 @@ exactly when no cell holds L codewords.  A random linear code C = ker H is
 list-decoded from H alone: its fullest ball holds as many codewords as the
 largest fiber of y -> Hy on the Hamming ball B(0, r), so a sweep trial costs
 the V = |B(0, r)| syndromes, whatever q^k and q^n are.  Sweeps decide the
-other trials by the profile; when the balls cover the cells more than L - 1
-times the pigeonhole bound decides without it, and when the cells do not fit
-a dynamic program over the L-subsets of codewords decides without
-enumerating them.  Profiled codes are decided in blocks: one stamping pass
-and one bincount give the profiles of every code of a block side by side.
-Each trial still draws from its own seeded stream, so a sweep's output is
-the same, byte for byte, as one profile per code gives; a block holds at
-most `_STAMP_CHUNK` cells and stamps, so batching adds under a megabyte to
-a sweep's peak RSS.  A random linear code's words are the image of GF(q)^k
+other trials from the codewords' list balls; when the balls cover the cells
+more than L - 1 times the pigeonhole bound decides, before a random code
+draws a word, and when the cells do not fit a dynamic program over the
+L-subsets of codewords decides without enumerating them.  The rest are
+decided in blocks of sorted ball stamps, each code's stamps offset into a
+slot of its own and stamped by growing prefixes of its words, so a code
+leaves the block as soon as a prefix puts L words in one cell.  Each trial
+still draws from its own seeded stream, so a sweep's output is the same,
+byte for byte, as one profile per code gives; a block holds at most
+`_STAMP_CHUNK` stamps, or one code's stamps when that code alone has more,
+or one dense profile.  A random linear code's words are the image of GF(q)^k
 under its generator, listed by `fields.matvec_all`, and a code is linear
 exactly when it has q^rank words.  Codewords are held as packed indices;
 `fields.digits_of` and `fields.pack_digits` turn them into digit rows and back.
@@ -51,10 +53,10 @@ from .subspaces import map_with_kernel, rref_of
 
 _SPAN_CAP = 2**24
 _CENTER_CAP = 2**22
-# ball cells, and profile cells, per stamping block: its stamps and its
-# counter stay at 512 KiB each, so batching codes adds under a megabyte of
-# peak RSS
-_STAMP_CHUNK = 2**16
+# ball cells per sorted stamping block, 128 KiB of stamps; a dense profile
+# bincounts max(_STAMP_CHUNK, its cells) of them at a time
+_STAMP_CHUNK = 2**14
+_PREFIX = 64  # codewords per code in a block's first sorted round
 _SPACE_CAP = 2**24
 _PACK_CAP = 2**63 - 1  # largest q^m whose syndromes pack into int64
 _SEED_BLOCK = 4096  # trial seeds hashed per `_pcg64_states` call
@@ -200,18 +202,27 @@ def sample_rc(q: int, n: int, R: float, rng: np.random.Generator) -> Code:
 
     Independent Bernoulli(p) inclusion of N = q^n vectors is a Binomial(N, p)
     count k followed by a uniform k-subset, so the code is drawn that way:
-    O(k log k) work rather than N uniforms, plus one shuffle of the N
-    indices when N > 10,000 and k > N // 20, where numpy leaves Floyd's
-    hash set for a shuffle of the tail.
+    `draw_rc_size`, then `draw_rc_words`.
     """
+    return draw_rc_words(q, n, draw_rc_size(q, n, R, rng), rng)
+
+
+def draw_rc_size(q: int, n: int, R: float, rng: np.random.Generator) -> int:
+    """The Binomial(q^n, q^{(R-1)n}) size of a random code: the first draw
+    of `sample_rc`, which a sweep makes alone when the size decides a trial."""
     if not 0.0 < R <= 1.0:
         raise DomainError(f"rate must lie in (0, 1], got {R}")
     N = q**n
     if N > _SPACE_CAP:
         raise SizeCapError(f"q^n = {N} exceeds the enumeration cap")
-    p = float(q) ** ((R - 1.0) * n)
-    k = int(rng.binomial(N, p))
-    words = np.sort(rng.choice(N, size=k, replace=False, shuffle=False))
+    return int(rng.binomial(N, float(q) ** ((R - 1.0) * n)))
+
+
+def draw_rc_words(q: int, n: int, k: int, rng: np.random.Generator) -> Code:
+    """A uniform k-subset of GF(q)^n, the second draw of `sample_rc`: O(k log
+    k) work, plus one shuffle of the q^n indices when q^n > 10,000 and k >
+    q^n // 20, where numpy leaves Floyd's hash set for a shuffle of the tail."""
+    words = np.sort(rng.choice(q**n, size=k, replace=False, shuffle=False))
     return Code(q=q, n=n, words=words, kind="plain")
 
 
@@ -272,7 +283,7 @@ def occupancy_profile(code: Code, r: int, ell: int = 1) -> np.ndarray:
     N = math.comb(q, ell) ** n
     if N > _CENTER_CAP:
         raise SizeCapError(f"cell space C(q, ell)^n = {N} exceeds the cap")
-    return _stamped_profiles(q, n, r, ell, [code.words])[0]
+    return _stamped_profiles(q, n, r, ell, code.words)
 
 
 def _ball_stamper(q: int, n: int, r: int, ell: int):
@@ -301,35 +312,57 @@ def _ball_stamper(q: int, n: int, r: int, ell: int):
     return balls, offsets.shape[1]
 
 
-def _stamped_profiles(q: int, n: int, r: int, ell: int,
-                      codes: list[np.ndarray]) -> np.ndarray:
-    """Occupancy profiles of T codes given by their words, shape (T, N).
+def _stamped_profiles(q: int, n: int, r: int, ell: int, words: np.ndarray) -> np.ndarray:
+    """Occupancy profile of the code with these words, length N = C(q, ell)^n.
 
     Every codeword's list ball is stamped by `_ball_stamper`, at a cost of
-    |C| * ball volume per code.  Code t's cells are shifted by t * N, so one
-    bincount of length T * N counts all T codes at once.  Codewords go in
-    chunks of at most max(_STAMP_CHUNK, T * N) ball cells.
+    |C| * ball volume, and counted by bincount into the N cells, in chunks of
+    at most max(_STAMP_CHUNK, N) ball cells.
     """
     balls, V = _ball_stamper(q, n, r, ell)
     N = math.comb(q, ell)**n
-    if len(codes) == 1:
-        words, slot = codes[0], None
-    else:
-        words = np.concatenate(codes)
-        slot = np.repeat(np.arange(0, len(codes) * N, N), [c.size for c in codes])
-    length = len(codes) * N
-
-    def stamps(start, stop):
-        cells = balls(words[start:stop])
-        if slot is not None:
-            cells += slot[start:stop, None]
-        return cells.ravel()
-
-    rows = max(1, max(_STAMP_CHUNK, length) // V)
-    P = np.bincount(stamps(0, rows), minlength=length)
+    rows = max(1, max(_STAMP_CHUNK, N) // V)
+    P = np.bincount(balls(words[:rows]).ravel(), minlength=N)
     for start in range(rows, words.size, rows):
-        P += np.bincount(stamps(start, start + rows), minlength=length)
-    return P.reshape(len(codes), N)
+        P += np.bincount(balls(words[start:start + rows]).ravel(), minlength=N)
+    return P
+
+
+def _block_overflows(q: int, n: int, r: int, ell: int, L: int,
+                     codes: list[Code]) -> tuple[np.ndarray, int]:
+    """Which of the codes have L codewords in one cell, and the ball cells
+    stamped to tell.
+
+    Code t's stamps are offset by t * N, N = C(q, ell)^n, and the block's
+    stamps sorted once: a cell holds L of code t's words exactly when
+    cells[i] == cells[i + L - 1] inside t's slot.  Counts only grow as words
+    are added, so each round stamps the first s words of the codes still
+    undecided, s = `_PREFIX` and then four times more, until a prefix puts
+    L words in a cell or covers its code.  A code under L words is not
+    stamped; one whose |C| * V stamps exceed its N cells takes its dense
+    `occupancy_profile`, as in `check_ld_centers`.  So the block holds at
+    most its codes' stamps, or one dense profile.
+    """
+    balls, V = _ball_stamper(q, n, r, ell)
+    N = math.comb(q, ell) ** n
+    sizes = np.asarray([c.size for c in codes], dtype=np.int64)
+    dense = sizes * V > N
+    full = np.zeros(len(codes), dtype=bool)
+    for t in np.flatnonzero(dense):
+        full[t] = occupancy_profile(codes[t], r, ell).max() >= L
+    stamped = int(sizes[dense].sum()) * V
+    live, s = np.flatnonzero(~dense & (sizes >= L)), _PREFIX
+    while live.size:
+        cells = balls(np.concatenate([codes[t].words[:s] for t in live]))
+        cells += np.repeat(live * N, np.minimum(sizes[live], s))[:, None]
+        cells = cells.ravel()
+        cells.sort()
+        stamped += cells.size
+        head = cells[:cells.size - L + 1]
+        full[head[head == cells[L - 1:]] // N] = True
+        live = live[~full[live] & (sizes[live] > s)]
+        s *= 4
+    return full, stamped
 
 
 @functools.lru_cache(maxsize=8)
@@ -479,9 +512,10 @@ def check_lr_dp(
     most (r+1)^L states survive.  Input lists have size exactly ell: any
     smaller list is dominated by a superset, so this loses no adversary power.
 
-    Sweeps decide from `occupancy_profile(code, r, ell)` and come here only
-    when its cells exceed the cap or its cells plus stamps the budget.
-    Sharing nothing with the profile, this is also its independent oracle.
+    Sweeps decide from the sorted ball stamps of `_block_overflows` and come
+    here only when the cells exceed the cap or the cells plus stamps the
+    budget.  Sharing nothing with the stamps or the profile, this is also
+    their independent oracle.
     """
     q, n = code.q, code.n
     if not 1 <= ell < q:
@@ -577,6 +611,7 @@ class SatisfactionCurve:
     trials: int
     routes: dict[str, int]
     stamp_blocks: int
+    stamps: int
 
     def to_csv(self) -> str:
         from .engine import fmt12
@@ -683,19 +718,21 @@ def _decide_rate(cfg: SweepConfig, ri: int, rate: float, work: dict) -> int:
     from its parity-check matrix H alone when the zero word's ball, n * V
     digits for V = |B(0, r)|, fits the work budget and q^m fits in int64:
     the fullest ball holds `largest_fiber(H, q, r)` codewords, so the trial
-    draws H and builds no code ("fiber").  Otherwise the code is sampled.
-    Its codewords' list balls cover the cells |C| * ball volume times, so
+    draws H and builds no code ("fiber").  Otherwise a random linear code
+    is sampled, and a random code draws its size alone (`draw_rc_size`).
+    The codewords' list balls cover the cells |C| * ball volume times, so
     past L - 1 times the number of cells some cell holds L of them and the
-    trial fails unprofiled ("pigeonhole").  Otherwise `check_lr_dp` decides
-    when the cells exceed the cap or cells plus stamps exceed the work
-    budget ("dp"), and the fullest cell of the profile decides the rest
-    ("stamp").  Every route is exact, so the route never changes a decision.
+    trial fails ("pigeonhole"), a random code without drawing a word.
+    Otherwise its words are drawn (`draw_rc_words`, as `sample_rc` does),
+    `check_lr_dp` decides when the cells exceed the cap or cells plus stamps
+    the work budget ("dp"), and `_block_overflows` the rest ("stamp").
+    Every route is exact, so the route never changes a decision.
 
-    Stamp-route codes wait in a queue that `_stamped_profiles` decides in
-    one pass, and the queue is flushed before a code that would take its
-    cells, (codes + 1) * C(q, ell)^n, or its stamps past `_STAMP_CHUNK`,
-    and at the end of the rate.  Each trial's route is counted into
-    `work["routes"]` and each flush into `work["stamp_blocks"]`.
+    Stamp-route codes queue until the next would take the queue's stamps
+    past `_STAMP_CHUNK`, so a block holds at most max(`_STAMP_CHUNK`, one
+    code's stamps) stamps, or one dense profile.  Routes are counted into
+    `work["routes"]`, blocks into `work["stamp_blocks"]` and their stamped
+    ball cells into `work["stamps"]`.
     """
     q, n, ell, L = cfg.q, cfg.n, cfg.ell, cfg.L
     r = radius_of(cfg.rho, n)
@@ -703,34 +740,37 @@ def _decide_rate(cfg: SweepConfig, ri: int, rate: float, work: dict) -> int:
     cells = math.comb(q, ell) ** n
     fiber = (cfg.family == "rlc" and ell == 1 and n * V <= cfg.work_budget
              and q ** parity_rows(n, rate) <= _PACK_CAP)
-    sample = sample_rlc if cfg.family == "rlc" else sample_rc
     ok = 0
-    queue: list[np.ndarray] = []
+    queue: list[Code] = []
     queued = 0
 
     def flush() -> int:
+        full, stamped = _block_overflows(q, n, r, ell, L, queue)
         work["stamp_blocks"] += 1
-        peaks = _stamped_profiles(q, n, r, ell, queue).max(axis=1)
-        return int(np.count_nonzero(peaks < L))
+        work["stamps"] += stamped
+        return len(queue) - int(np.count_nonzero(full))
 
     for rng in _trial_rngs(cfg.master_seed, ri, cfg.trials):
         if fiber:
             route, decided = "fiber", largest_fiber(draw_parity_check(q, n, rate, rng), q, r) < L
         else:
-            code = sample(q, n, rate, rng)
-            stamps = code.size * V
-            if stamps > (L - 1) * cells:
+            code = sample_rlc(q, n, rate, rng) if cfg.family == "rlc" else None
+            size = draw_rc_size(q, n, rate, rng) if code is None else code.size
+            stamps = size * V
+            pigeonhole = stamps > (L - 1) * cells
+            if code is None and not pigeonhole:
+                code = draw_rc_words(q, n, size, rng)
+            if pigeonhole:
                 route, decided = "pigeonhole", False
             elif cells > _CENTER_CAP or cells + stamps > cfg.work_budget:
                 route, decided = "dp", check_lr_dp(code, cfg.rho, ell, L,
                                                    cfg.work_budget).recoverable
             else:
                 route, decided = "stamp", False
-                if queue and ((len(queue) + 1) * cells > _STAMP_CHUNK
-                              or queued + stamps > _STAMP_CHUNK):
+                if queue and queued + stamps > _STAMP_CHUNK:
                     ok += flush()
                     queue, queued = [], 0
-                queue.append(code.words)
+                queue.append(code)
                 queued += stamps
         work["routes"][route] += 1
         ok += decided
@@ -752,7 +792,7 @@ def _partial_curve(cfg: SweepConfig, done: list[tuple[float, int]],
     return SatisfactionCurve(family=cfg.family, rates=rates, p_hat=phat,
                              ci_lo=np.asarray(los), ci_hi=np.asarray(his),
                              trials=cfg.trials, routes=dict(work["routes"]),
-                             stamp_blocks=work["stamp_blocks"])
+                             stamp_blocks=work["stamp_blocks"], stamps=work["stamps"])
 
 
 def satisfaction_curve(cfg: SweepConfig) -> SatisfactionCurve:
@@ -762,21 +802,21 @@ def satisfaction_curve(cfg: SweepConfig) -> SatisfactionCurve:
     index), so results do not depend on the order the trials run in.  The
     streams are computed per rate by `_trial_rngs`, and the stream of trial
     ti at rate ri equals `np.random.default_rng(trial_seed(master_seed, ri,
-    ti))`.  The
-    curve counts the trials each route of `_decide_rate` decided: "stamp",
-    "pigeonhole", "dp" or "fiber"; a random linear code's list-decoding
-    trials take "fiber" whenever the n * |B(0, r)| digits of the zero word's
-    ball fit the work budget and q^m fits in int64.  Stamp-route codes are
-    decided in blocks, one stamping pass and one bincount of T * C(q, ell)^n
-    cells for T codes, which spares the numpy call overhead of one profile
-    per code; as every trial keeps its own stream and its own decision, the
-    curve is the same, byte for byte, as one profile per code gives.
-    `stamp_blocks` counts the blocks.  On a blown work budget the curve of
-    the rates completed so far is attached to the raised error.
+    ti))`.  The curve counts the trials each route of `_decide_rate`
+    decided: "stamp", "pigeonhole", "dp" or "fiber"; a random linear code's
+    list-decoding trials take "fiber" whenever the n * |B(0, r)| digits of
+    the zero word's ball fit the work budget and q^m fits in int64.
+    Stamp-route codes are decided in blocks of at most `_STAMP_CHUNK`
+    stamps, one sort of their growing prefixes' ball stamps per round, which
+    spares the numpy call overhead of one profile per code; as every trial
+    keeps its own stream and its own decision, the curve is the same, byte
+    for byte, as one profile per code gives.  `stamp_blocks` counts the
+    blocks and `stamps` the ball cells they stamped.  On a blown work budget
+    the curve of the rates completed so far is attached to the raised error.
     """
     done: list[tuple[float, int]] = []
     work = {"routes": dict.fromkeys(("stamp", "pigeonhole", "dp", "fiber"), 0),
-            "stamp_blocks": 0}
+            "stamp_blocks": 0, "stamps": 0}
     try:
         for ri, rate in enumerate(cfg.rates):
             done.append((rate, _decide_rate(cfg, ri, rate, work)))

@@ -81,10 +81,12 @@ def test_oracle_resamples_through_trial_seed(family):
     assert np.array_equal(draw().words, draw().words)
 
 
-def test_sweep_counts_the_resampled_codes_under_L():
+def test_sweep_counts_the_resampled_codes_under_L(monkeypatch):
     # `oracles.lr_sweep` re-samples every trial's code through `trial_seed`
     # and counts those whose fullest cell holds fewer than L codewords; the
-    # sweep decides its stamp-route codes in blocks, several per rate here
+    # sweep decides its stamp-route codes in blocks, several per rate at a
+    # chunk of 512 stamps, about three of these codes
+    monkeypatch.setattr(simulate, "_STAMP_CHUNK", 2**9)
     cfg = simulate.SweepConfig(q=3, n=8, family="rc", rho=0.125, L=3, rates=[0.125, 0.25],
                                trials=40, master_seed=11, ell=1)
     curve = simulate.satisfaction_curve(cfg)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import numpy as np
 import pytest
@@ -268,6 +269,17 @@ def test_verify_lemma33_counts_the_kernels_swept(in_tmpdir, monkeypatch):
     assert "_counters" not in json.loads((in_tmpdir / "lem.json").read_text())["params"]
 
 
+def test_verify_lemma33_refuses_a_sweep_past_the_cell_cap(in_tmpdir, capsys):
+    # q = 2, L = 10 pushes sum_k [9, k - 1]_2 * 2^10 cells, about 40 times the
+    # 213 M of L = 9; the count is checked before any kernel is built
+    pushed = sum(subspaces.gaussian_binomial(9, k - 1, 2) for k in range(1, 10)) * 2**10
+    start = time.monotonic()
+    assert main(["verify", "--check", "lemma33", "--q", "2", "--L", "10"]) == 3
+    assert time.monotonic() - start < 1.0
+    err = capsys.readouterr().err
+    assert "domain error" in err and f"{pushed:,}" in err and f"{eng._PUSH_CAP:,}" in err
+
+
 def test_verify_negativity_flips_with_the_grid(in_tmpdir):
     assert main(["verify", "--check", "negativity",
                  "--rho-max", "0.27", "--report", "n1.json"]) == 0
@@ -320,8 +332,9 @@ def test_simulate_manifest_counts_routes_and_the_environment(in_tmpdir):
     assert main(["simulate", "--family", "rc", "--q", "3", "--n", "6", "--L", "3",
                  "--l", "2", "--rho", "0.2", "--rates", "0.2:0.4:0.2", "--trials", "3"]) == 0
     man = read_manifest(in_tmpdir / "simulate.manifest.json")
+    # the one stamp-route code, 4 words, stamps 4 balls of 256 cells each
     assert man["counters"] == {"routes": {"stamp": 1, "pigeonhole": 5, "dp": 0, "fiber": 0},
-                               "stamp_blocks": 1}
+                               "stamp_blocks": 1, "stamps": 1024}
     env = man["environment"]
     assert env["numpy"] == np.__version__ and env["python"].count(".") == 2
     assert env["cpu_count"] is None or env["cpu_count"] >= 1
@@ -356,7 +369,7 @@ def test_simulate_rlc_list_decoding_past_the_enumeration_caps(in_tmpdir):
                  "--L", "2", "--rates", "0.6:0.9:0.3", "--trials", "5"]) == 0
     man = read_manifest(in_tmpdir / "simulate.manifest.json")
     assert man["counters"] == {"routes": {"stamp": 0, "pigeonhole": 0, "dp": 0, "fiber": 10},
-                               "stamp_blocks": 0}
+                               "stamp_blocks": 0, "stamps": 0}
 
 
 def simulate_argv(family, q, n, rho, L, ell, rates, trials):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from thresholds import simulate
 from thresholds.errors import (
     DomainError,
     NoCandidateError,
@@ -20,12 +21,14 @@ from thresholds.fields import digits_of, make_field, pack_digits
 from thresholds.infomeasures import ball_volume, hq
 from thresholds.simulate import (
     _CENTER_CAP,
+    _PREFIX,
     Code,
     SweepConfig,
     _ball_slots,
+    _ball_stamper,
+    _block_overflows,
     _candidate_order,
     _pcg64_states,
-    _stamped_profiles,
     _trial_rngs,
     _zero_list_ball,
     check_ld_centers,
@@ -496,29 +499,171 @@ def test_stamp_blocks_add_up(monkeypatch):
 
 @pytest.mark.parametrize("q,n,ell", [(2, 6, 1), (3, 4, 1), (3, 4, 2), (4, 3, 1), (4, 3, 2)])
 def test_block_profiles_are_the_codes_profiles(q, n, ell, monkeypatch):
-    # one bincount over T codes, the empty code among them, gives each its
-    # own profile; at a chunk of 16 ball cells every nonempty code's stamps
-    # exceed the block and are stamped over several chunks
+    # one sorted pass over T codes, the empty code among them, tells each
+    # whether a cell holds L of its codewords, as its own profile does; at
+    # a chunk of 16 ball cells the codes past their cells are counted over
+    # several chunks
     rng = np.random.default_rng(q * 10 + ell)
     codes = [make_code(q, n, rng.choice(q**n, size=k, replace=False)) for k in (3, 0, 1, 7)]
     for r in range(n + 1):
-        want = [brute_occupancy(c, r, ell) for c in codes]
+        peaks = [int(brute_occupancy(c, r, ell).max()) for c in codes]
         for chunk in (16, 2**16):
             monkeypatch.setattr("thresholds.simulate._STAMP_CHUNK", chunk)
-            got = _stamped_profiles(q, n, r, ell, [c.words for c in codes])
-            assert got.shape == (len(codes), math.comb(q, ell) ** n)
-            assert all(np.array_equal(g, w) for g, w in zip(got, want)), (r, chunk)
+            for L in (1, 2, 3):
+                full, _ = _block_overflows(q, n, r, ell, L, codes)
+                assert full.tolist() == [p >= L for p in peaks], (r, chunk, L)
+
+
+# (q, ell) -> (n, r): at ell = 1 more than _PREFIX words pack below the top
+# of the space; at ell = 2 the balls are large, so a few words pass the cells
+DECIDER_SHAPES = {(2, 1): (12, 1), (3, 1): (9, 1), (4, 1): (7, 1), (3, 2): (5, 1),
+                  (4, 2): (4, 0)}
+
+
+def _late_overflow(q, n, r, ell, L, rng):
+    """A code that only its whole decides: _PREFIX + 4 words from the lower
+    half of the space with fewer than L in every cell, then the L largest
+    words within r of the top word q^n - 1, which share its cell.  None when
+    the packing falls short."""
+    balls, _ = _ball_stamper(q, n, r, ell)
+    P = np.zeros(math.comb(q, ell) ** n, dtype=np.int64)
+    low = []
+    for w in rng.permutation(q**n // 2):
+        cells = balls(np.asarray([w]))[0]
+        if P[cells].max() < L - 1:
+            P[cells] += 1
+            low.append(int(w))
+            if len(low) == _PREFIX + 4:
+                break
+    top = np.arange(q**n // 2, q**n)
+    near = top[(digits_of(top, q, n) != q - 1).sum(axis=1) <= r]
+    if len(low) < _PREFIX + 4 or near.size < L:
+        return None
+    return make_code(q, n, low + near[-L:].tolist())
+
+
+def test_block_overflows_decide_like_the_dense_profile(monkeypatch):
+    # against occupancy_profile(c, r, ell).max() >= L, one block of every
+    # code and each code alone, on codes that are empty, smaller than L,
+    # decided by their first _PREFIX words, decided only by the whole code,
+    # or past their cells (sent to the dense profile); a code alone stamps
+    # only the rounds it needs
+    seen = set()
+    for (q, ell), (n, r) in DECIDER_SHAPES.items():
+        V = ball_volume(q, n, r, ell)
+        N = math.comb(q, ell) ** n
+        for L in (1, 2, 3, 5):
+            rng = np.random.default_rng(100 * q + 10 * ell + L)
+            sizes = (0, L - 1, 8, max(1, N // V // 2), N // V, 2 * N // V + 1)
+            codes = [make_code(q, n, rng.choice(q**n, size=min(k, q**n), replace=False))
+                     for k in sizes]
+            codes.append(make_code(q, n, range(min(q**n, _PREFIX + 8))))
+            late = _late_overflow(q, n, r, ell, L, rng)
+            codes += [] if late is None else [late]
+            want = [int(occupancy_profile(c, r, ell).max()) >= L for c in codes]
+            for c, full in zip(codes, want):
+                if c.size < L or c.size * V > N:
+                    seen.add("empty" if c.size == 0 else "small" if c.size < L else "dense")
+                    continue
+                # prefixes of _PREFIX, 4 * _PREFIX, ... words until one overflows
+                # or covers the code: the stamps of the code's rounds
+                s, stamps = _PREFIX, 0
+                while True:
+                    stamps += min(s, c.size) * V
+                    prefix = Code(q=q, n=n, words=c.words[:s])
+                    if c.size <= s or int(occupancy_profile(prefix, r, ell).max()) >= L:
+                        break
+                    s *= 4
+                if c.size > _PREFIX and s == _PREFIX and full:
+                    seen.add("first")
+                elif c.size > _PREFIX and full and c.size <= s:
+                    seen.add("whole")
+                assert _block_overflows(q, n, r, ell, L, [c])[1] == stamps, (q, ell, L, c.size)
+            for chunk in (1, 16, 2**14):
+                monkeypatch.setattr("thresholds.simulate._STAMP_CHUNK", chunk)
+                full, _ = _block_overflows(q, n, r, ell, L, codes)
+                assert full.tolist() == want, (q, ell, L, chunk)
+                assert [bool(_block_overflows(q, n, r, ell, L, [c])[0][0])
+                        for c in codes] == want, (q, ell, L, chunk)
+    assert seen >= {"empty", "small", "first", "whole", "dense"}
+
+
+def test_sweep_blocks_hold_one_code_or_one_dense_profile_at_a_chunk_of_1(monkeypatch):
+    # q = 3, n = 5, ell = 2, r = 1: a ball has 112 of the 243 cells, so two
+    # words stamp 224 cells and are sorted while three pass the cells and
+    # take the dense profile, whose bincount chunks stay at the 243 cells
+    cfg = SweepConfig(q=3, n=5, family="rc", rho=0.2, L=3, rates=[0.2, 0.3], trials=30,
+                      master_seed=8, ell=2)
+    want = _profile_decisions(cfg)
+    V, cells = ball_volume(3, 5, 1, 2), 3**5
+    stamped = []
+    real = simulate._ball_stamper
+
+    def recording(*args):
+        balls, volume = real(*args)
+        return (lambda words: stamped.append(words.size * volume) or balls(words)), volume
+
+    monkeypatch.setattr("thresholds.simulate._ball_stamper", recording)
+    monkeypatch.setattr("thresholds.simulate._STAMP_CHUNK", 1)
+    curve = satisfaction_curve(cfg)
+    assert [round(p * cfg.trials) for p in curve.p_hat] == want
+    sizes = {c.size for ri, rate in enumerate(cfg.rates) for c in _oracle_codes(cfg, ri, rate)
+             if c.size * V <= 2 * cells}
+    assert {2, 3} <= sizes  # sorted and dense codes both ran
+    assert stamped and max(stamped) <= cells
+    assert set(stamped) <= {V, 2 * V, cells}  # one word, one code of two, one dense chunk
+
+
+def test_rc_pigeonhole_trials_draw_no_words(monkeypatch):
+    # a radius-3 ball has 93 of the 2^8 centers, so from 3 words on the
+    # bound decides a list-of-2 trial from the drawn size alone; the counts
+    # are the per-trial sample_rc oracle's
+    cfg = SweepConfig(q=2, n=8, family="rc", rho=0.4, L=2, rates=[0.2, 0.9], trials=4,
+                      master_seed=21)
+    want = _profile_decisions(cfg)
+    drawn = []
+    real = simulate.draw_rc_words
+    monkeypatch.setattr("thresholds.simulate.draw_rc_words",
+                        lambda q, n, k, rng: drawn.append(k) or real(q, n, k, rng))
+    curve = satisfaction_curve(cfg)
+    assert curve.routes == {"stamp": 1, "pigeonhole": 7, "dp": 0, "fiber": 0}
+    assert len(drawn) == 1 and drawn[0] * ball_volume(2, 8, 3) <= 2**8
+    assert [round(p * cfg.trials) for p in curve.p_hat] == want
+
+
+def _oracle_codes(cfg, ri, rate):
+    sample = sample_rlc if cfg.family == "rlc" else sample_rc
+    return [sample(cfg.q, cfg.n, rate, np.random.default_rng(trial_seed(cfg.master_seed, ri, ti)))
+            for ti in range(cfg.trials)]
 
 
 def _profile_decisions(cfg):
     """Per rate, the trials' codes whose fullest cell holds fewer than L
     codewords, one profile per code."""
     r = radius_of(cfg.rho, cfg.n)
-    sample = sample_rlc if cfg.family == "rlc" else sample_rc
-    return [sum(int(occupancy_profile(sample(cfg.q, cfg.n, rate, np.random.default_rng(
-                trial_seed(cfg.master_seed, ri, ti))), r, cfg.ell).max()) < cfg.L
-                for ti in range(cfg.trials))
+    return [sum(int(occupancy_profile(c, r, cfg.ell).max()) < cfg.L
+                for c in _oracle_codes(cfg, ri, rate))
             for ri, rate in enumerate(cfg.rates)]
+
+
+def _blocks_at_chunk(cfg, chunk):
+    """Stamping blocks of a sweep whose budget and cap leave no trial to the
+    dp: per rate, the stamp-route codes in trial order, a block closed
+    before a code whose stamps would take it past `chunk` stamps."""
+    r = radius_of(cfg.rho, cfg.n)
+    V = ball_volume(cfg.q, cfg.n, r, cfg.ell)
+    cells = math.comb(cfg.q, cfg.ell) ** cfg.n
+    blocks = 0
+    for ri, rate in enumerate(cfg.rates):
+        queued = None  # stamps of the open block, None before the rate's first
+        for code in _oracle_codes(cfg, ri, rate):
+            stamps = code.size * V
+            if stamps > (cfg.L - 1) * cells:
+                continue
+            if queued is None or queued + stamps > chunk:
+                blocks, queued = blocks + 1, 0
+            queued += stamps
+    return blocks
 
 
 # (q, n, ell, family, rho, rates): q = 4, ell = 1 stamps by XOR; rlc with
@@ -543,15 +688,15 @@ def test_block_decisions_match_one_profile_per_code(q, n, ell, family, rho, rate
     curve = satisfaction_curve(cfg)
     assert [round(p * cfg.trials) for p in curve.p_hat] == _profile_decisions(cfg)
     assert (curve.routes["stamp"] > 0 or L == 1) and curve.routes["fiber"] == 0
-    # a chunk of 1 stamps one code per block, 2^22 one block per rate, and a
-    # chunk of two codes' cells leaves queues that straddle a flush
+    # a chunk of 1 closes a block before every code with a stamp, 2^22 leaves
+    # one block per rate, and a chunk of two codes' cells leaves queues that
+    # straddle a flush
     cells = math.comb(q, ell) ** n
-    for chunk, blocks in ((1, curve.routes["stamp"]), (2 * cells, None), (2**22, None)):
+    for chunk in (1, 2 * cells, 2**22):
         monkeypatch.setattr("thresholds.simulate._STAMP_CHUNK", chunk)
         again = satisfaction_curve(cfg)
         assert again.to_csv() == curve.to_csv() and again.routes == curve.routes
-        if blocks is not None:
-            assert again.stamp_blocks == blocks
+        assert again.stamp_blocks == _blocks_at_chunk(cfg, chunk), chunk
     assert again.stamp_blocks <= len(rates)
 
 
@@ -778,7 +923,8 @@ def test_pigeonhole_bound_is_strict(monkeypatch):
     # trials (and list recovery) still go through the bound
     hamming = hamming_code()
     assert hamming.size * ball_volume(2, 7, 1) == 2**7
-    monkeypatch.setattr("thresholds.simulate.sample_rc", lambda q, n, R, rng: hamming)
+    monkeypatch.setattr("thresholds.simulate.draw_rc_size", lambda q, n, R, rng: hamming.size)
+    monkeypatch.setattr("thresholds.simulate.draw_rc_words", lambda q, n, k, rng: hamming)
     cfg = SweepConfig(q=2, n=7, family="rc", rho=0.15, L=2, rates=[0.5], trials=3,
                       master_seed=0)
     curve = satisfaction_curve(cfg)
