@@ -337,11 +337,11 @@ def _block_overflows(q: int, n: int, r: int, ell: int, L: int,
     stamps sorted once: a cell holds L of code t's words exactly when
     cells[i] == cells[i + L - 1] inside t's slot.  Counts only grow as words
     are added, so each round stamps the first s words of the codes still
-    undecided, s = `_PREFIX` and then four times more, until a prefix puts
-    L words in a cell or covers its code.  A code under L words is not
-    stamped; one whose |C| * V stamps exceed its N cells takes its dense
-    `occupancy_profile`, as in `check_ld_centers`.  So the block holds at
-    most its codes' stamps, or one dense profile.
+    undecided, s = max(`_PREFIX`, L) and then four times more, until a
+    prefix puts L words in a cell or covers its code.  A code under L words
+    is not stamped; one whose |C| * V stamps exceed its N cells takes its
+    dense `occupancy_profile`, as in `check_ld_centers`.  So the block holds
+    at most its codes' stamps, or one dense profile.
     """
     balls, V = _ball_stamper(q, n, r, ell)
     N = math.comb(q, ell) ** n
@@ -351,7 +351,8 @@ def _block_overflows(q: int, n: int, r: int, ell: int, L: int,
     for t in np.flatnonzero(dense):
         full[t] = occupancy_profile(codes[t], r, ell).max() >= L
     stamped = int(sizes[dense].sum()) * V
-    live, s = np.flatnonzero(~dense & (sizes >= L)), _PREFIX
+    # a live code has at least L words, so each round sorts at least L cells
+    live, s = np.flatnonzero(~dense & (sizes >= L)), max(_PREFIX, L)
     while live.size:
         cells = balls(np.concatenate([codes[t].words[:s] for t in live]))
         cells += np.repeat(live * N, np.minimum(sizes[live], s))[:, None]
@@ -754,23 +755,24 @@ def _decide_rate(cfg: SweepConfig, ri: int, rate: float, work: dict) -> int:
         if fiber:
             route, decided = "fiber", largest_fiber(draw_parity_check(q, n, rate, rng), q, r) < L
         else:
-            code = sample_rlc(q, n, rate, rng) if cfg.family == "rlc" else None
-            size = draw_rc_size(q, n, rate, rng) if code is None else code.size
+            if cfg.family == "rlc":
+                code = sample_rlc(q, n, rate, rng)
+                size, words = code.size, lambda: code
+            else:
+                size = draw_rc_size(q, n, rate, rng)
+                words = functools.partial(draw_rc_words, q, n, size, rng)
             stamps = size * V
-            pigeonhole = stamps > (L - 1) * cells
-            if code is None and not pigeonhole:
-                code = draw_rc_words(q, n, size, rng)
-            if pigeonhole:
+            if stamps > (L - 1) * cells:
                 route, decided = "pigeonhole", False
             elif cells > _CENTER_CAP or cells + stamps > cfg.work_budget:
-                route, decided = "dp", check_lr_dp(code, cfg.rho, ell, L,
+                route, decided = "dp", check_lr_dp(words(), cfg.rho, ell, L,
                                                    cfg.work_budget).recoverable
             else:
                 route, decided = "stamp", False
                 if queue and queued + stamps > _STAMP_CHUNK:
                     ok += flush()
                     queue, queued = [], 0
-                queue.append(code)
+                queue.append(words())
                 queued += stamps
         work["routes"][route] += 1
         ok += decided

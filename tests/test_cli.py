@@ -372,6 +372,16 @@ def test_simulate_rlc_list_decoding_past_the_enumeration_caps(in_tmpdir):
                                "stamp_blocks": 0, "stamps": 0}
 
 
+def test_simulate_list_size_past_the_first_prefix(in_tmpdir):
+    # at r = 0 a ball is one cell and the code has a few hundred words, more
+    # than L = 100, so the stamp route sorts prefixes of at least L words
+    assert main(["simulate", "--family", "rc", "--q", "2", "--n", "10", "--rho", "0.05",
+                 "--L", "100", "--rates", "0.8:0.8:0.1", "--trials", "1"]) == 0
+    assert (in_tmpdir / "simulate.csv").read_text().splitlines()[1].startswith("0.8,1,")
+    routes = read_manifest(in_tmpdir / "simulate.manifest.json")["counters"]["routes"]
+    assert routes == {"stamp": 1, "pigeonhole": 0, "dp": 0, "fiber": 0}
+
+
 def simulate_argv(family, q, n, rho, L, ell, rates, trials):
     argv = ["simulate", "--family", family, "--q", str(q), "--n", str(n), "--rho", str(rho),
             "--L", str(L), "--rates", rates, "--trials", str(trials), "--seed", "2026",

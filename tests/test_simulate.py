@@ -518,6 +518,10 @@ def test_block_profiles_are_the_codes_profiles(q, n, ell, monkeypatch):
 # of the space; at ell = 2 the balls are large, so a few words pass the cells
 DECIDER_SHAPES = {(2, 1): (12, 1), (3, 1): (9, 1), (4, 1): (7, 1), (3, 2): (5, 1),
                   (4, 2): (4, 0)}
+# L past _PREFIX: at r = 0 a ball is one cell, so the first round of a code
+# of L or more words would sort fewer than L cells if it stamped _PREFIX
+# words; at n = 14, r = 2 a ball of 106 cells takes L of the words near the top
+WIDE_SHAPES = {(2, 1): ((10, 0), (14, 2))}
 
 
 def _late_overflow(q, n, r, ell, L, rng):
@@ -549,10 +553,13 @@ def test_block_overflows_decide_like_the_dense_profile(monkeypatch):
     # or past their cells (sent to the dense profile); a code alone stamps
     # only the rounds it needs
     seen = set()
-    for (q, ell), (n, r) in DECIDER_SHAPES.items():
+    shapes = [(q, ell, n, r, (1, 2, 3, 5)) for (q, ell), (n, r) in DECIDER_SHAPES.items()]
+    shapes += [(q, ell, n, r, (65, 100)) for (q, ell), nrs in WIDE_SHAPES.items()
+               for n, r in nrs]
+    for q, ell, n, r, Ls in shapes:
         V = ball_volume(q, n, r, ell)
         N = math.comb(q, ell) ** n
-        for L in (1, 2, 3, 5):
+        for L in Ls:
             rng = np.random.default_rng(100 * q + 10 * ell + L)
             sizes = (0, L - 1, 8, max(1, N // V // 2), N // V, 2 * N // V + 1)
             codes = [make_code(q, n, rng.choice(q**n, size=min(k, q**n), replace=False))
@@ -565,19 +572,20 @@ def test_block_overflows_decide_like_the_dense_profile(monkeypatch):
                 if c.size < L or c.size * V > N:
                     seen.add("empty" if c.size == 0 else "small" if c.size < L else "dense")
                     continue
-                # prefixes of _PREFIX, 4 * _PREFIX, ... words until one overflows
-                # or covers the code: the stamps of the code's rounds
-                s, stamps = _PREFIX, 0
+                # prefixes of max(_PREFIX, L), four times more, ... words until
+                # one overflows or covers the code: the stamps of the code's rounds
+                first = s = max(_PREFIX, L)
+                stamps = 0
                 while True:
                     stamps += min(s, c.size) * V
                     prefix = Code(q=q, n=n, words=c.words[:s])
                     if c.size <= s or int(occupancy_profile(prefix, r, ell).max()) >= L:
                         break
                     s *= 4
-                if c.size > _PREFIX and s == _PREFIX and full:
+                if c.size > first and s == first and full:
                     seen.add("first")
-                elif c.size > _PREFIX and full and c.size <= s:
-                    seen.add("whole")
+                elif c.size > first and full and c.size <= s:
+                    seen.add("whole" if L <= _PREFIX else "whole past the prefix")
                 assert _block_overflows(q, n, r, ell, L, [c])[1] == stamps, (q, ell, L, c.size)
             for chunk in (1, 16, 2**14):
                 monkeypatch.setattr("thresholds.simulate._STAMP_CHUNK", chunk)
@@ -585,7 +593,7 @@ def test_block_overflows_decide_like_the_dense_profile(monkeypatch):
                 assert full.tolist() == want, (q, ell, L, chunk)
                 assert [bool(_block_overflows(q, n, r, ell, L, [c])[0][0])
                         for c in codes] == want, (q, ell, L, chunk)
-    assert seen >= {"empty", "small", "first", "whole", "dense"}
+    assert seen >= {"empty", "small", "first", "whole", "dense", "whole past the prefix"}
 
 
 def test_sweep_blocks_hold_one_code_or_one_dense_profile_at_a_chunk_of_1(monkeypatch):
