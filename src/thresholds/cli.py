@@ -472,6 +472,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _config_parser() -> argparse.ArgumentParser:
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config")
+    return pre
+
+
 def _expand_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
     """Insert config-file entries as flags ahead of explicit ones.
 
@@ -480,9 +487,7 @@ def _expand_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str
     store_true flag) is emitted bare for a true entry and left out for a
     false one.
     """
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config")
-    path = pre.parse_known_args(argv[1:])[0].config
+    path = _config_parser().parse_known_args(argv[1:])[0].config
     if path is None:
         return argv
     # argv[0] is the subcommand name

@@ -26,10 +26,10 @@ exactly when it has q^rank words.  Codewords are held as packed indices;
 
 The greedy constructor grows a binary linear code one basis vector at a time,
 accepting a vector only when the potential of the doubled code stays below the
-square of the previous potential.  It keeps the profile's support, the centres
-within r of a codeword, beside a dense lookup array, so scoring a candidate
-costs O(min(2^n, |C| V)) rather than O(2^n); at the theorem's dimension
-|C| V <= 2^((1 - 1/L' - delta) n).  Its candidates come in a random order
+square of the previous potential.  The profile of a linear code is constant on
+its cosets, a centre holding the ball vectors congruent to it, so the greedy
+keeps only the V coset labels of B(0, r) and scores a candidate in O(V)
+rather than O(2^n).  Its candidates come in a random order
 drawn lazily, one Fisher-Yates step per candidate scanned, so a run that
 accepts after a few candidates never materializes the 2^n - 1 vectors.
 """
@@ -867,8 +867,9 @@ def _candidate_order(rng: np.random.Generator, m: int) -> Iterator[int]:
 class GreedyResult:
     """A greedy run: the code, its accepted steps and its final profile.
 
-    `cells` is the support of the final occupancy profile (the centres whose
-    radius-r ball holds a codeword) and `counts` the profile there; `scanned`
+    The profile holds `fibers`, the sizes of the ball's label classes
+    `classes`, on the cosets classes + C and 0 elsewhere; `cells` (the
+    support) and `counts` list it centre by centre when read.  `scanned`
     counts the candidates whose potential was evaluated.
     """
 
@@ -881,12 +882,20 @@ class GreedyResult:
     final_max_count: int
     potential_bound: float
     scanned: int
-    cells: np.ndarray
-    counts: np.ndarray
+    classes: np.ndarray
+    fibers: np.ndarray
 
     @property
     def support(self) -> int:
-        return int(self.cells.size)
+        return self.code.size * int(self.classes.size)
+
+    @property
+    def cells(self) -> np.ndarray:
+        return (self.classes[:, None] ^ self.code.words).ravel()
+
+    @property
+    def counts(self) -> np.ndarray:
+        return np.repeat(self.fibers, self.code.size)
 
 
 def greedy_potential_code(
@@ -906,26 +915,27 @@ def greedy_potential_code(
     is a uniform random permutation of 1..2^n - 1 drawn by `_candidate_order`
     only as far as a scan reaches, and every step rescans it from its first
     candidate, so a run that scores a dozen candidates draws a dozen rather
-    than shuffling all 2^n - 1.  Such a v
-    always exists in exact arithmetic: S_new summed over all v is 2^n S^2 and
-    every v inside the span gives S_new >= S^2, so some v outside gives at
-    most S^2.  NoCandidateError, whose `history` holds the steps done, can
-    therefore only come from round-off or a restricted candidate order.
+    than shuffling all 2^n - 1.  Such a v always exists in exact arithmetic:
+    S_new summed over all v is 2^n S^2 and every v inside the span gives
+    S_new >= S^2, so some v outside gives at most S^2.  NoCandidateError,
+    whose `history` holds the steps done, can therefore only come from
+    round-off or a restricted candidate order.
 
-    The profile of C + {0, v} is P(z) + P(z + v).  P is nonzero only on
-    C + B(0, r), so it is held as a dense lookup array plus its support
-    `cells` and the values `counts` there.  A candidate then costs
-    O(min(2^n, |C| V)) with V the ball volume, not O(2^n): the new values
-    are counts + P[cells + v] on the support and counts on the translates
-    cells + v that miss it, and every other centre holds 0.  At the default
-    dimension |C| V <= 2^((1 - 1/L' - delta) n), a vanishing share of 2^n.
+    For a linear C, P(z) = #{y in B(0, r) : y = z mod C}: each coset that
+    meets the ball holds |C| centres of value its fiber size, the rest 0.  The
+    run keeps a reduced echelon basis of C, each row's top bit its pivot, and
+    each ball vector's label, the vector reduced against that basis.  A
+    candidate v reduces to u: u = 0 means v lies in the span, and otherwise
+    the labels mod C + {0, v} gain u wherever u's pivot bit is set, so a
+    candidate costs O(V) for the V ball vectors, whatever n and |C| are.
 
     The target dimension defaults to floor((1 - h2(rho) - 1/L' - delta) n),
     clamped up to 1 so that small-n demonstrations still run a step.  Since
     S_k >= 2^-n 2^((n/L') max P), the final list size always obeys
     max P <= L' (1 + log2(S_k) / n), the `potential_bound`; the squared chain
     implies the theorem's cap floor(L' h2(rho) + 1 + delta) only at the
-    default dimension, so only there is the cap asserted.
+    default dimension, so only there is the cap asserted.  Runs past 2^n =
+    `_CENTER_CAP` are refused, since `check_ld_centers` cannot check them.
     """
     if not 0.0 < rho < 0.5:
         raise DomainError("rho must lie in (0, 1/2)")
@@ -937,7 +947,7 @@ def greedy_potential_code(
         raise DomainError(f"need n >= 1, got {n}")
     N = 1 << n
     if N > _CENTER_CAP:
-        raise SizeCapError(f"2^n = {N} exceeds the cap on the profile lookup")
+        raise SizeCapError(f"2^n = {N} exceeds the cap of {_CENTER_CAP} centres")
     h = hq(2, rho)
     num = L - 1 - 2.0 * delta
     if not num > 0.0:
@@ -947,32 +957,25 @@ def greedy_potential_code(
     k = default_k if k is None else k
     if not 1 <= k <= n:
         raise DomainError(f"target dimension must lie in [1, {n}], got {k}")
-    r = radius_of(rho, n)
 
-    # B(0, r) is symmetric in the coordinates, so packing coordinate 0 as the
-    # top bit lists the ball in ascending order; its translates then stay in
-    # runs of nearby centres, which keeps the gathers from P local
-    offsets, _ = _zero_list_ball(2, n, r, 1)
-    cells = (2 ** np.arange(n - 1, -1, -1, dtype=np.int64) @ offsets).astype(np.int32)
-    counts = np.ones(cells.size, dtype=np.int32)
-    P = np.zeros(N, dtype=np.int32)
-    P[cells] = counts
+    offsets, _ = _zero_list_ball(2, n, radius_of(rho, n), 1)
+    labels = 2 ** np.arange(n - 1, -1, -1, dtype=np.int64) @ offsets
 
     with mpmath.workdps(50):
         alpha = mpmath.mpf(n) / mpmath.mpf(lprime)
 
-        def potential(values: np.ndarray) -> mpmath.mpf:
-            # the profile is `values` on the support and 0 on the other centres
-            hist = np.bincount(values)
-            hist[0] = N - values.size
+        def potential(fibers: np.ndarray, size: int) -> mpmath.mpf:
+            # |C| = size centres per class of each fiber size, 0 elsewhere
+            hist = size * np.bincount(fibers)
+            hist[0] = N - size * fibers.size
             acc = mpmath.mpf(0)
             for v in np.flatnonzero(hist):
                 acc += int(hist[v]) * mpmath.power(2, alpha * int(v))
             return acc / mpmath.power(2, n)
 
-        S = potential(counts)
+        S = potential(np.ones(labels.size, dtype=np.int64), 1)
         s_initial = float(S)
-        span = {0}
+        echelon: list[int] = []  # reduced: no row holds another's pivot bit
         basis: list[int] = []
         history: list[dict] = []
         scanned = 0
@@ -987,52 +990,43 @@ def greedy_potential_code(
 
         for step in range(1, k + 1):
             target = S * S
-            accepted = None
             for v in order():
-                if v in span:
+                u = v
+                for b in echelon:
+                    if u >> (b.bit_length() - 1) & 1:
+                        u ^= b
+                if not u:
                     continue
                 scanned += 1
-                moved = cells ^ v
-                there = P[moved]
-                fresh = there == 0
-                values = np.concatenate((counts + there, counts[fresh]))
-                Sn = potential(values)
+                p = u.bit_length() - 1
+                moved = np.where(labels >> p & 1, labels ^ u, labels)
+                classes, fibers = np.unique(moved, return_counts=True)
+                Sn = potential(fibers, 1 << step)
                 if Sn <= target:
-                    accepted = v
-                    history.append({
-                        "step": step,
-                        "vector": v,
-                        "s_before": float(S),
-                        "s_after": float(Sn),
-                        "s_before_squared": float(target),
-                        "ok": True,
-                    })
-                    cells = np.concatenate((cells, moved[fresh]))
-                    counts, S = values, Sn
-                    P[cells] = counts
-                    span |= {w ^ v for w in span}
+                    history.append(dict(step=step, vector=v, s_before=float(S),
+                                        s_after=float(Sn), s_before_squared=float(target),
+                                        ok=True))
+                    echelon = [b ^ u if b >> p & 1 else b for b in echelon] + [u]
                     basis.append(v)
+                    labels, S = moved, Sn
                     break
-            if accepted is None:
+            else:
                 raise NoCandidateError(
                     f"no extension at step {step} keeps the potential squared", history
                 )
 
         potential_bound = float(lprime * (1 + mpmath.log(S, 2) / n))
     cap = math.floor(lprime * h + 1.0 + delta)
-    final_max = int(counts.max())
+    final_max = int(fibers.max())
     if final_max > potential_bound * (1 + 1e-12):
-        raise AssertionError(
-            f"list size {final_max} exceeds the potential bound {potential_bound}"
-        )
+        raise AssertionError(f"list size {final_max} exceeds the potential bound "
+                             f"{potential_bound}")
     if k == default_k and final_max > cap:
-        raise AssertionError(
-            f"potential chain held but list size {final_max} exceeds cap {cap}"
-        )
-    gen = digits_of(np.asarray(basis, dtype=np.int64), 2, n) if basis else None
-    code = Code(q=2, n=n, words=np.asarray(sorted(span), dtype=np.int64),
-                kind="linear", generator=gen)
+        raise AssertionError(f"potential chain held but list size {final_max} exceeds cap {cap}")
+    gen = digits_of(np.asarray(basis, dtype=np.int64), 2, n)
+    code = Code(q=2, n=n, words=np.sort(matvec_all(gen.T, make_field(2))), kind="linear",
+                generator=gen)
     return GreedyResult(code=code, history=history, k=k, cap=cap, lprime=lprime,
                         s_initial=s_initial, final_max_count=final_max,
                         potential_bound=potential_bound, scanned=scanned,
-                        cells=cells, counts=counts)
+                        classes=classes, fibers=fibers)

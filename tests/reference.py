@@ -12,19 +12,29 @@ the classes `typespace.coincidence_orbits` generates from partitions;
 over every proper kernel, not only the zero kernel and those through the
 all-ones vector; `dual_30` evaluates `engine.max_entropy`'s dual one point
 at a time in 30-digit mpmath, and `rate_columns_30` forms the rate columns
-from it, where the library uses one double-double pass per grid.
+from it, where the library uses one double-double pass per grid;
+`dense_greedy` runs the potential greedy on a dense 2^n profile, where the
+library scores a candidate on the coset fibers of the ball.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 
-from thresholds.errors import LengthMismatchError, ShapeMismatchError
-from thresholds.fields import FieldSpec, make_field, row_reduce, vec_table
-from thresholds.infomeasures import hql
+from thresholds import simulate as sim
+from thresholds.errors import (
+    DomainError,
+    LengthMismatchError,
+    NoCandidateError,
+    ShapeMismatchError,
+    SizeCapError,
+)
+from thresholds.fields import FieldSpec, digits_of, make_field, row_reduce, vec_table
+from thresholds.infomeasures import hq, hql
 from thresholds.subspaces import kernel_at, kernel_entropy_table
 from thresholds.typespace import LRSpec, TypeDist, bad_type
 
@@ -142,3 +152,151 @@ def rate_columns_30(value: mpmath.mpf, L: int, low: float | None = None) -> dict
         if low is not None:
             out["dominance"] = float(value / 2 - low)
     return out
+
+
+@dataclass
+class DenseGreedy:
+    """The fields `dense_greedy` returns, the support held as cells and counts."""
+
+    code: sim.Code
+    history: list[dict]
+    k: int
+    cap: int
+    lprime: float
+    s_initial: float
+    final_max_count: int
+    potential_bound: float
+    scanned: int
+    cells: np.ndarray
+    counts: np.ndarray
+
+    @property
+    def support(self) -> int:
+        return int(self.cells.size)
+
+
+def dense_greedy(
+    n: int,
+    rho: float,
+    L: int,
+    delta: float,
+    rng: np.random.Generator,
+    k: int | None = None,
+) -> DenseGreedy:
+    """`simulate.greedy_potential_code` as it stood with a dense profile.
+
+    It holds the occupancy profile as a 2^n lookup `P` beside its support
+    `cells` and the values `counts` there, and scores a candidate v by
+    gathering P at cells + v.  Its candidates come from
+    `simulate._candidate_order`, looked up at call time, so a test that
+    replaces the order replaces it here too.
+    """
+    if not 0.0 < rho < 0.5:
+        raise DomainError("rho must lie in (0, 1/2)")
+    if L < 2:
+        raise DomainError("list size must be >= 2")
+    if not delta > 0.0:
+        raise DomainError("delta must be positive")
+    if n < 1:
+        raise DomainError(f"need n >= 1, got {n}")
+    N = 1 << n
+    if N > sim._CENTER_CAP:
+        raise SizeCapError(f"2^n = {N} exceeds the cap on the profile lookup")
+    h = hq(2, rho)
+    num = L - 1 - 2.0 * delta
+    if not num > 0.0:
+        raise DomainError("need L - 1 - 2 delta > 0")
+    lprime = num / h
+    default_k = max(1, math.floor((1.0 - h - 1.0 / lprime - delta) * n))
+    k = default_k if k is None else k
+    if not 1 <= k <= n:
+        raise DomainError(f"target dimension must lie in [1, {n}], got {k}")
+    r = sim.radius_of(rho, n)
+
+    # B(0, r) is symmetric in the coordinates, so packing coordinate 0 as the
+    # top bit lists the ball in ascending order; its translates then stay in
+    # runs of nearby centres, which keeps the gathers from P local
+    offsets, _ = sim._zero_list_ball(2, n, r, 1)
+    cells = (2 ** np.arange(n - 1, -1, -1, dtype=np.int64) @ offsets).astype(np.int32)
+    counts = np.ones(cells.size, dtype=np.int32)
+    P = np.zeros(N, dtype=np.int32)
+    P[cells] = counts
+
+    with mpmath.workdps(50):
+        alpha = mpmath.mpf(n) / mpmath.mpf(lprime)
+
+        def potential(values: np.ndarray) -> mpmath.mpf:
+            # the profile is `values` on the support and 0 on the other centres
+            hist = np.bincount(values)
+            hist[0] = N - values.size
+            acc = mpmath.mpf(0)
+            for v in np.flatnonzero(hist):
+                acc += int(hist[v]) * mpmath.power(2, alpha * int(v))
+            return acc / mpmath.power(2, n)
+
+        S = potential(counts)
+        s_initial = float(S)
+        span = {0}
+        basis: list[int] = []
+        history: list[dict] = []
+        scanned = 0
+        drawn: list[int] = []  # the order's prefix, rescanned at every step
+        draws = sim._candidate_order(rng, N - 1)
+
+        def order():
+            yield from drawn
+            for v in draws:
+                drawn.append(v)
+                yield v
+
+        for step in range(1, k + 1):
+            target = S * S
+            accepted = None
+            for v in order():
+                if v in span:
+                    continue
+                scanned += 1
+                moved = cells ^ v
+                there = P[moved]
+                fresh = there == 0
+                values = np.concatenate((counts + there, counts[fresh]))
+                Sn = potential(values)
+                if Sn <= target:
+                    accepted = v
+                    history.append({
+                        "step": step,
+                        "vector": v,
+                        "s_before": float(S),
+                        "s_after": float(Sn),
+                        "s_before_squared": float(target),
+                        "ok": True,
+                    })
+                    cells = np.concatenate((cells, moved[fresh]))
+                    counts, S = values, Sn
+                    P[cells] = counts
+                    span |= {w ^ v for w in span}
+                    basis.append(v)
+                    break
+            if accepted is None:
+                raise NoCandidateError(
+                    f"no extension at step {step} keeps the potential squared", history
+                )
+
+        potential_bound = float(lprime * (1 + mpmath.log(S, 2) / n))
+    cap = math.floor(lprime * h + 1.0 + delta)
+    final_max = int(counts.max())
+    if final_max > potential_bound * (1 + 1e-12):
+        raise AssertionError(
+            f"list size {final_max} exceeds the potential bound {potential_bound}"
+        )
+    if k == default_k and final_max > cap:
+        raise AssertionError(
+            f"potential chain held but list size {final_max} exceeds cap {cap}"
+        )
+    gen = digits_of(np.asarray(basis, dtype=np.int64), 2, n) if basis else None
+    code = sim.Code(q=2, n=n, words=np.asarray(sorted(span), dtype=np.int64),
+                    kind="linear", generator=gen)
+    return DenseGreedy(code=code, history=history, k=k, cap=cap, lprime=lprime,
+                       s_initial=s_initial, final_max_count=final_max,
+                       potential_bound=potential_bound, scanned=scanned,
+                       cells=cells, counts=counts)

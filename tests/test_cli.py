@@ -7,7 +7,7 @@ import pytest
 
 from thresholds import engine as eng
 from thresholds import simulate as sim
-from thresholds import subspaces
+from thresholds import cli, subspaces
 from thresholds.cli import build_parser, main
 from thresholds.engine import fmt12
 from thresholds.infomeasures import hq, hql
@@ -566,6 +566,17 @@ def test_construct_oversized_dimension_is_domain(capsys):
                  "--delta", "0.2", "--k", "9"]) == 3
 
 
+def test_construct_past_the_center_cap_is_domain(in_tmpdir, capsys):
+    # 2^23 centres exceed the cap of the final exhaustive check, so the greedy
+    # refuses the run before it writes a code or a trace
+    assert main(["construct", "--n", "23", "--rho", "0.05", "--L", "8",
+                 "--delta", "0.05"]) == 3
+    err = capsys.readouterr().err
+    assert "domain error" in err and f"2^n = {2**23} exceeds the cap" in err
+    assert not (in_tmpdir / "construct_code.txt").exists()
+    assert not (in_tmpdir / "construct_trace.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # config files
 # ---------------------------------------------------------------------------
@@ -608,6 +619,17 @@ def test_config_flag_needs_a_boolean(in_tmpdir, capsys):
         main(["entropy", "--config", str(cfg)])
     assert exc.value.code == 2
     assert "hq = maybe" in capsys.readouterr().err
+
+
+def test_an_abbreviated_config_flag_still_expands(in_tmpdir, capsys):
+    # argparse accepts --conf for --config; the cached pre-parser keeps that
+    cfg = in_tmpdir / "run.cfg"
+    cfg.write_text("q = 4\nrho = 0.2\n")
+    cli._config_parser.cache_clear()
+    for _ in range(2):
+        assert main(["entropy", "--hq", "--conf", str(cfg)]) == 0
+        assert "hq(q=4, rho=0.2)" in capsys.readouterr().out
+    assert cli._config_parser.cache_info().misses == 1
 
 
 def test_one_parser_serves_a_batch_of_calls(in_tmpdir, capsys):

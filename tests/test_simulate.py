@@ -47,6 +47,8 @@ from thresholds.simulate import (
     wilson_interval,
 )
 
+from reference import dense_greedy
+
 
 def make_code(q, n, indices):
     return Code(q=q, n=n, words=np.asarray(sorted(indices), dtype=np.int64))
@@ -1221,6 +1223,71 @@ def test_greedy_golden_run():
         assert s == s_after
 
 
+def assert_matches_dense(g, d):
+    """Every field of a fiber-scored run equals the dense oracle's; the
+    support is compared as a set of (cell, count) pairs."""
+    assert np.array_equal(g.code.words, d.code.words)
+    assert np.array_equal(g.code.generator, d.code.generator)
+    assert g.code.kind == d.code.kind == "linear"
+    assert g.history == d.history
+    for name in ("k", "cap", "lprime", "s_initial", "final_max_count",
+                 "potential_bound", "scanned", "support"):
+        assert getattr(g, name) == getattr(d, name), name
+    at, ref = np.argsort(g.cells), np.argsort(d.cells)
+    assert np.array_equal(g.cells[at], d.cells[ref])
+    assert np.array_equal(g.counts[at], d.counts[ref])
+
+
+def run_both(monkeypatch, shape, order=None):
+    """The fiber-scored run and the dense oracle on one shape and seed, each
+    with `order`, when given, in place of the candidate order; a run that
+    raises gives its error.  Where the theorem's dimension is clamped up to 1
+    the cap it asserts need not hold, and both runs raise AssertionError."""
+    if order is not None:
+        monkeypatch.setattr("thresholds.simulate._candidate_order", order)
+    n, rho, L, delta, seed, k = shape
+    out = []
+    for run in (greedy_potential_code, dense_greedy):
+        try:
+            out.append(run(n, rho, L, delta, np.random.default_rng(seed), k=k))
+        except (NoCandidateError, AssertionError) as err:
+            out.append(err)
+    return out
+
+
+def test_greedy_matches_the_dense_oracle_on_random_shapes(monkeypatch):
+    gen = np.random.default_rng(2028)
+    seen = {"r=0": 0, "k=n": 0, "full": 0}
+    for _ in range(100):
+        n = int(gen.integers(2, 14))
+        L = int(gen.integers(2, 9))
+        rho = float(gen.uniform(0.01, 0.49))
+        delta = float(gen.uniform(0.01, min(1.0, (L - 1) / 2 - 0.01)))
+        k = None if gen.random() < 0.3 else int(gen.integers(1, n + 1))
+        shape = (n, rho, L, delta, int(gen.integers(0, 2**31)), k)
+        g, d = run_both(monkeypatch, shape)
+        if isinstance(d, Exception):
+            assert type(g) is type(d) and str(g) == str(d), shape
+            assert getattr(g, "history", None) == getattr(d, "history", None), shape
+            continue
+        assert_matches_dense(g, d)
+        seen["r=0"] += radius_of(rho, n) == 0
+        seen["k=n"] += g.k == n
+        seen["full"] += g.support == 2**n
+    assert min(seen.values()) > 0, seen
+
+
+def test_greedy_failure_matches_the_dense_oracle(monkeypatch):
+    # with one candidate in the scan order, step 1 takes it and both runs
+    # raise at step 2 with the same steps done
+    shape = (10, 0.125, 4, 0.2, 1, 2)
+    first = greedy_potential_code(*shape[:4], np.random.default_rng(1), k=1).history
+    g, d = run_both(monkeypatch, shape, lambda rng, m: iter([first[0]["vector"]]))
+    assert isinstance(g, NoCandidateError) and isinstance(d, NoCandidateError)
+    assert str(g) == str(d) and "step 2" in str(g)
+    assert g.history == d.history == first
+
+
 def test_candidate_order_draws_each_vector_once():
     for n in (3, 4):
         m = 2**n - 1
@@ -1241,8 +1308,9 @@ def test_candidate_order_first_draw_is_uniform():
 
 
 def test_greedy_never_holds_a_full_candidate_order():
-    # a bench-sized run: its peak stays below the 2^n int64 entries that a
-    # materialized order of the 2^n - 1 candidates would take by itself
+    # a bench-sized run: its peak stays below 2^n bytes, an eighth of what a
+    # materialized order of the 2^n - 1 candidates would take and a quarter
+    # of a dense int32 profile of the 2^n centres
     n = 22
     tracemalloc.start()
     try:
@@ -1250,7 +1318,7 @@ def test_greedy_never_holds_a_full_candidate_order():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2**n * 8
+    assert peak < 2**n
 
 
 def test_greedy_failure_carries_the_steps_done(monkeypatch):
