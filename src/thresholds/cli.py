@@ -372,9 +372,10 @@ def cmd_construct(args) -> int:
     args._counters = {"scanned": res.scanned, "support": res.support}
     res.code.dump(out_code)
     _write_trace(res.history)
-    check = sim.check_ld_centers(res.code, args.rho, res.cap + 1)
+    # exact over all 2^n centres, from the code's V syndromes alone
+    ex_max = sim.largest_fiber(res.code.parity_check, 2, sim.radius_of(args.rho, args.n))
     print(f"constructed dim-{res.k} code, |C| = {res.code.size}, "
-          f"list-size cap {res.cap}, exhaustive max {check.max_count}, "
+          f"list-size cap {res.cap}, exhaustive max {ex_max}, "
           f"chain {'held' if all(h['ok'] for h in res.history) else 'broke'}; "
           f"potential bound {fmt12(res.potential_bound)}")
     args._outputs = [out_code, out_trace]

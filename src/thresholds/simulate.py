@@ -31,7 +31,10 @@ its cosets, a centre holding the ball vectors congruent to it, so the greedy
 keeps only the V coset labels of B(0, r) and scores a candidate in O(V)
 rather than O(2^n).  Its candidates come in a random order
 drawn lazily, one Fisher-Yates step per candidate scanned, so a run that
-accepts after a few candidates never materializes the 2^n - 1 vectors.
+accepts after a few candidates never materializes the 2^n - 1 vectors.  The
+code it returns carries its parity check, so its list size over all 2^n
+centres is the `largest_fiber` of its V syndromes.  `check_ld_centers`, which
+counts the dense profile, is the oracle of that and of the sweeps' deciders.
 """
 
 from __future__ import annotations
@@ -75,8 +78,11 @@ def radius_of(rho: float, n: int) -> int:
 class Code:
     """A subset of GF(q)^n held as sorted packed indices.
 
-    Linear codes carry the generator rows (a basis, as digit vectors) and,
-    when sampled from a parity-check matrix, the matrix itself.
+    Linear codes carry the generator rows (a basis, as digit vectors) and a
+    parity-check matrix H with C = ker H: the uniform draw of `sample_rlc`, or
+    for the greedy's codes the quotient map of `subspaces.map_with_kernel`
+    (0 rows when C is the whole space).  `largest_fiber` counts a code's
+    fullest ball from H alone.
     """
 
     q: int
@@ -274,8 +280,10 @@ def occupancy_profile(code: Code, r: int, ell: int = 1) -> np.ndarray:
     A cell T is a tuple of ell-subsets of GF(q), one per coordinate, packed in
     base C(q, ell) with subsets numbered as in `_zero_list_ball`; it counts
     the codewords c with c_i outside T_i at no more than r coordinates.  For
-    ell = 1 the cells are the q^n centers and the balls Hamming balls.  The
-    balls are stamped by `_stamped_profiles`.
+    ell = 1 the cells are the q^n centers and the balls Hamming balls.  Every
+    codeword's list ball is stamped by `_ball_stamper`, at a cost of |C| times
+    the ball volume V, and counted by bincount into the N cells, at most
+    max(_STAMP_CHUNK, N) ball cells at a time.
     """
     q, n = code.q, code.n
     if not 1 <= ell < q:
@@ -283,7 +291,13 @@ def occupancy_profile(code: Code, r: int, ell: int = 1) -> np.ndarray:
     N = math.comb(q, ell) ** n
     if N > _CENTER_CAP:
         raise SizeCapError(f"cell space C(q, ell)^n = {N} exceeds the cap")
-    return _stamped_profiles(q, n, r, ell, code.words)
+    balls, V = _ball_stamper(q, n, r, ell)
+    rows = max(1, max(_STAMP_CHUNK, N) // V)
+    words = code.words
+    P = np.bincount(balls(words[:rows]).ravel(), minlength=N)
+    for start in range(rows, words.size, rows):
+        P += np.bincount(balls(words[start:start + rows]).ravel(), minlength=N)
+    return P
 
 
 def _ball_stamper(q: int, n: int, r: int, ell: int):
@@ -310,22 +324,6 @@ def _ball_stamper(q: int, n: int, r: int, ell: int):
             out += scaled[i][dig[:, i:i + 1], offsets[i]]
         return out
     return balls, offsets.shape[1]
-
-
-def _stamped_profiles(q: int, n: int, r: int, ell: int, words: np.ndarray) -> np.ndarray:
-    """Occupancy profile of the code with these words, length N = C(q, ell)^n.
-
-    Every codeword's list ball is stamped by `_ball_stamper`, at a cost of
-    |C| * ball volume, and counted by bincount into the N cells, in chunks of
-    at most max(_STAMP_CHUNK, N) ball cells.
-    """
-    balls, V = _ball_stamper(q, n, r, ell)
-    N = math.comb(q, ell)**n
-    rows = max(1, max(_STAMP_CHUNK, N) // V)
-    P = np.bincount(balls(words[:rows]).ravel(), minlength=N)
-    for start in range(rows, words.size, rows):
-        P += np.bincount(balls(words[start:start + rows]).ravel(), minlength=N)
-    return P
 
 
 def _block_overflows(q: int, n: int, r: int, ell: int, L: int,
@@ -425,58 +423,24 @@ class LDReport:
     witness_list: list[int] | None = None
 
 
-def _longest_run(cells: np.ndarray) -> tuple[int, int | None]:
-    """Length and value of the first longest run of equal values in a sorted
-    array; (0, None) for an empty one.
-
-    A run of t equal values exists exactly when cells[i] == cells[i + t - 1]
-    for some i, a condition monotone in t, so the length is found by doubling
-    and bisection in O(log t) passes of one byte per cell; the first such i
-    starts the first longest run.
-    """
-    m = cells.size
-
-    def runs(t):  # where a run of t equal values starts
-        return cells[t - 1:] == cells[:m - t + 1]
-
-    if m == 0:
-        return 0, None
-    lo, hi = 1, 2  # runs of lo values exist
-    while hi <= m and runs(hi).any():
-        lo, hi = hi, 2 * hi
-    hi = min(hi, m + 1)  # and none of hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if runs(mid).any() else (lo, mid)
-    return lo, int(cells[int(np.argmax(runs(lo)))])
-
-
 def check_ld_centers(code: Code, rho: float, L: int) -> LDReport:
     """Exhaustively decide whether any center sees >= L codewords within radius.
 
     Decodable means every radius-floor(rho*n) ball holds at most L-1 codewords;
     on violation the fullest center and its codeword list are returned, the
-    smallest center when several are fullest.  The balls touch at most |C| V
-    centers, V = |B(0, r)|, so when |C| V <= q^n the stamps of
-    `_ball_stamper` are sorted and read: the longest run of equal stamps is
-    the largest count and its first run the smallest fullest center, at
-    O(|C| V log(|C| V)) time and |C| V words of memory.  Past q^n stamps the
-    dense profile of `occupancy_profile` decides instead, at q^n words, so
-    memory never exceeds the dense profile's; both routes give the same
-    report, and both raise SizeCapError when q^n exceeds `_CENTER_CAP`.
+    smallest center when several are fullest.  The counts are the dense
+    profile of `occupancy_profile`, at O(|C| V + q^n) time and q^n words of
+    memory, V = |B(0, r)|, so SizeCapError is raised when q^n exceeds
+    `_CENTER_CAP`.  It is the oracle of the sweeps' deciders and of
+    `largest_fiber`, which a code with a parity check takes instead.
     """
     if L < 1:
         raise DomainError("list size must be >= 1")
     q, n = code.q, code.n
     r = radius_of(rho, n)
-    if q**n > _CENTER_CAP or code.size * ball_volume(q, n, r) > q**n:
-        P = occupancy_profile(code, r)
-        mx = int(P.max())
-        z = int(P.argmax())
-    else:
-        cells = _ball_stamper(q, n, r, 1)[0](code.words).ravel()
-        cells.sort()
-        mx, z = _longest_run(cells)
+    P = occupancy_profile(code, r)
+    mx = int(P.max())
+    z = int(P.argmax())
     if mx < L:
         return LDReport(decodable=True, radius=r, max_count=mx)
     dz = digits_of(np.asarray([z]), q, n)[0]
@@ -929,13 +893,15 @@ def greedy_potential_code(
     the labels mod C + {0, v} gain u wherever u's pivot bit is set, so a
     candidate costs O(V) for the V ball vectors, whatever n and |C| are.
 
-    The target dimension defaults to floor((1 - h2(rho) - 1/L' - delta) n),
-    clamped up to 1 so that small-n demonstrations still run a step.  Since
-    S_k >= 2^-n 2^((n/L') max P), the final list size always obeys
-    max P <= L' (1 + log2(S_k) / n), the `potential_bound`; the squared chain
-    implies the theorem's cap floor(L' h2(rho) + 1 + delta) only at the
-    default dimension, so only there is the cap asserted.  Runs past 2^n =
-    `_CENTER_CAP` are refused, since `check_ld_centers` cannot check them.
+    The target dimension defaults to the theorem's floor((1 - h2(rho) - 1/L'
+    - delta) n), clamped up to 1 so that small-n demonstrations still run a
+    step.  Since S_k >= 2^-n 2^((n/L') max P), the final list size always
+    obeys max P <= L' (1 + log2(S_k) / n), the `potential_bound`; the squared
+    chain implies the theorem's cap floor(L' h2(rho) + 1 + delta) only at the
+    theorem's dimension, so only there is the cap asserted, never at the
+    clamp.  The code carries its parity check, so its list size can be read
+    from the V syndromes by `largest_fiber`.  Runs past 2^n = `_CENTER_CAP`
+    are refused.
     """
     if not 0.0 < rho < 0.5:
         raise DomainError("rho must lie in (0, 1/2)")
@@ -953,8 +919,8 @@ def greedy_potential_code(
     if not num > 0.0:
         raise DomainError("need L - 1 - 2 delta > 0")
     lprime = num / h
-    default_k = max(1, math.floor((1.0 - h - 1.0 / lprime - delta) * n))
-    k = default_k if k is None else k
+    theorem_k = math.floor((1.0 - h - 1.0 / lprime - delta) * n)
+    k = max(1, theorem_k) if k is None else k
     if not 1 <= k <= n:
         raise DomainError(f"target dimension must lie in [1, {n}], got {k}")
 
@@ -1021,11 +987,12 @@ def greedy_potential_code(
     if final_max > potential_bound * (1 + 1e-12):
         raise AssertionError(f"list size {final_max} exceeds the potential bound "
                              f"{potential_bound}")
-    if k == default_k and final_max > cap:
+    if k == theorem_k and final_max > cap:
         raise AssertionError(f"potential chain held but list size {final_max} exceeds cap {cap}")
     gen = digits_of(np.asarray(basis, dtype=np.int64), 2, n)
+    H = map_with_kernel(rref_of(gen, 2)) if k < n else np.zeros((0, n), dtype=np.int16)
     code = Code(q=2, n=n, words=np.sort(matvec_all(gen.T, make_field(2))), kind="linear",
-                generator=gen)
+                generator=gen, parity_check=H)
     return GreedyResult(code=code, history=history, k=k, cap=cap, lprime=lprime,
                         s_initial=s_initial, final_max_count=final_max,
                         potential_bound=potential_bound, scanned=scanned,

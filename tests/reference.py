@@ -207,8 +207,8 @@ def dense_greedy(
     if not num > 0.0:
         raise DomainError("need L - 1 - 2 delta > 0")
     lprime = num / h
-    default_k = max(1, math.floor((1.0 - h - 1.0 / lprime - delta) * n))
-    k = default_k if k is None else k
+    theorem_k = math.floor((1.0 - h - 1.0 / lprime - delta) * n)
+    k = max(1, theorem_k) if k is None else k
     if not 1 <= k <= n:
         raise DomainError(f"target dimension must lie in [1, {n}], got {k}")
     r = sim.radius_of(rho, n)
@@ -289,7 +289,7 @@ def dense_greedy(
         raise AssertionError(
             f"list size {final_max} exceeds the potential bound {potential_bound}"
         )
-    if k == default_k and final_max > cap:
+    if k == theorem_k and final_max > cap:
         raise AssertionError(
             f"potential chain held but list size {final_max} exceeds cap {cap}"
         )

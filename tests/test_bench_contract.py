@@ -2,9 +2,10 @@
 
 `perfbench/tracing.py` wraps functions by (module, name) and reads argument
 names and result fields in its hooks; `perfbench/oracles.py` re-derives sweep
-and construction results through `thresholds.simulate`.  A name either of them
-uses that disappears from `src/` breaks only the benchmark run, so these
-tests pin them.  `tracing.py` is loaded by path and only read.
+and construction results through `thresholds.simulate`; `perfbench/gate.py`
+parses the summary line `construct` prints.  A name or line any of them uses
+that disappears from `src/` breaks only the benchmark run, so these tests pin
+them.  `tracing.py` and `gate.py` are loaded by path and only read.
 """
 
 import dataclasses
@@ -17,12 +18,13 @@ import numpy as np
 import pytest
 
 from thresholds import engine, simulate
+from thresholds.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -33,7 +35,7 @@ def field_names(cls):
 
 
 def test_every_traced_target_resolves():
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     assert set(tracing.LAYERS) >= {m for m, _ in tracing.TARGETS}
     for module, name in tracing.TARGETS:
         assert callable(getattr(importlib.import_module(f"thresholds.{module}"), name)), (
@@ -97,3 +99,15 @@ def test_sweep_counts_the_resampled_codes_under_L(monkeypatch):
             simulate.trial_seed(cfg.master_seed, ri, ti))) for ti in range(cfg.trials)]
         want = sum(int(simulate.occupancy_profile(c, r, cfg.ell).max()) < cfg.L for c in codes)
         assert round(p * cfg.trials) == want, rate
+
+
+def test_construct_prints_the_line_the_gate_reads(tmp_path, monkeypatch, capsys):
+    gate = load_perfbench("gate")
+    monkeypatch.chdir(tmp_path)
+    assert main(["construct", "--n", "12", "--rho", "0.125", "--L", "4",
+                 "--delta", "0.2", "--seed", "3"]) == 0
+    out = capsys.readouterr().out
+    m = gate._CONSTRUCT_LINE.search(out)
+    assert m and m.start() == 0, out
+    dim, size, cap, ex_max, chain = m.groups()
+    assert int(size) == 2 ** int(dim) and int(ex_max) <= int(cap) and chain == "held"

@@ -535,6 +535,56 @@ def test_construct_beyond_the_theorem_dimension(in_tmpdir, capsys):
     assert counters == {"scanned": 15, "support": 1024}
 
 
+def test_construct_at_the_clamped_dimension(in_tmpdir, capsys):
+    # (1 - h - 1/L' - delta) n <= 0 here, so the dimension is only clamped up
+    # to 1: the theorem promises no cap, and the run reports a list size above
+    # it as at any other --k
+    rc = main(["construct", "--n", "12", "--rho", "0.4664921856103365", "--L", "2",
+               "--delta", "0.45762832001906373", "--seed", "151055360"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert out.startswith("constructed dim-1 code, |C| = 2, list-size cap 1, "
+                          "exhaustive max 2, chain held; potential bound ")
+
+
+def construct_shapes():
+    """(n, rho, L, delta, seed, k): seeded random shapes, with k = n (no
+    parity rows) and r = 0 among them, and the bench constructions."""
+    gen = np.random.default_rng(2029)
+    shapes = [(1, 0.3, 2, 0.2, 4, None), (6, 0.1, 3, 0.5, 9, 6), (9, 0.4, 5, 1.0, 2, 9)]
+    for _ in range(40):
+        n = int(gen.integers(1, 15))
+        L = int(gen.integers(2, 9))
+        rho = float(gen.uniform(0.01, 0.49))
+        delta = float(gen.uniform(0.01, min(1.0, (L - 1) / 2 - 0.01)))
+        k = None if gen.random() < 0.3 else int(gen.integers(1, n + 1))
+        shapes.append((n, rho, L, delta, int(gen.integers(0, 2**31)), k))
+    bench = [(20, 0.05, 8, 0.05), (21, 0.05, 6, 0.1), (22, 0.05, 8, 0.05),
+             (20, 0.1, 8, 0.1), (22, 0.1, 6, 0.1), (22, 0.05, 8, 0.05)]
+    return shapes + [(*shape, 101 + i, None) for i, shape in enumerate(bench)]
+
+
+def test_construct_exhaustive_max_is_the_dense_profile_max(in_tmpdir, capsys):
+    seen = {"r=0": 0, "k=n": 0}
+    for n, rho, L, delta, seed, k in construct_shapes():
+        argv = ["construct", "--n", str(n), "--rho", repr(rho), "--L", str(L),
+                "--delta", repr(delta), "--seed", str(seed)]
+        assert main(argv + ([] if k is None else ["--k", str(k)])) == 0, argv
+        ex_max = int(capsys.readouterr().out.split("exhaustive max ")[1].split(",")[0])
+        code = sim.Code.load("construct_code.txt", 2)
+        r = sim.radius_of(rho, n)
+        assert ex_max == int(sim.occupancy_profile(code, r).max()), argv
+        # the greedy's parity check has rank n - k and kills every word
+        g = sim.greedy_potential_code(n, rho, L, delta, np.random.default_rng(seed), k=k)
+        H = g.code.parity_check
+        assert np.array_equal(g.code.words, code.words)
+        assert H.shape == (n - g.k, n) and subspaces.rref_of(H, 2).dim == n - g.k
+        assert not (g.code.digits() @ H.T.astype(np.int64) % 2).any()
+        seen["r=0"] += r == 0
+        seen["k=n"] += g.k == n
+    assert min(seen.values()) > 0, seen
+
+
 def test_construct_failure_writes_the_steps_done(in_tmpdir, capsys, monkeypatch):
     # with one candidate in the scan order, step 1 takes it and step 2 finds
     # nothing outside the span
@@ -567,8 +617,8 @@ def test_construct_oversized_dimension_is_domain(capsys):
 
 
 def test_construct_past_the_center_cap_is_domain(in_tmpdir, capsys):
-    # 2^23 centres exceed the cap of the final exhaustive check, so the greedy
-    # refuses the run before it writes a code or a trace
+    # 2^23 centres exceed the greedy's cap, so it refuses the run before it
+    # writes a code or a trace
     assert main(["construct", "--n", "23", "--rho", "0.05", "--L", "8",
                  "--delta", "0.05"]) == 3
     err = capsys.readouterr().err
