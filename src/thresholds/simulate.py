@@ -25,11 +25,13 @@ exactly when it has q^rank words.  Codewords are held as packed indices;
 `fields.digits_of` and `fields.pack_digits` turn them into digit rows and back.
 
 The greedy constructor grows a binary linear code one basis vector at a time,
-accepting a vector only when the potential of the doubled code stays below the
-square of the previous potential.  The profile of a linear code is constant on
-its cosets, a centre holding the ball vectors congruent to it, so the greedy
-keeps only the V coset labels of B(0, r) and scores a candidate in O(V)
-rather than O(2^n).  Its candidates come in a random order
+accepting a vector only when the potential of the doubled code stays at most
+the square of the previous potential, summed in `engine`'s double-double
+arithmetic and settled from integer counts at an exact tie.  The profile of
+a linear code is constant on its cosets, a centre holding the ball vectors
+congruent to it, so the greedy keeps only the V coset labels of B(0, r) and
+scores a candidate in O(V) rather than O(2^n).  Its candidates come in a
+random order
 drawn lazily, one Fisher-Yates step per candidate scanned, so a run that
 accepts after a few candidates never materializes the 2^n - 1 vectors.  The
 code it returns carries its parity check, so its list size over all 2^n
@@ -46,9 +48,9 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
+from .engine import _LN2, _dd_add, _dd_div, _dd_exp, _dd_ldexp, _dd_log, _dd_mul, _weight
 from .errors import DomainError, NoCandidateError, SizeCapError, WorkBudgetExceededError
 from .fields import digits_of, make_field, matvec_all, pack_digits, row_reduce
 from .infomeasures import ball_volume, hq
@@ -63,6 +65,11 @@ _PREFIX = 64  # codewords per code in a block's first sorted round
 _SPACE_CAP = 2**24
 _PACK_CAP = 2**63 - 1  # largest q^m whose syndromes pack into int64
 _SEED_BLOCK = 4096  # trial seeds hashed per `_pcg64_states` call
+_LABEL_BITS = 62  # the greedy's coset labels are int64
+# the greedy's double-double potentials are good to far better than this
+# relative error while alpha top < 2^30; a comparison closer than it to S^2
+# is settled from the integer counts
+_DD_TOLERANCE = 2.0**-64
 DEFAULT_WORK_BUDGET = 2**29
 
 WILSON_Z = 1.96
@@ -879,11 +886,21 @@ def greedy_potential_code(
     is a uniform random permutation of 1..2^n - 1 drawn by `_candidate_order`
     only as far as a scan reaches, and every step rescans it from its first
     candidate, so a run that scores a dozen candidates draws a dozen rather
-    than shuffling all 2^n - 1.  Such a v always exists in exact arithmetic:
-    S_new summed over all v is 2^n S^2 and every v inside the span gives
-    S_new >= S^2, so some v outside gives at most S^2.  NoCandidateError,
-    whose `history` holds the steps done, can therefore only come from
-    round-off or a restricted candidate order.
+    than shuffling all 2^n - 1.  Such a v always exists: S_new summed over
+    all v is 2^n S^2 and every v inside the span gives S_new >= S^2, so some
+    v outside gives at most S^2.
+
+    S is held as 2^(alpha top - n) M, alpha = n/L' and top the largest
+    fiber, with M = sum_v hist[v] 2^(alpha (v - top)) in [1, 2^n] a
+    double-double over the centres hist[v] of each profile value v and each
+    2^(alpha d) cached.  A comparison within `_DD_TOLERANCE` of S^2 is
+    settled from the integer counts: P^2 - 2^n P_new, P the polynomial in
+    2^alpha whose coefficients are hist, is formed exactly and then summed,
+    so an exact tie (P^2 = 2^n P_new) accepts, and a near tie is not lost
+    to the cancellation of its terms of order 2^(2n).  So NoCandidateError,
+    whose `history` holds the steps done, comes only from a restricted
+    candidate order, barring round-off in that last sum.  Potentials past
+    the float range report inf.
 
     For a linear C, P(z) = #{y in B(0, r) : y = z mod C}: each coset that
     meets the ball holds |C| centres of value its fiber size, the rest 0.  The
@@ -896,12 +913,14 @@ def greedy_potential_code(
     The target dimension defaults to the theorem's floor((1 - h2(rho) - 1/L'
     - delta) n), clamped up to 1 so that small-n demonstrations still run a
     step.  Since S_k >= 2^-n 2^((n/L') max P), the final list size always
-    obeys max P <= L' (1 + log2(S_k) / n), the `potential_bound`; the squared
-    chain implies the theorem's cap floor(L' h2(rho) + 1 + delta) only at the
-    theorem's dimension, so only there is the cap asserted, never at the
-    clamp.  The code carries its parity check, so its list size can be read
-    from the V syndromes by `largest_fiber`.  Runs past 2^n = `_CENTER_CAP`
-    are refused.
+    obeys max P <= L' (1 + log2(S_k) / n) = top + L' log2(M) / n, the
+    `potential_bound`; the squared chain implies the theorem's cap
+    floor(L' h2(rho) + 1 + delta) only at the theorem's dimension, so only
+    there is the cap asserted, never at the clamp.  The code carries its
+    parity check, so its list size can be read from the V syndromes by
+    `largest_fiber`.  No 2^n array is held: a run is refused only when the
+    V ball labels or the 2^k codewords pass `_CENTER_CAP`, or n passes the
+    `_LABEL_BITS` of an int64 label.
     """
     if not 0.0 < rho < 0.5:
         raise DomainError("rho must lie in (0, 1/2)")
@@ -911,9 +930,8 @@ def greedy_potential_code(
         raise DomainError("delta must be positive")
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    N = 1 << n
-    if N > _CENTER_CAP:
-        raise SizeCapError(f"2^n = {N} exceeds the cap of {_CENTER_CAP} centres")
+    if n > _LABEL_BITS:
+        raise SizeCapError(f"n = {n} exceeds the {_LABEL_BITS} bits of a coset label")
     h = hq(2, rho)
     num = L - 1 - 2.0 * delta
     if not num > 0.0:
@@ -923,65 +941,124 @@ def greedy_potential_code(
     k = max(1, theorem_k) if k is None else k
     if not 1 <= k <= n:
         raise DomainError(f"target dimension must lie in [1, {n}], got {k}")
+    r = radius_of(rho, n)
+    V = ball_volume(2, n, r)
+    if V > _CENTER_CAP:
+        raise SizeCapError(f"|B(0, r)| = {V} exceeds the cap of {_CENTER_CAP} ball cells")
+    if 1 << k > _CENTER_CAP:
+        raise SizeCapError(f"2^k = {1 << k} exceeds the cap of {_CENTER_CAP} codewords")
+    N = 1 << n
 
-    offsets, _ = _zero_list_ball(2, n, radius_of(rho, n), 1)
+    offsets, _ = _zero_list_ball(2, n, r, 1)
     labels = 2 ** np.arange(n - 1, -1, -1, dtype=np.int64) @ offsets
+    alpha = _dd_div((float(n), 0.0), (lprime, 0.0))
 
-    with mpmath.workdps(50):
-        alpha = mpmath.mpf(n) / mpmath.mpf(lprime)
+    @functools.cache
+    def power(d: int) -> tuple[int, tuple[float, float]]:
+        # 2^(alpha d) = 2^e m: e an integer nearest alpha d, m = 2^(alpha d - e),
+        # both parts of the double-double rounded, since past 2^53 its low
+        # part may exceed 1
+        x = _dd_mul(alpha, (float(d), 0.0))
+        e = (round(x[0]), round(x[1]))
+        return sum(e), _dd_exp(_dd_mul(_dd_add(x, (-float(e[0]), -float(e[1]))), _LN2))
 
-        def potential(fibers: np.ndarray, size: int) -> mpmath.mpf:
-            # |C| = size centres per class of each fiber size, 0 elsewhere
-            hist = size * np.bincount(fibers)
-            hist[0] = N - size * fibers.size
-            acc = mpmath.mpf(0)
-            for v in np.flatnonzero(hist):
-                acc += int(hist[v]) * mpmath.power(2, alpha * int(v))
-            return acc / mpmath.power(2, n)
+    @functools.cache
+    def below(d: int) -> tuple[float, float]:
+        # 2^(-alpha d) for d >= 0, 0 below the float range
+        e, m = power(-d)
+        return _dd_ldexp(m, float(e))
 
-        S = potential(np.ones(labels.size, dtype=np.int64), 1)
-        s_initial = float(S)
-        echelon: list[int] = []  # reduced: no row holds another's pivot bit
-        basis: list[int] = []
-        history: list[dict] = []
-        scanned = 0
-        drawn: list[int] = []  # the order's prefix, rescanned at every step
-        draws = _candidate_order(rng, N - 1)
+    def potential(fibers: np.ndarray, size: int):
+        # S = 2^(alpha top - n) M, top the largest fiber; |C| = size centres
+        # per class of each fiber size, 0 elsewhere
+        hist = size * np.bincount(fibers)
+        hist[0] = N - size * fibers.size
+        top = hist.size - 1
+        M = (0.0, 0.0)
+        for v in np.flatnonzero(hist).tolist():
+            M = _dd_add(M, _dd_mul(_weight(int(hist[v])), below(top - v)))
+        return top, M, hist
 
-        def order():
-            yield from drawn
-            for v in draws:
-                drawn.append(v)
-                yield v
+    def excess(hist: np.ndarray, new: np.ndarray) -> float:
+        # P^2 - 2^n P_new at 2^alpha, scaled by 2^(-2 alpha top), summed from
+        # its exact integer coefficients, in which the terms of order 2^(2n)
+        # have cancelled: 0 at an exact tie; top_new <= 2 top
+        old = hist.astype(object)
+        coeffs = np.convolve(old, old)
+        coeffs[:new.size] -= new.astype(object) << n
+        acc = (0.0, 0.0)
+        for j, c in enumerate(coeffs.tolist()):
+            if c:
+                t = _dd_mul(_weight(abs(c)), below(coeffs.size - 1 - j))
+                acc = _dd_add(acc, t if c > 0 else (-t[0], -t[1]))
+        return acc[0]
 
-        for step in range(1, k + 1):
-            target = S * S
-            for v in order():
-                u = v
-                for b in echelon:
-                    if u >> (b.bit_length() - 1) & 1:
-                        u ^= b
-                if not u:
-                    continue
-                scanned += 1
-                p = u.bit_length() - 1
-                moved = np.where(labels >> p & 1, labels ^ u, labels)
-                classes, fibers = np.unique(moved, return_counts=True)
-                Sn = potential(fibers, 1 << step)
-                if Sn <= target:
-                    history.append(dict(step=step, vector=v, s_before=float(S),
-                                        s_after=float(Sn), s_before_squared=float(target),
-                                        ok=True))
-                    echelon = [b ^ u if b >> p & 1 else b for b in echelon] + [u]
-                    basis.append(v)
-                    labels, S = moved, Sn
-                    break
-            else:
-                raise NoCandidateError(
-                    f"no extension at step {step} keeps the potential squared", history
-                )
+    def value(top: int, M) -> float:
+        # the float nearest 2^(alpha top - n) M >= 1: rounded once, scaled exactly
+        e, m = power(top)
+        x = _dd_mul(m, M)
+        try:
+            return math.ldexp(x[0] + x[1], e - n)
+        except OverflowError:
+            return math.inf
 
-        potential_bound = float(lprime * (1 + mpmath.log(S, 2) / n))
+    top, M, hist = potential(np.ones(labels.size, dtype=np.int64), 1)
+    s_initial = value(top, M)
+    echelon: list[int] = []  # reduced: no row holds another's pivot bit
+    basis: list[int] = []
+    history: list[dict] = []
+    scanned = 0
+    drawn: list[int] = []  # the order's prefix, rescanned at every step
+    draws = _candidate_order(rng, N - 1)
+
+    def order():
+        yield from drawn
+        for v in draws:
+            drawn.append(v)
+            yield v
+
+    for step in range(1, k + 1):
+        # S_new <= S^2 reads M_new 2^(alpha (top_new - 2 top)) 2^n <= M^2,
+        # where top_new <= 2 top
+        square = _dd_mul(M, M)
+        s_before, s_squared = value(top, M), value(2 * top, _dd_ldexp(square, -float(n)))
+        for v in order():
+            u = v
+            for b in echelon:
+                if u >> (b.bit_length() - 1) & 1:
+                    u ^= b
+            if not u:
+                continue
+            scanned += 1
+            p = u.bit_length() - 1
+            moved = np.where(labels >> p & 1, labels ^ u, labels)
+            classes, fibers = np.unique(moved, return_counts=True)
+            top_new, M_new, hist_new = potential(fibers, 1 << step)
+            lhs = _dd_ldexp(_dd_mul(M_new, below(2 * top - top_new)), float(n))
+            gap = _dd_add(lhs, (-square[0], -square[1]))[0]
+            if abs(gap) <= _DD_TOLERANCE * square[0]:
+                gap = -excess(hist, hist_new)
+            if gap <= 0.0:
+                history.append(dict(step=step, vector=v, s_before=s_before,
+                                    s_after=value(top_new, M_new),
+                                    s_before_squared=s_squared, ok=True))
+                echelon = [b ^ u if b >> p & 1 else b for b in echelon] + [u]
+                basis.append(v)
+                labels, top, M, hist = moved, top_new, M_new, hist_new
+                break
+        else:
+            raise NoCandidateError(
+                f"no extension at step {step} keeps the potential squared", history
+            )
+
+    # max P <= top + L' log2(M) / n, log2 M taken from M = 2^e m, m in [1, 2),
+    # so that a uniform profile, M = 2^n, gives top + L' rounded once
+    e = math.frexp(M[0])[1]
+    m = _dd_ldexp(M, float(1 - e))
+    log2_M = _dd_add((float(e - 1), 0.0), _dd_div(_dd_log(m), _LN2))
+    bound = _dd_add((float(top), 0.0),
+                    _dd_mul((lprime, 0.0), _dd_div(log2_M, (float(n), 0.0))))
+    potential_bound = bound[0] + bound[1]
     cap = math.floor(lprime * h + 1.0 + delta)
     final_max = int(fibers.max())
     if final_max > potential_bound * (1 + 1e-12):

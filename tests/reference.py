@@ -175,6 +175,17 @@ class DenseGreedy:
         return int(self.cells.size)
 
 
+def is_tie(n: int, hist: list[int], new_hist: list[int]) -> bool:
+    """Whether 2^n P_new = P^2 coefficient by coefficient, P and P_new the
+    polynomials in 2^alpha whose coefficients count the centres at each
+    profile value: then S_new = S^2 exactly."""
+    square = [0] * (2 * len(hist) - 1)
+    for i, a in enumerate(hist):
+        for j, b in enumerate(hist):
+            square[i + j] += a * b
+    return [c << n for c in new_hist] == square
+
+
 def dense_greedy(
     n: int,
     rho: float,
@@ -189,7 +200,11 @@ def dense_greedy(
     `cells` and the values `counts` there, and scores a candidate v by
     gathering P at cells + v.  Its candidates come from
     `simulate._candidate_order`, looked up at call time, so a test that
-    replaces the order replaces it here too.
+    replaces the order replaces it here too.  The potential is summed in
+    50-digit mpmath; a candidate with S_new <= S^2 at that precision, or
+    with 2^n P_new = P^2 as integer polynomials in 2^alpha (an exact tie),
+    is accepted.  The bound is top + L' log2(M) / n, M = 2^(n - alpha top) S
+    summed at 50 digits, so that a uniform profile gives exactly top + L'.
     """
     if not 0.0 < rho < 0.5:
         raise DomainError("rho must lie in (0, 1/2)")
@@ -225,16 +240,25 @@ def dense_greedy(
     with mpmath.workdps(50):
         alpha = mpmath.mpf(n) / mpmath.mpf(lprime)
 
-        def potential(values: np.ndarray) -> mpmath.mpf:
+        def centres(values: np.ndarray) -> list[int]:
             # the profile is `values` on the support and 0 on the other centres
             hist = np.bincount(values)
             hist[0] = N - values.size
-            acc = mpmath.mpf(0)
-            for v in np.flatnonzero(hist):
-                acc += int(hist[v]) * mpmath.power(2, alpha * int(v))
-            return acc / mpmath.power(2, n)
+            return [int(c) for c in hist]
 
-        S = potential(counts)
+        def scaled_sum(hist: list[int], top: int) -> mpmath.mpf:
+            # sum_v hist[v] 2^(alpha (v - top))
+            acc = mpmath.mpf(0)
+            for v, c in enumerate(hist):
+                if c:
+                    acc += c * mpmath.power(2, alpha * (v - top))
+            return acc
+
+        def potential(hist: list[int]) -> mpmath.mpf:
+            return scaled_sum(hist, 0) / mpmath.power(2, n)
+
+        hist = centres(counts)
+        S = potential(hist)
         s_initial = float(S)
         span = {0}
         basis: list[int] = []
@@ -260,8 +284,9 @@ def dense_greedy(
                 there = P[moved]
                 fresh = there == 0
                 values = np.concatenate((counts + there, counts[fresh]))
-                Sn = potential(values)
-                if Sn <= target:
+                new_hist = centres(values)
+                Sn = potential(new_hist)
+                if Sn <= target or is_tie(n, hist, new_hist):
                     accepted = v
                     history.append({
                         "step": step,
@@ -272,7 +297,7 @@ def dense_greedy(
                         "ok": True,
                     })
                     cells = np.concatenate((cells, moved[fresh]))
-                    counts, S = values, Sn
+                    counts, S, hist = values, Sn, new_hist
                     P[cells] = counts
                     span |= {w ^ v for w in span}
                     basis.append(v)
@@ -282,7 +307,8 @@ def dense_greedy(
                     f"no extension at step {step} keeps the potential squared", history
                 )
 
-        potential_bound = float(lprime * (1 + mpmath.log(S, 2) / n))
+        top = len(hist) - 1
+        potential_bound = float(top + lprime * mpmath.log(scaled_sum(hist, top), 2) / n)
     cap = math.floor(lprime * h + 1.0 + delta)
     final_max = int(counts.max())
     if final_max > potential_bound * (1 + 1e-12):

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,8 @@ from thresholds import cli, subspaces
 from thresholds.cli import build_parser, main
 from thresholds.engine import fmt12
 from thresholds.infomeasures import hq, hql
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(autouse=True)
@@ -617,14 +623,48 @@ def test_construct_oversized_dimension_is_domain(capsys):
 
 
 def test_construct_past_the_center_cap_is_domain(in_tmpdir, capsys):
-    # 2^23 centres exceed the greedy's cap, so it refuses the run before it
-    # writes a code or a trace
-    assert main(["construct", "--n", "23", "--rho", "0.05", "--L", "8",
-                 "--delta", "0.05"]) == 3
+    # the cap bounds what a run holds, the ball's V labels and the 2^k
+    # codewords, not the 2^n centres: n = 23 constructs, and its exhaustive
+    # max, read from the parity check, is the greedy's own final list size
+    argv = ["construct", "--n", "23", "--rho", "0.05", "--L", "8", "--delta", "0.05"]
+    assert main(argv) == 0
+    ex_max = int(capsys.readouterr().out.split("exhaustive max ")[1].split(",")[0])
+    g = sim.greedy_potential_code(23, 0.05, 8, 0.05, np.random.default_rng(0))
+    assert ex_max == g.final_max_count
+    (in_tmpdir / "construct_code.txt").unlink()
+    (in_tmpdir / "construct_trace.csv").unlink()
+    # 2^23 codewords exceed it, so the run is refused before it writes a
+    # code or a trace
+    assert main(["construct", "--n", "30", "--rho", "0.05", "--L", "8",
+                 "--delta", "0.05", "--k", "23"]) == 3
     err = capsys.readouterr().err
-    assert "domain error" in err and f"2^n = {2**23} exceeds the cap" in err
+    assert "domain error" in err and f"2^k = {2**23} exceeds the cap" in err
     assert not (in_tmpdir / "construct_code.txt").exists()
     assert not (in_tmpdir / "construct_trace.csv").exists()
+
+
+def test_construct_refuses_labels_past_int64(capsys):
+    assert main(["construct", "--n", "63", "--rho", "0.01", "--L", "8",
+                 "--delta", "0.05", "--k", "1"]) == 3
+    assert "n = 63 exceeds" in capsys.readouterr().err
+
+
+def test_construct_accepts_an_exact_tie(in_tmpdir, capsys):
+    # at step 3 every candidate left gives S_new = S^2 exactly, and a tie
+    # accepts, so the run reaches k = 3
+    rc = main(["construct", "--n", "5", "--rho", "0.42494131999467394", "--L", "6",
+               "--delta", "0.6588183578319702", "--seed", "1295490800", "--k", "3"])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("constructed dim-3 code, |C| = 8, ")
+    assert len((in_tmpdir / "construct_trace.csv").read_text().splitlines()) == 4
+
+
+def test_importing_the_command_leaves_mpmath_out():
+    code = "import sys, thresholds.cli; print('mpmath' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from thresholds.simulate import (
     wilson_interval,
 )
 
-from reference import dense_greedy
+from reference import dense_greedy, is_tie
 
 
 def make_code(q, n, indices):
@@ -1152,6 +1152,75 @@ def test_greedy_past_the_theorem_dimension_keeps_the_potential_bound():
     s_k = g.history[-1]["s_after"]
     assert g.potential_bound == pytest.approx(g.lprime * (1 + math.log2(s_k) / 10), rel=1e-9)
     assert int(occupancy_profile(g.code, 1).max()) == g.final_max_count
+
+
+def test_greedy_past_the_float_range_reports_inf():
+    # from step 8 the potential passes the float range: the trace reports
+    # inf, never nan, and the bound still follows from the final profile
+    g = greedy_potential_code(16, 0.4, 2, 0.01, np.random.default_rng(1), k=16)
+    assert [rec["vector"] for rec in g.history] == [
+        62289, 31011, 2288, 33543, 49491, 9452, 53933, 62171,
+        16340, 20443, 56953, 27750, 54246, 17911, 16853, 5636]
+    assert g.scanned == 22 and g.final_max_count == 14893
+    assert g.potential_bound == 14894.009320150373
+    assert g.history[6]["s_after"] == 2.4205211316470955e+169
+    assert g.history[-1]["s_after"] == math.inf
+    # n / L' > 2^51: every potential is past the float range from the start;
+    # at k = n each centre holds the V = 9 ball words, so the bound is 9 + L'
+    g = greedy_potential_code(8, 0.2, 2, 0.4999999999999999, np.random.default_rng(2), k=8)
+    assert 8 / g.lprime > 2**51
+    assert [rec["vector"] for rec in g.history] == [214, 30, 79, 68, 108, 119, 209, 3]
+    assert g.scanned == 11 and g.final_max_count == 9
+    assert g.potential_bound == 9.0 and g.s_initial == math.inf
+    assert all(rec["s_after"] == math.inf for rec in g.history)
+    # there alpha top passes 2^64 as the ball grows, and 2^(alpha top) still
+    # reads as past the float range, never as 0 or an overflow
+    for n, rho, V in ((16, 0.25, 2517), (20, 0.2, 6196)):
+        g = greedy_potential_code(n, rho, 2, 0.4999999999999999, np.random.default_rng(0), k=n)
+        assert g.final_max_count == V and g.potential_bound == float(V)
+        assert all(rec["s_after"] == math.inf for rec in g.history)
+
+
+def test_greedy_settles_a_near_tie_from_the_integer_counts(monkeypatch):
+    # at n = 62 the ball is 2^-56 of the space, and a candidate that keeps
+    # its 63 cells apart leaves S_new short of S^2 by a relative 2^-111,
+    # past what the double-double resolves; P^2 - 2^n P_new, formed from the
+    # integer counts, settles each step.  The order is cut at 64 candidates,
+    # so a misjudged step raises instead of rescanning 2^62 of them
+    monkeypatch.setattr("thresholds.simulate._candidate_order",
+                        lambda rng, m: itertools.islice(_candidate_order(rng, m), 64))
+    g = greedy_potential_code(62, 0.02, 8, 0.05, np.random.default_rng(3), k=4)
+    assert g.scanned == 4 and g.final_max_count == 1
+    assert largest_fiber(g.code.parity_check, 2, 1) == 1
+
+
+def profile_hist(n, r, span):
+    """The number of centres at each value of the dense profile of a span."""
+    code = Code(q=2, n=n, words=np.sort(np.asarray(span, dtype=np.int64)))
+    return [int(c) for c in np.bincount(occupancy_profile(code, r))]
+
+
+@pytest.mark.parametrize("n, rho, L, delta, seed, k, vectors", [
+    # at step 3 each of the 27 candidates left ties
+    (5, 0.42494131999467394, 6, 0.6588183578319702, 1295490800, 3, None),
+    # the first candidate drawn, 6, ties
+    (3, 0.33435437930089734, 6, 0.7934779381397341, 1772215235, None, [6]),
+])
+def test_greedy_accepts_exact_ties(n, rho, L, delta, seed, k, vectors):
+    g = greedy_potential_code(n, rho, L, delta, np.random.default_rng(seed), k=k)
+    assert len(g.history) == g.k and g.code.size == 2**g.k
+    if vectors is not None:
+        assert [rec["vector"] for rec in g.history] == vectors and g.scanned == 1
+    r = radius_of(rho, n)
+    span = [0]
+    ties = 0
+    for rec in g.history:
+        hist = profile_hist(n, r, span)
+        span += [w ^ rec["vector"] for w in span]
+        if is_tie(n, hist, profile_hist(n, r, span)):
+            ties += 1
+            assert rec["s_after"] == rec["s_before_squared"]
+    assert ties == 1
 
 
 def dense_potential(code, r, lprime):
