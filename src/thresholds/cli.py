@@ -46,6 +46,7 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_BUDGET = 4
 EXIT_CONSTRUCT = 5
+_GRID_CAP = 1 << 20  # points in one rho or rate grid
 
 # bound families solved on the whole grid at once: (args, rhos) -> (rows,
 # solves), and the column of each row that is the family's value
@@ -115,10 +116,16 @@ def _decimal_grid(lo: float, hi: float, step: float) -> list[float]:
     """round((hi - lo) / step) + 1 points from lo (none for step <= 0), point
     i the float nearest the decimal lo + i*step, so that 0.1:0.8:0.05 holds
     0.5 and not the drifted 0.5000000000000001 of repeated float addition.
-    A bound that is not finite is a DomainError."""
+    A bound that is not finite is a DomainError; a grid of more than
+    `_GRID_CAP` points, or of a count past the float range, is refused with
+    SizeCapError before any point is built."""
     if not all(map(math.isfinite, (lo, hi, step))):
         raise DomainError(f"grid bounds must be finite, got {lo}:{hi}:{step}")
-    count = round((hi - lo) / step) + 1 if step > 0 else 0
+    span = (hi - lo) / step if step > 0 else -1.0
+    count = round(span) + 1 if math.isfinite(span) else math.inf
+    if count > _GRID_CAP:
+        raise SizeCapError(f"grid {lo}:{hi}:{step} would hold {float(count):.6g} points, "
+                           f"past the cap of {_GRID_CAP:,}")
     lo_d, step_d = Decimal(str(lo)), Decimal(str(step))
     return [float(lo_d + i * step_d) for i in range(count)]
 

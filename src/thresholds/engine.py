@@ -43,7 +43,7 @@ from .subspaces import (
     ones_kernel_table,
     rref_of,
 )
-from .typespace import LRSpec, TypeDist, bad_type, coincidence_orbits
+from .typespace import LRSpec, TypeDist, bad_type, shape_tally
 
 STRICT_MARGIN = 1e-9
 # cells the kernel-slack sweep may push forward: q = 2, L = 9 pushes 213 M
@@ -372,7 +372,8 @@ def each_rho(rhos, fn) -> list:
 def _class_problem(q: int, ell: int, L: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The gap enumerator of GF(q)^L: (weights, gaps) over its distinct gaps,
     ascending, the weight of gap g the sum of |A_w|/q over the free
-    coincidence classes A_w with that gap.
+    coincidence classes A_w with that gap, folded from `shape_tally(q, L)`
+    with the constant shape (L,) left out.
 
     A type uniform on each class has entropy 1 + H_q(x) + sum_w x_w log_q
     (|A_w|/q) in the class masses x, as the constant class holds q vectors;
@@ -383,9 +384,10 @@ def _class_problem(q: int, ell: int, L: int) -> tuple[tuple[int, ...], tuple[int
     gap's mass among its classes in proportion to their sizes.
     """
     tally: dict[int, int] = {}
-    for oc in coincidence_orbits(q, L)[1:]:
-        gap = L - sum(oc.shape[:ell])
-        tally[gap] = tally.get(gap, 0) + oc.size // q
+    for shape, size in shape_tally(q, L).items():
+        if shape != (L,):
+            gap = L - sum(shape[:ell])
+            tally[gap] = tally.get(gap, 0) + size // q
     gaps = tuple(sorted(tally))
     return tuple(tally[g] for g in gaps), gaps
 
@@ -671,13 +673,18 @@ def negativity_optimum_values(rho_grid) -> np.ndarray:
 
 
 def _listsize_logc(q: int, ell: int, rho: float, eps: float, delta: float) -> float:
-    """log_q C(q, ell), once eps, delta, q, ell and rho are validated."""
+    """log_q C(q, ell), once eps, delta, q, ell and rho are validated and the
+    list sizes it gives are finite."""
     if not 0.0 < eps < math.inf:
         raise DomainError("eps must be positive and finite")
     if not 0.0 <= delta < math.inf:
         raise DomainError("delta must be nonnegative and finite")
     LRSpec(q=q, ell=ell, L=1, rho=rho)  # validates q, ell, rho
-    return math.log(math.comb(q, ell)) / math.log(q)
+    logc = math.log(math.comb(q, ell)) / math.log(q)
+    # both ensembles' list sizes are at most logc / eps + 1
+    if logc / eps == math.inf:
+        raise DomainError(f"eps = {eps} gives a list size that is not finite")
+    return logc
 
 
 def lr_listsize_lower_rlc(q: int, ell: int, rho: float, eps: float, delta: float) -> int:
@@ -777,8 +784,8 @@ def kernel_slack_report(q: int, ell: int, rho: float, L: int, delta: float) -> d
     than `_PUSH_CAP` cells, [L-1, k-1]_q kernels of q^L cells for each k,
     raises SizeCapError before any kernel is built.
     """
-    if not delta >= 0.0:
-        raise DomainError("delta must be nonnegative")
+    if not 0.0 <= delta < math.inf:
+        raise DomainError("delta must be nonnegative and finite")
     spec = LRSpec(q=q, ell=ell, L=L, rho=rho)
     pushed = sum(gaussian_binomial(L - 1, k - 1, q) for k in range(1, L)) * q**L
     if pushed > _PUSH_CAP:

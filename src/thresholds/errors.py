@@ -1,12 +1,15 @@
 """Shared exception taxonomy.
 
 Every module raises these instead of bare ValueError/RuntimeError so the CLI
-can map failures onto its exit-code contract in one place.
+can map failures onto its exit-code contract in one place: DomainError and
+UnsupportedError (with their subclasses) exit 3, WorkBudgetExceededError 4 and
+NoCandidateError 5.
 """
 
 
 class DomainError(ValueError):
-    """A numeric argument is outside the mathematical domain of the operation."""
+    """An argument is outside the domain of the operation: a value out of
+    range, or a vector or matrix of the wrong length or shape."""
 
 
 class NotPrimePowerError(DomainError):
@@ -19,26 +22,6 @@ class UnsupportedError(ValueError):
 
 class SizeCapError(UnsupportedError):
     """An enumeration would exceed the hard size cap."""
-
-
-class LengthMismatchError(ValueError):
-    """A vector has the wrong number of coordinates."""
-
-
-class DigitOutOfRangeError(ValueError):
-    """A symbol code is outside [0, q)."""
-
-
-class ShapeMismatchError(ValueError):
-    """Matrix/vector shapes are incompatible."""
-
-
-class MissingAxisError(ValueError):
-    """A joint table lacks the axis needed by the requested measure."""
-
-
-class FullSpaceKernelError(ValueError):
-    """A quotient map was requested for the full ambient space (no quotient left)."""
 
 
 class WorkBudgetExceededError(RuntimeError):

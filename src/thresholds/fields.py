@@ -26,14 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DigitOutOfRangeError,
-    LengthMismatchError,
-    NotPrimePowerError,
-    ShapeMismatchError,
-    SizeCapError,
-    UnsupportedError,
-)
+from .errors import DomainError, NotPrimePowerError, SizeCapError, UnsupportedError
 
 MAX_ORDER = 256
 
@@ -124,7 +117,7 @@ class FieldSpec:
 
     def _check(self, a: int) -> None:
         if not 0 <= a < self.q:
-            raise DigitOutOfRangeError(f"element code {a} outside [0, {self.q})")
+            raise DomainError(f"element code {a} outside [0, {self.q})")
 
     def add(self, a: int, b: int) -> int:
         self._check(a)
@@ -176,9 +169,9 @@ def row_reduce(M, fs: FieldSpec) -> tuple[np.ndarray, tuple[int, ...]]:
     """
     A = np.array(M, dtype=np.int64)
     if A.ndim != 2:
-        raise ShapeMismatchError("matrix must be two-dimensional")
+        raise DomainError("matrix must be two-dimensional")
     if A.size and (A.min() < 0 or A.max() >= fs.q):
-        raise DigitOutOfRangeError(f"matrix entry outside [0, {fs.q})")
+        raise DomainError(f"matrix entry outside [0, {fs.q})")
     # int64 copies of the tables keep every lookup result an int64 index
     # array, which numpy indexes with faster than the stored int16
     add, mul, neg, inv = (tab.astype(np.int64) for tab in
@@ -207,17 +200,17 @@ def vec_encode(v, q: int, b: int | None = None) -> int:
     """Pack a length-b digit sequence into its little-endian radix-q index."""
     v = [int(d) for d in v]
     if b is not None and len(v) != b:
-        raise LengthMismatchError(f"expected {b} coordinates, got {len(v)}")
+        raise DomainError(f"expected {b} coordinates, got {len(v)}")
     for d in v:
         if not 0 <= d < q:
-            raise DigitOutOfRangeError(f"digit {d} outside [0, {q})")
+            raise DomainError(f"digit {d} outside [0, {q})")
     return sum(d * q**i for i, d in enumerate(v))
 
 
 def vec_decode(idx: int, q: int, b: int) -> tuple[int, ...]:
     """Inverse of vec_encode; raises if idx needs more than b digits."""
     if not 0 <= idx < q**b:
-        raise DigitOutOfRangeError(f"index {idx} outside [0, {q}^{b})")
+        raise DomainError(f"index {idx} outside [0, {q}^{b})")
     return tuple(idx // q**i % q for i in range(b))
 
 
@@ -259,9 +252,9 @@ def matvec_all(A, fs: FieldSpec) -> np.ndarray:
     """
     A = np.asarray(A, dtype=np.int64)
     if A.ndim < 2:
-        raise ShapeMismatchError("need a matrix or a stack of matrices")
+        raise DomainError("need a matrix or a stack of matrices")
     if A.size and (A.min() < 0 or A.max() >= fs.q):
-        raise DigitOutOfRangeError(f"matrix entry outside [0, {fs.q})")
+        raise DomainError(f"matrix entry outside [0, {fs.q})")
     q = fs.q
     *batch, rows, b = A.shape
     place = q ** np.arange(rows, dtype=np.int64)

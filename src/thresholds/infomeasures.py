@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, MissingAxisError
+from .errors import DomainError
 
 _MASS_TOL = 1e-12  # allowed negative round-off and drift of the total from 1
 
@@ -33,12 +33,12 @@ def entropy(masses, base: float):
 
 def _checked_masses(masses: np.ndarray) -> np.ndarray:
     """Masses with round-off negatives (down to -1e-12) clipped to zero; they
-    must sum to 1 within 1e-12."""
+    must sum to 1 within 1e-12, so a NaN mass is refused."""
     if np.any(masses < -_MASS_TOL):
         raise DomainError("negative probability mass")
     masses = np.clip(masses, 0.0, None)
     total = float(masses.sum())
-    if abs(total - 1.0) > _MASS_TOL:
+    if not abs(total - 1.0) <= _MASS_TOL:  # a NaN total fails too
         raise DomainError(f"masses sum to {total}, outside 1 +- {_MASS_TOL}")
     return masses
 
@@ -116,7 +116,7 @@ class JointTable:
     def marginal(self, *keep: str) -> np.ndarray:
         for a in keep:
             if a not in self.axes:
-                raise MissingAxisError(f"axis {a!r} not present in {self.axes}")
+                raise DomainError(f"axis {a!r} not present in {self.axes}")
         drop = tuple(i for i, a in enumerate(self.axes) if a not in keep)
         return self.masses.sum(axis=drop) if drop else self.masses
 

@@ -66,6 +66,7 @@ _SPACE_CAP = 2**24
 _PACK_CAP = 2**63 - 1  # largest q^m whose syndromes pack into int64
 _SEED_BLOCK = 4096  # trial seeds hashed per `_pcg64_states` call
 _LABEL_BITS = 62  # the greedy's coset labels are int64
+_DUMP_BLOCK = 2**16  # codewords per block of a written code file
 # the greedy's double-double potentials are good to far better than this
 # relative error while alpha top < 2^30; a comparison closer than it to S^2
 # is settled from the integer counts
@@ -129,17 +130,22 @@ class Code:
 
     def dump(self, path: str) -> None:
         """One codeword per line, digits run together for q <= 10 and
-        comma-separated above.  For q <= 10 the file is written as one block
-        of bytes: the digit array plus ord("0"), with a newline column."""
+        comma-separated above.  For q <= 10 the file is written in blocks of
+        `_DUMP_BLOCK` words, each a uint8 text array that the digit columns
+        are divided straight into, plus ord("0"), with a newline column."""
         if self.q > 10:
             with open(path, "w") as fh:
                 fh.write("".join(",".join(map(str, row)) + "\n"
                                  for row in self.digits().tolist()))
             return
-        text = np.full((self.size, self.n + 1), ord("\n"), dtype=np.uint8)
-        text[:, :-1] = self.digits() + ord("0")
         with open(path, "wb") as fh:
-            fh.write(text.tobytes())
+            for start in range(0, self.size, _DUMP_BLOCK):
+                cur = self.words[start:start + _DUMP_BLOCK]
+                text = np.full((cur.size, self.n + 1), ord("\n"), dtype=np.uint8)
+                for i in range(self.n):
+                    cur, text[:, i] = np.divmod(cur, self.q)
+                text[:, :-1] += ord("0")
+                fh.write(text)
 
     @classmethod
     def load(cls, path: str, q: int) -> "Code":

@@ -34,12 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DigitOutOfRangeError,
-    DomainError,
-    FullSpaceKernelError,
-    ShapeMismatchError,
-)
+from .errors import DomainError
 from .fields import digits_of, make_field, matvec_all, pack_digits, row_reduce, vec_table
 from .infomeasures import entropy
 from .typespace import TypeDist
@@ -77,9 +72,9 @@ class SubspaceRREF:
         piv_prev = -1
         for r, row in enumerate(self.basis):
             if len(row) != self.ambient:
-                raise ShapeMismatchError("basis row length differs from ambient dimension")
+                raise DomainError("basis row length differs from ambient dimension")
             if any(not 0 <= x < self.q for x in row):
-                raise DigitOutOfRangeError(f"basis entry outside [0, {self.q})")
+                raise DomainError(f"basis entry outside [0, {self.q})")
             piv = next((j for j, x in enumerate(row) if x), None)
             if piv is None:
                 raise DomainError("zero row in an RREF basis")
@@ -108,7 +103,7 @@ def rref_of(rows, q: int) -> SubspaceRREF:
     try:
         M = np.asarray(rows, dtype=np.int64)
     except ValueError as err:
-        raise ShapeMismatchError("ragged generator rows") from err
+        raise DomainError("ragged generator rows") from err
     if M.ndim != 2:
         raise DomainError("need a two-dimensional array of generator rows")
     R, _ = row_reduce(M, fs)
@@ -185,7 +180,7 @@ def map_with_kernel(s: SubspaceRREF) -> np.ndarray:
     """
     L = s.ambient
     if s.dim == L:
-        raise FullSpaceKernelError("the full space leaves no quotient to map onto")
+        raise DomainError("the full space leaves no quotient to map onto")
     basis, quotient = _templates(L, s.pivots)
     digits = np.asarray(s.basis, dtype=np.int64).reshape(s.dim, L)[basis > 1]
     return _fill(quotient, make_field(s.q).neg_table[digits][None])[0].astype(np.int16)

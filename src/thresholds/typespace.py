@@ -7,9 +7,9 @@ little-endian packing from `fields`, validated by the same rule as every
 boundary of the list-recovery constraints, as a JointTable with axis x the
 vector u in GF(q)^L and axis y the ell-subset S; the kernel sweep of
 `engine.kernel_slack_report` reads its u-marginal.  All masses are floats.
-`coincidence_orbits` lists the coincidence classes of GF(q)^L, the free
-variables of every threshold optimization in `engine`, by shape and size,
-generated from the integer partitions of L without visiting a vector.
+`shape_tally` counts the vectors of GF(q)^L per coincidence shape, the
+classes whose masses are the free variables of every threshold optimization
+in `engine`, from the integer partitions of L without visiting a vector.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, ShapeMismatchError, SizeCapError
+from .errors import DomainError, SizeCapError
 from .fields import make_field, matvec_all, vec_table
 from .infomeasures import JointTable, _checked_masses, entropy
 
@@ -42,7 +42,7 @@ class TypeDist:
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=np.float64)
         if self.probs.shape != (self.q**self.b,):
-            raise ShapeMismatchError(
+            raise DomainError(
                 f"expected {self.q ** self.b} masses for q={self.q}, b={self.b}, "
                 f"got shape {self.probs.shape}"
             )
@@ -81,7 +81,7 @@ def pushforward(tau: TypeDist, A) -> TypeDist:
     """Image distribution of tau under the linear map with matrix A (rows x b)."""
     A = np.asarray(A, dtype=np.int64)
     if A.ndim != 2 or A.shape[1] != tau.b:
-        raise ShapeMismatchError(f"matrix shape {A.shape} incompatible with b={tau.b}")
+        raise DomainError(f"matrix shape {A.shape} incompatible with b={tau.b}")
     rows = A.shape[0]
     images = matvec_all(A, make_field(tau.q))
     probs = np.bincount(images, weights=tau.probs, minlength=tau.q**rows)
@@ -127,18 +127,6 @@ def bad_type(spec: LRSpec) -> JointTable:
 # coincidence classes
 
 
-@dataclass(frozen=True)
-class OrbitClass:
-    """Vectors in GF(q)^L sharing a coincidence pattern (which coordinates agree).
-
-    `shape` is the multiset of value multiplicities, largest first; the class
-    of constant vectors has shape (L,).
-    """
-
-    shape: tuple[int, ...]
-    size: int
-
-
 def _partitions(n: int, parts: int, most: int):
     """Partitions of n into at most `parts` parts of at most `most` each,
     largest part first, in decreasing lexicographic order."""
@@ -151,22 +139,21 @@ def _partitions(n: int, parts: int, most: int):
                 yield (first, *rest)
 
 
-def coincidence_orbits(q: int, L: int) -> list[OrbitClass]:
-    """Partition of GF(q)^L by coincidence pattern shape.
+def shape_tally(q: int, L: int) -> dict[tuple[int, ...], int]:
+    """The number of vectors of GF(q)^L with each coincidence shape.
 
-    A shape is a partition lambda of L into k <= q parts.  Its vectors split
-    the coordinates into blocks of sizes lambda_1..lambda_k, L!/prod lambda_i!
-    ways, and give the blocks k distinct values, q!/(q-k)! ways; blocks of
-    equal size are interchangeable, so the product is divided by prod_j m_j!,
-    m_j the number of parts equal to j.  Ordered with the constant-vector
-    class first, then by number of parts, then by decreasing parts.
+    A shape is the multiset of a vector's symbol multiplicities, largest
+    first: a partition lambda of L into k <= q parts, (L,) for the constant
+    vectors.  Its vectors split the coordinates into blocks of sizes
+    lambda_1..lambda_k, L!/prod lambda_i! ways, and give the blocks k distinct
+    values, q!/(q-k)! ways; blocks of equal size are interchangeable, so the
+    product is divided by prod_j m_j!, m_j the number of parts equal to j.
     """
     make_field(q)
     if L < 1:
         raise DomainError(f"need L >= 1, got {L}")
-    out = []
-    for sh in sorted(_partitions(L, q, L), key=len):
+    tally = {}
+    for sh in _partitions(L, q, L):
         reorderings = math.prod(map(math.factorial, (*sh, *Counter(sh).values())))
-        size = math.factorial(L) * math.perm(q, len(sh)) // reorderings
-        out.append(OrbitClass(shape=sh, size=size))
-    return out
+        tally[sh] = math.factorial(L) * math.perm(q, len(sh)) // reorderings
+    return tally

@@ -6,8 +6,8 @@ polynomial, the product rule behind an extension field's tables;
 `matvec_apply` applies one matrix to one vector with the scalar field
 operations, the rule behind `fields.matvec_all`; `dim_of_type` ranks the
 support of a type, the image dimension of a kernel table row;
-`coincidence_walk` sorts every vector of GF(q)^L by its coincidence shape,
-the classes `typespace.coincidence_orbits` generates from partitions;
+`coincidence_walk` tallies every vector of GF(q)^L by its coincidence shape,
+the counts `typespace.shape_tally` forms from partitions;
 `all_kernel_slack_report` takes the minima of `engine.kernel_slack_report`
 over every proper kernel, not only the zero kernel and those through the
 all-ones vector; `dual_30` evaluates `engine.max_entropy`'s dual one point
@@ -26,13 +26,7 @@ import mpmath
 import numpy as np
 
 from thresholds import simulate as sim
-from thresholds.errors import (
-    DomainError,
-    LengthMismatchError,
-    NoCandidateError,
-    ShapeMismatchError,
-    SizeCapError,
-)
+from thresholds.errors import DomainError, NoCandidateError, SizeCapError
 from thresholds.fields import FieldSpec, digits_of, make_field, row_reduce, vec_table
 from thresholds.infomeasures import hq, hql
 from thresholds.subspaces import kernel_at, kernel_entropy_table
@@ -67,12 +61,12 @@ def matvec_apply(A, v, fs: FieldSpec) -> tuple[int, ...]:
     A = [list(row) for row in A]
     v = list(v)
     if not A:
-        raise ShapeMismatchError("matrix must have at least one row")
+        raise DomainError("matrix must have at least one row")
     cols = len(A[0])
     if any(len(row) != cols for row in A):
-        raise ShapeMismatchError("ragged matrix rows")
+        raise DomainError("ragged matrix rows")
     if len(v) != cols:
-        raise LengthMismatchError(f"matrix has {cols} columns, vector has {len(v)}")
+        raise DomainError(f"matrix has {cols} columns, vector has {len(v)}")
     out = []
     for row in A:
         acc = 0
@@ -89,10 +83,9 @@ def dim_of_type(tau: TypeDist) -> int:
 
 
 
-def coincidence_walk(q: int, L: int) -> list[tuple[tuple[int, ...], int]]:
-    """(shape, size) of each coincidence class of GF(q)^L, found by visiting
-    all q^L vectors; constant class first, then by number of parts, then by
-    decreasing parts."""
+def coincidence_walk(q: int, L: int) -> dict[tuple[int, ...], int]:
+    """The number of vectors of GF(q)^L with each coincidence shape, found by
+    visiting all q^L vectors."""
     sizes: dict[tuple[int, ...], int] = {}
     for digits in vec_table(q, L):
         counts: dict[int, int] = {}
@@ -100,9 +93,7 @@ def coincidence_walk(q: int, L: int) -> list[tuple[tuple[int, ...], int]]:
             counts[d] = counts.get(d, 0) + 1
         shape = tuple(sorted(counts.values(), reverse=True))
         sizes[shape] = sizes.get(shape, 0) + 1
-    order = sorted(sizes, key=lambda sh: (len(sh), tuple(-c for c in sh)))
-    return [(sh, sizes[sh]) for sh in order]
-
+    return sizes
 
 
 def all_kernel_slack_report(q: int, ell: int, rho: float, L: int, delta: float) -> dict:

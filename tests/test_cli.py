@@ -495,6 +495,44 @@ def test_bad_input_exits_with_its_code(argv, code, capsys):
     assert ("domain error" if code == 3 else "usage error") in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--family", "lr-listsize-rc", "--q", "3", "--eps", "1e-310"],
+    ["bounds", "--family", "lr-listsize-rlc", "--q", "3", "--eps", "1e-320"],
+    ["verify", "--check", "lemma33", "--q", "2", "--L", "2", "--rho", "0.1", "--delta", "inf"],
+    ["entropy", "--multi", "0.5,nan", "--q", "2"],
+    ["bounds", "--family", "ld4-binary-rlc", "--step", "5e-324"],
+    ["verify", "--check", "ordering", "--q", "2", "--step", "5e-324"],
+    ["simulate", "--family", "rc", "--n", "10", "--L", "2", "--rho", "0.1",
+     "--rates", "0.1:0.2:5e-324"],
+], ids=["listsize-rc-tiny-eps", "listsize-rlc-tiny-eps", "lemma33-inf-delta", "multi-nan-mass",
+        "bounds-subnormal-step", "ordering-subnormal-step", "rates-subnormal-step"])
+def test_input_past_the_float_range_is_a_domain_error(argv, capsys):
+    # a NaN mass, or arithmetic that leaves the float range, is refused up front
+    assert main(argv) == 3
+    assert "domain error" in capsys.readouterr().err
+
+
+def test_a_grid_past_the_point_cap_is_refused_before_it_is_built():
+    from thresholds.cli import _decimal_grid
+    from thresholds.errors import SizeCapError
+
+    # 2^20 + 1 points, one past the cap
+    with pytest.raises(SizeCapError, match=r"would hold 1\.04858e\+06 points"):
+        _decimal_grid(0.0, 1.0, 2.0**-20)
+
+
+def test_every_error_class_has_an_exit_code():
+    from thresholds import errors
+
+    # DomainError and UnsupportedError exit 3, WorkBudgetExceededError 4 and
+    # NoCandidateError 5
+    mapped = (errors.DomainError, errors.UnsupportedError,
+              errors.WorkBudgetExceededError, errors.NoCandidateError)
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, Exception)]
+    assert [c.__name__ for c in classes if not issubclass(c, mapped)] == []
+
+
 # ---------------------------------------------------------------------------
 # construct
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ from thresholds.subspaces import (
     map_with_kernel,
     rref_of,
 )
-from thresholds.typespace import LRSpec, TypeDist, bad_type, coincidence_orbits, pushforward
+from thresholds.typespace import LRSpec, TypeDist, bad_type, pushforward, shape_tally
 
 from reference import (
     all_kernel_slack_report,
@@ -597,10 +597,11 @@ def test_class_problem_hand_derived_coefficients():
                          + [(4, L) for L in range(1, 6)] + [(5, 4)])
 def test_class_problem_is_the_walks_gap_tally(q, L):
     # the weights summed per gap from a walk over all q^L vectors
-    walk = coincidence_walk(q, L)[1:]
+    walk = coincidence_walk(q, L)
+    del walk[(L,)]
     for ell in range(1, q):
         tally = {}
-        for shape, size in walk:
+        for shape, size in walk.items():
             gap = L - sum(shape[:ell])
             tally[gap] = tally.get(gap, 0) + size // q
         gaps = tuple(sorted(tally))
@@ -622,9 +623,10 @@ def test_class_problem_counts_every_vector(q, ell, L):
 def test_merged_problem_equals_the_per_class_problem(q, ell, L, grid):
     # one row per coincidence class, several of them sharing a gap, gives the
     # same optimum as the gap enumerator
-    free = coincidence_orbits(q, L)[1:]
-    weights = [oc.size // q for oc in free]
-    gaps = [L - sum(oc.shape[:ell]) for oc in free]
+    free = shape_tally(q, L)
+    del free[(L,)]
+    weights = [size // q for size in free.values()]
+    gaps = [L - sum(shape[:ell]) for shape in free]
     assert len(set(gaps)) < len(gaps)
     rhos = _decimal_grid(*grid)
     per_class = max_entropy(weights, gaps, L * np.asarray(rhos), q)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thresholds.errors import DigitOutOfRangeError, NotPrimePowerError, UnsupportedError
+from thresholds.errors import DomainError, NotPrimePowerError, UnsupportedError
 from thresholds.fields import (
     FieldSpec,
     make_field,
@@ -94,9 +94,9 @@ def test_field_axioms(q):
 
 def test_scalar_ops_are_range_checked():
     fs = make_field(9)
-    with pytest.raises(DigitOutOfRangeError):
+    with pytest.raises(DomainError, match=r"element code 9 outside \[0, 9\)"):
         fs.add(9, 0)
-    with pytest.raises(DigitOutOfRangeError):
+    with pytest.raises(DomainError, match=r"element code -1 outside \[0, 9\)"):
         fs.mul(0, -1)
 
 
@@ -183,7 +183,7 @@ def test_matvec_all_agrees_with_apply(data):
 
 @pytest.mark.parametrize("bad", [-1, 3])
 def test_matvec_all_rejects_entries_outside_the_field(bad):
-    with pytest.raises(DigitOutOfRangeError):
+    with pytest.raises(DomainError, match=r"matrix entry outside \[0, 3\)"):
         matvec_all([[bad, 1]], make_field(3))
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thresholds.errors import DomainError, MissingAxisError
+from thresholds.errors import DomainError
 from thresholds.infomeasures import (
     JointTable,
     ball_volume,
@@ -223,9 +223,17 @@ def test_independent_table_has_zero_mi():
     assert m["I_xy"] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_a_nan_mass_is_refused():
+    # NaN compares false both ways, so the total's check is written to fail on it
+    for build in (lambda: JointTable(np.array([[0.5, np.nan], [0.25, 0.25]])),
+                  lambda: hq_multi(2, [0.5, np.nan])):
+        with pytest.raises(DomainError, match="masses sum to nan"):
+            build()
+
+
 def test_marginal_axis_errors():
     jt = JointTable(random_joint((3, 3), seed=3))
-    with pytest.raises(MissingAxisError):
+    with pytest.raises(DomainError, match="axis 'z' not present"):
         jt.marginal("z")
 
 

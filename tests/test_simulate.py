@@ -139,6 +139,17 @@ def test_dump_load_roundtrip(tmp_path):
     assert p.read_bytes() == b""
 
 
+def test_dump_writes_codes_past_one_block(tmp_path):
+    # 2^16 + 3 words cross a block boundary; the lines are the words' digits
+    rng = np.random.default_rng(3)
+    for q, n in [(2, 20), (7, 7)]:
+        words = np.sort(rng.choice(q**n, size=2**16 + 3, replace=False))
+        p = tmp_path / f"q{q}.txt"
+        make_code(q, n, words).dump(str(p))
+        lines = ["".join(map(str, row)) for row in digits_of(words, q, n).tolist()]
+        assert p.read_text() == "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("q,text", [(2, "0101\n01x1\n"), (13, "1,0,0\n1,,0\n")])
 def test_load_names_the_line_of_a_non_digit_token(q, text, tmp_path):
     p = tmp_path / "code.txt"

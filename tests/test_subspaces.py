@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thresholds.errors import (
-    DigitOutOfRangeError,
-    DomainError,
-    FullSpaceKernelError,
-    ShapeMismatchError,
-)
+from thresholds.errors import DomainError
 from thresholds.fields import make_field, row_reduce
 from thresholds.subspaces import (
     SubspaceRREF,
@@ -74,7 +69,7 @@ def test_rref_validation():
         SubspaceRREF(q=2, ambient=3, basis=((0, 0, 0),))
     with pytest.raises(DomainError):
         SubspaceRREF(q=3, ambient=2, basis=((2, 0),))
-    with pytest.raises(DigitOutOfRangeError):
+    with pytest.raises(DomainError, match=r"basis entry outside \[0, 2\)"):
         SubspaceRREF(q=2, ambient=3, basis=((1, 5, 0),))
 
 
@@ -138,7 +133,7 @@ def test_quotient_map_annihilates_the_rows(q, data):
     s = rref_of(M, q)
     width = M.shape[1]
     if s.dim == width:
-        with pytest.raises(FullSpaceKernelError):
+        with pytest.raises(DomainError, match="the full space leaves no quotient"):
             map_with_kernel(s)
         return
     K = map_with_kernel(s)
@@ -160,9 +155,9 @@ def test_row_reduce_leaves_its_input_alone():
 def test_rref_of_rejects_malformed_rows():
     with pytest.raises(DomainError):
         rref_of([], 2)
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(DomainError, match="ragged generator rows"):
         rref_of([[1, 0], [1]], 2)
-    with pytest.raises(DigitOutOfRangeError):
+    with pytest.raises(DomainError, match=r"matrix entry outside \[0, 3\)"):
         rref_of([[1, 3]], 3)
     assert rref_of(np.zeros((0, 3), dtype=np.int64), 2).basis == ()
 
@@ -184,7 +179,7 @@ def test_quotient_of_zero_kernel_is_identity():
 
 def test_full_space_has_no_quotient():
     s = rref_of([[1, 0], [0, 1]], 2)
-    with pytest.raises(FullSpaceKernelError):
+    with pytest.raises(DomainError, match="the full space leaves no quotient"):
         map_with_kernel(s)
 
 

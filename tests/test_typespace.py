@@ -7,19 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thresholds.errors import (
-    DigitOutOfRangeError,
-    DomainError,
-    ShapeMismatchError,
-)
+from thresholds.errors import DomainError
 from thresholds.fields import make_field, vec_decode, vec_encode, vec_table
 from thresholds.infomeasures import JointTable, hql
 from thresholds.typespace import (
     LRSpec,
     TypeDist,
     bad_type,
-    coincidence_orbits,
     pushforward,
+    shape_tally,
 )
 
 from reference import coincidence_walk, dim_of_type
@@ -30,8 +26,13 @@ from reference import coincidence_walk, dim_of_type
 
 
 def test_typedist_shape_validation():
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(DomainError, match="expected 4 masses for q=2, b=2"):
         TypeDist(q=2, b=2, probs=np.ones(3) / 3)
+
+
+def test_typedist_refuses_a_nan_mass():
+    with pytest.raises(DomainError, match="masses sum to nan"):
+        TypeDist(q=2, b=1, probs=[0.5, np.nan])
 
 
 def test_typedist_entropy_is_base_q():
@@ -101,7 +102,7 @@ def test_pushforward_matches_brute_force_spot():
 def test_pushforward_rejects_entries_outside_the_field(bad):
     # a negative entry must not read the table row from the end (-1 as 2)
     tau = TypeDist(q=3, b=2, probs=np.full(9, 1 / 9))
-    with pytest.raises(DigitOutOfRangeError):
+    with pytest.raises(DomainError, match=r"matrix entry outside \[0, 3\)"):
         pushforward(tau, [[bad, 1]])
 
 
@@ -208,40 +209,33 @@ def test_membership_exact_at_the_budget_boundary():
 
 
 # ---------------------------------------------------------------------------
-# coincidence orbits
+# coincidence orbits, tallied by shape
 # ---------------------------------------------------------------------------
 
 
 def test_orbit_shapes_binary_four():
-    orbits = coincidence_orbits(2, 4)
-    assert [o.shape for o in orbits] == [(4,), (3, 1), (2, 2)]
-    assert [o.size for o in orbits] == [2, 8, 6]
-    assert sum(o.size for o in orbits) == 16
+    assert shape_tally(2, 4) == {(4,): 2, (3, 1): 8, (2, 2): 6}
 
 
 def test_orbit_shapes_ternary_three():
-    orbits = coincidence_orbits(3, 3)
-    assert [o.shape for o in orbits] == [(3,), (2, 1), (1, 1, 1)]
-    assert [o.size for o in orbits] == [3, 18, 6]
-    assert sum(o.size for o in orbits) == 27
+    assert shape_tally(3, 3) == {(3,): 3, (2, 1): 18, (1, 1, 1): 6}
 
 
 @pytest.mark.parametrize("q,L", [(q, L) for q in (2, 3, 4, 5) for L in range(1, 7)])
 def test_orbits_match_the_walk_over_every_vector(q, L):
-    # shapes, sizes and order, against sorting all q^L vectors by shape
-    assert [(o.shape, o.size) for o in coincidence_orbits(q, L)] == coincidence_walk(q, L)
+    # shapes and sizes, against tallying all q^L vectors by shape
+    assert shape_tally(q, L) == coincidence_walk(q, L)
 
 
 def test_orbits_past_the_walk():
     # q = 2, L = 9: the partitions of 9 into at most two parts, C(9, j)
     # vectors with j coordinates on the minority value, twice when j = 0
-    orbits = coincidence_orbits(2, 9)
-    assert [o.shape for o in orbits] == [(9,), (8, 1), (7, 2), (6, 3), (5, 4)]
-    assert [o.size for o in orbits] == [2, 18, 72, 168, 252]
-    assert sum(o.size for o in orbits) == 512
+    tally = shape_tally(2, 9)
+    assert tally == {(9,): 2, (8, 1): 18, (7, 2): 72, (6, 3): 168, (5, 4): 252}
+    assert sum(tally.values()) == 512
 
 
 def test_orbit_domain_errors():
     for q, L in [(6, 3), (2, 0)]:
         with pytest.raises(DomainError):
-            coincidence_orbits(q, L)
+            shape_tally(q, L)
