@@ -105,11 +105,14 @@ def _write_manifest(command: str, args: argparse.Namespace, outputs: list[str],
 
 
 def _solver_counters(solves) -> dict[str, int]:
-    """A manifest's `counters` for the optimizer's solves."""
+    """A manifest's `counters` for the optimizer's solves: `bisection_rounds`
+    sums the lengths of the bisections the multipliers end, `budget_evals`
+    the evaluations of the budget equation taken to replay them."""
     return {"solves": len(solves),
             "interior": sum(s.method == "interior" for s in solves),
             "edge": sum(s.method == "edge" for s in solves),
-            "bisection_rounds": sum(s.rounds for s in solves)}
+            "bisection_rounds": sum(s.rounds for s in solves),
+            "budget_evals": sum(s.budget_evals for s in solves)}
 
 
 def _decimal_grid(lo: float, hi: float, step: float) -> list[float]:

@@ -4,14 +4,16 @@ Every threshold optimization has the same shape: maximize H_q(x) + x.log_q w
 over the masses x of the free classes, with weights w, subject to x >= 0,
 sum x <= 1 and one error budget g.x <= L rho.  The entropy's slope is
 infinite on every face but the budget, so the maximizer is a Gibbs point
-with one multiplier, found by bisection on the monotone budget equation.
-`max_entropy` solves a whole array of budgets at once, with one numpy
-bisection for all of them and one double-double pass (about 32 digits from
-pairs of floats) for their dual values, so a rho grid costs one call;
-`opt_polytope_2d` is its one-budget form.  The test suite certifies the
-solver against an independent nested golden-section maximum on random
-instances, against 50-digit mpmath on the bench grids, and its dual against
-a 30-digit mpmath evaluation per point (`tests/reference.py`).
+with one multiplier, the multiplier the float bisection of the monotone
+budget equation ends at.  `max_entropy` solves a whole array of budgets at
+once: one vectorized Newton pass finds each root, a band around it settles
+every bisection step outside it, so only the steps inside take a load, and
+one double-double pass (about 32 digits from pairs of floats) gives the
+dual values, so a rho grid costs one call; `opt_polytope_2d` is its
+one-budget form.  The test suite certifies the solver against the plain
+bisection bit for bit and an independent nested golden-section maximum on
+random instances, against 50-digit mpmath on the bench grids, and its dual
+against a 30-digit mpmath evaluation per point (`tests/reference.py`).
 
 Threshold bounds follow from the orbit reduction: averaging a type over
 coordinate permutations and alphabet relabelings preserves the defining
@@ -35,7 +37,7 @@ import numpy as np
 
 from .errors import DomainError, SizeCapError, UnsupportedError
 from .fields import make_field
-from .infomeasures import entropy, hq, hq_multi, hql, joint_measures
+from .infomeasures import _checked_masses, entropy, hq, hql, joint_measures
 from .subspaces import (
     SubspaceRREF,
     gaussian_binomial,
@@ -212,7 +214,8 @@ class OptResult:
     method: str
     deficit: tuple[float, float]  # value - log_q Z(0), as a double-double: 0.0 if interior
     lam: float  # the multiplier: 0.0 if interior
-    rounds: int  # bisection rounds spent on lam: bracket doublings and halvings
+    rounds: int  # the length of the bisection lam ends: bracket doublings and halvings
+    budget_evals: int  # evaluations of the budget equation taken: 1 if interior
 
 
 def _gibbs(w: np.ndarray, g: np.ndarray, lam: np.ndarray, q: int):
@@ -278,6 +281,245 @@ def _weight(w) -> tuple[float, float]:
     raise DomainError(f"need positive finite weights, got {w!r}")
 
 
+# the replayed bisection
+#
+# The bisection of the budget equation asks at each step whether the load
+# g.x(lam), computed in floats by `_gibbs`, exceeds b.  The exact load falls
+# strictly with lam, and the computed one is within a relative r(lam) of it
+# (`_load_error`), so a load checked to exceed b by a margin of a few r at a
+# point a settles the answer at every lam <= a, and one checked to fall short
+# of b by as much at c settles it at every lam >= c (`_band`).  Only the
+# steps whose point lies in the band (a, c) need a load; the others follow in
+# closed form, so the bisection's end and length come out unchanged.
+
+_U = 2.0**-53  # the unit roundoff of a float
+_NEWTON_CAP = 64  # Newton steps per point; past it the estimate stands as it is
+_BAND_CHECKS = 4  # checks of each band end; past them that end is 0 or inf
+
+
+def _load_error(w, gmax: float, lam, b, lnq: float):
+    """A bound r on the error of `_gibbs`' load, relative to the budget b,
+    at multipliers up to lam, for the weights w and gaps up to gmax.
+
+    Each class's w q^(-g lam) carries a unit roundoff u from the product
+    -g lam, magnified to g lam ln q u by q^(-g lam), 8u from np.power and u
+    from the product by w; its mass carries that twice, once through Z, with
+    k u from Z's additions and u from the division; the load adds k u for its
+    products and additions.  That is (2 gmax lam ln q + 2k + 19) u to first
+    order, and 5u more covers the rest.  A power or product that falls below
+    the normal range is off by at most 4 ulps of 2^-1074 instead, which adds
+    at most gmax (k + sum w) 2^-1071 / Z <= gmax (k + sum w) 2^-1068 / 8 to
+    the load, with room to spare.
+    """
+    k = w.shape[0]
+    return (_U * (2.0 * gmax * lnq * lam + 2 * k + 24)
+            + gmax * (k + float(w.sum())) * 2.0**-1068 / b)
+
+
+def _budget_terms(w, g, b):
+    """The budget equation sum_i (g_i - b) w_i t^g_i = 0, t = q^-lam, split
+    by sign at each budget, the constant class a row of gap 0 and weight 1.
+
+    N sums (g - b) w t^g over the rows above b, D sums (b - g) w t^g over the
+    others; each is written relative to its leading term, N's the least gap
+    g1 above b and D's the constant class, so that no power underflows.
+    Returns the coefficients of N, D, their gap moments and Z's terms above
+    and below b, shape (rows, 6, points); each row's gap less the leading gap
+    of its sum, its power of t in that sum; and g1.
+    """
+    rows = np.vstack(([[0.0]], g))
+    wts = np.vstack(([[1.0]], w))
+    coef = (rows - b) * wts
+    up = coef > 0.0
+    g1 = np.where(up, rows, np.inf).min(axis=0)
+    n, d = np.where(up, coef, 0.0), np.where(up, 0.0, -coef)
+    terms = np.stack([n, d, rows * n, rows * d, np.where(up, wts, 0.0), np.where(up, 0.0, wts)], 1)
+    return terms, np.where(up, rows - g1, rows), g1
+
+
+def _budget_sums(terms, shift, lam, lnq: float):
+    """The sums of `_budget_terms`' coefficients at each multiplier, taken
+    one row at a time so that a point does not depend on the others."""
+    return sum(terms * np.exp(shift * (-lnq * lam))[:, None, :])
+
+
+def _newton_root(terms, shift, g1, b, lnq: float):
+    """Safeguarded Newton on f(lam) = ln N(lam) - ln D(lam), and the steps
+    each point took.
+
+    f falls strictly, since N's gaps exceed D's, from f(0) > 0 at an edge
+    budget, so it has one root.  N(lam) lies between its leading term N_1
+    and N(0) q^(-g1 lam), and D between b and D(0), so the root lies in
+    [ln(N_1 / D(0)), ln(N(0) / b)] / (g1 ln q), and Newton starts from its
+    left end or 0.  A step that leaves the bracket the signs of f keep is
+    replaced by its midpoint; a point stops once its step is within 2^-13 of
+    lam, which quadratic convergence, with `_band`'s last step, makes about
+    2^-52 of lam.
+    """
+    steps = np.zeros(b.size, dtype=np.int64)
+    live = np.ones(b.size, dtype=bool)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        unit = g1 * lnq
+        lo = np.maximum((np.log(sum(terms[:, 0] * (shift == 0.0)))
+                         - np.log(sum(terms[:, 1]))) / unit, 0.0)
+        hi = (np.log(sum(terms[:, 0])) - np.log(b)) / unit
+        lam, terms = lo, terms[:, :4]
+        for _ in range(_NEWTON_CAP):
+            n, d, gn, gd = _budget_sums(terms, shift, lam, lnq)
+            f = np.log(n) - np.log(d) - unit * lam
+            lo, hi = np.where(f > 0.0, lam, lo), np.where(f > 0.0, hi, lam)
+            new = lam + f / (lnq * (gn / n - gd / d))
+            new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
+            steps += live
+            lam, live = np.where(live, new, lam), live & (np.abs(new - lam) > 2.0**-13 * new)
+            if not live.any():
+                break
+    return lam, steps
+
+
+def _band(w, g, b, q: int, lnq: float):
+    """The band (a, c) of each edge budget outside which every step of the
+    bisection is settled, and the loads of the budget equation it took.
+
+    One more Newton step from `_newton_root`'s estimate centres the band,
+    wide enough that the load differs from b by about 3r at its ends: by the
+    identity g.x/b - 1 = (e^f - 1) D / (b Z), a margin of 3 r b Z / D in f,
+    over |f'|, plus the rounding of f.  A load checked to exceed b by more
+    than 2.5r at a settles every lam <= a, as the exact load falls with lam
+    and 2.5 (1 - r) >= 2; one checked to fall short by as much at c settles
+    every lam >= c.  An end that fails its check moves out 16 times as far,
+    up to `_BAND_CHECKS` times, and then to 0 or inf.  A point whose estimate
+    or width is not finite, or whose bound r is too loose for a check to
+    hold, gets the band (0, inf): the plain bisection.
+    """
+    gmax = float(g.max())
+    terms, shift, g1 = _budget_terms(w, g, b)
+    lam, evals = _newton_root(terms, shift, g1, b, lnq)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        n, d, gn, gd, za, zb = _budget_sums(terms, shift, lam, lnq)
+        evals += 1
+        ln_n, ln_d = np.log(n) - g1 * lnq * lam, np.log(d)
+        kappa = b * (zb / d + np.exp(ln_n - ln_d) * za / n)
+        slope = lnq * (gn / n - gd / d)
+        r = _load_error(w, gmax, 2.0 * lam + 2.0, b, lnq)
+        width = (3.0 * r * kappa + 8.0 * _U * (np.abs(ln_n) + np.abs(ln_d) + 4.0)) / slope
+        lam = lam + (ln_n - ln_d) / slope
+        # past r = 0.1 a check at c cannot hold, and any a the check holds at
+        # is too far out to settle much
+        ok = np.isfinite(lam) & np.isfinite(width) & (width > 0.0) & (r < 0.1)
+    a = np.where(ok, np.maximum(lam - width, 0.0), 0.0)
+    c = np.where(ok, lam + width, np.inf)
+    open_a, open_c = a > 0.0, c < np.inf  # the ends not yet checked
+    for _ in range(_BAND_CHECKS):
+        if not (open_a.any() or open_c.any()):
+            break
+        # the bound must hold up to a on the left, and on the right up to the
+        # farthest point the search may ask past c, below 2 max(c, 1)
+        right = 2.0 * np.maximum(c, 1.0)
+        evals += open_a
+        evals += open_c
+        with np.errstate(invalid="ignore", over="ignore"):
+            load = _gibbs(w, g, np.concatenate((np.where(open_a, a, 1.0),
+                                                np.where(open_c, c, 1.0))), q)[1]
+        open_a &= ~(load[:b.size] > b * (1.0 + 2.5 * _load_error(w, gmax, a, b, lnq)))
+        open_c &= ~(load[b.size:] + 2.5 * b * _load_error(w, gmax, right, b, lnq) < b)
+        a = np.where(open_a, np.maximum(lam - 16.0 * (lam - a), 0.0), a)
+        c = np.where(open_c, lam + 16.0 * (c - lam), c)
+        open_a &= a > 0.0
+    return np.where(open_a, 0.0, a), np.where(open_c, np.inf, c), evals
+
+
+def _search_exponent(w, g, b, q: int, a, c):
+    """The e of the bracket [2^e, 2^(e+1)] by which the bisection's search
+    over powers of 2 ends, the rounds it took, and the loads it asked for.
+
+    The search asks for the load at 1, then at 2, 4, ... while it exceeds b,
+    ending after e + 1 rounds, or at 1/2, 1/4, ... while it does not, ending
+    after -e.  2^j is above the budget for j <= ja, the floor of log2(a), and
+    below it for j >= jc, the ceiling of log2(c); only the powers between
+    need a load, and there are none while (a, c) holds no power of 2.  The
+    search stays within [2^-1074, 2^1023], since q^(-g 2^-1074) rounds to 1
+    and q^(-g 2^1023) to 0.
+    """
+    ja = np.where(a > 0.0, np.frexp(a)[1] - 1, -1074).clip(-1074, 1023)
+    mc, ec = np.frexp(np.where(c < np.inf, c, 1.0))
+    jc = np.where(c < np.inf, np.where(mc == 0.5, ec - 1, ec), 1023).clip(-1074, 1023)
+    e = ja.astype(np.int64)
+    asked = np.zeros(b.size, dtype=np.int64)
+    i = np.flatnonzero(jc - ja > 1)
+    j = np.zeros(i.size, dtype=np.int64)
+    up = np.zeros(i.size, dtype=bool)
+    first = True
+    while i.size:  # j moves one way within [ja, jc] at every step
+        lo, hi = ja[i], jc[i]
+        j = np.where(first, 0, np.where(up, np.maximum(j + 1, lo + 1), np.minimum(j - 1, hi - 1)))
+        above = j <= lo
+        ask = (lo < j) & (j < hi)
+        asked[i[ask]] += 1
+        above[ask] = _gibbs(w, g, np.ldexp(1.0, j[ask]), q)[1] > b[i[ask]]
+        if first:
+            up, first = above, False
+            continue
+        done = above != up
+        e[i[done]] = np.where(up, j - 1, j)[done]
+        i, j, up = i[~done], j[~done], up[~done]
+    return e, np.where(e >= 0, e + 1, -e), asked
+
+
+def _descend(lo, hi, a, c):
+    """The node of the halving's tree below [lo, hi] at which the halving
+    first needs a load, given that every midpoint outside (a, c) is settled,
+    and the halvings that take it there.
+
+    The floats of [lo, hi] have bit patterns one apart and [lo, hi] spans a
+    power of 2 of them, aligned, so the halvings walk a complete binary tree.
+    The node sought is the one whose midpoint is the point of (a, c) in
+    [lo, hi] with the most trailing zero bits; with no such point the walk
+    is settled down to adjacent floats.
+    """
+    base = lo.view(np.int64)
+    size = hi.view(np.int64) - base
+    depth = np.frexp(size.astype(np.float64))[1] - 1
+    first = np.maximum(a.view(np.int64) + 1 - base, 1)
+    last = np.minimum(c.view(np.int64) - 1 - base, size - 1)
+    leaf = first > last
+    top = np.frexp(np.where(leaf, 0, first ^ last).astype(np.float64))[1]
+    aligned = (first & ((np.int64(1) << top) - 1)) == 0
+    cut = np.maximum(top - 1, 0)
+    mid = np.where(aligned, first, (last >> cut) << cut)
+    zeros = np.frexp((mid & -mid).astype(np.float64))[1] - 1
+    half = np.int64(1) << np.maximum(zeros, 0)
+    start = np.where(leaf, np.clip(a.view(np.int64), base, base + size - 1), base + mid - half)
+    end = np.where(leaf, start + 1, start + 2 * half)
+    left = np.where(leaf, 0, zeros + 1)
+    return start.view(np.float64), end.view(np.float64), depth - left, left
+
+
+def _replayed_bisection(w, g, b, q: int):
+    """The end `hi` and length `rounds` of the bisection of each edge
+    budget's equation, and the loads of it that this took.
+
+    The bisection searches powers of 2 for a bracket [2^e, 2^(e+1)]
+    (`_search_exponent`), then halves it down to adjacent floats.  Each
+    halving whose midpoint lies outside `_band`'s (a, c) is settled, so the
+    walk down is taken in closed form (`_descend`) to the first midpoint that
+    needs a load.  From there the halving runs as it always did.
+    """
+    lnq = math.log(q)
+    a, c, evals = _band(w, g, b, q, lnq)
+    e, rounds, asked = _search_exponent(w, g, b, q, a, c)
+    lo, hi, settled, left = _descend(np.ldexp(1.0, e), np.ldexp(1.0, e + 1), a, c)
+    # the halving, as it always ran, for the `left` rounds each node's tree
+    # is deep: lo is above the budget and hi below it, and both stay so; at
+    # a point already down to adjacent floats mid equals one of them, which
+    # the update leaves in place
+    for _ in range(int(left.max())):
+        mid = 0.5 * (lo + hi)
+        above = _gibbs(w, g, mid, q)[1] > b
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    return hi, rounds + settled + left, evals + asked + left
+
+
 def max_entropy(weights, gaps, budgets, q: int) -> list[OptResult]:
     """Maximum of H_q(x, 1 - sum x) + x.log_q w over x >= 0, sum x <= 1,
     g.x <= b, one result per budget b of the 1-D array `budgets`.
@@ -287,9 +529,15 @@ def max_entropy(weights, gaps, budgets, q: int) -> list[OptResult]:
     every face but the budget, so the maximizer is the Gibbs point
     x_i = w_i q^(-lam g_i) / Z(lam), Z(lam) = 1 + sum_j w_j q^(-lam g_j).
     lam = 0 ("interior") when that point fits the budget; otherwise ("edge")
-    lam is the root of the decreasing budget equation g.x(lam) = b, bisected
-    in floats down to adjacent floats and taken on the feasible side, each
-    budget on its own bracket, so a point does not depend on the others.
+    lam is the root of the decreasing budget equation g.x(lam) = b, taken
+    as the bisection of it in floats would take it: from the bracket
+    [0, 1], doubled while the load exceeds b, halved down to adjacent floats
+    and read on the feasible side, each budget on its own bracket, so that a
+    point does not depend on the others.  `_replayed_bisection` gives that
+    bisection's end and length (`rounds`) from a safeguarded Newton root and
+    the loads of the steps near it; `budget_evals` counts the evaluations of
+    the budget equation each point took: the load at 0, the Newton steps,
+    the band's checks and the steps inside the band.
 
     The value is the dual log_q Z(lam) + lam * b, the objective at the Gibbs
     point, written as log_q Z(0) + D with the deficit
@@ -297,8 +545,8 @@ def max_entropy(weights, gaps, budgets, q: int) -> list[OptResult]:
     with the weights summed per gap as coefficients, so gaps must be integers
     (an integral float is taken as its int).  D is evaluated in double-double
     for the whole grid in one numpy pass, or on floats for a lone budget,
-    with the same bits either way; the bisection reads each weight as a
-    float, the dual an int weight at 106 bits.  `deficit` keeps D unrounded,
+    with the same bits either way; the solve reads each weight as a float,
+    the dual an int weight at 106 bits.  `deficit` keeps D unrounded,
     exactly 0.0 at an interior point; `value` is log_q Z(0) + D rounded once.
     Z(0) must not pass 2^996, where Dekker's splitting of it would overflow;
     a larger problem (q = 2, ell = 1 from L = 998) raises DomainError.
@@ -316,24 +564,12 @@ def max_entropy(weights, gaps, budgets, q: int) -> list[OptResult]:
     g = np.array(gaps, dtype=np.float64).reshape(-1, 1)
 
     edge = _gibbs(w, g, np.zeros(b.size), q)[1] > b
-    lo, hi = np.zeros(b.size), np.where(edge, 1.0, 0.0)
+    hi = np.zeros(b.size)
     rounds = np.zeros(b.size, dtype=np.int64)
-    grow = edge & (_gibbs(w, g, hi, q)[1] > b)
-    while grow.any():
-        rounds += grow
-        lo, hi = np.where(grow, hi, lo), np.where(grow, 2.0 * hi, hi)
-        grow &= _gibbs(w, g, hi, q)[1] > b
-    # lo is infeasible and hi feasible for every edge point, and both stay so:
-    # a point whose bracket is down to adjacent floats has mid equal to one of
-    # them, which the update leaves in place
-    mid = 0.5 * (lo + hi)
-    active = (lo < mid) & (mid < hi)
-    while active.any():
-        rounds += active
-        above = _gibbs(w, g, mid, q)[1] > b
-        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
-        mid = 0.5 * (lo + hi)
-        active = (lo < mid) & (mid < hi)
+    evals = np.ones(b.size, dtype=np.int64)
+    if edge.any():
+        hi[edge], rounds[edge], more = _replayed_bisection(w, g, b[edge], q)
+        evals[edge] += more
     x = _gibbs(w, g, hi, q)[0].T.tolist()
 
     poly, z0, logz0 = _dual_terms(dd, gaps, q)
@@ -342,7 +578,8 @@ def max_entropy(weights, gaps, budgets, q: int) -> list[OptResult]:
     value = _dd_round(_dd_add(logz0, d))
     deficits = list(zip(_as_list(d[0]), _as_list(d[1])))
     return [OptResult(x=tuple(x[i]), value=value[i], method="edge" if edge[i] else "interior",
-                      deficit=deficits[i], lam=lam_i, rounds=int(rounds[i]))
+                      deficit=deficits[i], lam=lam_i, rounds=int(rounds[i]),
+                      budget_evals=int(evals[i]))
             for i, lam_i in enumerate(hi.tolist())]
 
 
@@ -648,8 +885,11 @@ def negativity_values(rho_grid) -> np.ndarray:
     grid = np.asarray(list(rho_grid), dtype=np.float64)
     if grid.size == 0 or np.any(grid <= 0.0) or np.any(grid >= 1.0 / 3.0):
         raise DomainError("grid must lie inside (0, 1/3)")
-    return np.asarray([2.0 * hq_multi(2, [0.0, 1.5 * r]) - hq_multi(2, [3.0 * r, 0.0])
-                       - 3.0 * r * math.log2(3.0) for r in grid])
+    # one row per point, (x_1, x_2, 1 - x_1 - x_2) as `hq_multi` forms it
+    half, vertex, zero = 1.5 * grid, 3.0 * grid, np.zeros(grid.size)
+    split = _checked_masses(np.stack([zero, half, 1.0 - half], axis=-1), rows=True)
+    peak = _checked_masses(np.stack([vertex, zero, 1.0 - vertex], axis=-1), rows=True)
+    return 2.0 * entropy(split, 2) - entropy(peak, 2) - vertex * math.log2(3.0)
 
 
 def negativity_optimum_values(rho_grid) -> np.ndarray:
@@ -813,7 +1053,7 @@ def kernel_slack_report(q: int, ell: int, rho: float, L: int, delta: float) -> d
         i = ties[np.argmin(T[ties])]  # first minimum, as in enumeration order
         if slack[i] < min_slack:
             min_slack = float(slack[i])
-            worst = kernel_at(q, L, k, int(T[i]))
+            worst = (k, int(T[i]))
         for d in set(D.tolist()):
             per_dim[d] = min(per_dim.get(d, math.inf), float(slack[D == d].min()))
         alt_min = min(alt_min, float((H - D * (h + (logc - 1.0 + h - delta) / L)).min()))
@@ -822,7 +1062,7 @@ def kernel_slack_report(q: int, ell: int, rho: float, L: int, delta: float) -> d
 
     return {
         "min_slack": min_slack,
-        "worst_kernel": worst,
+        "worst_kernel": None if worst is None else kernel_at(q, L, *worst),
         "pass": bool(min_slack >= 0.0),
         "kernels": kernels,
         "details": {

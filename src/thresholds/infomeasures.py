@@ -31,15 +31,17 @@ def entropy(masses, base: float):
     return (0.0 - (m * logm).sum(axis=-1)) / math.log(base)
 
 
-def _checked_masses(masses: np.ndarray) -> np.ndarray:
+def _checked_masses(masses: np.ndarray, rows: bool = False) -> np.ndarray:
     """Masses with round-off negatives (down to -1e-12) clipped to zero; they
-    must sum to 1 within 1e-12, so a NaN mass is refused."""
+    must sum to 1 within 1e-12, so a NaN mass is refused.  With `rows`, each
+    row along the last axis is a distribution and must sum to 1."""
     if np.any(masses < -_MASS_TOL):
         raise DomainError("negative probability mass")
     masses = np.clip(masses, 0.0, None)
-    total = float(masses.sum())
-    if not abs(total - 1.0) <= _MASS_TOL:  # a NaN total fails too
-        raise DomainError(f"masses sum to {total}, outside 1 +- {_MASS_TOL}")
+    totals = np.atleast_1d(masses.sum(axis=-1 if rows else None))
+    off = ~(np.abs(totals - 1.0) <= _MASS_TOL)  # a NaN total fails too
+    if off.any():
+        raise DomainError(f"masses sum to {float(totals[off][0])}, outside 1 +- {_MASS_TOL}")
     return masses
 
 
@@ -66,7 +68,8 @@ def hql(q: int, ell: int, rho: float) -> float:
     """Generalization of hq with an ell-element "inside" set.
 
     hql(q, ell, rho) = rho * log_q((q-ell)/rho) + (1-rho) * log_q(ell/(1-rho));
-    hql(q, ell, 0) == log_q(ell).
+    hql(q, ell, 0) == log_q(ell).  Where (q-ell)/rho overflows, at a
+    subnormal rho, its log is taken as log(q-ell) - log(rho).
     """
     _check_base_q(q)
     if not 1 <= ell < q:
@@ -76,7 +79,8 @@ def hql(q: int, ell: int, rho: float) -> float:
     lq = math.log(q)
     out = 0.0
     if rho > 0.0:
-        out += rho * math.log((q - ell) / rho)
+        ratio = float(q - ell) / float(rho)
+        out += rho * (math.log(ratio) if ratio < math.inf else math.log(q - ell) - math.log(rho))
     if rho < 1.0:
         out += (1.0 - rho) * math.log(ell / (1.0 - rho))
     return out / lq

@@ -10,9 +10,11 @@ support of a type, the image dimension of a kernel table row;
 the counts `typespace.shape_tally` forms from partitions;
 `all_kernel_slack_report` takes the minima of `engine.kernel_slack_report`
 over every proper kernel, not only the zero kernel and those through the
-all-ones vector; `dual_30` evaluates `engine.max_entropy`'s dual one point
-at a time in 30-digit mpmath, and `rate_columns_30` forms the rate columns
-from it, where the library uses one double-double pass per grid;
+all-ones vector; `bisection_max_entropy` finds `engine.max_entropy`'s
+multiplier by bisecting the budget equation step by step, where the library
+replays that bisection from a Newton root; `dual_30` evaluates the dual one
+point at a time in 30-digit mpmath, and `rate_columns_30` forms the rate
+columns from it, where the library uses one double-double pass per grid;
 `dense_greedy` runs the potential greedy on a dense 2^n profile, where the
 library scores a candidate on the coset fibers of the ball.
 """
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
+from thresholds import engine
 from thresholds import simulate as sim
 from thresholds.errors import DomainError, NoCandidateError, SizeCapError
 from thresholds.fields import FieldSpec, digits_of, make_field, row_reduce, vec_table
@@ -122,6 +125,52 @@ def all_kernel_slack_report(q: int, ell: int, rho: float, L: int, delta: float) 
         if k == 0 and D[0] == L:
             out["identity_kernel_entropy"] = float(H[0])
     return out
+
+
+def bisection_max_entropy(weights, gaps, budgets, q: int) -> list[tuple]:
+    """`engine.max_entropy` with its multiplier found by plain bisection, as
+    (x, value, method, deficit, lam, rounds) per budget.
+
+    Every edge budget starts from the bracket [0, 1], doubled while the load
+    at its top exceeds the budget, then halved down to adjacent floats and
+    read on the feasible side; `rounds` counts the doublings and halvings.
+    Each step computes the load with `engine._gibbs`, and the dual is the
+    library's, so the tuples must equal `max_entropy`'s fields bit for bit.
+    """
+    b = np.asarray(budgets, dtype=np.float64)
+    gaps = tuple(engine._gap(v) for v in gaps)
+    dd = tuple(engine._weight(v) for v in weights)
+    w = np.array([hi for hi, _ in dd]).reshape(-1, 1)
+    g = np.array(gaps, dtype=np.float64).reshape(-1, 1)
+
+    def above(lam):
+        return engine._gibbs(w, g, lam, q)[1] > b
+
+    edge = above(np.zeros(b.size))
+    lo, hi = np.zeros(b.size), np.where(edge, 1.0, 0.0)
+    rounds = np.zeros(b.size, dtype=np.int64)
+    grow = edge & above(hi)
+    while grow.any():
+        rounds += grow
+        lo, hi = np.where(grow, hi, lo), np.where(grow, 2.0 * hi, hi)
+        grow &= above(hi)
+    mid = 0.5 * (lo + hi)
+    active = (lo < mid) & (mid < hi)
+    while active.any():
+        rounds += active
+        up = above(mid)
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+        mid = 0.5 * (lo + hi)
+        active = (lo < mid) & (mid < hi)
+    x = engine._gibbs(w, g, hi, q)[0].T.tolist()
+
+    poly, z0, logz0 = engine._dual_terms(dd, gaps, q)
+    lam, bud = (float(hi[0]), float(b[0])) if b.size == 1 else (hi, b)
+    d = engine._deficit(poly, z0, lam, bud, engine._dd_ln(q))
+    value = engine._dd_round(engine._dd_add(logz0, d))
+    deficits = list(zip(engine._as_list(d[0]), engine._as_list(d[1])))
+    return [(tuple(x[i]), value[i], "edge" if edge[i] else "interior", deficits[i], lam_i,
+             int(rounds[i])) for i, lam_i in enumerate(hi.tolist())]
 
 
 def dual_30(weights, gaps, lam: float, budget: float, q: int) -> mpmath.mpf:

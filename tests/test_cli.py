@@ -69,6 +69,12 @@ def test_entropy_multi(capsys):
     assert "hq_multi(q=2, masses=0.2,0.3)" in capsys.readouterr().out
 
 
+def test_entropy_is_finite_at_a_subnormal_radius(capsys):
+    assert main(["entropy", "--hq", "--q", "2", "--rho", "1e-310"]) == 0
+    assert capsys.readouterr().out == f"hq(q=2, rho=1e-310) = {fmt12(hq(2, 1e-310))}\n"
+    assert 0.0 < hq(2, 1e-310) < 1e-306
+
+
 # ---------------------------------------------------------------------------
 # bounds
 # ---------------------------------------------------------------------------
@@ -110,11 +116,30 @@ def test_bounds_json_format(in_tmpdir):
     assert all(r["family"] == "ld3-qary-rc" for r in rows)
 
 
+SUBNORMAL = ["--rho-min", "1e-310", "--rho-max", "1e-310", "--step", "1", "--out", "rows.csv"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["bounds", "--family", "figure1"], 1),
+    (["bounds", "--family", "largeL-rlc"], 0),
+    (["bounds", "--family", "lr-listsize-rlc", "--q", "3"], 0),
+], ids=["figure1", "largeL-rlc", "lr-listsize-rlc"])
+def test_bounds_at_a_subnormal_radius_are_finite(in_tmpdir, argv, code):
+    assert main(argv + SUBNORMAL) == code
+    cells = (in_tmpdir / "rows.csv").read_text().splitlines()[1].split(",")
+    assert "inf" not in ",".join(cells) and "nan" not in ",".join(cells)
+    if argv[2] == "figure1":
+        # blue dominates orange, by far less than the check's margin of 1e-9
+        blue, orange = float(cells[1]), float(cells[2])
+        assert 0.0 < orange < blue < orange + eng.STRICT_MARGIN
+
+
 def test_bounds_and_ordering_manifests_count_the_grid_solve(in_tmpdir):
     # one solve per rho, all on the budget edge, each bisected from one
-    # bracket doubling or none down to adjacent floats: 54 + 53 + 55 rounds
+    # bracket doubling or none down to adjacent floats: 54 + 53 + 55 rounds,
+    # replayed from 17 + 19 + 19 evaluations of the budget equation
     grid = ["--rho-min", "0.1", "--rho-max", "0.3", "--step", "0.1"]
-    want = {"solves": 3, "interior": 0, "edge": 3, "bisection_rounds": 162}
+    want = {"solves": 3, "interior": 0, "edge": 3, "bisection_rounds": 162, "budget_evals": 55}
     for argv, manifest in ((["bounds", "--family", "ld4-binary-rlc"], "bounds"),
                            (["bounds", "--family", "figure1"], "bounds"),
                            (["verify", "--check", "ordering", "--q", "2"], "verify")):
@@ -122,7 +147,7 @@ def test_bounds_and_ordering_manifests_count_the_grid_solve(in_tmpdir):
         assert read_manifest(in_tmpdir / f"{manifest}.manifest.json")["counters"] == want
     assert main(["bounds", "--family", "largeL-rc", *grid]) == 0
     assert read_manifest(in_tmpdir / "bounds.manifest.json")["counters"] == {
-        "solves": 0, "interior": 0, "edge": 0, "bisection_rounds": 0}
+        "solves": 0, "interior": 0, "edge": 0, "bisection_rounds": 0, "budget_evals": 0}
 
 
 # sha256 of the outputs of the `bounds-verify` bench jobs that read the

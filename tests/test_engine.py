@@ -15,6 +15,7 @@ from thresholds.engine import (
     STRICT_MARGIN,
     BoundCurve,
     _class_problem,
+    _gibbs,
     _dd_exp,
     _dd_log,
     _fast_two_sum,
@@ -42,7 +43,7 @@ from thresholds.engine import (
     threshold_rc_qary_l3,
 )
 from thresholds import subspaces
-from thresholds.infomeasures import hq, hql
+from thresholds.infomeasures import hq, hq_multi, hql
 from thresholds.subspaces import (
     SubspaceRREF,
     gaussian_binomial,
@@ -56,6 +57,7 @@ from thresholds.typespace import LRSpec, TypeDist, bad_type, pushforward, shape_
 
 from reference import (
     all_kernel_slack_report,
+    bisection_max_entropy,
     coincidence_walk,
     dim_of_type,
     dual_30,
@@ -392,6 +394,68 @@ def test_grid_solve_domain_errors():
         ld4_binary_rows([0.1, 0.4, 0.5])
 
 
+def _fields(res) -> tuple:
+    return (res.x, res.value, res.method, res.deficit, res.lam, res.rounds)
+
+
+# (q, L, grid) of each distinct grid solve of a `bounds-verify` pass, 13 in
+# all: the ld4-binary and figure1 jobs, the ld3-qary jobs (q = 3), the
+# figure1 fixture and the ordering checks
+REPLAY_BENCH_GRIDS = [(2, 4, (0.001, 0.312, 0.001)), (3, 3, (0.001, 0.333, 0.001)),
+                      (2, 4, (0.005, 0.31, 0.005)), (2, 4, (0.01, 0.31, 0.005))] + [
+                         (q, 3, (0.01, 0.33, 0.005)) for q in (3, 4, 5, 7, 8, 9)]
+
+
+@pytest.mark.parametrize("q, L, grid", REPLAY_BENCH_GRIDS)
+def test_max_entropy_replays_the_bisection_on_the_bench_grids(q, L, grid):
+    weights, gaps = _class_problem(q, 1, L)
+    budgets = L * np.asarray(_decimal_grid(*grid))
+    got = max_entropy(weights, gaps, budgets, q)
+    # repr tells every float apart, -0.0 from 0.0 too
+    assert repr([_fields(r) for r in got]) == repr(bisection_max_entropy(weights, gaps, budgets, q))
+    edge = [r for r in got if r.method == "edge"]
+    assert edge and sum(r.budget_evals for r in edge) < sum(r.rounds for r in edge) / 2
+
+
+def _hard_budgets(w, gaps, q: int) -> list[float]:
+    """Budgets at the bisection's corners: a few ulps below the load at
+    lam = 0, so that lam is a few ulps of the loads' resolution above 0; far
+    below every load, so that lam is large, subnormal budgets included; at a
+    gap; and at the load of a power of 2 and its neighbours, so that the band
+    around lam straddles a step of the bracket's doubling."""
+    wc, gc = np.array(w, dtype=np.float64).reshape(-1, 1), np.array(gaps, float).reshape(-1, 1)
+    out = [1e-300, 1e-310, 5e-324] + [float(g) for g in gaps if g > 0]
+    lam = np.ldexp(1.0, np.arange(-6, 5))
+    for load in [float(_gibbs(wc, gc, np.zeros(1), q)[1][0])] + _gibbs(wc, gc, lam, q)[1].tolist():
+        near = load
+        for _ in range(3):
+            near = math.nextafter(near, 0.0)
+            out += [near]
+        out += [load, math.nextafter(load, math.inf)]
+    return [v for v in out if v > 0.0]
+
+
+@settings(max_examples=120, deadline=None)
+@given(q=st.sampled_from([2, 3, 4, 5, 7, 8, 9]), L=st.integers(1, 12), data=st.data())
+def test_max_entropy_replays_the_bisection_on_random_problems(q, L, data):
+    k = data.draw(st.integers(1, L + 1))
+    gaps = data.draw(st.lists(st.integers(0, L), min_size=k, max_size=k))
+    # weights up to just under the dual's limit: 1 + sum w < 2^996
+    top = 995.9 - math.log2(k)
+    w = [2.0**v for v in data.draw(st.lists(st.floats(-60.0, top), min_size=k, max_size=k))]
+    budgets = data.draw(st.lists(st.floats(0.0, float(L), exclude_min=True), max_size=6))
+    budgets += _hard_budgets(w, gaps, q)
+    got = max_entropy(w, gaps, budgets, q)
+    assert repr([_fields(r) for r in got]) == repr(bisection_max_entropy(w, gaps, budgets, q))
+    # a point's loads do not depend on the rest of the grid
+    for budget, res in zip(budgets[::3], got[::3]):
+        one = opt_polytope_2d(w, gaps, budget, q)
+        assert (one.lam, one.rounds, one.budget_evals) == (res.lam, res.rounds, res.budget_evals)
+    for res in got:
+        assert res.budget_evals >= 1
+        assert res.method == "edge" or (res.budget_evals, res.rounds) == (1, 0)
+
+
 def test_interior_stationary_point():
     res = opt_polytope_2d((1.0, 1.0), (1, 1), 1.0, 2)
     assert res.method == "interior"
@@ -681,6 +745,25 @@ def test_negativity_frozen_values():
     assert vals[0] == pytest.approx(-0.001752, abs=1e-6)
     assert vals[1] == pytest.approx(-0.159346, abs=1e-6)
     assert vals[2] == pytest.approx(+0.090087, abs=1e-6)
+
+
+def _negativity_per_point(grid) -> np.ndarray:
+    return np.asarray([2.0 * hq_multi(2, [0.0, 1.5 * r]) - hq_multi(2, [3.0 * r, 0.0])
+                       - 3.0 * r * math.log2(3.0) for r in grid])
+
+
+def test_negativity_values_equal_the_per_point_formula_on_the_default_grid():
+    grid = _decimal_grid(0.001, 0.333, 0.001)  # the `verify --check negativity` grid
+    got = negativity_values(grid)
+    assert got.view(np.int64).tolist() == _negativity_per_point(grid).view(np.int64).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0 / 3.0, exclude_min=True, exclude_max=True), min_size=1,
+                max_size=40))
+def test_negativity_values_equal_the_per_point_formula(rhos):
+    got = negativity_values(rhos)
+    assert got.view(np.int64).tolist() == _negativity_per_point(rhos).view(np.int64).tolist()
 
 
 def test_negativity_sign_flips_inside_the_interval():

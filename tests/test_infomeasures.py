@@ -73,6 +73,21 @@ def test_hql_endpoints():
     assert hql(q, ell, 1.0) == pytest.approx(math.log(q - ell) / math.log(q), abs=1e-15)
 
 
+@pytest.mark.parametrize("q, ell", [(2, 1), (3, 1), (5, 2), (9, 4)])
+def test_hql_is_finite_at_subnormal_radii(q, ell):
+    # (q - ell) / rho overflows below rho = (q - ell) / 1.8e308; its log is
+    # then log(q - ell) - log(rho), and the quotient's log everywhere else
+    for rho in (1e-310, 5e-324, 2.2e-308):
+        split = (rho * (math.log(q - ell) - math.log(rho))
+                 + (1 - rho) * math.log(ell / (1 - rho))) / math.log(q)
+        assert hql(q, ell, rho) == split
+        assert 0.0 <= hql(q, ell, rho) < math.inf
+    for rho in (1e-300, 1e-5, 0.3):
+        quotient = (rho * math.log((q - ell) / rho)
+                    + (1 - rho) * math.log(ell / (1 - rho))) / math.log(q)
+        assert hql(q, ell, rho) == quotient
+
+
 def test_hql_midpoint_symmetric_case():
     assert hql(4, 2, 0.5) == pytest.approx(1.0, abs=1e-15)
 
