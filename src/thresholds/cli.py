@@ -115,6 +115,14 @@ def _solver_counters(solves) -> dict[str, int]:
             "budget_evals": sum(s.budget_evals for s in solves)}
 
 
+def _sweep_counters(curve) -> dict:
+    """A `simulate` manifest's `counters`, on the normal and the partial
+    path: the trials per route, the fiber stacks and stamp blocks that
+    decided them, and the ball cells the stamp blocks stamped."""
+    return {"routes": curve.routes, "fiber_blocks": curve.fiber_blocks,
+            "stamp_blocks": curve.stamp_blocks, "stamps": curve.stamps}
+
+
 def _decimal_grid(lo: float, hi: float, step: float) -> list[float]:
     """round((hi - lo) / step) + 1 points from lo (none for step <= 0), point
     i the float nearest the decimal lo + i*step, so that 0.1:0.8:0.05 holds
@@ -284,8 +292,11 @@ def _verify_ordering(args) -> tuple[bool, list[dict]]:
     args._counters = _solver_counters(solves)
     details = [{"rho": float(r), **row} for r, row in zip(grid, rows)]
     for d in details:
-        d["ok"] = bool(d["rlc"] - d["rc"] > eng.STRICT_MARGIN
-                       and d.get("dominance", math.inf) > eng.STRICT_MARGIN)
+        # each margin is relative to the values it separates: the two rates,
+        # and for q >= 3 the full-support case maxF/2 = 1 - rlc over the
+        # low-dimension case
+        d["ok"] = (eng.clears_margin(d["rlc"] - d["rc"], max(abs(d["rlc"]), abs(d["rc"])))
+                   and ("dominance" not in d or eng.clears_margin(d["dominance"], 1.0 - d["rlc"])))
     return all(d["ok"] for d in details), details
 
 
@@ -328,8 +339,7 @@ def cmd_simulate(args) -> int:
         print(f"work budget exceeded: {err}", file=sys.stderr)
         partial = getattr(err, "partial", None)
         if partial is not None:
-            args._counters = {"routes": partial.routes, "stamp_blocks": partial.stamp_blocks,
-                              "stamps": partial.stamps}
+            args._counters = _sweep_counters(partial)
         if partial is not None and partial.rates.size:
             with open(out, "w") as fh:
                 fh.write(partial.to_csv())
@@ -341,8 +351,7 @@ def cmd_simulate(args) -> int:
             args._outputs = []
         args._partial = True
         return EXIT_BUDGET
-    args._counters = {"routes": curve.routes, "stamp_blocks": curve.stamp_blocks,
-                      "stamps": curve.stamps}
+    args._counters = _sweep_counters(curve)
     with open(out, "w") as fh:
         fh.write(curve.to_csv())
     crossing = sim.half_crossing(curve.rates, curve.p_hat)

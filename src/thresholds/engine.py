@@ -47,10 +47,19 @@ from .subspaces import (
 )
 from .typespace import LRSpec, TypeDist, bad_type, shape_tally
 
-STRICT_MARGIN = 1e-9
+STRICT_MARGIN = 1e-9  # relative: see `clears_margin`
 # cells the kernel-slack sweep may push forward: q = 2, L = 9 pushes 213 M
 # and L = 10 about 8 G
 _PUSH_CAP = 2**28
+
+
+def clears_margin(diff: float, scale: float) -> bool:
+    """Whether a difference of two values is positive beyond round-off: by
+    more than `STRICT_MARGIN` times `scale`, the larger of the values'
+    magnitudes.  A margin relative to the values reads the same at every
+    rho, where an absolute one fails once the values themselves shrink
+    toward 1e-9."""
+    return bool(diff > STRICT_MARGIN * scale)
 
 
 def fmt12(x: float) -> str:
@@ -849,8 +858,9 @@ def dominance_curves(rho_grid) -> tuple[BoundCurve, BoundCurve, list[bool]]:
     Blue: the full-support compression optimum divided by 3, the optima
     taken by one `max_entropy` call and kept in blue's `solves`.  Orange: the
     low-dimension boundary curve (h2(2 rho) + 2 rho log2 3)/2.  The third
-    return lists blue >= orange + margin per grid point; the subtracted
-    bound is valid exactly because blue dominates.
+    return lists, per grid point, whether blue exceeds orange by the
+    relative margin of `clears_margin`; the subtracted bound is valid
+    exactly because blue dominates.
 
     Past rho = 1/4 orange is the vertex value: it reads h2(2 rho) where
     2 rho > 1/2, so it falls below the face maximum h2(min(2 rho, 1/2)) that
@@ -864,7 +874,7 @@ def dominance_curves(rho_grid) -> tuple[BoundCurve, BoundCurve, list[bool]]:
     solves = _solve_classes(2, 1, 4, grid)
     blue = np.array([s.value / 3.0 for s in solves])
     orange = np.array([(hq(2, 2.0 * r) + 2.0 * r * math.log2(3.0)) / 2.0 for r in grid])
-    ok = [bool(b - o > STRICT_MARGIN) for b, o in zip(blue, orange)]
+    ok = [clears_margin(b - o, max(abs(b), abs(o))) for b, o in zip(blue, orange)]
     return (
         BoundCurve(family="figure1", method="blue", rho_grid=grid, values=blue, solves=solves),
         BoundCurve(family="figure1", method="orange", rho_grid=grid, values=orange),

@@ -8,21 +8,21 @@ centers and the property is list decoding.  A code is (rho, l, L)-recoverable
 exactly when no cell holds L codewords.  A random linear code C = ker H is
 list-decoded from H alone: its fullest ball holds as many codewords as the
 largest fiber of y -> Hy on the Hamming ball B(0, r), so a sweep trial costs
-the V = |B(0, r)| syndromes, whatever q^k and q^n are.  Sweeps decide the
-other trials from the codewords' list balls; when the balls cover the cells
-more than L - 1 times the pigeonhole bound decides, before a random code
-draws a word, and when the cells do not fit a dynamic program over the
-L-subsets of codewords decides without enumerating them.  The rest are
-decided in blocks of sorted ball stamps, each code's stamps offset into a
-slot of its own and stamped by growing prefixes of its words, so a code
-leaves the block as soon as a prefix puts L words in one cell.  Each trial
-still draws from its own seeded stream, so a sweep's output is the same,
-byte for byte, as one profile per code gives; a block holds at most
-`_STAMP_CHUNK` stamps, or one code's stamps when that code alone has more,
-or one dense profile.  A random linear code's words are the image of GF(q)^k
-under its generator, listed by `fields.matvec_all`, and a code is linear
-exactly when it has q^rank words.  Codewords are held as packed indices;
-`fields.digits_of` and `fields.pack_digits` turn them into digit rows and back.
+the V = |B(0, r)| syndromes, whatever q^k and q^n are, and a sweep decides
+a stack of parity checks in one pass.  Sweeps decide the other trials from
+the codewords' list balls; when the balls cover the cells more than L - 1
+times the pigeonhole bound decides, before a random code draws a word, and
+when the cells do not fit a dynamic program over the L-subsets of codewords
+decides without enumerating them.  The rest are decided in blocks of sorted
+ball stamps, each code's stamps offset into a slot of its own and stamped
+by growing prefixes of its words, so a code leaves the block as soon as a
+prefix puts L words in one cell.  Each trial still draws from its own
+seeded stream, so a sweep's output is the same, byte for byte, as one
+decision per code gives.  A random linear code's words are the image of
+GF(q)^k under its generator, listed by `fields.matvec_all`, and a code is
+linear exactly when it has q^rank words.  Codewords are held as packed
+indices; `fields.digits_of` and `fields.pack_digits` turn them into digit
+rows and back.
 
 The greedy constructor grows a binary linear code one basis vector at a time,
 accepting a vector only when the potential of the doubled code stays at most
@@ -45,7 +45,7 @@ import functools
 import hashlib
 import itertools
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +59,8 @@ from .subspaces import map_with_kernel, rref_of
 _SPAN_CAP = 2**24
 _CENTER_CAP = 2**22
 # ball cells per sorted stamping block, 128 KiB of stamps; a dense profile
-# bincounts max(_STAMP_CHUNK, its cells) of them at a time
+# bincounts max(_STAMP_CHUNK, its cells) of them at a time, and a stack of
+# parity checks holds max(_STAMP_CHUNK, V) syndromes
 _STAMP_CHUNK = 2**14
 _PREFIX = 64  # codewords per code in a block's first sorted round
 _SPACE_CAP = 2**24
@@ -397,34 +398,61 @@ def _ball_slots(q: int, n: int, r: int) -> np.ndarray:
     return slots
 
 
-def largest_fiber(H: np.ndarray, q: int, r: int) -> int:
-    """Most codewords of C = ker H in one radius-r ball, from H alone.
+def _sorted_syndromes(Hs: np.ndarray, q: int, r: int) -> np.ndarray:
+    """The syndromes of B(0, r) under each of a stack of parity checks, each
+    row sorted: shape (T, V) for Hs of shape (T, m, n), V = |B(0, r)|.
 
-    The codewords within r of a centre z are the z - y with y in B(0, r) and
-    Hy = Hz, so the fullest ball holds as many codewords as the largest fiber
-    of y -> Hy on B(0, r).  Neither the q^k codewords nor the q^n centres are
-    listed: each of the V = |B(0, r)| syndromes is the sum of y_i H[:, i]
-    over the at most r coordinates where y is nonzero, looked up in the field
-    tables, and packed in base q, so q^m must fit in int64.  In characteristic 2 field
-    addition is the XOR of element numbers, so the packed terms add by XOR,
-    one word per ball cell instead of m digits.
+    The codewords of C = ker H within r of a centre z are the z - y with y
+    in B(0, r) and Hy = Hz, so a radius-r ball holds L codewords exactly
+    when L of H's syndromes coincide.  Each syndrome is the sum of y_i H[:,
+    i] over the at most r coordinates where y is nonzero, looked up in the
+    field tables and packed in base q: int32 while q^m <= 2^31, which halves
+    the gathers' and the sort's traffic, and int64 up to `_PACK_CAP`.  In
+    characteristic 2 the packed terms add by XOR.  Each row is sorted on its
+    own, so no row is offset by t q^m, which could overflow int64.
     """
-    m, n = H.shape
+    T, m, n = Hs.shape
     slots = _ball_slots(q, n, r)
-    if m == 0:
-        return slots.shape[1]
+    dtype = np.int32 if q**m <= 2**31 else np.int64
+    if m == 0 or not len(slots):  # every syndrome is 0
+        return np.zeros((T, slots.shape[1]), dtype=dtype)
     fs = make_field(q)
-    # row i * q + a holds a H[:, i]
-    terms = fs.mul_table[:, np.asarray(H, dtype=np.int64).T].transpose(1, 0, 2).reshape(n * q, m)
-    radix = q ** np.arange(m, dtype=np.int64)
+    radix = q ** np.arange(m, dtype=dtype)
+    # terms[t, :, i * q + a] holds a H_t[:, i]: row x of the symmetric
+    # product table lists a x for every a, so one row gather lays them out
+    terms = np.take(fs.mul_table, Hs, axis=0).reshape(T, m, n * q)
     if fs.p == 2:
-        syndromes = np.bitwise_xor.reduce((terms @ radix)[slots], axis=0)
+        packed = radix @ terms
+        syndromes = np.take(packed, slots[0], axis=1)
+        for row in slots[1:]:
+            syndromes ^= np.take(packed, row, axis=1)
     else:
-        digits = np.zeros((slots.shape[1], m), dtype=terms.dtype)
-        for row in slots:
-            digits = fs.add_table[digits, terms[row]]
-        syndromes = digits @ radix
-    return int(np.unique(syndromes, return_counts=True)[1].max())
+        digits = np.take(terms, slots[0], axis=2)
+        for row in slots[1:]:
+            digits = fs.add_table[digits, np.take(terms, row, axis=2)]
+        syndromes = radix @ digits
+    syndromes.sort(axis=1)
+    return syndromes
+
+
+def _fiber_overflows(Hs: np.ndarray, q: int, r: int, L: int) -> np.ndarray:
+    """Which kernels of a stack of parity checks put L codewords in one
+    radius-r ball: those with L equal syndromes, s[i] == s[i + L - 1] in a
+    sorted row of `_sorted_syndromes`, as `_block_overflows` reads stamps."""
+    s = _sorted_syndromes(Hs, q, r)
+    V = s.shape[1]
+    if L > V:
+        return np.zeros(len(Hs), dtype=bool)
+    return (s[:, :V - L + 1] == s[:, L - 1:]).any(axis=1)
+
+
+def largest_fiber(H: np.ndarray, q: int, r: int) -> int:
+    """Most codewords of C = ker H in one radius-r ball, from H alone: the
+    longest run of equal syndromes in `_sorted_syndromes` of the one-matrix
+    stack.  Neither the q^k codewords nor the q^n centres are listed."""
+    s = _sorted_syndromes(np.asarray(H)[None], q, r)[0]
+    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1], [True])))
+    return int(np.diff(starts).max())
 
 
 @dataclass
@@ -588,6 +616,7 @@ class SatisfactionCurve:
     ci_hi: np.ndarray
     trials: int
     routes: dict[str, int]
+    fiber_blocks: int
     stamp_blocks: int
     stamps: int
 
@@ -617,9 +646,9 @@ def trial_seed(master_seed: int, rate_index: int, trial_index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _pcg64_states(seeds: list[int]) -> list[tuple[int, int]]:
+def _pcg64_states(seeds) -> Iterator[tuple[int, int]]:
     """The PCG64 (state, inc) that `np.random.default_rng(s)` starts from,
-    for each seed s in [0, 2^64).
+    for each seed s in [0, 2^64) of a sequence or uint64 array, in order.
 
     default_rng(s) seeds PCG64 from NumPy's SeedSequence(s).  Its pool is
     s's two 32-bit words, low first, padded with zeros to four; each word
@@ -630,8 +659,9 @@ def _pcg64_states(seeds: list[int]) -> list[tuple[int, int]]:
     inc = 2 (c:d) + 1 and runs two LCG steps: state = ((inc + a:b) M + inc)
     mod 2^128.  The hash constants step through the same sequence for every
     seed, so the pool runs as uint32 numpy ops over all seeds at once,
-    wrapping mod 2^32 as NumPy's C code does; the 128-bit steps run on
-    Python ints.
+    wrapping mod 2^32 as NumPy's C code does.  The 128-bit steps run on
+    Python ints, 64 seeds at a time as the states are asked for, so a
+    block holds 32 bytes per seed between yields.
     """
     def hasher(h, mult):
         # SeedSequence's hash of a uint32 word, its constant stepped per call
@@ -643,8 +673,8 @@ def _pcg64_states(seeds: list[int]) -> list[tuple[int, int]]:
             return v ^ v >> 16
         return hash32
 
-    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
     s = np.asarray(seeds, dtype=np.uint64)
+    pool = np.zeros((4, s.size), dtype=np.uint32)
     pool[0], pool[1] = s & 0xFFFFFFFF, s >> 32
     hashmix = hasher(0x43B0D7E5, 0x931E8875)
     for i in range(4):
@@ -655,70 +685,85 @@ def _pcg64_states(seeds: list[int]) -> list[tuple[int, int]]:
                 x = pool[j] * 0xCA01F9DD - hashmix(pool[i]) * 0x4973F715
                 pool[j] = x ^ x >> 16
     out_hash = hasher(0x8B51F9DD, 0x58F38DED)
-    words = np.stack([out_hash(pool[i % 4]) for i in range(8)]).astype(np.uint64)
-    a, b, c, d = (words[0::2] | words[1::2] << 32).tolist()
+    abcd = np.empty((4, s.size), dtype=np.uint64)
+    for k in range(4):  # output words 2k and 2k + 1, hashed in that order
+        abcd[k] = out_hash(pool[2 * k % 4])
+        abcd[k] |= out_hash(pool[(2 * k + 1) % 4]).astype(np.uint64) << 32
+    del s, pool
     mask, mult = 2**128 - 1, 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's LCG multiplier
-    out = []
-    for a_, b_, c_, d_ in zip(a, b, c, d):
-        inc = (c_ << 65 | d_ << 1 | 1) & mask
-        out.append((((inc + (a_ << 64 | b_)) * mult + inc) & mask, inc))
-    return out
+    for start in range(0, abcd.shape[1], 64):
+        for a, b, c, d in zip(*abcd[:, start:start + 64].tolist()):
+            inc = (c << 65 | d << 1 | 1) & mask
+            yield ((inc + (a << 64 | b)) * mult + inc) & mask, inc
 
 
-def _trial_rngs(master_seed: int, ri: int, trials: int) -> Iterator[np.random.Generator]:
-    """The streams of one rate's trials: the i-th yield draws as
-    `np.random.default_rng(trial_seed(master_seed, ri, i))` does.
+def _trial_rngs(master_seed: int,
+                pairs: Iterable[tuple[int, int]]) -> Iterator[np.random.Generator]:
+    """The streams of a sweep's trials: the yield for the pair (ri, ti) draws
+    as `np.random.default_rng(trial_seed(master_seed, ri, ti))` does.
 
     One Generator serves every trial, its PCG64 set to the trial's state
     from `_pcg64_states` with no buffered 32-bit half left over, so a trial
     must finish its draws before asking for the next.  The Generator's only
     other state, the binomial setup it caches, is rebuilt whenever (n, p)
     changes and depends on nothing else, so it carries no draw between
-    trials.  Seeds are hashed `_SEED_BLOCK` at a time, which keeps memory
-    flat in the number of trials.
+    trials.  Seeds are hashed `_SEED_BLOCK` at a time, across rates, so a
+    sweep makes one `_pcg64_states` call per block, not one per rate.
     """
     rng = np.random.Generator(np.random.PCG64(0))
     bits = rng.bit_generator
-    for start in range(0, trials, _SEED_BLOCK):
-        stop = min(start + _SEED_BLOCK, trials)
-        seeds = [trial_seed(master_seed, ri, ti) for ti in range(start, stop)]
+    pairs = iter(pairs)
+    while (seeds := np.fromiter((trial_seed(master_seed, ri, ti) for ri, ti
+                                 in itertools.islice(pairs, _SEED_BLOCK)), dtype=np.uint64)).size:
         for state, inc in _pcg64_states(seeds):
             bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                           "has_uint32": 0, "uinteger": 0}
             yield rng
 
 
-def _decide_rate(cfg: SweepConfig, ri: int, rate: float, work: dict) -> int:
-    """How many of one rate's sampled codes satisfy the property.
+def _decide_rate(cfg: SweepConfig, rate: float, rngs: Iterator[np.random.Generator],
+                 work: dict) -> int:
+    """How many of one rate's sampled codes satisfy the property, one code
+    per stream of `rngs`.
 
     The property holds exactly when no cell of the occupancy profile holds L
     codewords.  A random linear code's list decoding (ell = 1) is decided
     from its parity-check matrix H alone when the zero word's ball, n * V
     digits for V = |B(0, r)|, fits the work budget and q^m fits in int64:
-    the fullest ball holds `largest_fiber(H, q, r)` codewords, so the trial
-    draws H and builds no code ("fiber").  Otherwise a random linear code
-    is sampled, and a random code draws its size alone (`draw_rc_size`).
-    The codewords' list balls cover the cells |C| * ball volume times, so
-    past L - 1 times the number of cells some cell holds L of them and the
-    trial fails ("pigeonhole"), a random code without drawing a word.
-    Otherwise its words are drawn (`draw_rc_words`, as `sample_rc` does),
-    `check_lr_dp` decides when the cells exceed the cap or cells plus stamps
-    the work budget ("dp"), and `_block_overflows` the rest ("stamp").
-    Every route is exact, so the route never changes a decision.
+    a ball holds L codewords exactly when L of H's V syndromes coincide, so
+    the trial draws H and builds no code ("fiber").  The rate's matrices
+    are stacked, at most max(`_STAMP_CHUNK`, V) ball cells at a time, and
+    one `_fiber_overflows` pass decides each stack.  Otherwise a random
+    linear code is sampled, and a random code draws its size alone
+    (`draw_rc_size`).  The codewords' list balls cover the cells |C| * ball
+    volume times, so past L - 1 times the number of cells some cell holds L
+    of them and the trial fails ("pigeonhole"), a random code without
+    drawing a word.  Otherwise its words are drawn (`draw_rc_words`, as
+    `sample_rc` does), `check_lr_dp` decides when the cells exceed the cap
+    or cells plus stamps the work budget ("dp"), and `_block_overflows` the
+    rest ("stamp").  Every route is exact, so the route never changes a
+    decision.
 
     Stamp-route codes queue until the next would take the queue's stamps
     past `_STAMP_CHUNK`, so a block holds at most max(`_STAMP_CHUNK`, one
     code's stamps) stamps, or one dense profile.  Routes are counted into
-    `work["routes"]`, blocks into `work["stamp_blocks"]` and their stamped
-    ball cells into `work["stamps"]`.
+    `work["routes"]`, fiber stacks into `work["fiber_blocks"]`, stamp blocks
+    into `work["stamp_blocks"]` and their stamped ball cells into
+    `work["stamps"]`.
     """
     q, n, ell, L = cfg.q, cfg.n, cfg.ell, cfg.L
     r = radius_of(cfg.rho, n)
     V = ball_volume(q, n, r, ell)
     cells = math.comb(q, ell) ** n
-    fiber = (cfg.family == "rlc" and ell == 1 and n * V <= cfg.work_budget
-             and q ** parity_rows(n, rate) <= _PACK_CAP)
     ok = 0
+    if (cfg.family == "rlc" and ell == 1 and n * V <= cfg.work_budget
+            and q ** parity_rows(n, rate) <= _PACK_CAP):
+        stack = max(_STAMP_CHUNK, V) // V
+        while Hs := [draw_parity_check(q, n, rate, rng) for rng in itertools.islice(rngs, stack)]:
+            ok += len(Hs) - int(np.count_nonzero(_fiber_overflows(np.array(Hs), q, r, L)))
+            work["routes"]["fiber"] += len(Hs)
+            work["fiber_blocks"] += 1
+        return ok
     queue: list[Code] = []
     queued = 0
 
@@ -728,29 +773,26 @@ def _decide_rate(cfg: SweepConfig, ri: int, rate: float, work: dict) -> int:
         work["stamps"] += stamped
         return len(queue) - int(np.count_nonzero(full))
 
-    for rng in _trial_rngs(cfg.master_seed, ri, cfg.trials):
-        if fiber:
-            route, decided = "fiber", largest_fiber(draw_parity_check(q, n, rate, rng), q, r) < L
+    for rng in rngs:
+        if cfg.family == "rlc":
+            code = sample_rlc(q, n, rate, rng)
+            size, words = code.size, lambda: code
         else:
-            if cfg.family == "rlc":
-                code = sample_rlc(q, n, rate, rng)
-                size, words = code.size, lambda: code
-            else:
-                size = draw_rc_size(q, n, rate, rng)
-                words = functools.partial(draw_rc_words, q, n, size, rng)
-            stamps = size * V
-            if stamps > (L - 1) * cells:
-                route, decided = "pigeonhole", False
-            elif cells > _CENTER_CAP or cells + stamps > cfg.work_budget:
-                route, decided = "dp", check_lr_dp(words(), cfg.rho, ell, L,
-                                                   cfg.work_budget).recoverable
-            else:
-                route, decided = "stamp", False
-                if queue and queued + stamps > _STAMP_CHUNK:
-                    ok += flush()
-                    queue, queued = [], 0
-                queue.append(words())
-                queued += stamps
+            size = draw_rc_size(q, n, rate, rng)
+            words = functools.partial(draw_rc_words, q, n, size, rng)
+        stamps = size * V
+        if stamps > (L - 1) * cells:
+            route, decided = "pigeonhole", False
+        elif cells > _CENTER_CAP or cells + stamps > cfg.work_budget:
+            route, decided = "dp", check_lr_dp(words(), cfg.rho, ell, L,
+                                               cfg.work_budget).recoverable
+        else:
+            route, decided = "stamp", False
+            if queue and queued + stamps > _STAMP_CHUNK:
+                ok += flush()
+                queue, queued = [], 0
+            queue.append(words())
+            queued += stamps
         work["routes"][route] += 1
         ok += decided
     if queue:
@@ -771,6 +813,7 @@ def _partial_curve(cfg: SweepConfig, done: list[tuple[float, int]],
     return SatisfactionCurve(family=cfg.family, rates=rates, p_hat=phat,
                              ci_lo=np.asarray(los), ci_hi=np.asarray(his),
                              trials=cfg.trials, routes=dict(work["routes"]),
+                             fiber_blocks=work["fiber_blocks"],
                              stamp_blocks=work["stamp_blocks"], stamps=work["stamps"])
 
 
@@ -778,27 +821,26 @@ def satisfaction_curve(cfg: SweepConfig) -> SatisfactionCurve:
     """Per-rate satisfaction frequency with Wilson intervals.
 
     Each trial owns an RNG stream keyed by (master seed, rate index, trial
-    index), so results do not depend on the order the trials run in.  The
-    streams are computed per rate by `_trial_rngs`, and the stream of trial
-    ti at rate ri equals `np.random.default_rng(trial_seed(master_seed, ri,
-    ti))`.  The curve counts the trials each route of `_decide_rate`
-    decided: "stamp", "pigeonhole", "dp" or "fiber"; a random linear code's
-    list-decoding trials take "fiber" whenever the n * |B(0, r)| digits of
-    the zero word's ball fit the work budget and q^m fits in int64.
-    Stamp-route codes are decided in blocks of at most `_STAMP_CHUNK`
-    stamps, one sort of their growing prefixes' ball stamps per round, which
-    spares the numpy call overhead of one profile per code; as every trial
+    index), so results do not depend on the order the trials run in.  One
+    `_trial_rngs` generator serves every (rate, trial) pair in order, and
+    the stream of trial ti at rate ri equals
+    `np.random.default_rng(trial_seed(master_seed, ri, ti))`.  The curve
+    counts the trials each route of `_decide_rate` decided ("stamp",
+    "pigeonhole", "dp" or "fiber"), the fiber stacks and stamp blocks that
+    decided them, and the ball cells the blocks stamped.  As every trial
     keeps its own stream and its own decision, the curve is the same, byte
-    for byte, as one profile per code gives.  `stamp_blocks` counts the
-    blocks and `stamps` the ball cells they stamped.  On a blown work budget
-    the curve of the rates completed so far is attached to the raised error.
+    for byte, as one decision per code gives.  On a blown work budget the
+    curve of the rates completed so far is attached to the raised error.
     """
     done: list[tuple[float, int]] = []
     work = {"routes": dict.fromkeys(("stamp", "pigeonhole", "dp", "fiber"), 0),
-            "stamp_blocks": 0, "stamps": 0}
+            "fiber_blocks": 0, "stamp_blocks": 0, "stamps": 0}
+    rngs = _trial_rngs(cfg.master_seed,
+                       itertools.product(range(len(cfg.rates)), range(cfg.trials)))
     try:
-        for ri, rate in enumerate(cfg.rates):
-            done.append((rate, _decide_rate(cfg, ri, rate, work)))
+        for rate in cfg.rates:
+            done.append((rate, _decide_rate(cfg, rate, itertools.islice(rngs, cfg.trials),
+                                            work)))
     except WorkBudgetExceededError as err:
         err.partial = _partial_curve(cfg, done, work)
         raise

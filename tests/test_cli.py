@@ -120,7 +120,7 @@ SUBNORMAL = ["--rho-min", "1e-310", "--rho-max", "1e-310", "--step", "1", "--out
 
 
 @pytest.mark.parametrize("argv, code", [
-    (["bounds", "--family", "figure1"], 1),
+    (["bounds", "--family", "figure1"], 0),
     (["bounds", "--family", "largeL-rlc"], 0),
     (["bounds", "--family", "lr-listsize-rlc", "--q", "3"], 0),
 ], ids=["figure1", "largeL-rlc", "lr-listsize-rlc"])
@@ -129,9 +129,27 @@ def test_bounds_at_a_subnormal_radius_are_finite(in_tmpdir, argv, code):
     cells = (in_tmpdir / "rows.csv").read_text().splitlines()[1].split(",")
     assert "inf" not in ",".join(cells) and "nan" not in ",".join(cells)
     if argv[2] == "figure1":
-        # blue dominates orange, by far less than the check's margin of 1e-9
+        # blue dominates orange by far less than an absolute 1e-9, and by
+        # far more than the check's margin relative to the two values
         blue, orange = float(cells[1]), float(cells[2])
-        assert 0.0 < orange < blue < orange + eng.STRICT_MARGIN
+        assert 0.0 < orange < blue < orange + eng.STRICT_MARGIN and cells[3] == "true"
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--family", "figure1", "--out", "rows.csv"],
+    ["verify", "--check", "ordering", "--q", "3", "--report", "rows.json"],
+    ["verify", "--check", "ordering", "--q", "9", "--report", "rows.json"],
+], ids=["figure1", "ordering-q3", "ordering-q9"])
+def test_dominance_at_a_tiny_radius_is_judged_against_the_values(in_tmpdir, argv):
+    # at rho = 1e-12 blue is 5.51e-11 over orange's 4.19e-11, and the q-ary
+    # dominance margin is about 5e-13 over values near 4e-11: each clears a
+    # margin relative to the values it separates, though not an absolute 1e-9
+    assert main(argv + ["--rho-min", "1e-12", "--rho-max", "1e-12", "--step", "1"]) == 0
+    if argv[0] == "verify":
+        row = json.loads((in_tmpdir / "rows.json").read_text())["details"][0]
+        assert 0.0 < row["dominance"] < eng.STRICT_MARGIN and row["ok"]
+    else:
+        assert (in_tmpdir / "rows.csv").read_text().splitlines()[1].endswith(",true")
 
 
 def test_bounds_and_ordering_manifests_count_the_grid_solve(in_tmpdir):
@@ -365,7 +383,7 @@ def test_simulate_manifest_counts_routes_and_the_environment(in_tmpdir):
     man = read_manifest(in_tmpdir / "simulate.manifest.json")
     # the one stamp-route code, 4 words, stamps 4 balls of 256 cells each
     assert man["counters"] == {"routes": {"stamp": 1, "pigeonhole": 5, "dp": 0, "fiber": 0},
-                               "stamp_blocks": 1, "stamps": 1024}
+                               "fiber_blocks": 0, "stamp_blocks": 1, "stamps": 1024}
     env = man["environment"]
     assert env["numpy"] == np.__version__ and env["python"].count(".") == 2
     assert env["cpu_count"] is None or env["cpu_count"] >= 1
@@ -380,6 +398,9 @@ def test_simulate_budget_exit(in_tmpdir, capsys):
     man = read_manifest(in_tmpdir / "simulate.manifest.json")
     assert man["partial"] is True
     assert man["outputs"] == []
+    # the partial path reports the same counters as the normal one
+    assert man["counters"] == {"routes": {"stamp": 0, "pigeonhole": 0, "dp": 0, "fiber": 0},
+                               "fiber_blocks": 0, "stamp_blocks": 0, "stamps": 0}
 
 
 def test_simulate_list_decoding_honours_the_budget(in_tmpdir, capsys):
@@ -399,8 +420,10 @@ def test_simulate_rlc_list_decoding_past_the_enumeration_caps(in_tmpdir):
     assert main(["simulate", "--family", "rlc", "--q", "2", "--n", "32", "--rho", "0.1",
                  "--L", "2", "--rates", "0.6:0.9:0.3", "--trials", "5"]) == 0
     man = read_manifest(in_tmpdir / "simulate.manifest.json")
+    # two of the 5,489-syndrome rows fit a stack of 2^14 cells, so each
+    # rate's five trials take three stacks
     assert man["counters"] == {"routes": {"stamp": 0, "pigeonhole": 0, "dp": 0, "fiber": 10},
-                               "stamp_blocks": 0, "stamps": 0}
+                               "fiber_blocks": 6, "stamp_blocks": 0, "stamps": 0}
 
 
 def test_simulate_list_size_past_the_first_prefix(in_tmpdir):

@@ -28,6 +28,7 @@ from thresholds.simulate import (
     _ball_stamper,
     _block_overflows,
     _candidate_order,
+    _fiber_overflows,
     _pcg64_states,
     _trial_rngs,
     _zero_list_ball,
@@ -832,7 +833,7 @@ def test_choice_takes_both_numpy_paths():
 
 def test_one_reseeded_generator_draws_as_fresh_streams():
     buffered = 0
-    for t, rng in enumerate(_trial_rngs(11, 2, 24)):
+    for t, rng in enumerate(_trial_rngs(11, ((2, t) for t in range(24)))):
         assert rng.bit_generator.state["has_uint32"] == 0
         got = _sweep_draws(rng, t)
         buffered += rng.bit_generator.state["has_uint32"]
@@ -841,14 +842,17 @@ def test_one_reseeded_generator_draws_as_fresh_streams():
     # some trials end on a buffered 32-bit half word, which the next drops
     assert buffered > 0
     for family in (sample_rc, sample_rlc):
-        codes = [family(3, 6, 0.4, rng).words for rng in _trial_rngs(4, 1, 30)]
+        # pairs out of sweep order, across two rates
+        pairs = [(1, t) for t in range(30)] + [(0, 3), (2, 0)]
+        codes = [family(3, 6, 0.4, rng).words for rng in _trial_rngs(4, pairs)]
         assert all(np.array_equal(c, family(3, 6, 0.4, np.random.default_rng(
-            trial_seed(4, 1, t))).words) for t, c in enumerate(codes))
+            trial_seed(4, ri, t))).words) for (ri, t), c in zip(pairs, codes, strict=True))
 
 
 def test_seed_blocks_keep_memory_flat(monkeypatch):
-    # 23 trials in blocks of 5: no call hashes more than one block, and the
-    # curve is the one fresh `default_rng` streams give, one profile per code
+    # 2 rates of 23 trials in blocks of 5: the blocks cross the rate
+    # boundary, no call hashes more than one block, and the curve is the one
+    # fresh `default_rng` streams give, one profile per code
     cfg = SweepConfig(q=2, n=6, family="rc", rho=0.2, L=2, rates=[0.3, 0.6], trials=23,
                       master_seed=3)
     whole = satisfaction_curve(cfg)
@@ -861,7 +865,7 @@ def test_seed_blocks_keep_memory_flat(monkeypatch):
     monkeypatch.setattr("thresholds.simulate._pcg64_states", record)
     monkeypatch.setattr("thresholds.simulate._SEED_BLOCK", 5)
     blocked = satisfaction_curve(cfg)
-    assert sizes == [5, 5, 5, 5, 3] * 2
+    assert sizes == [5] * 9 + [1]
     assert blocked.to_csv() == whole.to_csv() and blocked.routes == whole.routes
     assert [round(p * cfg.trials) for p in whole.p_hat] == _profile_decisions(cfg)
 
@@ -1034,15 +1038,76 @@ def test_ball_slots_match_the_transposed_construction(q, n, r):
 def test_largest_fiber_at_radius_one_follows_the_column_rule(q):
     # n = 40: neither the q^k codewords nor the q^40 centres can be listed;
     # the high rates leave few rows, so columns collide on lines and zero
-    # columns occur
+    # columns occur; at rate 0.1 q^m passes 2^31 and the syndromes are int64
     seen = set()
-    for R in (0.3, 0.6, 0.85, 0.9, 0.95):
+    for R in (0.1, 0.3, 0.6, 0.85, 0.9, 0.95):
         for seed in range(12):
             H = draw_parity_check(q, 40, R, np.random.default_rng(seed))
             want = _column_rule(H, q)
             assert largest_fiber(H, q, 1) == want, (R, seed)
             seen.add(want)
     assert len(seen) >= 4
+
+
+def _kernel_code(H, q):
+    """ker H by enumerating GF(q)^n: the oracle's code, whatever H's rank."""
+    fs = make_field(q)
+    m, n = H.shape
+    dig = digits_of(np.arange(q**n), q, n)
+    zero = np.ones(q**n, dtype=bool)
+    for j in range(m):
+        acc = np.zeros(q**n, dtype=np.int64)
+        for i in range(n):
+            acc = fs.add_table[acc, fs.mul_table[int(H[j, i]), dig[:, i]]]
+        zero &= acc == 0
+    return Code(q=q, n=n, words=np.flatnonzero(zero), kind="linear")
+
+
+@pytest.mark.parametrize("q, n", [(2, 7), (3, 5), (4, 4)])
+def test_stacked_fiber_decisions_match_each_matrix(q, n):
+    # each stacked decision is the one-matrix largest fiber's and the dense
+    # oracle's on the enumerated kernel: no rows (a rate near 1), a zero
+    # matrix, a repeated row and a zero column among random rows
+    rng = np.random.default_rng(q)
+    for m in range(0, n):
+        Hs = rng.integers(0, q, size=(6, m, n)).astype(np.int16)
+        if m:
+            Hs[1] = 0
+            Hs[2, -1] = Hs[2, 0]
+            Hs[3, :, 0] = 0
+        for r in range(0, 3):
+            V = ball_volume(q, n, r)
+            for L in (1, 2, 3, V + 1):
+                got = _fiber_overflows(Hs, q, r, L)
+                assert got.shape == (6,)
+                for t, H in enumerate(Hs):
+                    assert got[t] == (largest_fiber(H, q, r) >= L), (m, r, L, t)
+                    oracle = check_ld_centers(_kernel_code(H, q), (r + 0.5) / n, L)
+                    assert got[t] == (not oracle.decodable), (m, r, L, t)
+
+
+@pytest.mark.parametrize("q, n, rho, L, rates", [
+    (2, 14, 0.15, 3, [0.2, 0.3, 0.4]),
+    (3, 7, 0.15, 2, [0.2, 0.3, 0.5]),
+])
+def test_fiber_sweep_equals_one_default_rng_trial_at_a_time(q, n, rho, L, rates, monkeypatch):
+    # stacks of one trial, of three (a boundary inside each rate's seven
+    # trials) and of the whole rate decide alike, each trial drawing the H
+    # that its own `default_rng(trial_seed(...))` stream draws
+    cfg = SweepConfig(q=q, n=n, family="rlc", rho=rho, L=L, rates=rates, trials=7,
+                      master_seed=13)
+    r = radius_of(rho, n)
+    V = ball_volume(q, n, r)
+    want = [sum(largest_fiber(draw_parity_check(q, n, rate, np.random.default_rng(
+                trial_seed(13, ri, ti))), q, r) < L for ti in range(7))
+            for ri, rate in enumerate(rates)]
+    assert 0 < sum(want) < 21
+    for chunk, blocks in ((1, 21), (3 * V, 9), (2**22, 3)):
+        monkeypatch.setattr("thresholds.simulate._STAMP_CHUNK", chunk)
+        curve = satisfaction_curve(cfg)
+        assert [round(p * cfg.trials) for p in curve.p_hat] == want, chunk
+        assert curve.routes == {"stamp": 0, "pigeonhole": 0, "dp": 0, "fiber": 21}
+        assert (curve.fiber_blocks, curve.stamp_blocks) == (blocks, 0), chunk
 
 
 class Sampled(Exception):
@@ -1065,6 +1130,22 @@ def test_syndromes_past_int64_leave_the_trial_to_the_sampler(monkeypatch):
     assert parity_rows(70, 0.05) == 66
     with pytest.raises(Sampled):
         satisfaction_curve(SweepConfig(**{**vars(cfg), "rates": [0.05]}))
+
+
+def test_a_partial_curve_counts_the_fiber_stacks(monkeypatch):
+    # the rate-0.11 trials take one stack; the rate-0.05 sampler then runs
+    # out of budget, and the partial curve keeps the stack it counted
+    def sample(q, n, R, rng):
+        raise WorkBudgetExceededError("out of budget")
+
+    monkeypatch.setattr("thresholds.simulate.sample_rlc", sample)
+    cfg = SweepConfig(q=2, n=70, family="rlc", rho=0.0, L=2, rates=[0.11, 0.05], trials=2,
+                      master_seed=0)
+    with pytest.raises(WorkBudgetExceededError) as exc:
+        satisfaction_curve(cfg)
+    partial = exc.value.partial
+    assert partial.rates.tolist() == [0.11] and partial.p_hat.tolist() == [1.0]
+    assert partial.routes["fiber"] == 2 and partial.fiber_blocks == 1
 
 
 def _dp_decisions(cfg):
