@@ -13,10 +13,14 @@ a stack of parity checks in one pass.  Sweeps decide the other trials from
 the codewords' list balls; when the balls cover the cells more than L - 1
 times the pigeonhole bound decides, before a random code draws a word, and
 when the cells do not fit a dynamic program over the L-subsets of codewords
-decides without enumerating them.  The rest are decided in blocks of sorted
-ball stamps, each code's stamps offset into a slot of its own and stamped
-by growing prefixes of its words, so a code leaves the block as soon as a
-prefix puts L words in one cell.  Each trial still draws from its own
+decides without enumerating them.  A random code's words are drawn as one
+sorted int64 array, and a code under L words, which cannot put L in one
+cell, is decided from its size without drawing them.  The rest are decided
+in blocks of sorted ball stamps, each code's stamps offset into a slot of
+its own and stamped by growing prefixes of its words, so a code leaves the
+block as soon as a prefix puts L words in one cell; a ball is stamped by
+one row gather per coordinate from a (q, V) table of translates, the row
+the word's digit.  Each trial still draws from its own
 seeded stream, so a sweep's output is the same, byte for byte, as one
 decision per code gives.  A random linear code's words are the image of
 GF(q)^k under its generator, listed by `fields.matvec_all`, and a code is
@@ -64,7 +68,7 @@ _CENTER_CAP = 2**22
 _STAMP_CHUNK = 2**14
 _PREFIX = 64  # codewords per code in a block's first sorted round
 _SPACE_CAP = 2**24
-_PACK_CAP = 2**63 - 1  # largest q^m whose syndromes pack into int64
+_PACK_CAP = 2**63 - 1  # largest q^m (syndromes) or q^n (words) packed into int64
 _SEED_BLOCK = 4096  # trial seeds hashed per `_pcg64_states` call
 _LABEL_BITS = 62  # the greedy's coset labels are int64
 _DUMP_BLOCK = 2**16  # codewords per block of a written code file
@@ -207,7 +211,10 @@ def sample_rlc(q: int, n: int, R: float, rng: np.random.Generator) -> Code:
     """Kernel of a uniform parity-check matrix with n - ceil(R n) rows.
 
     The dimension is at least ceil(R n); rank-deficient draws only enlarge it.
+    SizeCapError when q^n words cannot be packed into int64.
     """
+    if q**n > _PACK_CAP:
+        raise SizeCapError(f"q^n = {q}^{n} exceeds the int64 packing cap 2^63 - 1")
     H = draw_parity_check(q, n, R, rng)
     basis = map_with_kernel(rref_of(H, q))
     k = basis.shape[0]
@@ -222,9 +229,9 @@ def sample_rc(q: int, n: int, R: float, rng: np.random.Generator) -> Code:
 
     Independent Bernoulli(p) inclusion of N = q^n vectors is a Binomial(N, p)
     count k followed by a uniform k-subset, so the code is drawn that way:
-    `draw_rc_size`, then `draw_rc_words`.
+    `draw_rc_size`, then `draw_rc_words`, whose sorted array the code wraps.
     """
-    return draw_rc_words(q, n, draw_rc_size(q, n, R, rng), rng)
+    return Code(q=q, n=n, words=draw_rc_words(q, n, draw_rc_size(q, n, R, rng), rng))
 
 
 def draw_rc_size(q: int, n: int, R: float, rng: np.random.Generator) -> int:
@@ -238,12 +245,14 @@ def draw_rc_size(q: int, n: int, R: float, rng: np.random.Generator) -> int:
     return int(rng.binomial(N, float(q) ** ((R - 1.0) * n)))
 
 
-def draw_rc_words(q: int, n: int, k: int, rng: np.random.Generator) -> Code:
-    """A uniform k-subset of GF(q)^n, the second draw of `sample_rc`: O(k log
-    k) work, plus one shuffle of the q^n indices when q^n > 10,000 and k >
-    q^n // 20, where numpy leaves Floyd's hash set for a shuffle of the tail."""
-    words = np.sort(rng.choice(q**n, size=k, replace=False, shuffle=False))
-    return Code(q=q, n=n, words=words, kind="plain")
+def draw_rc_words(q: int, n: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """A uniform k-subset of GF(q)^n as a sorted int64 index array, the
+    second draw of `sample_rc`: O(k log k) work, plus one shuffle of the q^n
+    indices when q^n > 10,000 and k > q^n // 20, where numpy leaves Floyd's
+    hash set for a shuffle of the tail.  Sweeps stamp the array as it is."""
+    words = rng.choice(q**n, size=k, replace=False, shuffle=False)
+    words.sort()
+    return words
 
 
 # ---------------------------------------------------------------------------
@@ -320,30 +329,33 @@ def _ball_stamper(q: int, n: int, r: int, ell: int):
 
     T lies in the ball of c exactly when T - c lies in the ball of 0, so the
     ball of c is the zero word's ball with coordinate i's subsets translated
-    by c_i: one gather per coordinate from the shift table, packed in base
-    C(q, ell).  For ell = 1 over GF(2^m) a translate is the XOR of packed
-    indices, so the ball is one XOR of the codeword with packed offsets.
+    by c_i, packed in base C(q, ell).  Coordinate i's packed translates form
+    a (q, V) table, row a the ball's subsets at i translated by a, so a
+    coordinate costs one row gather by the words' digits there.  For ell = 1
+    over GF(2^m) a translate is the XOR of packed indices, so the ball is one
+    XOR of the codeword with packed offsets.
     """
     offsets, shift = _zero_list_ball(q, n, r, ell)
     radix = math.comb(q, ell) ** np.arange(n, dtype=np.int64)
     if ell == 1 and make_field(q).p == 2:
         packed = radix @ offsets
         return (lambda words: words[:, None] ^ packed), offsets.shape[1]
-    scaled = shift[None, :, :] * radix[:, None, None]
+    tables = [radix[i] * shift[:, row] for i, row in enumerate(offsets)]
 
     def balls(words):
-        dig = digits_of(words, q, n)
-        out = scaled[0][dig[:, :1], offsets[0]]
-        for i in range(1, n):
-            out += scaled[i][dig[:, i:i + 1], offsets[i]]
+        words, digit = np.divmod(words, q)
+        out = np.take(tables[0], digit, axis=0)
+        for table in tables[1:]:
+            words, digit = np.divmod(words, q)
+            out += np.take(table, digit, axis=0)
         return out
     return balls, offsets.shape[1]
 
 
 def _block_overflows(q: int, n: int, r: int, ell: int, L: int,
-                     codes: list[Code]) -> tuple[np.ndarray, int]:
-    """Which of the codes have L codewords in one cell, and the ball cells
-    stamped to tell.
+                     codes: list[np.ndarray]) -> tuple[np.ndarray, int]:
+    """Which of the codes, each a sorted int64 array of word indices, have
+    L codewords in one cell, and the ball cells stamped to tell.
 
     Code t's stamps are offset by t * N, N = C(q, ell)^n, and the block's
     stamps sorted once: a cell holds L of code t's words exactly when
@@ -351,9 +363,10 @@ def _block_overflows(q: int, n: int, r: int, ell: int, L: int,
     are added, so each round stamps the first s words of the codes still
     undecided, s = max(`_PREFIX`, L) and then four times more, until a
     prefix puts L words in a cell or covers its code.  A code under L words
-    is not stamped; one whose |C| * V stamps exceed its N cells takes its
-    dense `occupancy_profile`, as in `check_ld_centers`.  So the block holds
-    at most its codes' stamps, or one dense profile.
+    is not stamped; one whose |C| * V stamps exceed its N cells takes the
+    dense `occupancy_profile` of its array wrapped in a `Code`, as in
+    `check_ld_centers`.  So the block holds at most its codes' stamps, or
+    one dense profile.
     """
     balls, V = _ball_stamper(q, n, r, ell)
     N = math.comb(q, ell) ** n
@@ -361,12 +374,12 @@ def _block_overflows(q: int, n: int, r: int, ell: int, L: int,
     dense = sizes * V > N
     full = np.zeros(len(codes), dtype=bool)
     for t in np.flatnonzero(dense):
-        full[t] = occupancy_profile(codes[t], r, ell).max() >= L
+        full[t] = occupancy_profile(Code(q=q, n=n, words=codes[t]), r, ell).max() >= L
     stamped = int(sizes[dense].sum()) * V
     # a live code has at least L words, so each round sorts at least L cells
     live, s = np.flatnonzero(~dense & (sizes >= L)), max(_PREFIX, L)
     while live.size:
-        cells = balls(np.concatenate([codes[t].words[:s] for t in live]))
+        cells = balls(np.concatenate([codes[t][:s] for t in live]))
         cells += np.repeat(live * N, np.minimum(sizes[live], s))[:, None]
         cells = cells.ravel()
         cells.sort()
@@ -738,15 +751,18 @@ def _decide_rate(cfg: SweepConfig, rate: float, rngs: Iterator[np.random.Generat
     (`draw_rc_size`).  The codewords' list balls cover the cells |C| * ball
     volume times, so past L - 1 times the number of cells some cell holds L
     of them and the trial fails ("pigeonhole"), a random code without
-    drawing a word.  Otherwise its words are drawn (`draw_rc_words`, as
-    `sample_rc` does), `check_lr_dp` decides when the cells exceed the cap
-    or cells plus stamps the work budget ("dp"), and `_block_overflows` the
-    rest ("stamp").  Every route is exact, so the route never changes a
-    decision.
+    drawing a word.  Otherwise a random code of at least L words draws them
+    as the sorted array of `draw_rc_words`, as `sample_rc` does, while one
+    under L words holds fewer than L in every cell and is decided from its
+    size, with no word drawn.  `check_lr_dp` decides when the cells exceed
+    the cap or cells plus stamps the work budget ("dp"), and
+    `_block_overflows` the rest ("stamp").  Every route is exact, so the
+    route never changes a decision.
 
-    Stamp-route codes queue until the next would take the queue's stamps
-    past `_STAMP_CHUNK`, so a block holds at most max(`_STAMP_CHUNK`, one
-    code's stamps) stamps, or one dense profile.  Routes are counted into
+    Stamp-route codes queue as word arrays, an empty one for a code decided
+    from its size, until the next would take the queue's stamps past
+    `_STAMP_CHUNK`, so a block holds at most max(`_STAMP_CHUNK`, one code's
+    stamps) stamps, or one dense profile.  Routes are counted into
     `work["routes"]`, fiber stacks into `work["fiber_blocks"]`, stamp blocks
     into `work["stamp_blocks"]` and their stamped ball cells into
     `work["stamps"]`.
@@ -764,7 +780,7 @@ def _decide_rate(cfg: SweepConfig, rate: float, rngs: Iterator[np.random.Generat
             work["routes"]["fiber"] += len(Hs)
             work["fiber_blocks"] += 1
         return ok
-    queue: list[Code] = []
+    queue: list[np.ndarray] = []
     queued = 0
 
     def flush() -> int:
@@ -775,24 +791,26 @@ def _decide_rate(cfg: SweepConfig, rate: float, rngs: Iterator[np.random.Generat
 
     for rng in rngs:
         if cfg.family == "rlc":
-            code = sample_rlc(q, n, rate, rng)
-            size, words = code.size, lambda: code
+            words = sample_rlc(q, n, rate, rng).words
+            size = words.size
         else:
-            size = draw_rc_size(q, n, rate, rng)
-            words = functools.partial(draw_rc_words, q, n, size, rng)
+            words, size = None, draw_rc_size(q, n, rate, rng)
         stamps = size * V
         if stamps > (L - 1) * cells:
             route, decided = "pigeonhole", False
-        elif cells > _CENTER_CAP or cells + stamps > cfg.work_budget:
-            route, decided = "dp", check_lr_dp(words(), cfg.rho, ell, L,
-                                               cfg.work_budget).recoverable
         else:
-            route, decided = "stamp", False
-            if queue and queued + stamps > _STAMP_CHUNK:
-                ok += flush()
-                queue, queued = [], 0
-            queue.append(words())
-            queued += stamps
+            if words is None:
+                words = draw_rc_words(q, n, size, rng) if size >= L else np.empty(0, np.int64)
+            if cells > _CENTER_CAP or cells + stamps > cfg.work_budget:
+                route, decided = "dp", check_lr_dp(Code(q=q, n=n, words=words), cfg.rho, ell,
+                                                   L, cfg.work_budget).recoverable
+            else:
+                route, decided = "stamp", False
+                if queue and queued + stamps > _STAMP_CHUNK:
+                    ok += flush()
+                    queue, queued = [], 0
+                queue.append(words)
+                queued += stamps
         work["routes"][route] += 1
         ok += decided
     if queue:

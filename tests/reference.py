@@ -16,7 +16,10 @@ replays that bisection from a Newton root; `dual_30` evaluates the dual one
 point at a time in 30-digit mpmath, and `rate_columns_30` forms the rate
 columns from it, where the library uses one double-double pass per grid;
 `dense_greedy` runs the potential greedy on a dense 2^n profile, where the
-library scores a candidate on the coset fibers of the ball.
+library scores a candidate on the coset fibers of the ball;
+`gathered_balls` stamps list balls by one 2-D gather per coordinate from
+the scaled shift table, where the library takes rows of a per-coordinate
+table by the words' digits.
 """
 
 from __future__ import annotations
@@ -78,6 +81,20 @@ def matvec_apply(A, v, fs: FieldSpec) -> tuple[int, ...]:
         out.append(acc)
     return tuple(out)
 
+
+
+def gathered_balls(q: int, n: int, r: int, ell: int, words) -> np.ndarray:
+    """The radius-r list balls of the words as packed cells, shape (k, V):
+    coordinate i adds shift[c_i, offsets[i]] * C(q, ell)^i, one 2-D fancy
+    index of the scaled shift table by the digit column and the offsets."""
+    offsets, shift = sim._zero_list_ball(q, n, r, ell)
+    radix = math.comb(q, ell) ** np.arange(n, dtype=np.int64)
+    scaled = shift[None, :, :] * radix[:, None, None]
+    dig = digits_of(np.asarray(words, dtype=np.int64), q, n)
+    out = scaled[0][dig[:, :1], offsets[0]]
+    for i in range(1, n):
+        out += scaled[i][dig[:, i:i + 1], offsets[i]]
+    return out
 
 
 def dim_of_type(tau: TypeDist) -> int:

@@ -426,6 +426,16 @@ def test_simulate_rlc_list_decoding_past_the_enumeration_caps(in_tmpdir):
                                "fiber_blocks": 6, "stamp_blocks": 0, "stamps": 0}
 
 
+def test_simulate_rlc_past_the_packing_cap_names_it(in_tmpdir, capsys):
+    # 66 parity rows do not pack into int64, so the trial samples its code,
+    # whose 2^70 words cannot be packed either: the sampler refuses it by
+    # the cap, not by an index it cannot hold
+    assert main(["simulate", "--family", "rlc", "--q", "2", "--n", "70", "--rho", "0.0",
+                 "--L", "2", "--rates", "0.05:0.05:0.1", "--trials", "1"]) == 3
+    err = capsys.readouterr().err
+    assert "int64 packing cap" in err and "out of range" not in err
+
+
 def test_simulate_list_size_past_the_first_prefix(in_tmpdir):
     # at r = 0 a ball is one cell and the code has a few hundred words, more
     # than L = 100, so the stamp route sorts prefixes of at least L words

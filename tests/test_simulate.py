@@ -48,7 +48,7 @@ from thresholds.simulate import (
     wilson_interval,
 )
 
-from reference import dense_greedy, is_tie
+from reference import dense_greedy, gathered_balls, is_tie
 
 
 def make_code(q, n, indices):
@@ -491,6 +491,35 @@ def test_zero_list_ball_matches_the_prefix_grown_ball(q, ell):
             assert got.dtype == want.dtype and np.array_equal(got, want), (n, r)
 
 
+def _brute_list_ball(q, n, r, ell, word):
+    """The packed cells T with word_i outside T_i at no more than r
+    coordinates, found by visiting every cell."""
+    subsets = list(itertools.combinations(range(q), ell))
+    holds = np.asarray([[a in s for a in range(q)] for s in subsets])
+    cells = digits_of(np.arange(len(subsets) ** n), len(subsets), n)
+    misses = (~holds[cells, digits_of(np.asarray([word]), q, n)[0]]).sum(axis=1)
+    return set(np.flatnonzero(misses <= r).tolist())
+
+
+@pytest.mark.parametrize("q,ell", [(3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 2)])
+def test_stamper_rows_are_the_gathered_list_balls(q, ell):
+    # the stamper's rows equal, cell for cell and in order, one 2-D gather
+    # per coordinate from the scaled shift table, and each row is its word's
+    # list ball, every cell once; q = 4, ell = 1 stamps by XOR
+    rng = np.random.default_rng(10 * q + ell)
+    for n in range(1, 5 if math.comb(q, ell) <= 5 else 4):
+        words = np.sort(rng.choice(q**n, size=min(q**n, 12), replace=False))
+        for r in range(n + 1):
+            balls, V = _ball_stamper(q, n, r, ell)
+            got = balls(words)
+            assert got.shape == (words.size, V)
+            assert np.array_equal(got, gathered_balls(q, n, r, ell, words)), (n, r)
+            assert np.array_equal(balls(words[:0]), got[:0])
+            for word, row in zip(words.tolist(), got):
+                assert len(set(row.tolist())) == V
+                assert set(row.tolist()) == _brute_list_ball(q, n, r, ell, word), (n, r, word)
+
+
 def test_stamp_blocks_add_up(monkeypatch):
     # a chunk of 1 leaves blocks of max(1, 81 cells) // 72 ball cells, one
     # codeword each; the default chunk stamps all five in one block
@@ -514,7 +543,7 @@ def test_block_profiles_are_the_codes_profiles(q, n, ell, monkeypatch):
         for chunk in (16, 2**16):
             monkeypatch.setattr("thresholds.simulate._STAMP_CHUNK", chunk)
             for L in (1, 2, 3):
-                full, _ = _block_overflows(q, n, r, ell, L, codes)
+                full, _ = _block_overflows(q, n, r, ell, L, [c.words for c in codes])
                 assert full.tolist() == [p >= L for p in peaks], (r, chunk, L)
 
 
@@ -590,12 +619,13 @@ def test_block_overflows_decide_like_the_dense_profile(monkeypatch):
                     seen.add("first")
                 elif c.size > first and full and c.size <= s:
                     seen.add("whole" if L <= _PREFIX else "whole past the prefix")
-                assert _block_overflows(q, n, r, ell, L, [c])[1] == stamps, (q, ell, L, c.size)
+                assert _block_overflows(q, n, r, ell, L, [c.words])[1] == stamps, (q, ell, L,
+                                                                                  c.size)
             for chunk in (1, 16, 2**14):
                 monkeypatch.setattr("thresholds.simulate._STAMP_CHUNK", chunk)
-                full, _ = _block_overflows(q, n, r, ell, L, codes)
+                full, _ = _block_overflows(q, n, r, ell, L, [c.words for c in codes])
                 assert full.tolist() == want, (q, ell, L, chunk)
-                assert [bool(_block_overflows(q, n, r, ell, L, [c])[0][0])
+                assert [bool(_block_overflows(q, n, r, ell, L, [c.words])[0][0])
                         for c in codes] == want, (q, ell, L, chunk)
     assert seen >= {"empty", "small", "first", "whole", "dense", "whole past the prefix"}
 
@@ -628,10 +658,11 @@ def test_sweep_blocks_hold_one_code_or_one_dense_profile_at_a_chunk_of_1(monkeyp
 
 def test_rc_pigeonhole_trials_draw_no_words(monkeypatch):
     # a radius-3 ball has 93 of the 2^8 centers, so from 3 words on the
-    # bound decides a list-of-2 trial from the drawn size alone; the counts
-    # are the per-trial sample_rc oracle's
+    # bound decides a list-of-2 trial from the drawn size alone; the one
+    # stamp trial holds 2 words, so it draws them; the counts are the
+    # per-trial sample_rc oracle's
     cfg = SweepConfig(q=2, n=8, family="rc", rho=0.4, L=2, rates=[0.2, 0.9], trials=4,
-                      master_seed=21)
+                      master_seed=23)
     want = _profile_decisions(cfg)
     drawn = []
     real = simulate.draw_rc_words
@@ -641,6 +672,61 @@ def test_rc_pigeonhole_trials_draw_no_words(monkeypatch):
     assert curve.routes == {"stamp": 1, "pigeonhole": 7, "dp": 0, "fiber": 0}
     assert len(drawn) == 1 and drawn[0] * ball_volume(2, 8, 3) <= 2**8
     assert [round(p * cfg.trials) for p in curve.p_hat] == want
+
+
+@pytest.mark.parametrize("cap", [_CENTER_CAP, 1], ids=["stamp", "dp"])
+def test_rc_codes_under_L_words_draw_no_words(cap, monkeypatch):
+    # at rates 0.1 to 0.3 a code of 3^6 vectors holds about 2 to 7 words, so
+    # some trials fall under L = 3 and are decided from their size, on the
+    # stamp route and, past a cell cap of 1, on the dp route; only the
+    # trials of L or more words draw them, and the counts are the
+    # per-trial sample_rc oracle's
+    cfg = SweepConfig(q=3, n=6, family="rc", rho=0.2, L=3, rates=[0.1, 0.2, 0.3], trials=20,
+                      master_seed=3)
+    want = _profile_decisions(cfg)
+    sizes = [c.size for ri, rate in enumerate(cfg.rates) for c in _oracle_codes(cfg, ri, rate)]
+    assert min(sizes) < cfg.L <= max(sizes)
+    drawn = []
+    real = simulate.draw_rc_words
+    monkeypatch.setattr("thresholds.simulate.draw_rc_words",
+                        lambda q, n, k, rng: drawn.append(k) or real(q, n, k, rng))
+    monkeypatch.setattr("thresholds.simulate._CENTER_CAP", cap)
+    curve = satisfaction_curve(cfg)
+    route = "stamp" if cap == _CENTER_CAP else "dp"
+    assert curve.routes == {**dict.fromkeys(("stamp", "pigeonhole", "dp", "fiber"), 0),
+                            route: len(sizes)}
+    assert drawn == [k for k in sizes if k >= cfg.L]
+    assert [round(p * cfg.trials) for p in curve.p_hat] == want
+
+
+# sha256 of the CSV, the routes, stamp blocks and stamps of the benchmark's
+# plain-code sweeps: lr-sweep's q = 3, n = 8, ell = 1 job and ld-sweep's
+# q = 3, n = 9 job, at two seeds, recorded before the sweeps stamped sorted
+# word arrays and skipped the draws of codes under L words
+BENCH_RC_SWEEPS = [
+    ((3, 8, 0.125, 3, 1, "0.125:0.25:0.125", 1000), 11,
+     "58c1b450b499d91098c0865efc3dfa1647b247bb3bab1b3245a086a5832a527b", (2000, 0), 14, 192627),
+    ((3, 8, 0.125, 3, 1, "0.125:0.25:0.125", 1000), 12,
+     "a39c66039030beabfbac1317e7a3200db118061f8a1e0c25c3689593cd0f3311", (2000, 0), 14, 192406),
+    ((3, 9, 0.12, 2, 1, "0.1:0.8:0.1", 10), 11,
+     "8377c84051b43011c66e6785f78ea51a0240f493f20ae0de40adfc8888d03c38", (67, 13), 18, 48393),
+    ((3, 9, 0.12, 2, 1, "0.1:0.8:0.1", 10), 12,
+     "142df17ebfca380f269296a6a7275a4a32d9e39cbab1768290bc312efb4142c9", (68, 12), 19, 49647),
+]
+
+
+@pytest.mark.parametrize("shape,seed,digest,routes,blocks,stamps", BENCH_RC_SWEEPS,
+                         ids=["lr-11", "lr-12", "ld-11", "ld-12"])
+def test_bench_rc_sweeps_are_pinned(shape, seed, digest, routes, blocks, stamps):
+    from thresholds.cli import _parse_rates
+
+    q, n, rho, L, ell, rates, trials = shape
+    curve = satisfaction_curve(SweepConfig(q=q, n=n, family="rc", rho=rho, L=L,
+                                           rates=_parse_rates(rates), trials=trials,
+                                           master_seed=seed, ell=ell))
+    assert hashlib.sha256(curve.to_csv().encode()).hexdigest() == digest
+    assert curve.routes == {"stamp": routes[0], "pigeonhole": routes[1], "dp": 0, "fiber": 0}
+    assert (curve.stamp_blocks, curve.stamps) == (blocks, stamps)
 
 
 def _oracle_codes(cfg, ri, rate):
@@ -939,7 +1025,7 @@ def test_pigeonhole_bound_is_strict(monkeypatch):
     hamming = hamming_code()
     assert hamming.size * ball_volume(2, 7, 1) == 2**7
     monkeypatch.setattr("thresholds.simulate.draw_rc_size", lambda q, n, R, rng: hamming.size)
-    monkeypatch.setattr("thresholds.simulate.draw_rc_words", lambda q, n, k, rng: hamming)
+    monkeypatch.setattr("thresholds.simulate.draw_rc_words", lambda q, n, k, rng: hamming.words)
     cfg = SweepConfig(q=2, n=7, family="rc", rho=0.15, L=2, rates=[0.5], trials=3,
                       master_seed=0)
     curve = satisfaction_curve(cfg)
@@ -1130,6 +1216,18 @@ def test_syndromes_past_int64_leave_the_trial_to_the_sampler(monkeypatch):
     assert parity_rows(70, 0.05) == 66
     with pytest.raises(Sampled):
         satisfaction_curve(SweepConfig(**{**vars(cfg), "rates": [0.05]}))
+
+
+def test_rlc_words_past_int64_are_refused_by_the_packing_cap():
+    # 2^63 words do not pack into int64: refused before H is drawn, where
+    # 2^62 words pack and only the kernel's enumeration cap refuses them
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(SizeCapError, match="int64 packing cap"):
+        sample_rlc(2, 63, 0.9, rng)
+    assert rng.bit_generator.state == state
+    with pytest.raises(SizeCapError, match="too large to enumerate"):
+        sample_rlc(2, 62, 0.9, rng)
 
 
 def test_a_partial_curve_counts_the_fiber_stacks(monkeypatch):
