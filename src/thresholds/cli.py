@@ -118,9 +118,11 @@ def _solver_counters(solves) -> dict[str, int]:
 def _sweep_counters(curve) -> dict:
     """A `simulate` manifest's `counters`, on the normal and the partial
     path: the trials per route, the fiber stacks and stamp blocks that
-    decided them, and the ball cells the stamp blocks stamped."""
+    decided them, the ball cells the stamp blocks and prefix probes
+    stamped, and the random codes probed by a prefix of their draw."""
     return {"routes": curve.routes, "fiber_blocks": curve.fiber_blocks,
-            "stamp_blocks": curve.stamp_blocks, "stamps": curve.stamps}
+            "stamp_blocks": curve.stamp_blocks, "stamps": curve.stamps,
+            "probes": curve.probes}
 
 
 def _decimal_grid(lo: float, hi: float, step: float) -> list[float]:

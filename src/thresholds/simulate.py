@@ -15,18 +15,19 @@ times the pigeonhole bound decides, before a random code draws a word, and
 when the cells do not fit a dynamic program over the L-subsets of codewords
 decides without enumerating them.  A random code's words are drawn as one
 sorted int64 array, and a code under L words, which cannot put L in one
-cell, is decided from its size without drawing them.  The rest are decided
-in blocks of sorted ball stamps, each code's stamps offset into a slot of
-its own and stamped by growing prefixes of its words, so a code leaves the
-block as soon as a prefix puts L words in one cell; a ball is stamped by
-one row gather per coordinate from a (q, V) table of translates, the row
-the word's digit.  Each trial still draws from its own
-seeded stream, so a sweep's output is the same, byte for byte, as one
-decision per code gives.  A random linear code's words are the image of
-GF(q)^k under its generator, listed by `fields.matvec_all`, and a code is
-linear exactly when it has q^rank words.  Codewords are held as packed
-indices; `fields.digits_of` and `fields.pack_digits` turn them into digit
-rows and back.
+cell, is decided from its size without drawing them.  A large one is first
+probed by prefixes of its Floyd draw, which decide it when L words already
+share a cell.  The rest are decided in blocks of sorted ball stamps, each
+code's stamps offset into a slot of its own and stamped by growing
+prefixes of its words, so a code leaves the block as soon as a prefix puts
+L words in one cell; a ball is stamped by one row gather per coordinate
+from a (q, V) table of translates, the row the word's digit.  Each trial
+still draws from its own seeded stream, so a sweep's output is the same,
+byte for byte, as one decision per code gives.  A random linear code's
+words are the image of GF(q)^k under its generator, listed by
+`fields.matvec_all`, and a code is linear exactly when it has q^rank words.
+Codewords are held as packed indices; `fields.digits_of` and
+`fields.pack_digits` turn them into digit rows and back.
 
 The greedy constructor grows a binary linear code one basis vector at a time,
 accepting a vector only when the potential of the doubled code stays at most
@@ -249,10 +250,43 @@ def draw_rc_words(q: int, n: int, k: int, rng: np.random.Generator) -> np.ndarra
     """A uniform k-subset of GF(q)^n as a sorted int64 index array, the
     second draw of `sample_rc`: O(k log k) work, plus one shuffle of the q^n
     indices when q^n > 10,000 and k > q^n // 20, where numpy leaves Floyd's
-    hash set for a shuffle of the tail.  Sweeps stamp the array as it is."""
+    hash set for a shuffle of the tail.  Sweeps stamp the array as it is;
+    on Floyd's side they may first stamp `_floyd_prefixes` of the same
+    draw and rewind the stream."""
     words = rng.choice(q**n, size=k, replace=False, shuffle=False)
     words.sort()
     return words
+
+
+def _on_floyd_side(N: int, k: int) -> bool:
+    """Whether `rng.choice(N, k, replace=False, shuffle=False)` draws by
+    Floyd's algorithm rather than by a shuffle of the tail of all N."""
+    return N <= 10_000 or k <= N // 20
+
+
+def _floyd_prefixes(N: int, k: int, ends: Iterable[int],
+                    rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """The first e words of `rng.choice(N, k, replace=False, shuffle=False)`,
+    in the order it draws them, for each e of the increasing `ends`, drawn
+    from `rng` only as each prefix is asked for; exact where
+    `_on_floyd_side(N, k)`.
+
+    Step j of Floyd's algorithm (Bentley and Floyd, CACM 1987), j from
+    N - k to N - 1, draws v from [0, j] and adds v to the set, or j when v
+    is in it already.  The set only grows, so every prefix is a subset of
+    the whole draw.  The steps up to one end are one `rng.integers` call
+    with bounds arange(j, end), which makes the draws `choice` makes.
+    """
+    chosen: set[int] = set()
+    words: list[int] = []
+    for end in ends:
+        first = N - k + len(words)
+        steps = rng.integers(0, np.arange(first, N - k + end), endpoint=True)
+        for j, v in enumerate(steps.tolist(), first):
+            v = j if v in chosen else v
+            chosen.add(v)
+            words.append(v)
+        yield np.asarray(words, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -632,6 +666,7 @@ class SatisfactionCurve:
     fiber_blocks: int
     stamp_blocks: int
     stamps: int
+    probes: int
 
     def to_csv(self) -> str:
         from .engine import fmt12
@@ -717,7 +752,9 @@ def _trial_rngs(master_seed: int,
 
     One Generator serves every trial, its PCG64 set to the trial's state
     from `_pcg64_states` with no buffered 32-bit half left over, so a trial
-    must finish its draws before asking for the next.  The Generator's only
+    must finish its draws before asking for the next; within its turn a
+    trial may save the PCG64 state, draw, and set it back to draw again
+    from the same point, as a prefix probe does.  The Generator's only
     other state, the binomial setup it caches, is rebuilt whenever (n, p)
     changes and depends on nothing else, so it carries no draw between
     trials.  Seeds are hashed `_SEED_BLOCK` at a time, across rates, so a
@@ -759,13 +796,24 @@ def _decide_rate(cfg: SweepConfig, rate: float, rngs: Iterator[np.random.Generat
     `_block_overflows` the rest ("stamp").  Every route is exact, so the
     route never changes a decision.
 
+    A stamp-route random code whose stamps would fill a block alone (size *
+    V > `_STAMP_CHUNK`), and which numpy draws by Floyd's algorithm, is
+    probed before it is drawn: with the stream's state saved,
+    `_floyd_prefixes` draws the code's first max(`_PREFIX`, L) words, then
+    four times as many, while a prefix holds at most size // 16 words, and
+    `_block_overflows` stamps each prefix alone.  A prefix is a subset of
+    the code, so one with L words in a cell fails the trial, which draws
+    no more; otherwise the state is restored and the code drawn whole, as
+    if no probe had run.  The size // 16 bound caps the work a probe wastes
+    on a code it does not decide.
+
     Stamp-route codes queue as word arrays, an empty one for a code decided
     from its size, until the next would take the queue's stamps past
     `_STAMP_CHUNK`, so a block holds at most max(`_STAMP_CHUNK`, one code's
     stamps) stamps, or one dense profile.  Routes are counted into
     `work["routes"]`, fiber stacks into `work["fiber_blocks"]`, stamp blocks
-    into `work["stamp_blocks"]` and their stamped ball cells into
-    `work["stamps"]`.
+    into `work["stamp_blocks"]`, probed trials into `work["probes"]` and the
+    ball cells stamped by blocks and probes into `work["stamps"]`.
     """
     q, n, ell, L = cfg.q, cfg.n, cfg.ell, cfg.L
     r = radius_of(cfg.rho, n)
@@ -789,6 +837,24 @@ def _decide_rate(cfg: SweepConfig, rate: float, rngs: Iterator[np.random.Generat
         work["stamps"] += stamped
         return len(queue) - int(np.count_nonzero(full))
 
+    def prefix_overflows(rng: np.random.Generator, size: int) -> bool:
+        ends, s = [], max(_PREFIX, L)
+        while s <= size // 16:
+            ends.append(s)
+            s *= 4
+        if not ends or not _on_floyd_side(q**n, size):
+            return False
+        work["probes"] += 1
+        state = rng.bit_generator.state
+        for prefix in _floyd_prefixes(q**n, size, ends, rng):
+            prefix.sort()
+            full, stamped = _block_overflows(q, n, r, ell, L, [prefix])
+            work["stamps"] += stamped
+            if full[0]:
+                return True
+        rng.bit_generator.state = state
+        return False
+
     for rng in rngs:
         if cfg.family == "rlc":
             words = sample_rlc(q, n, rate, rng).words
@@ -796,12 +862,16 @@ def _decide_rate(cfg: SweepConfig, rate: float, rngs: Iterator[np.random.Generat
         else:
             words, size = None, draw_rc_size(q, n, rate, rng)
         stamps = size * V
+        dp = cells > _CENTER_CAP or cells + stamps > cfg.work_budget
         if stamps > (L - 1) * cells:
             route, decided = "pigeonhole", False
+        elif (words is None and not dp and stamps > _STAMP_CHUNK
+              and prefix_overflows(rng, size)):
+            route, decided = "stamp", False
         else:
             if words is None:
                 words = draw_rc_words(q, n, size, rng) if size >= L else np.empty(0, np.int64)
-            if cells > _CENTER_CAP or cells + stamps > cfg.work_budget:
+            if dp:
                 route, decided = "dp", check_lr_dp(Code(q=q, n=n, words=words), cfg.rho, ell,
                                                    L, cfg.work_budget).recoverable
             else:
@@ -832,7 +902,8 @@ def _partial_curve(cfg: SweepConfig, done: list[tuple[float, int]],
                              ci_lo=np.asarray(los), ci_hi=np.asarray(his),
                              trials=cfg.trials, routes=dict(work["routes"]),
                              fiber_blocks=work["fiber_blocks"],
-                             stamp_blocks=work["stamp_blocks"], stamps=work["stamps"])
+                             stamp_blocks=work["stamp_blocks"], stamps=work["stamps"],
+                             probes=work["probes"])
 
 
 def satisfaction_curve(cfg: SweepConfig) -> SatisfactionCurve:
@@ -845,14 +916,16 @@ def satisfaction_curve(cfg: SweepConfig) -> SatisfactionCurve:
     `np.random.default_rng(trial_seed(master_seed, ri, ti))`.  The curve
     counts the trials each route of `_decide_rate` decided ("stamp",
     "pigeonhole", "dp" or "fiber"), the fiber stacks and stamp blocks that
-    decided them, and the ball cells the blocks stamped.  As every trial
+    decided them, the random codes probed by a prefix of their draw (still
+    "stamp" trials), and the ball cells the blocks and probes stamped.  A
+    probe that does not decide rewinds its trial's stream.  As every trial
     keeps its own stream and its own decision, the curve is the same, byte
     for byte, as one decision per code gives.  On a blown work budget the
     curve of the rates completed so far is attached to the raised error.
     """
     done: list[tuple[float, int]] = []
     work = {"routes": dict.fromkeys(("stamp", "pigeonhole", "dp", "fiber"), 0),
-            "fiber_blocks": 0, "stamp_blocks": 0, "stamps": 0}
+            "fiber_blocks": 0, "stamp_blocks": 0, "stamps": 0, "probes": 0}
     rngs = _trial_rngs(cfg.master_seed,
                        itertools.product(range(len(cfg.rates)), range(cfg.trials)))
     try:

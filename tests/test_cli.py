@@ -383,7 +383,8 @@ def test_simulate_manifest_counts_routes_and_the_environment(in_tmpdir):
     man = read_manifest(in_tmpdir / "simulate.manifest.json")
     # the one stamp-route code, 4 words, stamps 4 balls of 256 cells each
     assert man["counters"] == {"routes": {"stamp": 1, "pigeonhole": 5, "dp": 0, "fiber": 0},
-                               "fiber_blocks": 0, "stamp_blocks": 1, "stamps": 1024}
+                               "fiber_blocks": 0, "stamp_blocks": 1, "stamps": 1024,
+                               "probes": 0}
     env = man["environment"]
     assert env["numpy"] == np.__version__ and env["python"].count(".") == 2
     assert env["cpu_count"] is None or env["cpu_count"] >= 1
@@ -400,7 +401,23 @@ def test_simulate_budget_exit(in_tmpdir, capsys):
     assert man["outputs"] == []
     # the partial path reports the same counters as the normal one
     assert man["counters"] == {"routes": {"stamp": 0, "pigeonhole": 0, "dp": 0, "fiber": 0},
-                               "fiber_blocks": 0, "stamp_blocks": 0, "stamps": 0}
+                               "fiber_blocks": 0, "stamp_blocks": 0, "stamps": 0,
+                               "probes": 0}
+
+
+def test_simulate_counts_prefix_probes_on_both_paths(in_tmpdir):
+    # the binary n = 18 codes of rate 0.6 hold about 1,800 words, so each
+    # is probed by a prefix of its draw; at rate 0.65 the cells plus a
+    # code's stamps pass a budget of 300,000 and the dp refuses the code's
+    # pairs, so the partial manifest counts the rate-0.6 trials alone
+    argv = ["simulate", "--family", "rc", "--q", "2", "--n", "18", "--rho", "0.1",
+            "--L", "2", "--trials", "5"]
+    assert main(argv + ["--rates", "0.6:0.6:0.05"]) == 0
+    whole = read_manifest(in_tmpdir / "simulate.manifest.json")["counters"]
+    assert whole["probes"] == 5 and whole["routes"]["stamp"] == 5
+    assert main(argv + ["--rates", "0.6:0.65:0.05", "--budget", "300000"]) == 4
+    man = read_manifest(in_tmpdir / "simulate.manifest.json")
+    assert man["partial"] is True and man["counters"] == whole
 
 
 def test_simulate_list_decoding_honours_the_budget(in_tmpdir, capsys):
@@ -423,7 +440,8 @@ def test_simulate_rlc_list_decoding_past_the_enumeration_caps(in_tmpdir):
     # two of the 5,489-syndrome rows fit a stack of 2^14 cells, so each
     # rate's five trials take three stacks
     assert man["counters"] == {"routes": {"stamp": 0, "pigeonhole": 0, "dp": 0, "fiber": 10},
-                               "fiber_blocks": 6, "stamp_blocks": 0, "stamps": 0}
+                               "fiber_blocks": 6, "stamp_blocks": 0, "stamps": 0,
+                               "probes": 0}
 
 
 def test_simulate_rlc_past_the_packing_cap_names_it(in_tmpdir, capsys):

@@ -699,25 +699,129 @@ def test_rc_codes_under_L_words_draw_no_words(cap, monkeypatch):
     assert [round(p * cfg.trials) for p in curve.p_hat] == want
 
 
-# sha256 of the CSV, the routes, stamp blocks and stamps of the benchmark's
-# plain-code sweeps: lr-sweep's q = 3, n = 8, ell = 1 job and ld-sweep's
-# q = 3, n = 9 job, at two seeds, recorded before the sweeps stamped sorted
-# word arrays and skipped the draws of codes under L words
-BENCH_RC_SWEEPS = [
-    ((3, 8, 0.125, 3, 1, "0.125:0.25:0.125", 1000), 11,
-     "58c1b450b499d91098c0865efc3dfa1647b247bb3bab1b3245a086a5832a527b", (2000, 0), 14, 192627),
-    ((3, 8, 0.125, 3, 1, "0.125:0.25:0.125", 1000), 12,
-     "a39c66039030beabfbac1317e7a3200db118061f8a1e0c25c3689593cd0f3311", (2000, 0), 14, 192406),
-    ((3, 9, 0.12, 2, 1, "0.1:0.8:0.1", 10), 11,
-     "8377c84051b43011c66e6785f78ea51a0240f493f20ae0de40adfc8888d03c38", (67, 13), 18, 48393),
-    ((3, 9, 0.12, 2, 1, "0.1:0.8:0.1", 10), 12,
-     "142df17ebfca380f269296a6a7275a4a32d9e39cbab1768290bc312efb4142c9", (68, 12), 19, 49647),
+def _probe_oracle(cfg):
+    """Per trial of a plain-code sweep, read from a fresh `default_rng`
+    stream: the code's size, whether the sweep probes it and whether the
+    probe decides it.  A stamp-route code whose stamps pass `_STAMP_CHUNK`
+    and which numpy draws by Floyd's algorithm (q^n <= 10,000 or size <=
+    q^n // 20) is probed by the first max(`_PREFIX`, L) 4^j words of
+    `choice`'s unsorted draw, while they number at most size // 16; the
+    probe decides when one of them puts L words in a cell."""
+    q, n, ell, L = cfg.q, cfg.n, cfg.ell, cfg.L
+    r = radius_of(cfg.rho, n)
+    V, N, cells = ball_volume(q, n, r, ell), q**n, math.comb(q, ell) ** n
+    out = []
+    for ri, rate in enumerate(cfg.rates):
+        for ti in range(cfg.trials):
+            rng = np.random.default_rng(trial_seed(cfg.master_seed, ri, ti))
+            size = simulate.draw_rc_size(q, n, rate, rng)
+            ends = [e for e in (max(simulate._PREFIX, L) * 4**j for j in range(16))
+                    if e <= size // 16]
+            probed = bool(ends and simulate._STAMP_CHUNK < size * V <= (L - 1) * cells
+                          and (N <= 10_000 or size <= N // 20))
+            decided = probed and any(
+                occupancy_profile(make_code(q, n, order[:e]), r, ell).max() >= L
+                for order in [rng.choice(N, size=size, replace=False, shuffle=False)]
+                for e in ends)
+            out.append((size, probed, decided))
+    return out
+
+
+# the benchmark's binary list-of-2 sweep, whose codes at rates 0.6 to 0.75
+# hold 1,800 to 11,600 words, and a list-recovery shape, ell = 2 and L = 3,
+# whose codes of 64 to 128 words are probed by prefixes of 4 words once
+# _PREFIX is 4 and a single word's stamps pass _STAMP_CHUNK
+PROBE_SWEEPS = [
+    (SweepConfig(q=2, n=18, family="rc", rho=0.1, L=2, rates=[0.55, 0.6, 0.65, 0.7, 0.75],
+                 trials=12, master_seed=7), {}),
+    (SweepConfig(q=4, n=6, family="rc", rho=0.0, L=3, rates=[0.5, 0.55, 0.6], trials=30,
+                 master_seed=2, ell=2), {"_PREFIX": 4, "_STAMP_CHUNK": 1}),
 ]
 
 
-@pytest.mark.parametrize("shape,seed,digest,routes,blocks,stamps", BENCH_RC_SWEEPS,
-                         ids=["lr-11", "lr-12", "ld-11", "ld-12"])
-def test_bench_rc_sweeps_are_pinned(shape, seed, digest, routes, blocks, stamps):
+@pytest.mark.parametrize("cfg,consts", PROBE_SWEEPS, ids=["ld-binary", "lr-pairs"])
+def test_probe_decided_trials_draw_no_words(cfg, consts, monkeypatch):
+    # a trial that a prefix of its Floyd draw decides never calls
+    # draw_rc_words; one the probe leaves draws, from the rewound stream,
+    # the words a fresh stream's sample_rc draws; the decisions are one
+    # dense profile per code's, and the probes are counted
+    for name, value in consts.items():
+        monkeypatch.setattr(f"thresholds.simulate.{name}", value)
+    want = _profile_decisions(cfg)
+    trials = _probe_oracle(cfg)
+    codes = [c for ri, rate in enumerate(cfg.rates) for c in _oracle_codes(cfg, ri, rate)]
+    assert [c.size for c in codes] == [size for size, _, _ in trials]
+    probed = sum(p for _, p, _ in trials)
+    assert 0 < sum(d for _, _, d in trials) < probed
+    V = ball_volume(cfg.q, cfg.n, radius_of(cfg.rho, cfg.n), cfg.ell)
+    cells = math.comb(cfg.q, cfg.ell) ** cfg.n
+    drawn = []
+    real = simulate.draw_rc_words
+    monkeypatch.setattr("thresholds.simulate.draw_rc_words",
+                        lambda q, n, k, rng: drawn.append(real(q, n, k, rng)) or drawn[-1])
+    curve = satisfaction_curve(cfg)
+    assert [round(p * cfg.trials) for p in curve.p_hat] == want
+    expect = [c.words for c, (size, _, decided) in zip(codes, trials)
+              if cfg.L <= size and size * V <= (cfg.L - 1) * cells and not decided]
+    assert len(drawn) == len(expect)
+    assert all(np.array_equal(a, b) for a, b in zip(drawn, expect))
+    assert curve.probes == probed
+
+
+def test_no_probe_past_numpy_floyd_cutoff(monkeypatch):
+    # at rates 0.74 and 0.76 the binary n = 18 codes hold about 10,200 and
+    # 13,200 words, on both sides of 2^18 // 20 = 13,107, past which numpy
+    # draws by a shuffle of the tail; only the codes on Floyd's side are
+    # probed, and every decision is one dense profile per code's
+    cfg = SweepConfig(q=2, n=18, family="rc", rho=0.1, L=2, rates=[0.74, 0.76], trials=10,
+                      master_seed=5)
+    trials = _probe_oracle(cfg)
+    cells, V = 2**18, ball_volume(2, 18, 1)
+    assert any(2**18 // 20 < size and size * V <= cells for size, _, _ in trials)
+    sizes = []
+    real = simulate._floyd_prefixes
+    monkeypatch.setattr("thresholds.simulate._floyd_prefixes",
+                        lambda N, k, ends, rng: sizes.append(k) or real(N, k, ends, rng))
+    curve = satisfaction_curve(cfg)
+    assert sizes == [size for size, probed, _ in trials if probed]
+    assert sizes and max(sizes) <= 2**18 // 20
+    assert [round(p * cfg.trials) for p in curve.p_hat] == _profile_decisions(cfg)
+
+
+# sha256 of the CSV, the routes, stamp blocks, stamps and probes of the
+# benchmark's plain-code sweeps at two seeds: lr-sweep's q = 3, n = 8, ell =
+# 1 job and ld-sweep's q = 3, n = 9 job, their CSVs and routes recorded
+# before the sweeps stamped sorted word arrays and skipped the draws of
+# codes under L words, and ld-sweep's q = 2, n = 18 job, its CSVs and routes
+# recorded before the sweeps probed Floyd prefixes (its stamp blocks and
+# stamps are those of the probing sweep; they were 138 blocks of 255,797
+# and 256,918 stamps before)
+BENCH_RC_SWEEPS = [
+    ((3, 8, 0.125, 3, 1, "0.125:0.25:0.125", 1000), 11,
+     "58c1b450b499d91098c0865efc3dfa1647b247bb3bab1b3245a086a5832a527b", (2000, 0), 14, 192627,
+     0),
+    ((3, 8, 0.125, 3, 1, "0.125:0.25:0.125", 1000), 12,
+     "a39c66039030beabfbac1317e7a3200db118061f8a1e0c25c3689593cd0f3311", (2000, 0), 14, 192406,
+     0),
+    ((3, 9, 0.12, 2, 1, "0.1:0.8:0.1", 10), 11,
+     "8377c84051b43011c66e6785f78ea51a0240f493f20ae0de40adfc8888d03c38", (67, 13), 18, 48393,
+     0),
+    ((3, 9, 0.12, 2, 1, "0.1:0.8:0.1", 10), 12,
+     "142df17ebfca380f269296a6a7275a4a32d9e39cbab1768290bc312efb4142c9", (68, 12), 19, 49647,
+     0),
+    ((2, 18, 0.1, 2, 1, "0.1:0.8:0.05", 20), 11,
+     "3b0b36f04ed2322b829ce2538ac2a97c0d7686e53699de9f7741251c1a616561", (280, 20), 65, 283765,
+     80),
+    ((2, 18, 0.1, 2, 1, "0.1:0.8:0.05", 20), 12,
+     "a30beef4a4fba16023f81942185c7ba93c490d00c19a3f3cc83ffdb1db8ac602", (280, 20), 67, 278806,
+     81),
+]
+
+
+@pytest.mark.parametrize("shape,seed,digest,routes,blocks,stamps,probes", BENCH_RC_SWEEPS,
+                         ids=["lr-11", "lr-12", "ld-11", "ld-12", "ld-binary-11",
+                              "ld-binary-12"])
+def test_bench_rc_sweeps_are_pinned(shape, seed, digest, routes, blocks, stamps, probes):
     from thresholds.cli import _parse_rates
 
     q, n, rho, L, ell, rates, trials = shape
@@ -726,7 +830,7 @@ def test_bench_rc_sweeps_are_pinned(shape, seed, digest, routes, blocks, stamps)
                                            master_seed=seed, ell=ell))
     assert hashlib.sha256(curve.to_csv().encode()).hexdigest() == digest
     assert curve.routes == {"stamp": routes[0], "pigeonhole": routes[1], "dp": 0, "fiber": 0}
-    assert (curve.stamp_blocks, curve.stamps) == (blocks, stamps)
+    assert (curve.stamp_blocks, curve.stamps, curve.probes) == (blocks, stamps, probes)
 
 
 def _oracle_codes(cfg, ri, rate):
@@ -915,6 +1019,35 @@ def test_choice_takes_both_numpy_paths():
             assert (tracemalloc.get_traced_memory()[1] >= 8 * 2**18) == whole, k
         finally:
             tracemalloc.stop()
+
+
+# (N, k) on numpy's Floyd side: N <= 10,000, or N > 10,000 and k <= N // 20
+FLOYD_SIDE = [(6561, 300), (6561, 6561), (10_000, 2_000), (10_001, 500), (2**14, 2**14 // 20),
+              (2**18, 2**18 // 20)]
+
+
+@pytest.mark.parametrize("N,k", FLOYD_SIDE)
+def test_floyd_prefixes_are_the_prefixes_of_choice(N, k):
+    # each prefix, drawn in chunks that end at 1, 64, 256 and k words, is
+    # the start of choice's unsorted draw from the same stream
+    assert simulate._on_floyd_side(N, k)
+    ends = sorted({1, 64, 256, k})
+    for seed in range(5):
+        want = np.random.default_rng(seed).choice(N, size=k, replace=False, shuffle=False)
+        got = simulate._floyd_prefixes(N, k, ends, np.random.default_rng(seed))
+        assert [p.tolist() for p in got] == [want[:e].tolist() for e in ends], seed
+
+
+@pytest.mark.parametrize("N,k", [(10_001, 501), (2**14, 2**14 // 20 + 1),
+                                 (2**18, 2**18 // 20 + 1)])
+def test_past_the_floyd_cutoff_choice_draws_otherwise(N, k):
+    # one word past N // 20 numpy shuffles the tail of all N indices, which
+    # Floyd's steps do not reproduce, so the sweep never probes there
+    assert not simulate._on_floyd_side(N, k)
+    for seed in range(3):
+        want = np.random.default_rng(seed).choice(N, size=k, replace=False, shuffle=False)
+        *_, got = simulate._floyd_prefixes(N, k, [k], np.random.default_rng(seed))
+        assert not np.array_equal(got, want), seed
 
 
 def test_one_reseeded_generator_draws_as_fresh_streams():
