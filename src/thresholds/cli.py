@@ -119,10 +119,11 @@ def _sweep_counters(curve) -> dict:
     """A `simulate` manifest's `counters`, on the normal and the partial
     path: the trials per route, the fiber stacks and stamp blocks that
     decided them, the ball cells the stamp blocks and prefix probes
-    stamped, and the random codes probed by a prefix of their draw."""
+    stamped, the random codes probed by a prefix of their draw, and the
+    random codes drawn a seed block at a time."""
     return {"routes": curve.routes, "fiber_blocks": curve.fiber_blocks,
             "stamp_blocks": curve.stamp_blocks, "stamps": curve.stamps,
-            "probes": curve.probes}
+            "probes": curve.probes, "block_draws": curve.block_draws}
 
 
 def _decimal_grid(lo: float, hi: float, step: float) -> list[float]:

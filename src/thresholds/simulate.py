@@ -15,9 +15,11 @@ times the pigeonhole bound decides, before a random code draws a word, and
 when the cells do not fit a dynamic program over the L-subsets of codewords
 decides without enumerating them.  A random code's words are drawn as one
 sorted int64 array, and a code under L words, which cannot put L in one
-cell, is decided from its size without drawing them.  A large one is first
-probed by prefixes of its Floyd draw, which decide it when L words already
-share a cell.  The rest are decided in blocks of sorted ball stamps, each
+cell, is decided from its size without drawing them.  Codes whose size
+numpy samples by inversion, at most 85 words, are drawn a seed block at a
+time (`blockdraw`), bit for bit from the trials' streams.  A large random
+code is first probed by prefixes of its Floyd draw, which decide it when L
+words already share a cell.  The rest are decided in blocks of sorted ball stamps, each
 code's stamps offset into a slot of its own and stamped by growing
 prefixes of its words, so a code leaves the block as soon as a prefix puts
 L words in one cell; a ball is stamped by one row gather per coordinate
@@ -55,6 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import blockdraw
 from .engine import _LN2, _dd_add, _dd_div, _dd_exp, _dd_ldexp, _dd_log, _dd_mul, _weight
 from .errors import DomainError, NoCandidateError, SizeCapError, WorkBudgetExceededError
 from .fields import digits_of, make_field, matvec_all, pack_digits, row_reduce
@@ -235,15 +238,26 @@ def sample_rc(q: int, n: int, R: float, rng: np.random.Generator) -> Code:
     return Code(q=q, n=n, words=draw_rc_words(q, n, draw_rc_size(q, n, R, rng), rng))
 
 
-def draw_rc_size(q: int, n: int, R: float, rng: np.random.Generator) -> int:
-    """The Binomial(q^n, q^{(R-1)n}) size of a random code: the first draw
-    of `sample_rc`, which a sweep makes alone when the size decides a trial."""
+def _rc_inclusion(q: int, n: int, R: float) -> tuple[int, float]:
+    """N = q^n and the inclusion probability q^{(R-1)n} of a rate-R random
+    code, DomainError for R outside (0, 1] and SizeCapError past the
+    enumeration cap."""
     if not 0.0 < R <= 1.0:
         raise DomainError(f"rate must lie in (0, 1], got {R}")
     N = q**n
     if N > _SPACE_CAP:
         raise SizeCapError(f"q^n = {N} exceeds the enumeration cap")
-    return int(rng.binomial(N, float(q) ** ((R - 1.0) * n)))
+    return N, float(q) ** ((R - 1.0) * n)
+
+
+def draw_rc_size(q: int, n: int, R: float, rng: np.random.Generator) -> int:
+    """The Binomial(q^n, q^{(R-1)n}) size of a random code: the first draw
+    of `sample_rc`, which a sweep makes alone when the size decides a trial.
+    Sweeps draw the sizes of rates that numpy samples by inversion, with
+    the words the trials need, a seed block at a time
+    (`blockdraw.draw_codes`), bit for bit as this draws them."""
+    N, p = _rc_inclusion(q, n, R)
+    return int(rng.binomial(N, p))
 
 
 def draw_rc_words(q: int, n: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -357,6 +371,7 @@ def occupancy_profile(code: Code, r: int, ell: int = 1) -> np.ndarray:
     return P
 
 
+@functools.lru_cache(maxsize=8)
 def _ball_stamper(q: int, n: int, r: int, ell: int):
     """The radius-r list balls of codewords as packed cells: a function from
     k words to their cells, shape (k, V), and the ball volume V.
@@ -367,14 +382,18 @@ def _ball_stamper(q: int, n: int, r: int, ell: int):
     a (q, V) table, row a the ball's subsets at i translated by a, so a
     coordinate costs one row gather by the words' digits there.  For ell = 1
     over GF(2^m) a translate is the XOR of packed indices, so the ball is one
-    XOR of the codeword with packed offsets.
+    XOR of the codeword with packed offsets.  Stampers are cached per (q, n,
+    r, ell), as the zero word's ball is, their tables read-only.
     """
     offsets, shift = _zero_list_ball(q, n, r, ell)
     radix = math.comb(q, ell) ** np.arange(n, dtype=np.int64)
     if ell == 1 and make_field(q).p == 2:
         packed = radix @ offsets
+        packed.setflags(write=False)
         return (lambda words: words[:, None] ^ packed), offsets.shape[1]
     tables = [radix[i] * shift[:, row] for i, row in enumerate(offsets)]
+    for table in tables:
+        table.setflags(write=False)
 
     def balls(words):
         words, digit = np.divmod(words, q)
@@ -667,6 +686,7 @@ class SatisfactionCurve:
     stamp_blocks: int
     stamps: int
     probes: int
+    block_draws: int
 
     def to_csv(self) -> str:
         from .engine import fmt12
@@ -694,9 +714,10 @@ def trial_seed(master_seed: int, rate_index: int, trial_index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _pcg64_states(seeds) -> Iterator[tuple[int, int]]:
+def _pcg64_states(seeds) -> np.ndarray:
     """The PCG64 (state, inc) that `np.random.default_rng(s)` starts from,
-    for each seed s in [0, 2^64) of a sequence or uint64 array, in order.
+    for each seed s in [0, 2^64) of a sequence or uint64 array, as uint64
+    limbs of shape (4, T): state high and low, inc high and low.
 
     default_rng(s) seeds PCG64 from NumPy's SeedSequence(s).  Its pool is
     s's two 32-bit words, low first, padded with zeros to four; each word
@@ -707,9 +728,8 @@ def _pcg64_states(seeds) -> Iterator[tuple[int, int]]:
     inc = 2 (c:d) + 1 and runs two LCG steps: state = ((inc + a:b) M + inc)
     mod 2^128.  The hash constants step through the same sequence for every
     seed, so the pool runs as uint32 numpy ops over all seeds at once,
-    wrapping mod 2^32 as NumPy's C code does.  The 128-bit steps run on
-    Python ints, 64 seeds at a time as the states are asked for, so a
-    block holds 32 bytes per seed between yields.
+    wrapping mod 2^32 as NumPy's C code does, and the 128-bit steps run on
+    uint64 limbs (`blockdraw.seeded`).
     """
     def hasher(h, mult):
         # SeedSequence's hash of a uint32 word, its constant stepped per call
@@ -737,16 +757,30 @@ def _pcg64_states(seeds) -> Iterator[tuple[int, int]]:
     for k in range(4):  # output words 2k and 2k + 1, hashed in that order
         abcd[k] = out_hash(pool[2 * k % 4])
         abcd[k] |= out_hash(pool[(2 * k + 1) % 4]).astype(np.uint64) << 32
-    del s, pool
-    mask, mult = 2**128 - 1, 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's LCG multiplier
-    for start in range(0, abcd.shape[1], 64):
-        for a, b, c, d in zip(*abcd[:, start:start + 64].tolist()):
-            inc = (c << 65 | d << 1 | 1) & mask
-            yield ((inc + (a << 64 | b)) * mult + inc) & mask, inc
+    return blockdraw.seeded(*abcd)
 
 
-def _trial_rngs(master_seed: int,
-                pairs: Iterable[tuple[int, int]]) -> Iterator[np.random.Generator]:
+def _rc_block(cfg: SweepConfig) -> tuple | None:
+    """What `_trial_rngs` needs to draw a random-code sweep's trials a seed
+    block at a time: (N, {rate index: p}, lo, hi) for the rates whose
+    Binomial(N, p) size numpy samples by inversion, with [lo, hi] the sizes
+    whose words a trial needs, L up to the pigeonhole bound (L - 1) C(q,
+    ell)^n // V.  None when no rate qualifies.  Rates are refused as
+    `draw_rc_size` refuses them."""
+    q, n = cfg.q, cfg.n
+    ps = {}
+    for ri, rate in enumerate(cfg.rates):
+        N, p = _rc_inclusion(q, n, rate)
+        if blockdraw.by_inversion(N, p):
+            ps[ri] = p
+    if not ps:
+        return None
+    V = ball_volume(q, n, radius_of(cfg.rho, n), cfg.ell)
+    return N, ps, cfg.L, (cfg.L - 1) * math.comb(q, cfg.ell) ** n // V
+
+
+def _trial_rngs(master_seed: int, pairs: Iterable[tuple[int, int]],
+                block: tuple | None = None) -> Iterator:
     """The streams of a sweep's trials: the yield for the pair (ri, ti) draws
     as `np.random.default_rng(trial_seed(master_seed, ri, ti))` does.
 
@@ -759,22 +793,58 @@ def _trial_rngs(master_seed: int,
     changes and depends on nothing else, so it carries no draw between
     trials.  Seeds are hashed `_SEED_BLOCK` at a time, across rates, so a
     sweep makes one `_pcg64_states` call per block, not one per rate.
+
+    With `block` = (N, {ri: p}, lo, hi) of `_rc_block`, a trial of a rate
+    ri in the dict yields instead its random code as drawn from that same
+    stream: (size, words), the size `draw_rc_size` draws and, when it lies
+    in [lo, hi], the sorted array `draw_rc_words` then draws, else None.
+    `blockdraw.draw_codes` draws these for all such trials of a seed block
+    at once; the yields keep the order of `pairs`.
     """
     rng = np.random.Generator(np.random.PCG64(0))
     bits = rng.bit_generator
+
+    def reseeded(limbs):
+        # the one Generator at each trial's state, the limbs turned into
+        # Python ints 64 trials at a time
+        for start in range(0, limbs.shape[1], 64):
+            for s_hi, s_lo, i_hi, i_lo in zip(*limbs[:, start:start + 64].tolist()):
+                bits.state = {"bit_generator": "PCG64",
+                              "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
+                              "has_uint32": 0, "uinteger": 0}
+                yield rng
+
+    N, ps, lo, hi = block or (0, {}, 0, 0)
+    index = {ri: g for g, ri in enumerate(ps)}
     pairs = iter(pairs)
-    while (seeds := np.fromiter((trial_seed(master_seed, ri, ti) for ri, ti
-                                 in itertools.islice(pairs, _SEED_BLOCK)), dtype=np.uint64)).size:
-        for state, inc in _pcg64_states(seeds):
-            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                          "has_uint32": 0, "uinteger": 0}
-            yield rng
+    ris: list[int] = []  # the rate indices of the block, when any is drawn
+
+    def hashed():
+        for ri, ti in itertools.islice(pairs, _SEED_BLOCK):
+            if index:
+                ris.append(ri)
+            yield trial_seed(master_seed, ri, ti)
+
+    while (seeds := np.fromiter(hashed(), dtype=np.uint64)).size:
+        states = _pcg64_states(seeds)
+        which = np.fromiter((index.get(ri, -1) for ri in ris), dtype=np.int64, count=len(ris))
+        ris.clear()
+        drawn = which >= 0
+        if not drawn.any():
+            yield from reseeded(states)
+            continue
+        sizes, words = blockdraw.draw_codes(N, list(ps.values()), which[drawn],
+                                            states[:, drawn], lo, hi)
+        codes, own = zip(sizes.tolist(), words), reseeded(states[:, ~drawn])
+        for d in drawn.tolist():
+            yield next(codes) if d else next(own)
 
 
 def _decide_rate(cfg: SweepConfig, rate: float, rngs: Iterator[np.random.Generator],
                  work: dict) -> int:
     """How many of one rate's sampled codes satisfy the property, one code
-    per stream of `rngs`.
+    per stream of `rngs`, or per code `_trial_rngs` drew from a stream a
+    seed block at a time: (size, words), the words None when not needed.
 
     The property holds exactly when no cell of the occupancy profile holds L
     codewords.  A random linear code's list decoding (ell = 1) is decided
@@ -785,10 +855,10 @@ def _decide_rate(cfg: SweepConfig, rate: float, rngs: Iterator[np.random.Generat
     are stacked, at most max(`_STAMP_CHUNK`, V) ball cells at a time, and
     one `_fiber_overflows` pass decides each stack.  Otherwise a random
     linear code is sampled, and a random code draws its size alone
-    (`draw_rc_size`).  The codewords' list balls cover the cells |C| * ball
-    volume times, so past L - 1 times the number of cells some cell holds L
-    of them and the trial fails ("pigeonhole"), a random code without
-    drawing a word.  Otherwise a random code of at least L words draws them
+    (`draw_rc_size`) unless its block draw brought it.  The codewords' list
+    balls cover the cells |C| * ball volume times, so past L - 1 times the
+    number of cells some cell holds L of them and the trial fails
+    ("pigeonhole"), a random code without drawing a word.  Otherwise a random code of at least L words draws them
     as the sorted array of `draw_rc_words`, as `sample_rc` does, while one
     under L words holds fewer than L in every cell and is decided from its
     size, with no word drawn.  `check_lr_dp` decides when the cells exceed
@@ -812,8 +882,9 @@ def _decide_rate(cfg: SweepConfig, rate: float, rngs: Iterator[np.random.Generat
     `_STAMP_CHUNK`, so a block holds at most max(`_STAMP_CHUNK`, one code's
     stamps) stamps, or one dense profile.  Routes are counted into
     `work["routes"]`, fiber stacks into `work["fiber_blocks"]`, stamp blocks
-    into `work["stamp_blocks"]`, probed trials into `work["probes"]` and the
-    ball cells stamped by blocks and probes into `work["stamps"]`.
+    into `work["stamp_blocks"]`, probed trials into `work["probes"]`, the
+    ball cells stamped by blocks and probes into `work["stamps"]` and
+    block-drawn trials into `work["block_draws"]`.
     """
     q, n, ell, L = cfg.q, cfg.n, cfg.ell, cfg.L
     r = radius_of(cfg.rho, n)
@@ -856,7 +927,10 @@ def _decide_rate(cfg: SweepConfig, rate: float, rngs: Iterator[np.random.Generat
         return False
 
     for rng in rngs:
-        if cfg.family == "rlc":
+        block_drawn = isinstance(rng, tuple)
+        if block_drawn:  # words None where not needed
+            (size, words), rng = rng, None
+        elif cfg.family == "rlc":
             words = sample_rlc(q, n, rate, rng).words
             size = words.size
         else:
@@ -882,6 +956,7 @@ def _decide_rate(cfg: SweepConfig, rate: float, rngs: Iterator[np.random.Generat
                 queue.append(words)
                 queued += stamps
         work["routes"][route] += 1
+        work["block_draws"] += block_drawn
         ok += decided
     if queue:
         ok += flush()
@@ -903,7 +978,7 @@ def _partial_curve(cfg: SweepConfig, done: list[tuple[float, int]],
                              trials=cfg.trials, routes=dict(work["routes"]),
                              fiber_blocks=work["fiber_blocks"],
                              stamp_blocks=work["stamp_blocks"], stamps=work["stamps"],
-                             probes=work["probes"])
+                             probes=work["probes"], block_draws=work["block_draws"])
 
 
 def satisfaction_curve(cfg: SweepConfig) -> SatisfactionCurve:
@@ -913,21 +988,26 @@ def satisfaction_curve(cfg: SweepConfig) -> SatisfactionCurve:
     index), so results do not depend on the order the trials run in.  One
     `_trial_rngs` generator serves every (rate, trial) pair in order, and
     the stream of trial ti at rate ri equals
-    `np.random.default_rng(trial_seed(master_seed, ri, ti))`.  The curve
-    counts the trials each route of `_decide_rate` decided ("stamp",
-    "pigeonhole", "dp" or "fiber"), the fiber stacks and stamp blocks that
-    decided them, the random codes probed by a prefix of their draw (still
-    "stamp" trials), and the ball cells the blocks and probes stamped.  A
-    probe that does not decide rewinds its trial's stream.  As every trial
-    keeps its own stream and its own decision, the curve is the same, byte
-    for byte, as one decision per code gives.  On a blown work budget the
+    `np.random.default_rng(trial_seed(master_seed, ri, ti))`.  A random
+    code sweep's rates whose sizes numpy samples by inversion (`_rc_block`)
+    have their codes drawn from those streams a seed block at a time, the
+    rest one trial at a time.  The curve counts the trials each route of
+    `_decide_rate` decided ("stamp", "pigeonhole", "dp" or "fiber"), the
+    fiber stacks and stamp blocks that decided them, the random codes
+    probed by a prefix of their draw (still "stamp" trials), the ball cells
+    the blocks and probes stamped, and the random codes drawn a seed block
+    at a time ("block_draws").  A probe that does not decide rewinds its
+    trial's stream.  As every trial keeps its own stream and its own
+    decision, the curve is the same, byte for byte, as one decision per
+    code gives.  On a blown work budget the
     curve of the rates completed so far is attached to the raised error.
     """
     done: list[tuple[float, int]] = []
     work = {"routes": dict.fromkeys(("stamp", "pigeonhole", "dp", "fiber"), 0),
-            "fiber_blocks": 0, "stamp_blocks": 0, "stamps": 0, "probes": 0}
+            "fiber_blocks": 0, "stamp_blocks": 0, "stamps": 0, "probes": 0, "block_draws": 0}
     rngs = _trial_rngs(cfg.master_seed,
-                       itertools.product(range(len(cfg.rates)), range(cfg.trials)))
+                       itertools.product(range(len(cfg.rates)), range(cfg.trials)),
+                       _rc_block(cfg) if cfg.family == "rc" else None)
     try:
         for rate in cfg.rates:
             done.append((rate, _decide_rate(cfg, rate, itertools.islice(rngs, cfg.trials),

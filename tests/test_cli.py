@@ -381,10 +381,11 @@ def test_simulate_manifest_counts_routes_and_the_environment(in_tmpdir):
     assert main(["simulate", "--family", "rc", "--q", "3", "--n", "6", "--L", "3",
                  "--l", "2", "--rho", "0.2", "--rates", "0.2:0.4:0.2", "--trials", "3"]) == 0
     man = read_manifest(in_tmpdir / "simulate.manifest.json")
-    # the one stamp-route code, 4 words, stamps 4 balls of 256 cells each
+    # the one stamp-route code, 4 words, stamps 4 balls of 256 cells each;
+    # both rates (p 3^6 about 3.7 and 14) are drawn by the block kernel
     assert man["counters"] == {"routes": {"stamp": 1, "pigeonhole": 5, "dp": 0, "fiber": 0},
                                "fiber_blocks": 0, "stamp_blocks": 1, "stamps": 1024,
-                               "probes": 0}
+                               "probes": 0, "block_draws": 6}
     env = man["environment"]
     assert env["numpy"] == np.__version__ and env["python"].count(".") == 2
     assert env["cpu_count"] is None or env["cpu_count"] >= 1
@@ -402,7 +403,7 @@ def test_simulate_budget_exit(in_tmpdir, capsys):
     # the partial path reports the same counters as the normal one
     assert man["counters"] == {"routes": {"stamp": 0, "pigeonhole": 0, "dp": 0, "fiber": 0},
                                "fiber_blocks": 0, "stamp_blocks": 0, "stamps": 0,
-                               "probes": 0}
+                               "probes": 0, "block_draws": 0}
 
 
 def test_simulate_counts_prefix_probes_on_both_paths(in_tmpdir):
@@ -416,6 +417,22 @@ def test_simulate_counts_prefix_probes_on_both_paths(in_tmpdir):
     whole = read_manifest(in_tmpdir / "simulate.manifest.json")["counters"]
     assert whole["probes"] == 5 and whole["routes"]["stamp"] == 5
     assert main(argv + ["--rates", "0.6:0.65:0.05", "--budget", "300000"]) == 4
+    man = read_manifest(in_tmpdir / "simulate.manifest.json")
+    assert man["partial"] is True and man["counters"] == whole
+
+
+def test_simulate_counts_block_draws_on_both_paths(in_tmpdir):
+    # at q = 3, n = 6 the rates 0.1 and 0.5 have p 3^6 of about 1.9 and 27,
+    # so the block kernel draws both; a budget of 100 sends every trial to
+    # the dp, which decides rate 0.1's codes, all under L = 6 words, from
+    # their sizes and refuses rate 0.5's first code of 20-odd words, so the
+    # partial manifest counts the rate-0.1 trials alone
+    argv = ["simulate", "--family", "rc", "--q", "3", "--n", "6", "--rho", "0.2",
+            "--L", "6", "--trials", "3", "--budget", "100"]
+    assert main(argv + ["--rates", "0.1:0.1:0.1"]) == 0
+    whole = read_manifest(in_tmpdir / "simulate.manifest.json")["counters"]
+    assert whole["block_draws"] == 3 and whole["routes"]["dp"] == 3
+    assert main(argv + ["--rates", "0.1:0.5:0.4"]) == 4
     man = read_manifest(in_tmpdir / "simulate.manifest.json")
     assert man["partial"] is True and man["counters"] == whole
 
@@ -441,7 +458,7 @@ def test_simulate_rlc_list_decoding_past_the_enumeration_caps(in_tmpdir):
     # rate's five trials take three stacks
     assert man["counters"] == {"routes": {"stamp": 0, "pigeonhole": 0, "dp": 0, "fiber": 10},
                                "fiber_blocks": 6, "stamp_blocks": 0, "stamps": 0,
-                               "probes": 0}
+                               "probes": 0, "block_draws": 0}
 
 
 def test_simulate_rlc_past_the_packing_cap_names_it(in_tmpdir, capsys):

@@ -7,10 +7,10 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from thresholds import simulate
+from thresholds import blockdraw, simulate
 from thresholds.errors import (
     DomainError,
     NoCandidateError,
@@ -656,19 +656,34 @@ def test_sweep_blocks_hold_one_code_or_one_dense_profile_at_a_chunk_of_1(monkeyp
     assert set(stamped) <= {V, 2 * V, cells}  # one word, one code of two, one dense chunk
 
 
+def _recording_draws(monkeypatch, drawn):
+    """Record the size of every code whose words a sweep draws, by the
+    per-trial `draw_rc_words` or by the block kernel, in draw order."""
+    real_words, real_block = simulate.draw_rc_words, blockdraw.draw_codes
+
+    def block(*args):
+        sizes, words = real_block(*args)
+        drawn.extend(w.size for w in words if w is not None)
+        return sizes, words
+
+    monkeypatch.setattr("thresholds.simulate.draw_rc_words",
+                        lambda q, n, k, rng: drawn.append(k) or real_words(q, n, k, rng))
+    monkeypatch.setattr("thresholds.blockdraw.draw_codes", block)
+
+
 def test_rc_pigeonhole_trials_draw_no_words(monkeypatch):
     # a radius-3 ball has 93 of the 2^8 centers, so from 3 words on the
     # bound decides a list-of-2 trial from the drawn size alone; the one
     # stamp trial holds 2 words, so it draws them; the counts are the
-    # per-trial sample_rc oracle's
+    # per-trial sample_rc oracle's.  Rate 0.2 (p N about 3) is block drawn,
+    # rate 0.9 (p above 1/2) drawn per trial
     cfg = SweepConfig(q=2, n=8, family="rc", rho=0.4, L=2, rates=[0.2, 0.9], trials=4,
                       master_seed=23)
     want = _profile_decisions(cfg)
     drawn = []
-    real = simulate.draw_rc_words
-    monkeypatch.setattr("thresholds.simulate.draw_rc_words",
-                        lambda q, n, k, rng: drawn.append(k) or real(q, n, k, rng))
+    _recording_draws(monkeypatch, drawn)
     curve = satisfaction_curve(cfg)
+    assert curve.block_draws == 4
     assert curve.routes == {"stamp": 1, "pigeonhole": 7, "dp": 0, "fiber": 0}
     assert len(drawn) == 1 and drawn[0] * ball_volume(2, 8, 3) <= 2**8
     assert [round(p * cfg.trials) for p in curve.p_hat] == want
@@ -680,18 +695,17 @@ def test_rc_codes_under_L_words_draw_no_words(cap, monkeypatch):
     # some trials fall under L = 3 and are decided from their size, on the
     # stamp route and, past a cell cap of 1, on the dp route; only the
     # trials of L or more words draw them, and the counts are the
-    # per-trial sample_rc oracle's
+    # per-trial sample_rc oracle's.  Every rate is block drawn (p N <= 30)
     cfg = SweepConfig(q=3, n=6, family="rc", rho=0.2, L=3, rates=[0.1, 0.2, 0.3], trials=20,
                       master_seed=3)
     want = _profile_decisions(cfg)
     sizes = [c.size for ri, rate in enumerate(cfg.rates) for c in _oracle_codes(cfg, ri, rate)]
     assert min(sizes) < cfg.L <= max(sizes)
     drawn = []
-    real = simulate.draw_rc_words
-    monkeypatch.setattr("thresholds.simulate.draw_rc_words",
-                        lambda q, n, k, rng: drawn.append(k) or real(q, n, k, rng))
+    _recording_draws(monkeypatch, drawn)
     monkeypatch.setattr("thresholds.simulate._CENTER_CAP", cap)
     curve = satisfaction_curve(cfg)
+    assert curve.block_draws == len(sizes)
     route = "stamp" if cap == _CENTER_CAP else "dp"
     assert curve.routes == {**dict.fromkeys(("stamp", "pigeonhole", "dp", "fiber"), 0),
                             route: len(sizes)}
@@ -972,7 +986,9 @@ EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
 def test_pcg64_states_are_the_default_rng_states():
     seeds = [trial_seed(m, ri, ti) for m in (0, -5, 2026) for ri in range(3)
              for ti in range(300)] + EDGE_SEEDS
-    for s, (state, inc) in zip(seeds, _pcg64_states(seeds), strict=True):
+    limbs = _pcg64_states(seeds).tolist()
+    for s, s_hi, s_lo, i_hi, i_lo in zip(seeds, *limbs, strict=True):
+        state, inc = s_hi << 64 | s_lo, i_hi << 64 | i_lo
         want = np.random.default_rng(s).bit_generator.state
         assert want["state"] == {"state": state, "inc": inc}, s
         assert want["has_uint32"] == want["uinteger"] == 0
@@ -1089,6 +1105,167 @@ def test_seed_blocks_keep_memory_flat(monkeypatch):
     assert [round(p * cfg.trials) for p in whole.p_hat] == _profile_decisions(cfg)
 
 
+# the largest n with q^n within the enumeration cap of 2^24
+BLOCK_SPACES = {2: 24, 3: 15, 4: 12, 5: 10, 7: 8}
+
+
+def _draws32(before, after):
+    """The 32-bit draws a PCG64 stream made between two of its states: the
+    64-bit outputs it stepped through, less a half left buffered."""
+    s, inc = before["state"]["state"], before["state"]["inc"]
+    for t in range(1000):
+        if s == after["state"]["state"]:
+            return 2 * t - after["has_uint32"] + before["has_uint32"]
+        s = (s * blockdraw._M + inc) % 2**128
+    raise AssertionError("states more than 1,000 outputs apart")
+
+
+def _check_block_draws(q, n, rates, seed, trials, lo=0, hi=None):
+    """Draw every trial of the rates with the block kernel and again from a
+    fresh `default_rng(trial_seed)` stream by `draw_rc_size` and
+    `draw_rc_words`; assert the sizes equal, the words equal for sizes in
+    [lo, hi] and are None outside.  Returns the Lemire rejections the fresh
+    streams made, from the 32-bit draws `choice` took beyond one a word."""
+    N = q**n
+    hi = N if hi is None else hi
+    pairs = [(ri, ti) for ri in range(len(rates)) for ti in range(trials)]
+    seeds = [trial_seed(seed, ri, ti) for ri, ti in pairs]
+    ps = [simulate._rc_inclusion(q, n, R)[1] for R in rates]
+    sizes, words = blockdraw.draw_codes(N, ps, np.asarray([ri for ri, _ in pairs]),
+                                        _pcg64_states(seeds), lo, hi)
+    rejections = 0
+    for (ri, ti), s, size, got in zip(pairs, seeds, sizes.tolist(), words, strict=True):
+        rng = np.random.default_rng(s)
+        k = simulate.draw_rc_size(q, n, rates[ri], rng)
+        assert size == k, (q, n, rates[ri], ti)
+        if not lo <= k <= hi:
+            assert got is None
+            continue
+        before = rng.bit_generator.state
+        want = simulate.draw_rc_words(q, n, k, rng)
+        assert got.dtype == np.int64 and np.array_equal(got, want), (q, n, rates[ri], ti)
+        if 0 < k < N:  # at k = N the first step, j = 0, draws nothing
+            rejections += _draws32(before, rng.bit_generator.state) - k
+    return rejections
+
+
+def _switch_rates(q, n):
+    """The adjacent floats R_under < R_over where p q^n, p = q^((R - 1) n),
+    passes 30, numpy's switch from inversion to BTPE."""
+    N = q**n
+    pn = lambda R: simulate._rc_inclusion(q, n, R)[1] * N  # noqa: E731
+    R = math.log(30.0) / (n * math.log(q))
+    while pn(R) > 30.0:
+        R = math.nextafter(R, 0.0)
+    while pn(math.nextafter(R, 1.0)) <= 30.0:
+        R = math.nextafter(R, 1.0)
+    return R, math.nextafter(R, 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.sampled_from(sorted(BLOCK_SPACES)), data=st.data(), seed=st.integers(0, 2**32))
+def test_block_draws_are_the_per_trial_draws(q, data, seed):
+    # rates whose mean size p q^n lies in (1, 30], on any space up to the
+    # cap, and a window of sizes whose words are drawn
+    n = data.draw(st.integers(1, BLOCK_SPACES[q]), label="n")
+    N = q**n
+    means = data.draw(st.lists(st.floats(1.01, 30.0), min_size=1, max_size=3), label="means")
+    rates = [R for R in (math.log(m) / math.log(N) for m in means) if 0.0 < R <= 1.0
+             and blockdraw.by_inversion(N, simulate._rc_inclusion(q, n, R)[1])]
+    assume(rates)
+    lo = data.draw(st.integers(0, 4), label="lo")
+    hi = data.draw(st.integers(lo, 90), label="hi")
+    _check_block_draws(q, n, rates, seed, 30, lo, hi)
+
+
+def test_block_draws_replay_lemire_rejections():
+    # a draw bounded by j + 1 is rejected with probability (2^32 mod (j +
+    # 1)) / 2^32, and each rejection shifts the later draws of its trial by
+    # one.  Floyd's steps take j near N, so at N = 3^15 that is about 1 in
+    # 1,000 draws; at N = 2^24 it is 256 d / 2^32 for j + 1 = 2^24 - d, about
+    # one code in 40,000, and master seed 1401 is one whose trial 4, a code
+    # of 25 words, rejects a draw
+    assert _check_block_draws(3, 15, [0.2], 7, 400) > 0
+    assert _check_block_draws(2, 24, [0.2], 1401, 10) == 1
+
+
+def test_block_draws_stop_at_numpy_switch():
+    # p = 1/2 exactly is sampled by inversion
+    N, p = simulate._rc_inclusion(2, 4, 0.75)
+    assert p == 0.5 and blockdraw.by_inversion(N, p)
+    _check_block_draws(2, 4, [0.75], 5, 200)
+    # R = 0.8 at n = 5 rounds p to 0.5000000000000001, for which numpy
+    # draws N - X, X sampled for 1 - p; and one float past p N = 30 numpy
+    # samples by BTPE.  Inversion at p reproduces neither
+    under, over = _switch_rates(3, 8)
+    _check_block_draws(3, 8, [under], 5, 200)
+    for q, n, R in ((2, 5, 0.8), (3, 8, over)):
+        N, p = simulate._rc_inclusion(q, n, R)
+        assert not blockdraw.by_inversion(N, p)
+        seeds = [trial_seed(5, 0, ti) for ti in range(200)]
+        forced, _ = blockdraw.draw_codes(N, [p], np.zeros(200, dtype=np.int64),
+                                         _pcg64_states(seeds), 1, 0)
+        numpy_sizes = [simulate.draw_rc_size(q, n, R, np.random.default_rng(s)) for s in seeds]
+        assert forced.tolist() != numpy_sizes, (q, n, R)
+
+
+@pytest.mark.parametrize("shape,rates", [((3, 8, 0.125, 3), "switch"),
+                                         ((2, 5, 0.2, 2), [0.7, 0.8])],
+                         ids=["np-30", "p-half"])
+def test_sweeps_block_draw_only_inversion_rates(shape, rates):
+    # rates on both sides of numpy's switch: the trials of the side sampled
+    # by inversion are block drawn, the rest per trial, and the curve is one
+    # profile per code drawn from a fresh stream
+    q, n, rho, L = shape
+    rates = list(_switch_rates(q, n)) if rates == "switch" else rates
+    cfg = SweepConfig(q=q, n=n, family="rc", rho=rho, L=L, rates=rates, trials=15,
+                      master_seed=9)
+    curve = satisfaction_curve(cfg)
+    assert curve.block_draws == cfg.trials
+    assert [round(p * cfg.trials) for p in curve.p_hat] == _profile_decisions(cfg)
+
+
+def test_block_drawn_sweeps_refuse_as_draw_rc_size(capsys, tmp_path, monkeypatch):
+    # a rate outside (0, 1] and a space past the enumeration cap are refused
+    # with the per-trial sampler's own messages, and the command exits 3
+    from thresholds.cli import main
+
+    cfg = SweepConfig(q=3, n=8, family="rc", rho=0.125, L=3, rates=[0.2], trials=2,
+                      master_seed=0)
+    for R in (0.0, -0.5, 1.5, math.nan):
+        cfg.rates = [R]
+        with pytest.raises(DomainError) as per_trial:
+            simulate.draw_rc_size(3, 8, R, np.random.default_rng(0))
+        with pytest.raises(DomainError) as block:
+            satisfaction_curve(cfg)
+        assert str(block.value) == str(per_trial.value)
+    big = SweepConfig(q=2, n=25, family="rc", rho=0.1, L=2, rates=[0.1], trials=2,
+                      master_seed=0)
+    with pytest.raises(SizeCapError) as per_trial:
+        simulate.draw_rc_size(2, 25, 0.1, np.random.default_rng(0))
+    with pytest.raises(SizeCapError) as block:
+        satisfaction_curve(big)
+    assert str(block.value) == str(per_trial.value)
+    monkeypatch.chdir(tmp_path)
+    argv = ["simulate", "--family", "rc", "--rho", "0.1", "--L", "2", "--trials", "2"]
+    assert main(argv + ["--q", "2", "--n", "25", "--rates", "0.1:0.1:0.1"]) == 3
+    assert f"domain error: {per_trial.value}" in capsys.readouterr().err
+    assert main(argv + ["--q", "3", "--n", "8", "--rates", "1.5:1.5:0.1"]) == 3
+    assert "domain error: rates must lie in (0, 1)" in capsys.readouterr().err
+
+
+def test_ball_stampers_are_cached_and_stamp_fresh_arrays():
+    # one stamper per (q, n, r, ell), shared by every block and dense
+    # profile: what it returns is the caller's to write
+    for q, ell in ((2, 1), (3, 1), (4, 2)):
+        balls, V = _ball_stamper(q, 5, 1, ell)
+        assert _ball_stamper(q, 5, 1, ell)[0] is balls
+        words = np.arange(0, q**5, 7, dtype=np.int64)
+        first = balls(words)
+        first += 1
+        assert np.array_equal(balls(words), first - 1)
+
+
 def test_sweep_config_validation():
     with pytest.raises(DomainError):
         SweepConfig(q=2, n=6, family="rm", rho=0.1, L=2, rates=[0.5], trials=3,
@@ -1157,11 +1334,18 @@ def test_pigeonhole_bound_is_strict(monkeypatch):
     # trials (and list recovery) still go through the bound
     hamming = hamming_code()
     assert hamming.size * ball_volume(2, 7, 1) == 2**7
-    monkeypatch.setattr("thresholds.simulate.draw_rc_size", lambda q, n, R, rng: hamming.size)
-    monkeypatch.setattr("thresholds.simulate.draw_rc_words", lambda q, n, k, rng: hamming.words)
+
+    def hamming_draws(N, ps, which, states, lo, hi):
+        # rate 0.5 at n = 7 is drawn by the block kernel (p N about 11)
+        inside = lo <= hamming.size <= hi
+        return (np.full(len(which), hamming.size),
+                [hamming.words if inside else None for _ in range(len(which))])
+
+    monkeypatch.setattr("thresholds.blockdraw.draw_codes", hamming_draws)
     cfg = SweepConfig(q=2, n=7, family="rc", rho=0.15, L=2, rates=[0.5], trials=3,
                       master_seed=0)
     curve = satisfaction_curve(cfg)
+    assert curve.block_draws == 3
     assert curve.p_hat.tolist() == [1.0]
     assert curve.routes == {"stamp": 3, "pigeonhole": 0, "dp": 0, "fiber": 0}
     curve = satisfaction_curve(SweepConfig(**{**vars(cfg), "L": 1}))
